@@ -45,6 +45,7 @@ from .lab import (
 from .manifest import RunManifest, compare_outputs
 from .noise import (
     Trajectory,
+    _complex_normal,
     convolution_from_path,
     philox_stream,
     sample_convolution_path,
@@ -228,9 +229,7 @@ def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     rows = []
     worst = 0.0
     for N in cutoffs:
-        rng = philox_stream(cfg.seed, 1, N)
-        dim = 2 * N + 1
-        U = (rng.standard_normal((nfields, dim)) + 1j * rng.standard_normal((nfields, dim))) / np.sqrt(2.0)
+        U = _complex_normal(philox_stream(cfg.seed, 1, N), (nfields, 2 * N + 1)) / np.sqrt(2.0)
         fft_vals = wick_coeffs_block(U, N)
         d_conv = 0.0
         d_split = 0.0

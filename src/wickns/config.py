@@ -56,7 +56,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "integrator": ("choice:" + ",".join(INTEGRATORS), "exponential-euler"),
         "picard_max_iters": ("int", "25"),
         "picard_tolerance": ("float", "1e-10"),
-        "ensemble_size": ("int", "1"),
         "u0": ("str", "zero"),
     },
     "noise": {
@@ -78,7 +77,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "samples": ("int", "2000"),
         "steps": ("int", "64"),
         "cutoffs": ("ints", "16,32,64"),
-        "alphas": ("floats", "0.0,0.5,1.0"),
         "substeps": ("int", "2"),
         "ensemble_size": ("int", "100"),
         "data_alpha": ("float", "0.75"),
@@ -172,7 +170,6 @@ class ExperimentConfig:
         self,
         command: str | None = None,
         seed: int | None = None,
-        out: str | None = None,
         workers: int | None = None,
     ) -> "ExperimentConfig":
         """Copy with CLI-level overrides applied and the resolved text rebuilt."""
@@ -183,8 +180,6 @@ class ExperimentConfig:
             if not 0 <= seed < 2**64:
                 raise ConfigError(f"[run] seed: must be an unsigned 64-bit value, got {seed}")
             values[("run", "seed")] = int(seed)
-        if out is not None:
-            values[("run", "out")] = str(out)
         if workers is not None:
             if workers < 1:
                 raise ConfigError(f"[run] workers: must be >= 1, got {workers}")
@@ -214,7 +209,6 @@ class ExperimentConfig:
             picard_max_iters=g("picard_max_iters"),
             picard_tolerance=g("picard_tolerance"),
             seed=self.seed,
-            ensemble_size=g("ensemble_size"),
         )
 
     def noise_operator(self, cutoff: int | None = None) -> NoiseOperator | None:
@@ -229,8 +223,6 @@ class ExperimentConfig:
         path = self.get("noise", "matrix_file")
         if not path:
             raise ConfigError("[noise] matrix_file: required for kind = matrix")
-        from .noise import NoiseOperator as _Op
-
         rows = open(path).read().strip().splitlines()
         if rows[0].strip() != "n,k,re,im":
             raise ConfigError("[noise] matrix_file: expected header 'n,k,re,im'")
@@ -240,7 +232,7 @@ class ExperimentConfig:
         mat = np.zeros((len(ns), len(ns)), dtype=np.complex128)
         for r in recs:
             mat[int(r[0]) + NN, int(r[1]) + NN] = complex(float(r[2]), float(r[3]))
-        return _Op(NN, matrix=mat)
+        return NoiseOperator(NN, matrix=mat)
 
     def xsb_params(self) -> XsbParams:
         g = lambda k: self.get("norms", k)

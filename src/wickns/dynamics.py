@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, frequencies, make_field
-from .noise import NoiseOperator, NoisePath, Trajectory, _check_uniform, philox_stream
+from .fields import SpectralField, alias_free_length, from_grid, make_field, propagator_phases, to_grid
+from .noise import NoiseOperator, NoisePath, Trajectory, _check_uniform, _draw_increments, convolution_from_path, philox_stream
 from .norms import TimeWindow, XsbParams, discrete_duhamel, xsb_norm
 
 __all__ = [
@@ -55,7 +55,6 @@ class SolverConfig:
     picard_max_iters: int = 25
     picard_tolerance: float = 1e-10
     seed: int = 0
-    ensemble_size: int = 1
 
     def __post_init__(self):
         if self.integrator not in INTEGRATORS:
@@ -88,31 +87,11 @@ class WickSplit:
         return self.nonres + self.res
 
 
-def _fft_length(N: int) -> int:
-    # alias-free cubic needs L >= 4N + 1
-    L = 1
-    while L < 4 * N + 1:
-        L *= 2
-    return L
-
-
 def cubic_coeffs_block(U: np.ndarray, N: int) -> np.ndarray:
     """(|u|^2 u)^ on [-N, N] for a block of coefficient rows, full-band
     intermediate via a zero-padded transform (no aliasing for L >= 4N+1)."""
-    L = _fft_length(N)
-    B = U.shape[0]
-    spec = np.zeros((B, L), dtype=np.complex128)
-    spec[:, : N + 1] = U[:, N:]
-    if N > 0:
-        spec[:, L - N :] = U[:, :N]
-    phys = np.fft.ifft(spec, axis=1) * L
-    w = np.abs(phys) ** 2 * phys
-    W = np.fft.fft(w, axis=1) / L
-    out = np.empty_like(U)
-    out[:, N:] = W[:, : N + 1]
-    if N > 0:
-        out[:, :N] = W[:, L - N :]
-    return out
+    phys = to_grid(U, alias_free_length(N))
+    return from_grid(np.abs(phys) ** 2 * phys, N)
 
 
 def wick_coeffs_block(U: np.ndarray, N: int) -> np.ndarray:
@@ -211,13 +190,17 @@ def step_exponential_euler(
     deterministic part is first-order accurate; with the nonlinearity forced
     off and phi = 0 the step is exactly the free propagator.
     """
-    N = u.cutoff
-    ns = frequencies(N).astype(np.float64)
-    nl = _nonlinearity_block(u.coeffs[None, :], N, nonlinearity)[0]
-    new = np.exp(1j * dt * ns**2) * (u.coeffs + 1j * dt * nl)
-    if op is not None and noise_increment is not None:
-        new = new - 1j * op.apply_to_vector(np.asarray(noise_increment))
-    return make_field(N, new)
+    prop = propagator_phases(u.cutoff, dt)
+    return make_field(u.cutoff, _euler_step(u.coeffs, prop, dt, nonlinearity, op, noise_increment))
+
+
+def _euler_step(c: np.ndarray, prop: np.ndarray, dt: float, nonlinearity: str, op, z) -> np.ndarray:
+    """The step on a bare coefficient row c, with prop = exp(i dt n^2)."""
+    nl = _nonlinearity_block(c[None, :], (c.shape[0] - 1) // 2, nonlinearity)[0]
+    new = prop * (c + 1j * dt * nl)
+    if op is not None and z is not None:
+        new = new - 1j * op.apply_to_vector(np.asarray(z))
+    return new
 
 
 def solve(
@@ -246,14 +229,9 @@ def solve(
             raise ValueError("operator cutoff does not match the config")
         if rng is None:
             rng = philox_stream(cfg.seed, 0)
-        re = rng.standard_normal((M, dim))
-        im = rng.standard_normal((M, dim))
-        z = (re + 1j * im) * np.sqrt(cfg.dt / 2.0)
-        path = NoisePath(times, z, seed=cfg.seed)
+        path = NoisePath(times, _draw_increments(rng, (M, dim), cfg.dt), seed=cfg.seed)
 
     if cfg.integrator == "picard":
-        from .noise import convolution_from_path
-
         if path is None:
             psi = Trajectory(times, np.zeros((M + 1, dim), dtype=np.complex128))
         else:
@@ -261,16 +239,12 @@ def solve(
         report = picard_iterate(u0, op, psi, cfg)
         return report.iterates[-1]
 
-    ns = frequencies(cfg.cutoff).astype(np.float64)
-    prop = np.exp(1j * cfg.dt * ns**2)
+    prop = propagator_phases(cfg.cutoff, cfg.dt)
     states = np.zeros((M + 1, dim), dtype=np.complex128)
     states[0] = u0.coeffs
     cur = u0.coeffs.copy()
     for m in range(M):
-        nl = _nonlinearity_block(cur[None, :], cfg.cutoff, nonlinearity)[0]
-        cur = prop * (cur + 1j * cfg.dt * nl)
-        if path is not None:
-            cur = cur - 1j * op.apply_to_vector(path.increments[m])
+        cur = _euler_step(cur, prop, cfg.dt, nonlinearity, op, None if path is None else path.increments[m])
         if not np.all(np.isfinite(cur.view(np.float64))):
             return Trajectory(
                 times[: m + 1], states[: m + 1], noise=path, failed_at=float(times[m])
@@ -299,8 +273,6 @@ def evolve_wick_rk4ip(
     the linear part exact.  Returns states at the grid indices in `record`
     (default: final time only) as an array (len(record), B, 2N+1).
     """
-    ns = frequencies(N).astype(np.float64)
-    n2 = ns**2
     h = dt / substeps
     record = [steps] if record is None else record
     rec_set = {int(r) for r in record}
@@ -311,9 +283,10 @@ def evolve_wick_rk4ip(
         out[order[0]] = U
 
     def rhs(V: np.ndarray, s: float) -> np.ndarray:
-        ph = np.exp(1j * s * n2)
+        ph = propagator_phases(N, s)
         return 1j * np.conj(ph) * wick_coeffs_block(ph * V, N)
 
+    prop = propagator_phases(N, dt)
     for m in range(steps):
         V = U  # interaction rep referenced to the step start
         for k in range(substeps):
@@ -323,7 +296,7 @@ def evolve_wick_rk4ip(
             k3 = rhs(V + 0.5 * h * k2, s + 0.5 * h)
             k4 = rhs(V + h * k3, s + h)
             V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        U = np.exp(1j * dt * n2) * V
+        U = prop * V
         if phi is not None and Z is not None:
             U = U - 1j * phi * Z[:, m, :]
         if m + 1 in rec_set:
@@ -368,8 +341,7 @@ def picard_iterate(
     if params is None:
         params = XsbParams(s=0.0, b=0.3, bprime=-0.3, p=2.0, q=2.0, T=float(times[-1]))
     N = u0.cutoff
-    ns = frequencies(N).astype(np.float64)
-    lin = u0.coeffs[None, :] * np.exp(1j * np.outer(times, ns**2))
+    lin = u0.coeffs[None, :] * propagator_phases(N, times)
     cur = lin - 1j * psi.states
     report = PicardReport()
     report.iterates.append(Trajectory(times, cur))

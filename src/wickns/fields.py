@@ -25,6 +25,9 @@ __all__ = [
     "convolve",
     "project",
     "evaluate",
+    "alias_free_length",
+    "to_grid",
+    "from_grid",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -115,10 +118,14 @@ def mode_field(cutoff: int, n: int, amplitude: complex = 1.0) -> SpectralField:
     return SpectralField(cutoff, c)
 
 
-def propagator_phases(cutoff: int, t: float) -> np.ndarray:
-    """Diagonal multiplier exp(i*t*n^2) on the truncated basis."""
-    ns = frequencies(cutoff).astype(np.float64)
-    return np.exp(1j * t * ns**2)
+def propagator_phases(cutoff: int, t) -> np.ndarray:
+    """Diagonal multiplier exp(i*t*n^2) on the truncated basis.
+
+    t may be an array of times; the result then has one row of phases per
+    time, shape t.shape + (2N+1,).  S(-t) is the complex conjugate.
+    """
+    n2 = frequencies(cutoff).astype(np.float64) ** 2
+    return np.exp(1j * np.multiply.outer(t, n2))
 
 
 def apply_linear_propagator(f: SpectralField, t: float) -> SpectralField:
@@ -153,6 +160,37 @@ def project(f: SpectralField, M: int) -> SpectralField:
     return SpectralField(f.cutoff, c)
 
 
+def alias_free_length(N: int) -> int:
+    """Smallest power of two L >= 4N+1, the grid on which a cubic product
+    (band [-3N, 3N]) does not alias back into [-N, N]."""
+    L = 1
+    while L < 4 * N + 1:
+        L *= 2
+    return L
+
+
+def to_grid(coeffs: np.ndarray, gridpoints: int) -> np.ndarray:
+    """Samples of sum_n c(n) e^{2 pi i n x_j} on the uniform grid, along the
+    last axis of a block of coefficient rows (..., 2N+1) -> (..., gridpoints)."""
+    N = (coeffs.shape[-1] - 1) // 2
+    spec = np.zeros(coeffs.shape[:-1] + (gridpoints,), dtype=np.complex128)
+    spec[..., : N + 1] = coeffs[..., N:]  # frequencies 0..N
+    if N > 0:
+        spec[..., gridpoints - N :] = coeffs[..., :N]  # frequencies -N..-1
+    return np.fft.ifft(spec, axis=-1) * gridpoints
+
+
+def from_grid(samples: np.ndarray, cutoff: int) -> np.ndarray:
+    """Inverse of to_grid, truncated to frequencies -N..N along the last axis."""
+    L = samples.shape[-1]
+    W = np.fft.fft(samples, axis=-1) / L
+    out = np.empty(samples.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
+    out[..., cutoff:] = W[..., : cutoff + 1]
+    if cutoff > 0:
+        out[..., :cutoff] = W[..., L - cutoff :]
+    return out
+
+
 def evaluate(f: SpectralField, gridpoints: int) -> np.ndarray:
     """Samples of sum_n u_hat(n) e^{2 pi i n x_j} on the uniform grid.
 
@@ -164,11 +202,7 @@ def evaluate(f: SpectralField, gridpoints: int) -> np.ndarray:
         raise ValueError(
             f"need at least {2 * N + 1} gridpoints to avoid aliasing, got {gridpoints}"
         )
-    spec = np.zeros(gridpoints, dtype=np.complex128)
-    spec[: N + 1] = f.coeffs[N:]  # frequencies 0..N
-    if N > 0:
-        spec[-N:] = f.coeffs[:N]  # frequencies -N..-1
-    return np.fft.ifft(spec) * gridpoints
+    return to_grid(f.coeffs, gridpoints)
 
 
 def field_to_csv(f: SpectralField) -> str:

@@ -21,9 +21,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import evolve_wick_rk4ip
-from .fields import frequencies
+from .fields import alias_free_length, from_grid, propagator_phases, to_grid
 from .noise import (
     NoiseOperator,
+    _complex_normal,
+    _draw_increments,
     bessel_operator,
     convolution_paths_block,
     identity_operator,
@@ -279,23 +281,9 @@ def trilinear_forcing_block(U1: np.ndarray, U2: np.ndarray, U3: np.ndarray, N: i
     Equals the full product u1 conj(u2) u3 truncated to [-N, N] minus the two
     diagonal sums: F - u1 * sum(conj(u2) u3) - u3 * sum(u1 conj(u2)).
     """
-    L = 1
-    while L < 4 * N + 1:
-        L *= 2
-
-    def to_phys(U):
-        spec = np.zeros(U.shape[:-1] + (L,), dtype=np.complex128)
-        spec[..., : N + 1] = U[..., N:]
-        if N > 0:
-            spec[..., L - N :] = U[..., :N]
-        return np.fft.ifft(spec, axis=-1) * L
-
-    w = to_phys(U1) * np.conj(to_phys(U2)) * to_phys(U3)
-    W = np.fft.fft(w, axis=-1) / L
-    full = np.empty_like(U1)
-    full[..., N:] = W[..., : N + 1]
-    if N > 0:
-        full[..., :N] = W[..., L - N :]
+    L = alias_free_length(N)
+    w = to_grid(U1, L) * np.conj(to_grid(U2, L)) * to_grid(U3, L)
+    full = from_grid(w, N)
     A = np.sum(np.conj(U2) * U3, axis=-1, keepdims=True)
     B = np.sum(U1 * np.conj(U2), axis=-1, keepdims=True)
     return full - U1 * A - U3 * B
@@ -345,14 +333,12 @@ def trilinear_ratio(
     doubling is the testable content; no absolute constant is asserted.
     """
     N = cutoff
-    dim = 2 * N + 1
-    ns = frequencies(N).astype(np.float64)
     op = bessel_operator(N, alpha)
     grid = np.linspace(0.0, params.T, steps + 1)
-    phases = np.exp(1j * np.outer(grid, ns**2))
+    phases = propagator_phases(N, grid)
     trajs = []
     for _ in range(3):
-        g = (rng.standard_normal((ensemble_size, dim)) + 1j * rng.standard_normal((ensemble_size, dim))) / np.sqrt(2.0)
+        g = _complex_normal(rng, (ensemble_size, 2 * N + 1)) / np.sqrt(2.0)
         f = op.multiplier * g
         lin = f[:, None, :] * phases[None, :, :]
         psi = convolution_paths_block(op, grid, rng, ensemble_size)
@@ -415,6 +401,24 @@ class TailFitReport:
         }
 
 
+def _chunk_map(fn, samples: int, chunk: int, rng: np.random.Generator, workers: int) -> list:
+    """fn(stream, size) over `samples` split into chunks of at most `chunk`,
+    in chunk order.  Each chunk gets its own Philox stream from a seed drawn
+    up front from rng, so results do not depend on worker count or on
+    completion order."""
+    nchunks = (samples + chunk - 1) // chunk
+    sizes = [min(chunk, samples - i * chunk) for i in range(nchunks)]
+    seeds = [int(s) for s in rng.integers(0, 2**62, size=nchunks)]
+
+    def one(i: int):
+        return fn(philox_stream(seeds[i]), sizes[i])
+
+    if workers <= 1:
+        return [one(i) for i in range(nchunks)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(nchunks)))
+
+
 def _ensemble_xsb_norms(
     op: NoiseOperator,
     params: XsbParams,
@@ -427,21 +431,11 @@ def _ensemble_xsb_norms(
     """Surrogate norms of `samples` convolution paths, chunk-seeded so the
     result is independent of worker count."""
     grid = np.linspace(0.0, params.T, steps + 1)
-    nchunks = (samples + chunk - 1) // chunk
-    sizes = [min(chunk, samples - i * chunk) for i in range(nchunks)]
-    seeds = [int(s) for s in rng.integers(0, 2**62, size=nchunks)]
 
-    def one(i: int) -> np.ndarray:
-        sub = philox_stream(seeds[i])
-        states = convolution_paths_block(op, grid, sub, sizes[i])
-        return xsb_norm_batch(states, grid, params)
+    def one(sub: np.random.Generator, size: int) -> np.ndarray:
+        return xsb_norm_batch(convolution_paths_block(op, grid, sub, size), grid, params)
 
-    if workers <= 1:
-        parts = [one(i) for i in range(nchunks)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(nchunks)))
-    return np.concatenate(parts)
+    return np.concatenate(_chunk_map(one, samples, chunk, rng, workers))
 
 
 def tail_estimate_mc(
@@ -564,28 +558,17 @@ def variance_invariance_test(
         raise ValueError("T/4, T/2, T must be grid times")
     dim = 2 * cutoff + 1
     op = identity_operator(cutoff)
-    nchunks = (samples + chunk - 1) // chunk
-    sizes = [min(chunk, samples - i * chunk) for i in range(nchunks)]
-    seeds = [int(s) for s in rng.integers(0, 2**62, size=nchunks)]
 
-    def one(i: int):
-        sub = philox_stream(seeds[i])
-        B = sizes[i]
-        g = (sub.standard_normal((B, dim)) + 1j * sub.standard_normal((B, dim))) / np.sqrt(2.0)
-        re = sub.standard_normal((B, steps, dim))
-        im = sub.standard_normal((B, steps, dim))
-        Z = (re + 1j * im) * np.sqrt(dt / 2.0)
+    def one(sub: np.random.Generator, B: int):
+        g = _complex_normal(sub, (B, dim)) / np.sqrt(2.0)
+        Z = _draw_increments(sub, (B, steps, dim), dt)
         snaps = evolve_wick_rk4ip(g, op.multiplier, Z, dt, steps, cutoff, substeps, rec)
         finite = np.all(np.isfinite(snaps.view(np.float64)), axis=(0, 2))
         good = snaps[:, finite, :]
         sq_sum = np.sum(np.abs(good) ** 2, axis=1)  # (len(rec), dim)
         return sq_sum, int(np.sum(finite)), B
 
-    if workers <= 1:
-        parts = [one(i) for i in range(nchunks)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(nchunks)))
+    parts = _chunk_map(one, samples, chunk, rng, workers)
     total_sq = sum(p[0] for p in parts)
     total_good = sum(p[1] for p in parts)
     total = sum(p[2] for p in parts)

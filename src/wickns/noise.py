@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, frequencies, make_field
+from .fields import SpectralField, frequencies, make_field, propagator_phases
 
 __all__ = [
     "NoiseOperator",
@@ -98,10 +98,11 @@ class NoiseOperator:
         return np.sqrt(np.sum(np.abs(self.matrix) ** 2, axis=1))
 
     def apply_to_vector(self, z: np.ndarray) -> np.ndarray:
-        """phi applied to a coefficient vector over driving indices."""
+        """phi applied along the last axis of z (driving indices), so a block
+        of vectors (..., 2N+1) maps row by row."""
         if self.is_multiplier:
             return self.multiplier * z
-        return self.matrix @ z
+        return z @ self.matrix.T
 
 
 def bessel_operator(cutoff: int, alpha: float) -> NoiseOperator:
@@ -228,17 +229,33 @@ def sample_white_noise_field(cutoff: int, variance: float, rng: np.random.Genera
     """
     if variance < 0:
         raise ValueError("variance must be non-negative")
-    dim = 2 * cutoff + 1
-    g = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+    g = _complex_normal(rng, 2 * cutoff + 1) / np.sqrt(2.0)
     return make_field(cutoff, np.sqrt(variance) * g)
 
 
-def _draw_increments(rng: np.random.Generator, steps: int, dim: int, dt: float) -> np.ndarray:
-    # One block draw per path: the stream layout is independent of how steps
-    # or modes are later traversed.
-    re = rng.standard_normal((steps, dim))
-    im = rng.standard_normal((steps, dim))
-    return (re + 1j * im) * np.sqrt(dt / 2.0)
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """re + i im with re, im independent standard normal blocks of `shape`,
+    drawn real block first; E|z|^2 = 2, so callers scale it themselves."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _draw_increments(rng: np.random.Generator, shape, dt: float) -> np.ndarray:
+    # One block draw per path or ensemble: the stream layout is independent
+    # of how steps or modes are later traversed.
+    return _complex_normal(rng, shape) * np.sqrt(dt / 2.0)
+
+
+def _free_recursion(op: NoiseOperator, z: np.ndarray, dt: float) -> np.ndarray:
+    """psi(t_0) = 0, psi(t_{m+1}) = exp(i dt n^2) psi(t_m) + phi z_m for
+    increments z of shape (..., steps, 2N+1); returns (..., steps+1, 2N+1)."""
+    prop = propagator_phases(op.cutoff, dt)
+    steps, dim = z.shape[-2:]
+    out = np.zeros(z.shape[:-2] + (steps + 1, dim), dtype=np.complex128)
+    cur = np.zeros(z.shape[:-2] + (dim,), dtype=np.complex128)
+    for m in range(steps):
+        cur = prop * cur + op.apply_to_vector(z[..., m, :])
+        out[..., m + 1, :] = cur
+    return out
 
 
 def sample_noise_path(cutoff: int, grid, seed: int, trajectory_id: int = 0) -> NoisePath:
@@ -246,7 +263,7 @@ def sample_noise_path(cutoff: int, grid, seed: int, trajectory_id: int = 0) -> N
     times = np.asarray(grid, dtype=np.float64)
     dt = _check_uniform(times)
     rng = philox_stream(seed, trajectory_id)
-    z = _draw_increments(rng, len(times) - 1, 2 * cutoff + 1, dt)
+    z = _draw_increments(rng, (len(times) - 1, 2 * cutoff + 1), dt)
     return NoisePath(times, z, seed=seed, trajectory_id=trajectory_id)
 
 
@@ -257,14 +274,7 @@ def convolution_from_path(op: NoiseOperator, path: NoisePath) -> Trajectory:
     if path.increments.shape[1] != dim:
         raise ValueError("path increment width does not match operator cutoff")
     dt = _check_uniform(times)
-    ns = frequencies(op.cutoff).astype(np.float64)
-    prop = np.exp(1j * dt * ns**2)
-    states = np.zeros((len(times), dim), dtype=np.complex128)
-    cur = np.zeros(dim, dtype=np.complex128)
-    for m in range(len(times) - 1):
-        cur = prop * cur + op.apply_to_vector(path.increments[m])
-        states[m + 1] = cur
-    return Trajectory(times, states, noise=path)
+    return Trajectory(times, _free_recursion(op, path.increments, dt), noise=path)
 
 
 def sample_convolution_path(op: NoiseOperator, grid, rng: np.random.Generator) -> Trajectory:
@@ -277,7 +287,7 @@ def sample_convolution_path(op: NoiseOperator, grid, rng: np.random.Generator) -
     """
     times = np.asarray(grid, dtype=np.float64)
     dt = _check_uniform(times)
-    z = _draw_increments(rng, len(times) - 1, 2 * op.cutoff + 1, dt)
+    z = _draw_increments(rng, (len(times) - 1, 2 * op.cutoff + 1), dt)
     return convolution_from_path(op, NoisePath(times, z))
 
 
@@ -290,23 +300,8 @@ def convolution_paths_block(op: NoiseOperator, grid, rng: np.random.Generator, n
     """
     times = np.asarray(grid, dtype=np.float64)
     dt = _check_uniform(times)
-    dim = 2 * op.cutoff + 1
-    steps = len(times) - 1
-    re = rng.standard_normal((n_paths, steps, dim))
-    im = rng.standard_normal((n_paths, steps, dim))
-    z = (re + 1j * im) * np.sqrt(dt / 2.0)
-    ns = frequencies(op.cutoff).astype(np.float64)
-    prop = np.exp(1j * dt * ns**2)
-    out = np.zeros((n_paths, steps + 1, dim), dtype=np.complex128)
-    cur = np.zeros((n_paths, dim), dtype=np.complex128)
-    for m in range(steps):
-        if op.is_multiplier:
-            kick = op.multiplier * z[:, m, :]
-        else:
-            kick = z[:, m, :] @ op.matrix.T
-        cur = prop * cur + kick
-        out[:, m + 1, :] = cur
-    return out
+    z = _draw_increments(rng, (n_paths, len(times) - 1, 2 * op.cutoff + 1), dt)
+    return _free_recursion(op, z, dt)
 
 
 def convolution_variance(op: NoiseOperator, t: float, n: int) -> float:
@@ -328,7 +323,7 @@ def moment_bound_check(coeffs, p: float, samples: int, rng: np.random.Generator)
     a = np.asarray(coeffs, dtype=np.complex128)
     if p < 2:
         raise ValueError("p must be >= 2")
-    g = (rng.standard_normal((samples, a.shape[0])) + 1j * rng.standard_normal((samples, a.shape[0]))) / np.sqrt(2.0)
+    g = _complex_normal(rng, (samples, a.shape[0])) / np.sqrt(2.0)
     x = g @ a
     lp = float(np.mean(np.abs(x) ** p) ** (1.0 / p))
     l2 = float(np.sqrt(np.sum(np.abs(a) ** 2)))

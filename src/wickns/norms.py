@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import SpectralField, frequencies, make_field
-from .noise import NoiseOperator, Trajectory, _check_uniform
+from .fields import SpectralField, frequencies, propagator_phases
+from .noise import NoiseOperator, Trajectory, _check_uniform, _complex_normal, philox_stream
 
 __all__ = [
     "XsbParams",
@@ -152,9 +152,7 @@ def operator_norm(op: NoiseOperator, iters: int = 300, tol: float = 1e-13) -> fl
     if op.is_multiplier:
         return float(np.max(np.abs(op.multiplier)))
     a = op.matrix
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-    dim = a.shape[0]
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = _complex_normal(philox_stream(0), a.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
@@ -213,10 +211,7 @@ def _extend_and_window(states: np.ndarray, times: np.ndarray, params: XsbParams,
     """
     dt = _validate_xsb_grid(times, params)
     modes = states.shape[-1]
-    N = (modes - 1) // 2
-    ns = frequencies(N).astype(np.float64)
-    phases = np.exp(-1j * np.outer(times, ns**2))  # S(-t) on each slice
-    w = states * phases
+    w = states * np.conj(propagator_phases((modes - 1) // 2, times))  # S(-t) on each slice
     M = len(times) - 1
     J = 4 * M + 1
     i0 = 2 * M
@@ -235,15 +230,7 @@ def xsb_norm(traj: Trajectory, params: XsbParams, window: TimeWindow | None = No
     || <n>^s <tau>^b (windowed extension of S(-t)u(t))^(t -> tau) ||_{l^p_n L^q_tau}
     with the temporal transform and L^q_tau both discrete.
     """
-    window = _resolve_window(params, window)
-    v, dt = _extend_and_window(traj.states, traj.times, params, window)
-    tf = _modulation_lq(v, dt, params.b, params.q, pad)
-    N = traj.cutoff
-    wn = bracket(frequencies(N)) ** params.s
-    weighted = wn * tf
-    if np.isinf(params.p):
-        return float(np.max(weighted))
-    return float(np.sum(weighted**params.p) ** (1.0 / params.p))
+    return float(_xsb_norms(traj.states[None], traj.times, params, window, pad, 1)[0])
 
 
 def xsb_norm_batch(
@@ -256,8 +243,13 @@ def xsb_norm_batch(
 ) -> np.ndarray:
     """xsb_norm over an ensemble: states of shape (B, M+1, 2N+1) -> (B,).
 
-    Identical numerics to the scalar path; chunked to bound the FFT workspace.
+    xsb_norm runs the same code on one path; chunked to bound the FFT
+    workspace.
     """
+    return _xsb_norms(states, times, params, window, pad, chunk)
+
+
+def _xsb_norms(states, times, params, window, pad, chunk) -> np.ndarray:
     window = _resolve_window(params, window)
     B = states.shape[0]
     modes = states.shape[-1]
@@ -310,9 +302,7 @@ def homogeneous_estimate_check(
     if denom == 0:
         raise ValueError("fl_norm of the datum is zero")
     times = np.linspace(0.0, params.T, steps + 1)
-    ns = f.ns.astype(np.float64)
-    states = f.coeffs[None, :] * np.exp(1j * np.outer(times, ns**2))
-    traj = Trajectory(times, states)
+    traj = Trajectory(times, f.coeffs[None, :] * propagator_phases(f.cutoff, times))
     return xsb_norm(traj, params, window, pad) / denom
 
 
@@ -324,8 +314,7 @@ def discrete_duhamel(F: Trajectory) -> Trajectory:
     Matches the first-order exponential stepper's quadrature exactly.
     """
     dt = _check_uniform(F.times)
-    ns = frequencies(F.cutoff).astype(np.float64)
-    prop = np.exp(1j * dt * ns**2)
+    prop = propagator_phases(F.cutoff, dt)
     out = np.zeros_like(F.states)
     for m in range(len(F.times) - 1):
         out[m + 1] = prop * (out[m] + dt * F.states[m])

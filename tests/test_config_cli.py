@@ -76,8 +76,8 @@ def test_resolved_config_reparses_to_equal_structure():
 
 def test_with_overrides_validation():
     cfg = parse_config_text("[run]\ncommand = solve\n")
-    up = cfg.with_overrides(command="divisors", seed=7, workers=2, out="elsewhere")
-    assert (up.command, up.seed, up.workers, up.out) == ("divisors", 7, 2, "elsewhere")
+    up = cfg.with_overrides(command="divisors", seed=7, workers=2)
+    assert (up.command, up.seed, up.workers) == ("divisors", 7, 2)
     assert "seed = 7" in up.resolved
     assert cfg.seed == 0  # original untouched
     with pytest.raises(ConfigError, match="unsigned 64-bit"):
