@@ -37,6 +37,7 @@ from .noise import (
     matrix_operator,
     moment_bound_check,
     multiplier_operator,
+    operator_from_csv,
     operator_to_csv,
     philox_stream,
     sample_convolution_path,

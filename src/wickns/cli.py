@@ -461,10 +461,18 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     t0 = time.monotonic()
     w = _Writer(out_dir)
     w.text("resolved_config.ini", cfg.resolved)
-    result = HANDLERS[cfg.command](cfg, w)
-    report = dict(result.report)
-    report["checks"] = {name: bool(ok) for name, ok in result.checks}
-    w.text("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    try:
+        result = HANDLERS[cfg.command](cfg, w)
+    except ConfigError:
+        raise
+    except (ValueError, OSError) as exc:
+        # a runtime failure keeps the outputs written so far under a flagged manifest
+        print(f"wickns: error: {exc}", file=sys.stderr)
+        result = CommandResult({}, flags={"error": str(exc)}, failed=True)
+    else:
+        report = dict(result.report)
+        report["checks"] = {name: bool(ok) for name, ok in result.checks}
+        w.text("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     man = RunManifest(
         command=cfg.command,
         seed=cfg.seed,
@@ -512,10 +520,13 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
         # a failing cell must not abort the sweep; its row records exit 2
         try:
             child = cfg.with_value(section, key, values[i])
-            return _run_into(child, os.path.join(out_dir, f"cell-{i:02d}"), assert_checks)
+            code = _run_into(child, os.path.join(out_dir, f"cell-{i:02d}"), assert_checks)
         except (ValueError, OSError) as exc:
             print(f"sweep cell {i} ({axis}={values[i]}): {exc}", file=sys.stderr)
             return 2
+        if code == 2:
+            print(f"sweep cell {i} ({axis}={values[i]}): runtime failure (see its manifest flags)", file=sys.stderr)
+        return code
 
     # cells are pure given the config; completion order never touches output order
     if cfg.workers > 1 and len(values) > 1:

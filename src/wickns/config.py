@@ -16,11 +16,9 @@ import io
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .dynamics import INTEGRATORS, SolverConfig
 from .fields import SpectralField, field_from_csv, make_field, mode_field, zero_field
-from .noise import NoiseOperator, bessel_operator, identity_operator, philox_stream, sample_white_noise_field
+from .noise import NoiseOperator, bessel_operator, identity_operator, operator_from_csv, philox_stream, sample_white_noise_field
 from .norms import XsbParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text", "COMMANDS"]
@@ -45,9 +43,9 @@ COMMANDS = (
 SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
     "run": {
         "command": ("command", None),
-        "seed": ("int", "0"),
+        "seed": ("seed", "0"),
         "out": ("str", "out"),
-        "workers": ("int", "1"),
+        "workers": ("workers", "1"),
     },
     "solver": {
         "cutoff": ("int", "16"),
@@ -105,8 +103,13 @@ class ConfigError(ValueError):
 
 def _coerce(section: str, key: str, spec: str, raw: str):
     try:
-        if spec == "int":
-            return int(raw)
+        if spec in ("int", "seed", "workers"):
+            v = int(raw)
+            if spec == "seed" and not 0 <= v < 2**64:
+                raise ValueError(f"must be an unsigned 64-bit value, got {v}")
+            if spec == "workers" and v < 1:
+                raise ValueError(f"must be >= 1, got {v}")
+            return v
         if spec == "float":
             return float(raw)
         if spec == "floats":
@@ -174,16 +177,9 @@ class ExperimentConfig:
     ) -> "ExperimentConfig":
         """Copy with CLI-level overrides applied and the resolved text rebuilt."""
         values = dict(self.values)
-        if command is not None:
-            values[("run", "command")] = _coerce("run", "command", "command", command)
-        if seed is not None:
-            if not 0 <= seed < 2**64:
-                raise ConfigError(f"[run] seed: must be an unsigned 64-bit value, got {seed}")
-            values[("run", "seed")] = int(seed)
-        if workers is not None:
-            if workers < 1:
-                raise ConfigError(f"[run] workers: must be >= 1, got {workers}")
-            values[("run", "workers")] = int(workers)
+        for key, raw in (("command", command), ("seed", seed), ("workers", workers)):
+            if raw is not None:
+                values[("run", key)] = _coerce("run", key, SCHEMA["run"][key][0], raw)
         return _from_values(values)
 
     def with_value(self, section: str, key: str, raw: str) -> "ExperimentConfig":
@@ -223,16 +219,14 @@ class ExperimentConfig:
         path = self.get("noise", "matrix_file")
         if not path:
             raise ConfigError("[noise] matrix_file: required for kind = matrix")
-        rows = open(path).read().strip().splitlines()
-        if rows[0].strip() != "n,k,re,im":
-            raise ConfigError("[noise] matrix_file: expected header 'n,k,re,im'")
-        recs = [r.split(",") for r in rows[1:]]
-        ns = sorted({int(r[0]) for r in recs})
-        NN = (len(ns) - 1) // 2
-        mat = np.zeros((len(ns), len(ns)), dtype=np.complex128)
-        for r in recs:
-            mat[int(r[0]) + NN, int(r[1]) + NN] = complex(float(r[2]), float(r[3]))
-        return NoiseOperator(NN, matrix=mat)
+        try:
+            with open(path) as fh:
+                op = operator_from_csv(fh.read())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"[noise] matrix_file: {exc}") from None
+        if op.cutoff != N:
+            raise ConfigError(f"[noise] matrix_file: operator has cutoff {op.cutoff}, the run needs {N}")
+        return op
 
     def xsb_params(self) -> XsbParams:
         g = lambda k: self.get("norms", k)

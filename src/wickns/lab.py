@@ -459,11 +459,13 @@ def tail_estimate_mc(
         raise ValueError("need b < 1 - 1/q for a finite tail scale")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    norms = _ensemble_xsb_norms(op, params, samples, rng, steps, workers)
-    med = float(np.median(norms))
     mult = np.asarray(list(lambdas), dtype=np.float64)
     if np.any(mult <= 0):
         raise ValueError("lambda multipliers must be positive")
+    if mult.size < 3:
+        raise ValueError(f"need at least 3 lambda levels, got {mult.size}")
+    norms = _ensemble_xsb_norms(op, params, samples, rng, steps, workers)
+    med = float(np.median(norms))
     lam = mult * med
     surv = np.array([np.mean(norms > lv) for lv in lam])
     usable = (surv > 0.0) & (surv < 1.0)

@@ -45,6 +45,7 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_from_csv",
     "operator_to_csv",
+    "operator_from_csv",
 ]
 
 
@@ -344,18 +345,28 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
+    """Inverse of trajectory_to_csv: every time lists frequencies -N..N in
+    order, with one N for the whole file."""
     rows = text.strip().splitlines()
     if not rows or rows[0].strip() != "t,n,re,im":
         raise ValueError("expected header 't,n,re,im'")
-    ts, recs = [], {}
+    ts, ns, states = [], [], []
     for ln in rows[1:]:
         st, sn, sre, sim = ln.split(",")
         t = float(st)
         if not ts or t != ts[-1]:
             ts.append(t)
-        recs.setdefault(t, []).append(complex(float(sre), float(sim)))
-    states = np.asarray([recs[t] for t in ts], dtype=np.complex128)
-    return Trajectory(np.asarray(ts), states)
+            ns.append([])
+            states.append([])
+        ns[-1].append(int(sn))
+        states[-1].append(complex(float(sre), float(sim)))
+    if not ts:
+        raise ValueError("no rows after the header")
+    N = (len(ns[0]) - 1) // 2
+    for t, got in zip(ts, ns):
+        if got != list(range(-N, N + 1)):
+            raise ValueError(f"time {t!r}: frequencies must run -N..N in order, with one N for every time")
+    return Trajectory(np.asarray(ts), np.asarray(states, dtype=np.complex128))
 
 
 def operator_to_csv(op: NoiseOperator) -> str:
@@ -372,3 +383,34 @@ def operator_to_csv(op: NoiseOperator) -> str:
                 c = op.matrix[i, j]
                 lines.append(f"{n},{k},{float(c.real)!r},{float(c.imag)!r}")
     return "\n".join(lines) + "\n"
+
+
+def operator_from_csv(text: str) -> NoiseOperator:
+    """Inverse of operator_to_csv for matrix operators: `n,k,re,im` rows.
+
+    Entries not listed are zero, so a diagonal operator may list only its
+    diagonal; the row and the column frequencies must each cover -N..N.
+    """
+    rows = text.strip().splitlines()
+    if not rows or rows[0].strip() != "n,k,re,im":
+        raise ValueError("expected header 'n,k,re,im'")
+    entries = []
+    for i, ln in enumerate(rows[1:], start=2):
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"line {i}: expected 4 fields n,k,re,im, got {len(parts)}")
+        try:
+            entries.append((int(parts[0]), int(parts[1]), complex(float(parts[2]), float(parts[3]))))
+        except ValueError:
+            raise ValueError(f"line {i}: cannot parse {ln.strip()!r}") from None
+    if not entries:
+        raise ValueError("no matrix entries")
+    ns = sorted({e[0] for e in entries})
+    N = (len(ns) - 1) // 2
+    full = list(range(-N, N + 1))
+    if ns != full or sorted({e[1] for e in entries}) != full:
+        raise ValueError("row and column frequencies must each cover -N..N")
+    mat = np.zeros((2 * N + 1, 2 * N + 1), dtype=np.complex128)
+    for n, k, c in entries:
+        mat[n + N, k + N] = c
+    return NoiseOperator(N, matrix=mat)

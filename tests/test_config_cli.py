@@ -98,6 +98,8 @@ def test_with_value_replaces_one_scalar():
         cfg.with_value("lab", "dims", "3")
     with pytest.raises(ConfigError, match="not a scalar key"):
         cfg.with_value("lab", "cutoffs", "8,16")
+    with pytest.raises(ConfigError, match="unsigned 64-bit"):
+        cfg.with_value("run", "seed", "-1")
 
 
 def test_u0_mini_syntax(tmp_path):
@@ -140,11 +142,33 @@ def test_noise_operator_kinds(tmp_path):
     op = NoiseOperator(1, matrix=mat)
     path = tmp_path / "op.csv"
     path.write_text(operator_to_csv(op))
-    loaded = parse_config_text(base.format(f"kind = matrix\nmatrix_file = {path}")).noise_operator()
-    assert loaded.cutoff == 1 and np.allclose(loaded.matrix, mat, atol=1e-15)
+    loaded = parse_config_text(base.format(f"kind = matrix\nmatrix_file = {path}")).noise_operator(1)
+    assert loaded.cutoff == 1 and np.array_equal(loaded.matrix, mat)
 
     with pytest.raises(ConfigError, match="matrix_file"):
         parse_config_text(base.format("kind = matrix")).noise_operator(4)
+    for name, msg in _bad_matrix_files(tmp_path):
+        cfg = parse_config_text(base.format(f"kind = matrix\nmatrix_file = {tmp_path / name}"))
+        with pytest.raises(ConfigError, match=r"\[noise\] matrix_file: .*" + msg):
+            cfg.noise_operator(2)
+
+
+def _bad_matrix_files(tmp_path):
+    """(file name, expected diagnostic) for malformed `[noise] matrix_file` inputs at cutoff 2."""
+    head = "n,k,re,im\n"
+    square = lambda ns: "".join(f"{n},{k},1.0,0.0\n" for n in ns for k in ns)
+    files = {
+        "empty.csv": ("", "expected header"),
+        "header_only.csv": (head, "no matrix entries"),
+        "short.csv": (head + "-1,-1,1.0\n", "expected 4 fields"),
+        "garbled.csv": (head + "0,0,one,0.0\n", "cannot parse"),
+        "shifted.csv": (head + square(range(0, 3)), "cover -N..N"),
+        "gap.csv": (head + square((-1, 1)), "cover -N..N"),
+        "big.csv": (head + square(range(-8, 9)), "cutoff 8, the run needs 2"),
+    }
+    for name, (body, _) in files.items():
+        (tmp_path / name).write_text(body)
+    return [("missing.csv", "No such file")] + [(name, msg) for name, (_, msg) in files.items()]
 
 
 def test_lab_p_accepts_inf():
@@ -343,6 +367,24 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--seed", "-3"]) == 1
     assert "unsigned 64-bit" in capsys.readouterr().err
 
+    # range checks hold for values from the file as well as from the flags
+    for line, msg in (("seed = -3", "unsigned 64-bit"), ("workers = -2", "workers: must be >= 1")):
+        cfg = _cfg(tmp_path, f"[run]\ncommand = divisors\n{line}\n\n[lab]\nlimit = 100\n", name="range.ini")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert msg in capsys.readouterr().err
+
+    for cmd in ("sample-noise", "picard"):
+        for name, msg in _bad_matrix_files(tmp_path):
+            cfg = _cfg(
+                tmp_path,
+                f"[run]\ncommand = {cmd}\n\n[solver]\ncutoff = 2\ndt = 0.0625\nhorizon = 1.0\n\n"
+                f"[noise]\nkind = matrix\nmatrix_file = {tmp_path / name}\n",
+                name="matrix.ini",
+            )
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1, (cmd, name)
+            err = capsys.readouterr().err
+            assert "wickns: config error: [noise] matrix_file:" in err and msg in err
+
 
 def test_cli_runtime_error_exits_2(tmp_path, capsys):
     # exponent window violation surfaces as a runtime error, not a crash
@@ -350,8 +392,21 @@ def test_cli_runtime_error_exits_2(tmp_path, capsys):
         tmp_path,
         "[run]\ncommand = multiplier\n\n[norms]\nb = 0.8\nbprime = -0.24\np = 4\n\n[lab]\ncutoffs = 8, 16\n",
     )
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "wickns: error:" in capsys.readouterr().err
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "wickns: error: exponent window violated" in capsys.readouterr().err
+    # the outputs written so far stay on disk under a manifest flagged with the error
+    man = RunManifest.load(os.path.join(out, "manifest.json"))
+    assert man.flags == {"error": "exponent window violated: need -1/p < b' < 0 < b < 1 - 1/p"}
+    assert [o["name"] for o in man.outputs] == ["resolved_config.ini"]
+    assert compare_outputs(man, out) == []
+
+    # tail-mc rejects a ladder of fewer than 3 levels before it simulates anything
+    cfg = _cfg(tmp_path, "[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", name="tail.ini")
+    out = str(tmp_path / "tail")
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "need at least 3 lambda levels" in capsys.readouterr().err
+    assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"error": "need at least 3 lambda levels, got 2"}
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -97,7 +97,8 @@ def test_trilinear_cutoff_mismatch():
 
 
 def test_blocked_forms_match_convolution_path(rng):
-    for N in (1, 4, 9):
+    # N = 0, 3, 4, 7, 8 sit at the power-of-two boundaries of the padded length (>= 4N+1)
+    for N in (0, 1, 3, 4, 7, 8, 9):
         U = np.stack([random_field(N, rng).coeffs for _ in range(3)])
         wick_block = wick_coeffs_block(U, N)
         cubic_block = cubic_coeffs_block(U, N)

@@ -21,6 +21,7 @@ from wickns import (
     variance_invariance_test,
     wick_trilinear,
 )
+from wickns import lab
 from conftest import random_field
 
 
@@ -161,14 +162,17 @@ def test_multiplier_flat_kernel_flagged():
 
 
 def test_trilinear_forcing_block_matches_split(rng):
-    N = 6
-    for _ in range(4):
-        u1, u2, u3 = (random_field(N, rng) for _ in range(3))
-        block = trilinear_forcing_block(
-            u1.coeffs[None, :], u2.coeffs[None, :], u3.coeffs[None, :], N
-        )[0]
-        split = wick_trilinear(u1, u2, u3)
-        assert np.max(np.abs(block - split.total.coeffs)) < 1e-12
+    # N = 0, 3, 4, 7, 8 sit at the power-of-two boundaries of the padded length (>= 4N+1);
+    # the block has two leading axes (draws, times), as in trilinear_ratio
+    for N in (0, 3, 4, 6, 7, 8):
+        fields = [[[random_field(N, rng) for _ in range(3)] for _ in range(2)] for _ in range(2)]
+        U1, U2, U3 = (np.array([[row[t][j].coeffs for t in range(2)] for row in fields]) for j in range(3))
+        block = trilinear_forcing_block(U1, U2, U3, N)
+        assert block.shape == (2, 2, 2 * N + 1)
+        for i in range(2):
+            for t in range(2):
+                split = wick_trilinear(*fields[i][t])
+                assert np.max(np.abs(block[i, t] - split.total.coeffs)) < 1e-12
 
 
 def test_trilinear_forcing_single_triple():
@@ -237,6 +241,19 @@ def test_tail_parameter_guards():
         tail_estimate_mc(op, good, [1.0, 1.2, 1.5], 500, philox_stream(0))
     with pytest.raises(ValueError):
         tail_estimate_mc(op, good, [-1.0, 1.2, 1.5], 1000, philox_stream(0))
+
+
+def test_tail_ladder_checked_before_simulating(monkeypatch):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("ensemble simulated before the lambda ladder was checked")
+
+    monkeypatch.setattr(lab, "_ensemble_xsb_norms", no_ensemble)
+    op = bessel_operator(4, 0.75)
+    good = XsbParams(0.0, 0.45, -0.1, 2.0, 2.0, 0.5)
+    with pytest.raises(ValueError, match="must be positive"):
+        tail_estimate_mc(op, good, [-1.0, 1.2, 1.5], 1000, philox_stream(0))
+    with pytest.raises(ValueError, match="at least 3 lambda levels"):
+        tail_estimate_mc(op, good, [1.0, 1.2], 1000, philox_stream(0))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from wickns import (
     matrix_operator,
     moment_bound_check,
     multiplier_operator,
+    operator_from_csv,
     operator_to_csv,
     philox_stream,
     sample_convolution_path,
@@ -90,6 +91,15 @@ def test_operator_csv_matrix_header():
     lines = text.strip().splitlines()
     assert lines[0] == "n,k,re,im"
     assert len(lines) == 1 + 9
+
+
+def test_operator_csv_matrix_round_trip(rng):
+    op = matrix_operator(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    back = operator_from_csv(operator_to_csv(op))
+    assert back.cutoff == 2 and np.array_equal(back.matrix, op.matrix)
+    # entries left out are zero, so a diagonal operator may list its diagonal only
+    diag = operator_from_csv("n,k,re,im\n-1,-1,0.5,0.0\n0,0,1.0,0.0\n1,1,0.5,-0.25\n")
+    assert np.array_equal(diag.matrix, np.diag([0.5, 1.0, 0.5 - 0.25j]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +208,12 @@ def test_grid_halving_consistency():
 
 
 def test_block_matches_single_path():
-    op = bessel_operator(5, 0.75)
     grid = make_grid(1.0, 10)
-    single = sample_convolution_path(op, grid, philox_stream(3, 1))
-    block = convolution_paths_block(op, grid, philox_stream(3, 1), 1)
-    assert np.array_equal(block[0], single.states)
+    mat = philox_stream(5).standard_normal((11, 11)) + 1j * philox_stream(6).standard_normal((11, 11))
+    for op in (bessel_operator(5, 0.75), matrix_operator(mat)):
+        single = sample_convolution_path(op, grid, philox_stream(3, 1))
+        block = convolution_paths_block(op, grid, philox_stream(3, 1), 1)
+        assert np.array_equal(block[0], single.states)
 
 
 def test_block_matrix_case_matches_multiplier():
@@ -327,6 +338,19 @@ def test_trajectory_csv_round_trip():
     back = trajectory_from_csv(text)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.states, traj.states)
+
+    # the n column is read: each time must list -N..N in order, with one N throughout
+    head, rows = "t,n,re,im\n", text.splitlines()[1:]
+    block = lambda t, ns: "".join(f"{t},{n},1.0,0.0\n" for n in ns)
+    for bad in (
+        head + "\n".join(rows[4::-1]) + "\n",  # first time block in reverse frequency order
+        head + block(0.0, range(5, 8)),
+        head + block(0.0, range(-2, 3)) + block(0.5, range(-1, 2)),
+        head + block(0.0, range(-1, 3)),
+        head,
+    ):
+        with pytest.raises(ValueError):
+            trajectory_from_csv(bad)
 
 
 def test_make_grid_contract():
