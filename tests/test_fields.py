@@ -17,6 +17,7 @@ from wickns import (
     project,
     zero_field,
 )
+from wickns.fields import from_grid, propagator_phases
 from conftest import brute_convolve, random_field
 
 complex_lists = st.integers(min_value=0, max_value=8).flatmap(
@@ -73,6 +74,13 @@ def test_propagator_inverse_round_trip(rng):
     f = random_field(6, rng)
     g = apply_linear_propagator(apply_linear_propagator(f, 0.7), -0.7)
     assert g.allclose(f, 1e-12)
+    # an array of times gives one row per time; S(-t) is the conjugate
+    times = np.linspace(0.0, 0.7, 5)
+    rows = propagator_phases(6, times)
+    assert rows.shape == (5, 13)
+    for t, row in zip(times, rows):
+        assert np.array_equal(row, propagator_phases(6, t))
+    assert np.max(np.abs(np.conj(rows[-1]) * propagator_phases(6, 0.7) - 1.0)) < 1e-15
 
 
 @given(complex_lists, st.floats(-20, 20), st.floats(-20, 20))
@@ -165,6 +173,7 @@ def test_evaluate_round_trip(rng):
     back = np.fft.fft(vals) / (4 * N)
     rec = np.concatenate([back[-N:], back[: N + 1]])
     assert np.max(np.abs(rec - f.coeffs)) < 1e-12
+    assert np.max(np.abs(from_grid(vals, N) - f.coeffs)) < 1e-12
 
 
 def test_evaluate_grid_too_small():
