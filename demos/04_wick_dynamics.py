@@ -37,7 +37,7 @@ if __name__ == "__main__":
     T = 0.1
     cfg = SolverConfig(cutoff=8, dt=T / 16, horizon=T, picard_tolerance=1e-12)
     psi = Trajectory(cfg.grid(), np.zeros((cfg.steps + 1, 17), dtype=complex))
-    rep = picard_iterate(mode_field(8, 1, 0.1), None, psi, cfg)
+    rep = picard_iterate(mode_field(8, 1, 0.1), psi, cfg)
     print(f"\npicard on ||u0|| = 0.1, T = {T}: converged in {rep.iterations} iterations")
     print("  successive differences:", ", ".join(f"{d:.2e}" for d in rep.differences))
     print(f"  contraction factor {rep.contraction_factor:.2e}")

@@ -26,7 +26,7 @@ if __name__ == "__main__":
     print("resonance factorization max |defect|:", int(np.max(np.abs(resonance_defects(n1, n2, n3)))))
 
     # divisor counts grow slower than any power: d(n) / n^0.5 peaks early
-    ratio, argmax = divisor_bound_scan(10**5, 0.5, return_argmax=True)
+    ratio, argmax = divisor_bound_scan(10**5, 0.5)
     print(f"max d(n)/n^0.5 for n <= 1e5: {ratio:.6f} at n = {argmax}")
 
     # two-weight convolution sums decay in <k1 - k2> per the three-case rule

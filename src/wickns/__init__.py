@@ -89,7 +89,6 @@ from .lab import (
     divisor_bound_scan,
     divisor_count,
     lemma_exponent,
-    multiplier_supremum,
     multiplier_supremum_report,
     resonance_defects,
     tail_estimate_mc,

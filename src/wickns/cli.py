@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .noise import (
     operator_to_csv,
     trajectory_to_csv,
 )
-from .norms import XsbParams, fl_norm, gamma_norm, homogeneous_estimate_check, hs_norm, operator_norm, temporal_window_factor
+from .norms import fl_norm, gamma_norm, homogeneous_estimate_check, hs_norm, operator_norm, temporal_window_factor
 
 __all__ = ["main"]
 
@@ -99,8 +99,8 @@ def _csv(header: str, rows) -> str:
 # command handlers
 
 
-def _require_operator(cfg: ExperimentConfig, cutoff: int | None = None):
-    op = cfg.noise_operator(cutoff)
+def _require_operator(cfg: ExperimentConfig):
+    op = cfg.noise_operator()
     if op is None:
         raise ConfigError("[noise] kind: this command needs a noise operator, got 'none'")
     return op
@@ -146,8 +146,7 @@ def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         "mass_final": float(np.sum(np.abs(traj.states[-1]) ** 2)),
     }
     seeds = {"noise": [cfg.seed, 0]} if op is not None else {}
-    if cfg.get("solver", "u0").startswith("white"):
-        seeds["u0"] = [cfg.seed, 999]
+    seeds.update(cfg.u0_task_seeds())
     return CommandResult(
         report,
         checks=[("completed", not blowup)],
@@ -161,15 +160,14 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
     op = cfg.noise_operator()
     u0 = cfg.initial_field(scfg.cutoff)
+    params = cfg.picard_params()
     grid = scfg.grid()
     if op is not None:
         path = sample_noise_path(scfg.cutoff, grid, cfg.seed)
         psi = convolution_from_path(op, path)
     else:
         psi = Trajectory(grid, np.zeros((scfg.steps + 1, 2 * scfg.cutoff + 1), dtype=np.complex128))
-    g = lambda k: cfg.get("norms", k)
-    params = XsbParams(s=g("s"), b=g("b"), bprime=g("bprime"), p=g("p"), q=g("q"), T=scfg.horizon)
-    rep = picard_iterate(u0, op, psi, scfg, params)
+    rep = picard_iterate(u0, psi, scfg, params)
     w.text("trajectory.csv", trajectory_to_csv(rep.iterates[-1]))
     rows = []
     for i, d in enumerate(rep.differences):
@@ -185,6 +183,7 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     }
     ok = rep.converged and (rep.contraction_factor or 1.0) < 1.0
     seeds = {"noise": [cfg.seed, 0]} if op is not None else {}
+    seeds.update(cfg.u0_task_seeds())
     return CommandResult(report, checks=[("contraction", ok)], task_seeds=seeds, failed=not rep.converged)
 
 
@@ -220,7 +219,7 @@ def _cmd_norms(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     # norm names are unique per run; flat copies keep sweep tables useful
     report = {"records": records}
     report.update({r["norm_name"]: r["value"] for r in records})
-    return CommandResult(report, checks=checks)
+    return CommandResult(report, checks=checks, task_seeds=cfg.u0_task_seeds())
 
 
 def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
@@ -283,7 +282,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     if not residuals or residuals[0] == 0.0:
         # zero datum: both flows are exactly zero, the ladder carries no signal
         ok = all(r == 0.0 for r in residuals)
-    return CommandResult(report, checks=[("first_order_gauge_residual", ok)])
+    return CommandResult(report, checks=[("first_order_gauge_residual", ok)], task_seeds=cfg.u0_task_seeds())
 
 
 def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
@@ -301,7 +300,7 @@ def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     rows = list(zip(rep.multipliers, rep.lambda_values, rep.survivals, [int(u) for u in rep.usable]))
     w.text("tail_fit.csv", _csv("multiplier,lambda,survival,usable", rows))
     checks = [("gaussian_shape", rep.r_squared >= 0.9 and rep.slope < 0.0)]
-    return CommandResult(rep.as_dict(), checks=checks, task_seeds={"ensemble": [cfg.seed, 2]})
+    return CommandResult(asdict(rep), checks=checks, task_seeds={"ensemble": [cfg.seed, 2]})
 
 
 def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
@@ -321,10 +320,9 @@ def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         for n, v in zip(ns, per_mode):
             rows.append((t, int(n), v, rep.target(t)))
     w.text("variance.csv", _csv("t,n,variance,target", rows))
-    body = rep.as_dict()
     checks = [("variance_tracks_1_plus_t", rep.max_rel_dev <= 0.05 and not rep.flagged)]
     return CommandResult(
-        body,
+        asdict(rep),
         checks=checks,
         flags={"blowup": rep.flagged},
         task_seeds={"ensemble": [cfg.seed, 3]},
@@ -351,7 +349,7 @@ def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     growth = [stats[i + 1].p99 / stats[i].p99 for i in range(len(stats) - 1)]
     report = {
         "cutoffs": list(cutoffs),
-        "stats": [s.as_dict() for s in stats],
+        "stats": [asdict(s) for s in stats],
         "p99_growth_factors": growth,
     }
     ok = all(g < 2.0 for g in growth) if growth else True
@@ -409,7 +407,7 @@ def _cmd_sums(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 def _cmd_divisors(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     limit = cfg.get("lab", "limit")
     delta = cfg.get("lab", "delta")
-    ratio, argmax = divisor_bound_scan(limit, delta, return_argmax=True)
+    ratio, argmax = divisor_bound_scan(limit, delta)
     report = {
         "limit": limit,
         "delta": delta,
@@ -582,19 +580,26 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
 
 
 def _cmd_rerun(args) -> int:
+    """Replay a manifest: exit 0 only when the replay exits 0, records the
+    same flags and reproduces every recorded hash; otherwise exit 2."""
     old = RunManifest.load(args.manifest)
     base = args.out or os.environ.get("WICKNS_OUT")
     if base is None:
         base = os.path.dirname(os.path.abspath(args.manifest)) + "-rerun"
     cfg = parse_config_text(old.resolved_config, origin=args.manifest)
     if old.command.startswith("sweep:"):
-        _run_sweep(cfg, base, assert_checks=False)
+        code = _run_sweep(cfg, base, assert_checks=False)
     else:
-        cfg = cfg.with_overrides(command=old.command)
-        _run_into(cfg, base, assert_checks=False)
+        code = _run_into(cfg.with_overrides(command=old.command), base, assert_checks=False)
+    new = RunManifest.load(os.path.join(base, "manifest.json"))
+    problems = [f"replay exited {code}"] if code else []
+    if new.flags != old.flags:
+        problems.append(f"flags differ: recorded {old.flags}, replay {new.flags}")
     bad = compare_outputs(old, base)
     if bad:
-        print(f"rerun: outputs differ: {', '.join(bad)}", file=sys.stderr)
+        problems.append(f"outputs differ: {', '.join(bad)}")
+    if problems:
+        print(f"rerun: {'; '.join(problems)}", file=sys.stderr)
         return 2
     print(f"rerun: {len(old.outputs)} outputs reproduced byte-identically in {base}")
     return 0

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .dynamics import INTEGRATORS, SolverConfig
-from .fields import SpectralField, field_from_csv, make_field, mode_field, zero_field
+from .fields import SpectralField, field_from_csv, mode_field, zero_field
 from .noise import NoiseOperator, bessel_operator, identity_operator, operator_from_csv, philox_stream, sample_white_noise_field
 from .norms import XsbParams
 
@@ -39,6 +39,8 @@ COMMANDS = (
     "criticality",
 )
 
+U0_STREAM = 999  # a drawn u0 (white:...) comes from Philox stream (seed, U0_STREAM)
+
 # section -> key -> (type tag, default or None if required-when-used)
 SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
     "run": {
@@ -48,7 +50,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "workers": ("workers", "1"),
     },
     "solver": {
-        "cutoff": ("int", "16"),
+        "cutoff": ("cutoff", "16"),
         "dt": ("float", "0.015625"),
         "horizon": ("float", "0.5"),
         "integrator": ("choice:" + ",".join(INTEGRATORS), "exponential-euler"),
@@ -101,19 +103,27 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries section/field diagnostics."""
 
 
+def _finite(v: float, raw: str) -> float:
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return v
+
+
 def _coerce(section: str, key: str, spec: str, raw: str):
     try:
-        if spec in ("int", "seed", "workers"):
+        if spec in ("int", "seed", "workers", "cutoff"):
             v = int(raw)
             if spec == "seed" and not 0 <= v < 2**64:
                 raise ValueError(f"must be an unsigned 64-bit value, got {v}")
             if spec == "workers" and v < 1:
                 raise ValueError(f"must be >= 1, got {v}")
+            if spec == "cutoff" and v < 0:
+                raise ValueError(f"must be >= 0, got {v}")
             return v
         if spec == "float":
-            return float(raw)
+            return _finite(float(raw), raw)
         if spec == "floats":
-            return tuple(float(v) for v in raw.split(",") if v.strip() != "")
+            return tuple(_finite(float(v), raw) for v in raw.split(",") if v.strip() != "")
         if spec == "ints":
             return tuple(int(v) for v in raw.split(",") if v.strip() != "")
         if spec == "str":
@@ -130,6 +140,18 @@ def _coerce(section: str, key: str, spec: str, raw: str):
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
     raise AssertionError(f"bad schema entry {spec}")
+
+
+def _keyed(cls, keys: dict, **fields):
+    """cls(**fields), with a field check's ValueError (its message starts with
+    the field's name) re-raised as a ConfigError naming keys[field]."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        key = keys.get(str(exc).split(" ", 1)[0])
+        if key is None:
+            raise
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _canonical_text(values: dict) -> str:
@@ -196,16 +218,9 @@ class ExperimentConfig:
     # -- builders ---------------------------------------------------------
 
     def solver_config(self) -> SolverConfig:
-        g = lambda k: self.get("solver", k)
-        return SolverConfig(
-            cutoff=g("cutoff"),
-            dt=g("dt"),
-            horizon=g("horizon"),
-            integrator=g("integrator"),
-            picard_max_iters=g("picard_max_iters"),
-            picard_tolerance=g("picard_tolerance"),
-            seed=self.seed,
-        )
+        names = ("cutoff", "dt", "horizon", "integrator", "picard_max_iters", "picard_tolerance")
+        keys = {k: f"[solver] {k}" for k in names}
+        return _keyed(SolverConfig, keys, seed=self.seed, **{k: self.get("solver", k) for k in names})
 
     def noise_operator(self, cutoff: int | None = None) -> NoiseOperator | None:
         kind = self.get("noise", "kind")
@@ -229,8 +244,16 @@ class ExperimentConfig:
         return op
 
     def xsb_params(self) -> XsbParams:
-        g = lambda k: self.get("norms", k)
-        return XsbParams(s=g("s"), b=g("b"), bprime=g("bprime"), p=g("p"), q=g("q"), T=g("t"))
+        return self._xsb_params(self.get("norms", "t"), "[norms] t")
+
+    def picard_params(self) -> XsbParams:
+        """xsb_params with T = [solver] horizon, the end of the Picard grid."""
+        return self._xsb_params(self.get("solver", "horizon"), "[solver] horizon")
+
+    def _xsb_params(self, T: float, T_key: str) -> XsbParams:
+        names = ("s", "b", "bprime", "p", "q")
+        keys = {**{k: f"[norms] {k}" for k in names}, "T": T_key}
+        return _keyed(XsbParams, keys, T=T, **{k: self.get("norms", k) for k in names})
 
     def initial_field(self, cutoff: int) -> SpectralField:
         spec = self.get("solver", "u0")
@@ -240,17 +263,26 @@ class ExperimentConfig:
                 return zero_field(cutoff)
             if parts[0] == "white":
                 variance = float(parts[1]) if len(parts) > 1 else 1.0
-                return sample_white_noise_field(cutoff, variance, philox_stream(self.seed, 999))
+                return sample_white_noise_field(cutoff, variance, philox_stream(self.seed, U0_STREAM))
             if parts[0] == "mode":
                 n = int(parts[1])
                 re = float(parts[2]) if len(parts) > 2 else 1.0
                 im = float(parts[3]) if len(parts) > 3 else 0.0
                 return mode_field(cutoff, n, complex(re, im))
             if parts[0] == "csv":
-                return field_from_csv(open(parts[1]).read())
+                with open(parts[1]) as fh:
+                    f = field_from_csv(fh.read())
+                if f.cutoff != cutoff:
+                    raise ValueError(f"datum has cutoff {f.cutoff}, the run needs {cutoff}")
+                return f
         except (IndexError, ValueError, OSError) as exc:
             raise ConfigError(f"[solver] u0: {exc}") from None
         raise ConfigError(f"[solver] u0: unknown kind {parts[0]!r}")
+
+    def u0_task_seeds(self) -> dict:
+        """{"u0": stream key} when initial_field draws the datum, else {}."""
+        drawn = self.get("solver", "u0").split(":")[0] == "white"
+        return {"u0": [self.seed, U0_STREAM]} if drawn else {}
 
     def lab_p(self) -> float:
         raw = self.get("lab", "p")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import SpectralField, alias_free_length, from_grid, make_field, propagator_phases, to_grid
 from .noise import NoiseOperator, NoisePath, Trajectory, _check_uniform, _draw_increments, convolution_from_path, philox_stream
-from .norms import TimeWindow, XsbParams, discrete_duhamel, xsb_norm
+from .norms import XsbParams, discrete_duhamel, xsb_norm
 
 __all__ = [
     "SolverConfig",
@@ -57,14 +57,17 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the field it rejects (config names the key from it)
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        if not self.horizon > 0:
+            raise ValueError("horizon must be positive")
         steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9:
+        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must divide the horizon")
-        if self.picard_tolerance <= 0:
+        if not self.picard_tolerance > 0:
             raise ValueError("picard_tolerance must be positive")
 
     @property
@@ -207,16 +210,16 @@ def solve(
     u0: SpectralField,
     op: Optional[NoiseOperator],
     cfg: SolverConfig,
-    rng: Optional[np.random.Generator] = None,
     nonlinearity: str = "wick",
 ) -> Trajectory:
     """Repeated exponential-Euler steps on the uniform grid.
 
-    Deterministic given (u0, op, cfg, seed): with rng omitted the noise block
-    comes from the Philox stream keyed by cfg.seed.  A non-finite state aborts
-    the run; the returned trajectory then ends at the last valid time and
-    carries failed_at.  integrator="picard" delegates to picard_iterate
-    against a convolution sampled from the same increments.
+    Deterministic given (u0, op, cfg): with op set, the increments are one
+    (steps, 2N+1) block drawn from the Philox stream (cfg.seed, 0) with
+    variance cfg.dt.  A non-finite state aborts the run; the returned
+    trajectory then ends at the last valid time and carries failed_at.
+    integrator="picard" delegates to picard_iterate against the convolution
+    sampled from the same increments.
     """
     if u0.cutoff != cfg.cutoff:
         raise ValueError("u0 cutoff does not match the config")
@@ -227,16 +230,14 @@ def solve(
     if op is not None:
         if op.cutoff != cfg.cutoff:
             raise ValueError("operator cutoff does not match the config")
-        if rng is None:
-            rng = philox_stream(cfg.seed, 0)
-        path = NoisePath(times, _draw_increments(rng, (M, dim), cfg.dt), seed=cfg.seed)
+        path = NoisePath(times, _draw_increments(philox_stream(cfg.seed, 0), (M, dim), cfg.dt), seed=cfg.seed)
 
     if cfg.integrator == "picard":
         if path is None:
             psi = Trajectory(times, np.zeros((M + 1, dim), dtype=np.complex128))
         else:
             psi = convolution_from_path(op, path)
-        report = picard_iterate(u0, op, psi, cfg)
+        report = picard_iterate(u0, psi, cfg)
         return report.iterates[-1]
 
     prop = propagator_phases(cfg.cutoff, cfg.dt)
@@ -319,20 +320,19 @@ class PicardReport:
 
 def picard_iterate(
     u0: SpectralField,
-    op: Optional[NoiseOperator],
     psi: Trajectory,
     cfg: SolverConfig,
     params: Optional[XsbParams] = None,
-    window: Optional[TimeWindow] = None,
 ) -> PicardReport:
     """Fixed-point iteration of the mild formulation on psi's grid:
 
         u^(j+1) = S(t) u0 + i Duhamel(N(u^(j))) - i psi,   u^(0) = S(t) u0 - i psi
 
-    with the left-endpoint discrete Duhamel.  Successive differences are
-    measured in the windowed restriction-norm surrogate; the contraction
-    factor is the geometric mean of the difference ratios.  Three consecutive
-    non-contracting ratios abort with a partial report.
+    with the left-endpoint discrete Duhamel; noise enters only through psi, the
+    sampled convolution.  Successive differences are measured by xsb_norm at
+    params (default s = 0, b = 0.3, b' = -0.3, p = q = 2, T = grid end); the
+    contraction factor is the geometric mean of the difference ratios.  Three
+    consecutive non-contracting ratios abort with a partial report.
     """
     times = psi.times
     dt = _check_uniform(times)
@@ -350,7 +350,7 @@ def picard_iterate(
         forcing = wick_coeffs_block(cur, N)
         duh = discrete_duhamel(Trajectory(times, forcing))
         new = lin + 1j * duh.states - 1j * psi.states
-        diff = xsb_norm(Trajectory(times, new - cur), params, window)
+        diff = xsb_norm(Trajectory(times, new - cur), params)
         report.differences.append(diff)
         report.iterates.append(Trajectory(times, new))
         report.iterations = it + 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "divisor_bound_scan",
     "lemma_exponent",
     "convolution_sum_check",
-    "multiplier_supremum",
     "multiplier_supremum_report",
     "trilinear_forcing_block",
     "trilinear_ratio",
@@ -55,6 +54,9 @@ __all__ = [
 ]
 
 LEMMA_EPS = 0.01  # fixed epsilon of the beta = 1 borderline case
+# paths per ensemble chunk; each chunk has its own stream, so a size fixes the results at a seed
+TAIL_CHUNK = 500
+VARIANCE_CHUNK = 2500
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +128,9 @@ def divisor_count(n: int) -> int:
     return cnt
 
 
-def divisor_bound_scan(limit: int, delta: float, return_argmax: bool = False):
-    """max_{1 <= n <= limit} d(n) / n^delta via a harmonic sieve.
+def divisor_bound_scan(limit: int, delta: float) -> tuple[float, int]:
+    """(max_{1 <= n <= limit} d(n) / n^delta, the first n attaining it) via a
+    harmonic sieve.
 
     The sieve costs sum_d limit/d = O(limit log limit) slice updates.
     """
@@ -139,24 +142,22 @@ def divisor_bound_scan(limit: int, delta: float, return_argmax: bool = False):
     n = np.arange(1, limit + 1, dtype=np.float64)
     ratios = counts[1:] / n**delta
     i = int(np.argmax(ratios))
-    if return_argmax:
-        return float(ratios[i]), i + 1
-    return float(ratios[i])
+    return float(ratios[i]), i + 1
 
 
 # ---------------------------------------------------------------------------
 # convolution sums (two-factor lattice sums)
 
 
-def lemma_exponent(beta: float, gamma: float, eps: float = LEMMA_EPS) -> float:
+def lemma_exponent(beta: float, gamma: float) -> float:
     """Decay exponent alpha of sum <n-k1>^-beta <n-k2>^-gamma ~ <k1-k2>^-alpha:
 
-    gamma if beta > 1; gamma - eps at beta = 1; beta + gamma - 1 if beta < 1.
+    gamma if beta > 1; gamma - LEMMA_EPS at beta = 1; beta + gamma - 1 if beta < 1.
     """
     if beta > 1.0:
         return gamma
     if beta == 1.0:
-        return gamma - eps
+        return gamma - LEMMA_EPS
     return beta + gamma - 1.0
 
 
@@ -265,12 +266,6 @@ def multiplier_supremum_report(
     )
 
 
-def multiplier_supremum(
-    params: XsbParams, cutoff: int, tau_grid: Optional[Sequence[float]] = None
-) -> float:
-    return multiplier_supremum_report(params, cutoff, tau_grid).value
-
-
 # ---------------------------------------------------------------------------
 # trilinear ratio over random windowed trajectories
 
@@ -298,17 +293,6 @@ class TrilinearStats:
     p90: float
     p99: float
     max: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "filtered": self.filtered,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-            "max": self.max,
-        }
 
 
 def trilinear_ratio(
@@ -383,23 +367,6 @@ class TailFitReport:
     rate_scale_product: float
     samples: int
 
-    def as_dict(self) -> dict:
-        return {
-            "multipliers": list(self.multipliers),
-            "lambda_values": list(self.lambda_values),
-            "survivals": list(self.survivals),
-            "usable": list(self.usable),
-            "median": self.median,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "rate": self.rate,
-            "theta": self.theta,
-            "gamma_sq": self.gamma_sq,
-            "rate_scale_product": self.rate_scale_product,
-            "samples": self.samples,
-        }
-
 
 def _chunk_map(fn, samples: int, chunk: int, rng: np.random.Generator, workers: int) -> list:
     """fn(stream, size) over `samples` split into chunks of at most `chunk`,
@@ -426,7 +393,6 @@ def _ensemble_xsb_norms(
     rng: np.random.Generator,
     steps: int,
     workers: int,
-    chunk: int = 500,
 ) -> np.ndarray:
     """Surrogate norms of `samples` convolution paths, chunk-seeded so the
     result is independent of worker count."""
@@ -435,7 +401,7 @@ def _ensemble_xsb_norms(
     def one(sub: np.random.Generator, size: int) -> np.ndarray:
         return xsb_norm_batch(convolution_paths_block(op, grid, sub, size), grid, params)
 
-    return np.concatenate(_chunk_map(one, samples, chunk, rng, workers))
+    return np.concatenate(_chunk_map(one, samples, TAIL_CHUNK, rng, workers))
 
 
 def tail_estimate_mc(
@@ -518,19 +484,6 @@ class VarianceReport:
     def target(self, t: float) -> float:
         return 1.0 + t
 
-    def as_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "variances": [list(v) for v in self.variances],
-            "max_rel_dev": self.max_rel_dev,
-            "slope": self.slope,
-            "per_mode_slope_range": list(self.per_mode_slope_range),
-            "blowup_fraction": self.blowup_fraction,
-            "flagged": self.flagged,
-            "samples": self.samples,
-            "substeps": self.substeps,
-        }
-
 
 def variance_invariance_test(
     cutoff: int,
@@ -540,7 +493,6 @@ def variance_invariance_test(
     rng: np.random.Generator,
     substeps: int = 2,
     workers: int = 1,
-    chunk: int = 2500,
 ) -> VarianceReport:
     """Per-mode E|u_hat(t, n)|^2 of the renormalized truncated flow with
     white-noise data (variance 1) and phi = Id, recorded at t in
@@ -570,7 +522,7 @@ def variance_invariance_test(
         sq_sum = np.sum(np.abs(good) ** 2, axis=1)  # (len(rec), dim)
         return sq_sum, int(np.sum(finite)), B
 
-    parts = _chunk_map(one, samples, chunk, rng, workers)
+    parts = _chunk_map(one, samples, VARIANCE_CHUNK, rng, workers)
     total_sq = sum(p[0] for p in parts)
     total_good = sum(p[1] for p in parts)
     total = sum(p[2] for p in parts)

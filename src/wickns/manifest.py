@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 SCHEMA_VERSION = 1
 
@@ -50,19 +50,7 @@ class RunManifest:
         )
 
     def to_json(self) -> str:
-        body = {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "seed": self.seed,
-            "workers": self.workers,
-            "config_hash": self.config_hash,
-            "resolved_config": self.resolved_config,
-            "code_version": self.code_version,
-            "wall_time_s": self.wall_time_s,
-            "flags": self.flags,
-            "task_seeds": self.task_seeds,
-            "outputs": self.outputs,
-        }
+        body = {**asdict(self), "config_hash": self.config_hash}
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
     def write(self, out_dir: str) -> str:
@@ -77,17 +65,7 @@ class RunManifest:
             body = json.load(fh)
         if body.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported manifest schema {body.get('schema_version')!r}")
-        m = cls(
-            command=body["command"],
-            seed=body["seed"],
-            workers=body["workers"],
-            resolved_config=body["resolved_config"],
-            code_version=body["code_version"],
-            outputs=body["outputs"],
-            flags=body.get("flags", {}),
-            task_seeds=body.get("task_seeds", {}),
-            wall_time_s=body.get("wall_time_s", 0.0),
-        )
+        m = cls(**{f.name: body[f.name] for f in fields(cls) if f.name in body})
         if body["config_hash"] != m.config_hash:
             raise ValueError("manifest config_hash does not match embedded config")
         return m

@@ -62,10 +62,13 @@ class XsbParams:
     T: float
 
     def __post_init__(self):
+        # each message starts with the field it rejects (config names the key from it)
         if not (0 < self.T <= 1):
             raise ValueError("T must lie in (0, 1]")
-        if not (1 < self.p < np.inf and 1 < self.q < np.inf):
-            raise ValueError("p and q must lie in (1, inf)")
+        if not 1 < self.p < np.inf:
+            raise ValueError("p must lie in (1, inf)")
+        if not 1 < self.q < np.inf:
+            raise ValueError("q must lie in (1, inf)")
 
     @property
     def p_dual(self) -> float:
@@ -100,8 +103,8 @@ class TimeWindow:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    def profile(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
+    def __call__(self, t) -> np.ndarray:
+        u = np.asarray(t, dtype=np.float64) / self.scale
         out = np.zeros_like(u)
         left = (u >= -2.0) & (u < 0.0)
         mid = (u >= 0.0) & (u <= 1.0)
@@ -110,9 +113,6 @@ class TimeWindow:
         out[mid] = 1.0
         out[right] = 1.0 - raised_cosine_ramp(u[right] - 1.0)
         return out
-
-    def __call__(self, t) -> np.ndarray:
-        return self.profile(np.asarray(t, dtype=np.float64) / self.scale)
 
 
 def fl_norm(f: SpectralField, s: float, p: float) -> float:
@@ -147,21 +147,22 @@ def hs_norm(op: NoiseOperator, s: float) -> float:
     return gamma_norm(op, s, 2.0)
 
 
-def operator_norm(op: NoiseOperator, iters: int = 300, tol: float = 1e-13) -> float:
-    """l2 -> l2 operator norm by power iteration on A^H A."""
+def operator_norm(op: NoiseOperator) -> float:
+    """l2 -> l2 operator norm by power iteration on A^H A: at most 300 steps,
+    stopping once successive estimates agree to 1e-13 relative."""
     if op.is_multiplier:
         return float(np.max(np.abs(op.multiplier)))
     a = op.matrix
     v = _complex_normal(philox_stream(0), a.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(300):
         w = a.conj().T @ (a @ v)
         nw = np.linalg.norm(w)
         if nw == 0:
             return 0.0
         v_new = w / nw
-        if abs(nw - lam) <= tol * max(1.0, nw):
+        if abs(nw - lam) <= 1e-13 * max(1.0, nw):
             lam = nw
             break
         lam = nw
@@ -176,14 +177,6 @@ def _validate_xsb_grid(times: np.ndarray, params: XsbParams) -> float:
     if abs(times[0]) > 1e-12 or abs(times[-1] - params.T) > 1e-9 * max(1.0, params.T):
         raise ValueError("trajectory grid must cover [0, T]")
     return dt
-
-
-def _resolve_window(params: XsbParams, window) -> TimeWindow:
-    if window is None:
-        return TimeWindow(scale=params.T)
-    if abs(window.scale - params.T) > 1e-12 * max(1.0, params.T):
-        raise ValueError("window scale must equal params.T for the canonical extension")
-    return window
 
 
 def _modulation_lq(v: np.ndarray, dt: float, b: float, q: float, pad: int) -> np.ndarray:
@@ -203,11 +196,12 @@ def _modulation_lq(v: np.ndarray, dt: float, b: float, q: float, pad: int) -> np
     return (acc * dtau / (2.0 * np.pi)) ** (1.0 / q)
 
 
-def _extend_and_window(states: np.ndarray, times: np.ndarray, params: XsbParams, window: TimeWindow):
+def _extend_and_window(states: np.ndarray, times: np.ndarray, params: XsbParams):
     """Windowed boundary-value extension of the interaction representation.
 
     states: (..., M+1, modes) on the uniform grid over [0, T].  Returns
-    (v, dt) with v on the extended grid of 4M+1 points spanning [-2T, 2T].
+    (v, dt) with v on the extended grid of 4M+1 points spanning [-2T, 2T],
+    multiplied by the fixed window TimeWindow(T).
     """
     dt = _validate_xsb_grid(times, params)
     modes = states.shape[-1]
@@ -220,24 +214,23 @@ def _extend_and_window(states: np.ndarray, times: np.ndarray, params: XsbParams,
     v[..., :i0, :] = w[..., :1, :]
     v[..., i0 : i0 + M + 1, :] = w
     v[..., i0 + M + 1 :, :] = w[..., -1:, :]
-    v *= window(tj)[:, None]
+    v *= TimeWindow(params.T)(tj)[:, None]
     return v, dt
 
 
-def xsb_norm(traj: Trajectory, params: XsbParams, window: TimeWindow | None = None, pad: int = DEFAULT_PAD) -> float:
+def xsb_norm(traj: Trajectory, params: XsbParams, pad: int = DEFAULT_PAD) -> float:
     """Windowed restriction-norm surrogate of a trajectory on [0, T].
 
     || <n>^s <tau>^b (windowed extension of S(-t)u(t))^(t -> tau) ||_{l^p_n L^q_tau}
     with the temporal transform and L^q_tau both discrete.
     """
-    return float(_xsb_norms(traj.states[None], traj.times, params, window, pad, 1)[0])
+    return float(_xsb_norms(traj.states[None], traj.times, params, pad, 1)[0])
 
 
 def xsb_norm_batch(
     states: np.ndarray,
     times: np.ndarray,
     params: XsbParams,
-    window: TimeWindow | None = None,
     pad: int = DEFAULT_PAD,
     chunk: int = 64,
 ) -> np.ndarray:
@@ -246,53 +239,38 @@ def xsb_norm_batch(
     xsb_norm runs the same code on one path; chunked to bound the FFT
     workspace.
     """
-    return _xsb_norms(states, times, params, window, pad, chunk)
+    return _xsb_norms(states, times, params, pad, chunk)
 
 
-def _xsb_norms(states, times, params, window, pad, chunk) -> np.ndarray:
-    window = _resolve_window(params, window)
+def _xsb_norms(states, times, params, pad, chunk) -> np.ndarray:
     B = states.shape[0]
     modes = states.shape[-1]
     wn = bracket(frequencies((modes - 1) // 2)) ** params.s
     out = np.empty(B, dtype=np.float64)
     for lo in range(0, B, chunk):
         hi = min(lo + chunk, B)
-        v, dt = _extend_and_window(states[lo:hi], times, params, window)
+        v, dt = _extend_and_window(states[lo:hi], times, params)
         tf = _modulation_lq(v, dt, params.b, params.q, pad)
         weighted = wn * tf
         out[lo:hi] = np.sum(weighted**params.p, axis=-1) ** (1.0 / params.p)
     return out
 
 
-def temporal_window_factor(
-    params: XsbParams,
-    window: TimeWindow | None = None,
-    steps: int = 64,
-    exponent: float | None = None,
-    pad: int = DEFAULT_PAD,
-) -> float:
-    """Temporal factor || <tau>^b (windowed scalar 1)^ ||_{L^q_tau} on the
-    same extended grid and quadrature as xsb_norm.
+def temporal_window_factor(params: XsbParams, steps: int = 64) -> float:
+    """Temporal factor || <tau>^b (windowed scalar 1)^ ||_{L^q_tau} at
+    params.b, on the grid of `steps` + 1 points over [0, T] extended and
+    windowed as in xsb_norm, with the same DEFAULT_PAD quadrature.
 
     For u(t) = S(t) f the surrogate norm equals this factor times
     fl_norm(f, s, p) exactly, because S(-t)u(t) is constant in t.
     """
-    window = _resolve_window(params, window)
-    b = params.b if exponent is None else exponent
     times = np.linspace(0.0, params.T, steps + 1)
     ones = np.ones((steps + 1, 1), dtype=np.complex128)
-    v, dt = _extend_and_window(ones, times, params, window)
-    tf = _modulation_lq(v, dt, b, params.q, pad)
-    return float(tf[0])
+    v, dt = _extend_and_window(ones, times, params)
+    return float(_modulation_lq(v, dt, params.b, params.q, DEFAULT_PAD)[0])
 
 
-def homogeneous_estimate_check(
-    f: SpectralField,
-    params: XsbParams,
-    window: TimeWindow | None = None,
-    steps: int = 64,
-    pad: int = DEFAULT_PAD,
-) -> float:
+def homogeneous_estimate_check(f: SpectralField, params: XsbParams, steps: int = 64) -> float:
     """xsb_norm of the windowed free flow of f divided by fl_norm(f, s, p).
 
     The ratio is independent of f: it equals the temporal window factor by
@@ -303,7 +281,7 @@ def homogeneous_estimate_check(
         raise ValueError("fl_norm of the datum is zero")
     times = np.linspace(0.0, params.T, steps + 1)
     traj = Trajectory(times, f.coeffs[None, :] * propagator_phases(f.cutoff, times))
-    return xsb_norm(traj, params, window, pad) / denom
+    return xsb_norm(traj, params) / denom
 
 
 def discrete_duhamel(F: Trajectory) -> Trajectory:
@@ -321,12 +299,7 @@ def discrete_duhamel(F: Trajectory) -> Trajectory:
     return Trajectory(F.times, out)
 
 
-def duhamel_estimate_check(
-    F: Trajectory,
-    params: XsbParams,
-    window: TimeWindow | None = None,
-    pad: int = DEFAULT_PAD,
-) -> tuple[float, float]:
+def duhamel_estimate_check(F: Trajectory, params: XsbParams) -> tuple[float, float]:
     """Returns (||Duhamel(F)|| at exponent b, ||F|| at exponent b').
 
     Exponent window: -1/q < b' <= 0 <= b <= 1 + b'.  The inhomogeneous linear
@@ -335,6 +308,6 @@ def duhamel_estimate_check(
     p = params
     if not (-1.0 / p.q < p.bprime <= 0.0 <= p.b <= 1.0 + p.bprime):
         raise ValueError("exponent window violated: need -1/q < b' <= 0 <= b <= 1 + b'")
-    lhs = xsb_norm(discrete_duhamel(F), params, window, pad)
-    rhs = xsb_norm(F, params.with_exponent(params.bprime), window, pad)
+    lhs = xsb_norm(discrete_duhamel(F), params)
+    rhs = xsb_norm(F, params.with_exponent(params.bprime))
     return lhs, rhs

@@ -143,7 +143,7 @@ def test_c08_picard_contracts_and_tightens_as_horizon_halves():
     for T in (0.1, 0.05, 0.025):
         cfg = SolverConfig(cutoff=8, dt=T / 16, horizon=T, picard_tolerance=1e-12)
         psi = Trajectory(cfg.grid(), np.zeros((cfg.steps + 1, 17), dtype=complex))
-        rep = picard_iterate(mode_field(8, 1, 0.1), None, psi, cfg)
+        rep = picard_iterate(mode_field(8, 1, 0.1), psi, cfg)
         assert rep.converged
         assert max(rep.ratios) < 0.5
         factors.append(rep.contraction_factor)
@@ -181,7 +181,7 @@ def test_c10_arithmetic_lemmas():
         assert abs(slope + lemma_exponent(beta, gamma)) <= 0.15
 
     # divisor bound: the scan to 1e6 peaks at 12 with ratio sqrt(3)
-    ratio, argmax = divisor_bound_scan(10**6, 0.5, return_argmax=True)
+    ratio, argmax = divisor_bound_scan(10**6, 0.5)
     assert argmax == 12
     assert abs(ratio - math.sqrt(3.0)) <= 1e-12
 

@@ -6,12 +6,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickns.cli import main
-from wickns.config import ConfigError, parse_config, parse_config_text
+from wickns.config import COMMANDS, SCHEMA, ConfigError, parse_config, parse_config_text
 from wickns.fields import field_to_csv, make_field, mode_field
 from wickns.manifest import RunManifest, compare_outputs, sha256_file
-from wickns.noise import NoiseOperator, bessel_operator, operator_to_csv
+from wickns.noise import NoiseOperator, bessel_operator, operator_to_csv, philox_stream, sample_white_noise_field
 
 
 def _cfg(tmp_path, text, name="exp.ini"):
@@ -61,6 +63,12 @@ def test_parse_type_diagnostics_name_section_and_key():
         parse_config_text("[run]\ncommand = solve\n\n[noise]\nkind = pink\n")
     with pytest.raises(ConfigError, match=r"\[lab\] cutoffs"):
         parse_config_text("[run]\ncommand = solve\n\n[lab]\ncutoffs = 8,big\n")
+    with pytest.raises(ConfigError, match=r"\[solver\] cutoff: must be >= 0, got -1"):
+        parse_config_text("[run]\ncommand = tail-mc\n\n[solver]\ncutoff = -1\n")
+    with pytest.raises(ConfigError, match=r"\[noise\] alpha: must be finite, got 'nan'"):
+        parse_config_text("[run]\ncommand = norms\n\n[noise]\nalpha = nan\n")
+    with pytest.raises(ConfigError, match=r"\[lab\] lambdas: must be finite"):
+        parse_config_text("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, inf, 1.2\n")
 
 
 def test_resolved_config_reparses_to_equal_structure():
@@ -125,6 +133,8 @@ def test_u0_mini_syntax(tmp_path):
     for bad in ("mode", "mode:x", "white:soon", "csv:/nonexistent/datum.csv", "sawtooth"):
         with pytest.raises(ConfigError, match=r"\[solver\] u0"):
             parse_config_text(base.format(bad)).initial_field(4)
+    with pytest.raises(ConfigError, match=r"\[solver\] u0: datum has cutoff 3, the run needs 4"):
+        parse_config_text(base.format(f"csv:{path}")).initial_field(4)
 
 
 def test_noise_operator_kinds(tmp_path):
@@ -151,6 +161,67 @@ def test_noise_operator_kinds(tmp_path):
         cfg = parse_config_text(base.format(f"kind = matrix\nmatrix_file = {tmp_path / name}"))
         with pytest.raises(ConfigError, match=r"\[noise\] matrix_file: .*" + msg):
             cfg.noise_operator(2)
+
+
+# raw values: arbitrary short text plus numbers at and past every range edge
+_ATOM = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["0", "-1", "0.3", "1.5", "2", "1e-320", "1e308", "1e400", "nan", "inf", "-inf", "1,2", "9" * 30]),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_U0 = st.one_of(
+    st.text(max_size=16),
+    st.builds(
+        lambda kind, parts: ":".join([kind, *parts]),
+        st.sampled_from(["zero", "white", "mode", "csv", "sawtooth", ""]),
+        st.lists(_ATOM, max_size=4),
+    ),
+)
+# every key but the cutoff, which is drawn from a small range: a valid large cutoff would only allocate
+_KEYS = [(sec, key) for sec in SCHEMA for key in SCHEMA[sec] if (sec, key) != ("solver", "cutoff")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=120))
+def test_parse_config_text_fuzz_ends_in_config_error_or_success(text):
+    for body in (text, "[run]\ncommand = solve\n" + text):
+        try:
+            parse_config_text(body)
+        except ConfigError:
+            pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(COMMANDS),
+    st.dictionaries(st.sampled_from(_KEYS), _ATOM, max_size=5),
+    st.integers(-3, 6),
+    _U0,
+)
+def test_config_builders_fuzz_end_in_config_error_or_success(command, values, cutoff, u0):
+    values = {**values, ("run", "command"): command, ("solver", "cutoff"): str(cutoff), ("solver", "u0"): u0}
+    sections: dict = {}
+    for (sec, key), raw in values.items():
+        sections.setdefault(sec, []).append(f"{key} = {raw}")
+    text = "".join(f"[{sec}]\n" + "\n".join(lines) + "\n\n" for sec, lines in sections.items())
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    # each builder on its own, so one key's error does not hide another's
+    builders = [cfg.solver_config, cfg.xsb_params, cfg.picard_params]
+    if cfg.get("noise", "kind") != "matrix":  # bad matrix files have their own cases
+        builders.append(cfg.noise_operator)
+    for build in builders:
+        try:
+            build()
+        except ConfigError:
+            pass
+    try:
+        assert cfg.initial_field(cutoff).cutoff == cutoff
+    except ConfigError:
+        pass
 
 
 def _bad_matrix_files(tmp_path):
@@ -373,6 +444,17 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert msg in capsys.readouterr().err
 
+    # single-key range checks of the built solver and norm parameters name their key
+    for text, msg in (
+        ("[run]\ncommand = norms\n\n[norms]\nt = 2.0\n", "[norms] t: T must lie in (0, 1]"),
+        ("[run]\ncommand = norms\n\n[norms]\np = 1.0\n", "[norms] p: p must lie in (1, inf)"),
+        ("[run]\ncommand = solve\n\n[solver]\ndt = 0.3\nhorizon = 0.5\n", "[solver] dt: dt must divide the horizon"),
+        ("[run]\ncommand = picard\n\n[solver]\nhorizon = 1.5\n", "[solver] horizon: T must lie in (0, 1]"),
+    ):
+        cfg = _cfg(tmp_path, text, name="keyed.ini")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
+        assert f"wickns: config error: {msg}" in capsys.readouterr().err
+
     for cmd in ("sample-noise", "picard"):
         for name, msg in _bad_matrix_files(tmp_path):
             cfg = _cfg(
@@ -466,14 +548,30 @@ def test_cli_rerun_detects_divergence(tmp_path, capsys):
     out = str(tmp_path / "orig")
     assert main(["run", "--config", cfg, "--out", out]) == 0
     man_path = os.path.join(out, "manifest.json")
+    recorded = open(man_path).read()
 
     # forge a recorded hash: the replay must notice the mismatch
-    body = json.loads(open(man_path).read())
+    body = json.loads(recorded)
     rec = next(o for o in body["outputs"] if o["name"] == "report.json")
     rec["sha256"] = "0" * 64
     open(man_path, "w").write(json.dumps(body))
     assert main(["rerun", "--manifest", man_path, "--out", str(tmp_path / "replay")]) == 2
     assert "outputs differ: report.json" in capsys.readouterr().err
+
+    # forge the recorded flags: hashes still match, the flags do not
+    body = json.loads(recorded)
+    body["flags"] = {"blowup": True}
+    open(man_path, "w").write(json.dumps(body))
+    assert main(["rerun", "--manifest", man_path, "--out", str(tmp_path / "replay_flags")]) == 2
+    assert capsys.readouterr().err == "rerun: flags differ: recorded {'blowup': True}, replay {}\n"
+
+    # a flagged run replays to the same flags and hashes, but its replay still exits 2
+    tail = _cfg(tmp_path, "[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", name="tail.ini")
+    assert main(["run", "--config", tail, "--out", str(tmp_path / "tail")]) == 2
+    tail_man = os.path.join(str(tmp_path / "tail"), "manifest.json")
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", tail_man, "--out", str(tmp_path / "tail_replay")]) == 2
+    assert capsys.readouterr().err.endswith("rerun: replay exited 2\n")
 
     # corrupt the embedded config: rejected before any run
     body["resolved_config"] += "# tail\n"
@@ -687,6 +785,23 @@ def test_cli_gauge_check_first_order(tmp_path):
     rep0 = _json(out0)
     assert rep0["residuals"] == [0.0, 0.0]
     assert rep0["checks"]["first_order_gauge_residual"] is True
+
+
+def test_cli_records_u0_stream_for_every_command_reading_u0(tmp_path):
+    for cmd in ("solve", "picard", "norms", "gauge-check"):
+        for u0, expected in (("white:0.01", {"u0": [4, 999]}), ("mode:1:0.1", {})):
+            cfg = _cfg(
+                tmp_path,
+                f"[run]\ncommand = {cmd}\nseed = 4\n\n[solver]\ncutoff = 2\ndt = 0.015625\nhorizon = 0.25\n"
+                f"u0 = {u0}\n\n[noise]\nkind = none\n\n[lab]\ndt_halvings = 2\n",
+                name="u0.ini",
+            )
+            out = str(tmp_path / f"{cmd}-{u0.split(':')[0]}")
+            assert main(["run", "--config", cfg, "--out", out]) == 0, (cmd, u0)
+            assert RunManifest.load(os.path.join(out, "manifest.json")).task_seeds == expected, (cmd, u0)
+    # the recorded stream is the one the datum was drawn from
+    datum = sample_white_noise_field(2, 0.01, philox_stream(4, 999))
+    assert _json(str(tmp_path / "solve-white"))["mass_initial"] == datum.mass()
 
 
 def test_cli_variance_test_tracks_target(tmp_path):

@@ -179,6 +179,15 @@ def test_solver_config_validation():
         SolverConfig(cutoff=4, dt=0.1, horizon=1.0, integrator="rk45")
     with pytest.raises(ValueError):
         SolverConfig(cutoff=4, dt=0.1, horizon=1.0, picard_tolerance=0.0)
+    # each message names the rejected field first; config maps it to its key
+    for kwargs, msg in (
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": float("nan")}, "dt must be positive"),
+        ({"horizon": -1.0}, "horizon must be positive"),
+        ({"dt": 1e-10, "horizon": 1e300}, "dt must divide"),  # step count overflows
+    ):
+        with pytest.raises(ValueError, match="^" + msg):
+            SolverConfig(**{"cutoff": 4, "dt": 0.1, "horizon": 1.0, **kwargs})
     cfg = SolverConfig(cutoff=4, dt=0.25, horizon=1.0)
     assert cfg.steps == 4
     assert np.array_equal(cfg.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -294,7 +303,7 @@ def _zero_psi(cfg):
 
 def test_picard_trivial_converges_first_iteration():
     cfg = SolverConfig(cutoff=3, dt=0.1 / 16, horizon=0.1)
-    rep = picard_iterate(zero_field(3), None, _zero_psi(cfg), cfg)
+    rep = picard_iterate(zero_field(3), _zero_psi(cfg), cfg)
     assert rep.converged
     assert rep.iterations == 1
     assert np.all(rep.iterates[-1].states == 0)
@@ -302,7 +311,7 @@ def test_picard_trivial_converges_first_iteration():
 
 def test_picard_small_data_contracts():
     cfg = SolverConfig(cutoff=4, dt=0.1 / 16, horizon=0.1, picard_tolerance=1e-12)
-    rep = picard_iterate(mode_field(4, 1, 0.1), None, _zero_psi(cfg), cfg)
+    rep = picard_iterate(mode_field(4, 1, 0.1), _zero_psi(cfg), cfg)
     assert rep.converged
     assert max(rep.ratios) < 0.5
     assert rep.contraction_factor < 0.5
@@ -312,7 +321,7 @@ def test_picard_limit_matches_stepper():
     cfg = SolverConfig(
         cutoff=4, dt=0.1 / 16, horizon=0.1, picard_max_iters=40, picard_tolerance=1e-12
     )
-    rep = picard_iterate(mode_field(4, 1, 0.1), None, _zero_psi(cfg), cfg)
+    rep = picard_iterate(mode_field(4, 1, 0.1), _zero_psi(cfg), cfg)
     traj = solve(mode_field(4, 1, 0.1), None, cfg)
     sup = max(
         fl_norm(make_field(4, rep.iterates[-1].states[m] - traj.states[m]), 0.0, 2.0)
@@ -324,7 +333,7 @@ def test_picard_limit_matches_stepper():
 def test_picard_non_contracting_diagnosed():
     u_big = make_field(4, np.array([0, 0, 0, 1.5, 1.5, 0, 0, 0, 0], dtype=complex))
     cfg = SolverConfig(cutoff=4, dt=1 / 32, horizon=0.5)
-    rep = picard_iterate(u_big, None, _zero_psi(cfg), cfg)
+    rep = picard_iterate(u_big, _zero_psi(cfg), cfg)
     assert rep.non_contracting
     assert not rep.converged
     assert len(rep.ratios) >= 3 and all(r >= 1.0 for r in rep.ratios[-3:])
@@ -334,7 +343,7 @@ def test_picard_grid_mismatch():
     cfg = SolverConfig(cutoff=3, dt=1 / 32, horizon=0.5)
     bad = Trajectory(np.linspace(0, 0.25, cfg.steps + 1), np.zeros((cfg.steps + 1, 7), dtype=complex))
     with pytest.raises(ValueError):
-        picard_iterate(zero_field(3), None, bad, cfg)
+        picard_iterate(zero_field(3), bad, cfg)
 
 
 def test_solve_picard_integrator_delegates():

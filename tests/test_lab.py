@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from wickns import (
     divisor_bound_scan,
     divisor_count,
     lemma_exponent,
-    multiplier_supremum,
     multiplier_supremum_report,
     philox_stream,
     resonance_defects,
@@ -59,14 +60,14 @@ def test_divisor_count_values():
 
 
 def test_divisor_scan_monotone_in_delta():
-    lo = divisor_bound_scan(100_000, 0.5)
-    hi = divisor_bound_scan(100_000, 0.6)
+    lo, _ = divisor_bound_scan(100_000, 0.5)
+    hi, _ = divisor_bound_scan(100_000, 0.6)
     assert hi < lo
     assert lo <= 2.0
 
 
 def test_divisor_scan_argmax_highly_composite():
-    ratio, arg = divisor_bound_scan(100_000, 0.5, return_argmax=True)
+    ratio, arg = divisor_bound_scan(100_000, 0.5)
     # at delta = 1/2 the maximizer is the highly composite n = 12: d(12)/sqrt(12) = sqrt(3)
     assert arg == 12
     assert ratio == pytest.approx(np.sqrt(3.0), rel=1e-12)
@@ -127,14 +128,14 @@ def test_sum_decay_exponent_beta_small():
 
 def test_multiplier_window_enforced():
     with pytest.raises(ValueError):
-        multiplier_supremum(XsbParams(0.1, 0.5, -0.3, 4.0, 2.0, 0.5), 8)
+        multiplier_supremum_report(XsbParams(0.1, 0.5, -0.3, 4.0, 2.0, 0.5), 8)
     with pytest.raises(ValueError):
-        multiplier_supremum(XsbParams(0.1, 0.8, -0.1, 4.0, 2.0, 0.5), 8)
+        multiplier_supremum_report(XsbParams(0.1, 0.8, -0.1, 4.0, 2.0, 0.5), 8)
 
 
 def test_multiplier_resonant_only_is_zero():
     # at cutoff 0 every triple hits the diagonal exclusion
-    assert multiplier_supremum(XsbParams(0.1, 0.45, -0.1, 2.0, 2.0, 0.5), 0) == 0.0
+    assert multiplier_supremum_report(XsbParams(0.1, 0.45, -0.1, 2.0, 2.0, 0.5), 0).value == 0.0
 
 
 def test_multiplier_kernel_peak_location():
@@ -194,7 +195,7 @@ def test_trilinear_ratio_stats_shape():
     )
     assert stats.count + stats.filtered == 50
     assert 0 < stats.p50 <= stats.p90 <= stats.p99 <= stats.max
-    d = stats.as_dict()
+    d = asdict(stats)
     assert d["count"] == stats.count and d["p99"] == stats.p99
 
 
@@ -213,7 +214,7 @@ def test_tail_fit_small_ensemble():
     assert rep.r_squared >= 0.9
     assert rep.theta == pytest.approx(3 - 2 * 0.45 - 1.0)
     assert not rep.usable[-1]  # zero-survival level dropped
-    assert rep.as_dict()["median"] == rep.median
+    assert asdict(rep)["median"] == rep.median
 
 
 def test_tail_worker_count_invariant():
@@ -221,7 +222,7 @@ def test_tail_worker_count_invariant():
     params = XsbParams(0.0, 0.45, -0.1, 2.0, 2.0, 0.5)
     r1 = tail_estimate_mc(op, params, [0.8, 1.0, 1.2, 1.5], 1200, philox_stream(91), steps=32, workers=1)
     r3 = tail_estimate_mc(op, params, [0.8, 1.0, 1.2, 1.5], 1200, philox_stream(91), steps=32, workers=3)
-    assert r1.as_dict() == r3.as_dict()
+    assert r1 == r3
 
 
 def test_tail_sparse_ladder_is_error():
@@ -269,7 +270,7 @@ def test_variance_report_small_ensemble():
     assert 0.8 < rep.slope < 1.2
     assert rep.blowup_fraction == 0.0
     assert not rep.flagged
-    d = rep.as_dict()
+    d = asdict(rep)
     assert len(d["variances"]) == 3 and len(d["variances"][0]) == 9
 
 

@@ -238,9 +238,6 @@ def test_xsb_grid_guards():
     wrong_span = Trajectory(np.linspace(0, 0.4, 33), np.zeros((33, 3), dtype=complex))
     with pytest.raises(ValueError):
         xsb_norm(wrong_span, params)
-    ok = Trajectory(np.linspace(0, 0.5, 33), np.zeros((33, 3), dtype=complex))
-    with pytest.raises(ValueError):
-        xsb_norm(ok, params, window=TimeWindow(scale=0.25))
 
 
 def test_xsb_free_flow_factorizes(rng):
