@@ -26,7 +26,6 @@ from .fields import (
 )
 from .noise import (
     NoiseOperator,
-    NoisePath,
     Trajectory,
     bessel_operator,
     convolution_from_path,
@@ -41,7 +40,6 @@ from .noise import (
     operator_to_csv,
     philox_stream,
     sample_convolution_path,
-    sample_noise_path,
     sample_white_noise_field,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -73,7 +71,6 @@ from .dynamics import (
     gauge_transform,
     picard_iterate,
     solve,
-    step_exponential_euler,
     wick_nonlinearity_direct,
     wick_trilinear,
 )

@@ -23,13 +23,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, SCHEMA, ConfigError, ExperimentConfig, parse_config, parse_config_text
-from .dynamics import SolverConfig, gauge_transform, solve, wick_coeffs_block, wick_nonlinearity_direct, wick_trilinear, picard_iterate
+from .config import COMMANDS, ConfigError, ExperimentConfig, parse_config, parse_config_text
+from .dynamics import gauge_transform, solve, wick_coeffs_block, wick_nonlinearity_direct, wick_trilinear, picard_iterate
 from .fields import frequencies, make_field
 from .lab import (
     convolution_sum_check,
@@ -46,10 +46,8 @@ from .manifest import RunManifest, compare_outputs
 from .noise import (
     Trajectory,
     _complex_normal,
-    convolution_from_path,
     philox_stream,
     sample_convolution_path,
-    sample_noise_path,
     operator_to_csv,
     trajectory_to_csv,
 )
@@ -139,7 +137,6 @@ def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     report = {
         "cutoff": scfg.cutoff,
         "dt": scfg.dt,
-        "integrator": scfg.integrator,
         "steps_completed": len(traj.times) - 1,
         "failed_at": traj.failed_at,
         "mass_initial": float(np.sum(np.abs(traj.states[0]) ** 2)),
@@ -163,8 +160,7 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     params = cfg.picard_params()
     grid = scfg.grid()
     if op is not None:
-        path = sample_noise_path(scfg.cutoff, grid, cfg.seed)
-        psi = convolution_from_path(op, path)
+        psi = sample_convolution_path(op, grid, philox_stream(cfg.seed, 0))
     else:
         psi = Trajectory(grid, np.zeros((scfg.steps + 1, 2 * scfg.cutoff + 1), dtype=np.complex128))
     rep = picard_iterate(u0, psi, scfg, params)
@@ -257,13 +253,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     rows = []
     residuals = []
     for k in range(halvings):
-        sk = SolverConfig(
-            cutoff=scfg.cutoff,
-            dt=scfg.dt / 2**k,
-            horizon=scfg.horizon,
-            integrator="exponential-euler",
-            seed=scfg.seed,
-        )
+        sk = replace(scfg, dt=scfg.dt / 2**k)
         wick_traj = solve(u0, None, sk, nonlinearity="wick")
         cubic_traj = solve(u0, None, sk, nonlinearity="cubic")
         gauged = gauge_transform(cubic_traj, sign=1)
@@ -505,20 +495,20 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     if "." not in axis:
         raise ConfigError(f"[sweep] axis: expected section.key, got {axis!r}")
     section, key = axis.split(".", 1)
-    if section not in SCHEMA or key not in SCHEMA[section]:
-        raise ConfigError(f"[{section}] {key}: unknown key")
-    if SCHEMA[section][key][0] in ("floats", "ints"):
-        raise ConfigError(f"[{section}] {key}: not a scalar key, cannot sweep")
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
+    # every cell's config is checked before any cell runs
+    children = [cfg.with_value(section, key, v) for v in values]
     os.makedirs(out_dir, exist_ok=True)
     w = _Writer(out_dir)
     w.text("resolved_config.ini", cfg.resolved)
 
     def run_cell(i: int) -> int:
-        # a failing cell must not abort the sweep; its row records exit 2
+        # a failing cell must not abort the sweep; its row records the cell's exit code
         try:
-            child = cfg.with_value(section, key, values[i])
-            code = _run_into(child, os.path.join(out_dir, f"cell-{i:02d}"), assert_checks)
+            code = _run_into(children[i], os.path.join(out_dir, f"cell-{i:02d}"), assert_checks)
+        except ConfigError as exc:
+            print(f"sweep cell {i} ({axis}={values[i]}): config error: {exc}", file=sys.stderr)
+            return 1
         except (ValueError, OSError) as exc:
             print(f"sweep cell {i} ({axis}={values[i]}): {exc}", file=sys.stderr)
             return 2
@@ -574,6 +564,8 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     print(f"sweep: {len(cells)} cells over {axis}, worst exit {max(codes, default=0)}")
     if any(c == 2 for c in codes):
         return 2
+    if any(c == 1 for c in codes):
+        return 1
     if assert_checks and any(c == 3 for c in codes):
         return 3
     return 0

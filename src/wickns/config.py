@@ -16,7 +16,7 @@ import io
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .dynamics import INTEGRATORS, SolverConfig
+from .dynamics import SolverConfig
 from .fields import SpectralField, field_from_csv, mode_field, zero_field
 from .noise import NoiseOperator, bessel_operator, identity_operator, operator_from_csv, philox_stream, sample_white_noise_field
 from .norms import XsbParams
@@ -53,7 +53,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "cutoff": ("cutoff", "16"),
         "dt": ("float", "0.015625"),
         "horizon": ("float", "0.5"),
-        "integrator": ("choice:" + ",".join(INTEGRATORS), "exponential-euler"),
         "picard_max_iters": ("int", "25"),
         "picard_tolerance": ("float", "1e-10"),
         "u0": ("str", "zero"),
@@ -76,7 +75,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "lambdas": ("floats", "1.0,1.1,1.2,1.3,1.4"),
         "samples": ("int", "2000"),
         "steps": ("int", "64"),
-        "cutoffs": ("ints", "16,32,64"),
+        "cutoffs": ("cutoffs", "16,32,64"),
         "substeps": ("int", "2"),
         "ensemble_size": ("int", "100"),
         "data_alpha": ("float", "0.75"),
@@ -124,8 +123,11 @@ def _coerce(section: str, key: str, spec: str, raw: str):
             return _finite(float(raw), raw)
         if spec == "floats":
             return tuple(_finite(float(v), raw) for v in raw.split(",") if v.strip() != "")
-        if spec == "ints":
-            return tuple(int(v) for v in raw.split(",") if v.strip() != "")
+        if spec in ("ints", "cutoffs"):
+            vs = tuple(int(v) for v in raw.split(",") if v.strip() != "")
+            if spec == "cutoffs" and min(vs, default=0) < 0:
+                raise ValueError(f"must be >= 0, got {min(vs)}")
+            return vs
         if spec == "str":
             return raw
         if spec == "command":
@@ -208,17 +210,16 @@ class ExperimentConfig:
         """Copy with one schema key replaced from its raw string form."""
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise ConfigError(f"[{section}] {key}: unknown key")
-        spec = SCHEMA[section][key][0]
-        if spec in ("floats", "ints"):
+        if isinstance(self.values[(section, key)], tuple):
             raise ConfigError(f"[{section}] {key}: not a scalar key, cannot sweep")
         values = dict(self.values)
-        values[(section, key)] = _coerce(section, key, spec, raw)
+        values[(section, key)] = _coerce(section, key, SCHEMA[section][key][0], raw)
         return _from_values(values)
 
     # -- builders ---------------------------------------------------------
 
     def solver_config(self) -> SolverConfig:
-        names = ("cutoff", "dt", "horizon", "integrator", "picard_max_iters", "picard_tolerance")
+        names = ("cutoff", "dt", "horizon", "picard_max_iters", "picard_tolerance")
         keys = {k: f"[solver] {k}" for k in names}
         return _keyed(SolverConfig, keys, seed=self.seed, **{k: self.get("solver", k) for k in names})
 
@@ -230,7 +231,11 @@ class ExperimentConfig:
         if kind == "identity":
             return identity_operator(N)
         if kind == "bessel":
-            return bessel_operator(N, self.get("noise", "alpha"))
+            alpha = self.get("noise", "alpha")
+            try:
+                return bessel_operator(N, alpha)
+            except ValueError:
+                raise ConfigError(f"[noise] alpha: {alpha!r} overflows phi_n = (1 + n^2)^(-alpha/2) at cutoff {N}") from None
         path = self.get("noise", "matrix_file")
         if not path:
             raise ConfigError("[noise] matrix_file: required for kind = matrix")

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import SpectralField, alias_free_length, from_grid, make_field, propagator_phases, to_grid
-from .noise import NoiseOperator, NoisePath, Trajectory, _check_uniform, _draw_increments, convolution_from_path, philox_stream
+from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments, philox_stream
 from .norms import XsbParams, discrete_duhamel, xsb_norm
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "cubic_nonlinearity",
     "wick_trilinear",
     "gauge_transform",
-    "step_exponential_euler",
     "solve",
     "picard_iterate",
     "cubic_coeffs_block",
@@ -42,7 +41,6 @@ __all__ = [
     "evolve_wick_rk4ip",
 ]
 
-INTEGRATORS = ("exponential-euler", "picard")
 NONLINEARITIES = ("wick", "cubic", "none")
 
 
@@ -51,15 +49,12 @@ class SolverConfig:
     cutoff: int
     dt: float
     horizon: float
-    integrator: str = "exponential-euler"
     picard_max_iters: int = 25
     picard_tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         # each message starts with the field it rejects (config names the key from it)
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.horizon > 0:
@@ -165,7 +160,7 @@ def gauge_transform(traj: Trajectory, sign: int = 1) -> Trajectory:
         raise ValueError("sign must be +1 or -1")
     mass = np.sum(np.abs(traj.states) ** 2, axis=1)
     phase = np.exp(-1j * sign * 2.0 * traj.times * mass)
-    return Trajectory(traj.times, traj.states * phase[:, None], noise=traj.noise)
+    return Trajectory(traj.times, traj.states * phase[:, None])
 
 
 def _nonlinearity_block(U: np.ndarray, N: int, kind: str) -> np.ndarray:
@@ -178,80 +173,47 @@ def _nonlinearity_block(U: np.ndarray, N: int, kind: str) -> np.ndarray:
     raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
 
 
-def step_exponential_euler(
-    u: SpectralField,
-    op: Optional[NoiseOperator],
-    dt: float,
-    noise_increment: Optional[np.ndarray] = None,
-    nonlinearity: str = "wick",
-) -> SpectralField:
-    """One mild-formulation step:
-
-        u_hat(t+dt, n) = exp(i dt n^2) [u_hat(t, n) + i dt N_hat(u)(n)] - i (phi zeta)(n)
-
-    with zeta the step's exact-in-law complex Gaussian increment.  The
-    deterministic part is first-order accurate; with the nonlinearity forced
-    off and phi = 0 the step is exactly the free propagator.
-    """
-    prop = propagator_phases(u.cutoff, dt)
-    return make_field(u.cutoff, _euler_step(u.coeffs, prop, dt, nonlinearity, op, noise_increment))
-
-
-def _euler_step(c: np.ndarray, prop: np.ndarray, dt: float, nonlinearity: str, op, z) -> np.ndarray:
-    """The step on a bare coefficient row c, with prop = exp(i dt n^2)."""
-    nl = _nonlinearity_block(c[None, :], (c.shape[0] - 1) // 2, nonlinearity)[0]
-    new = prop * (c + 1j * dt * nl)
-    if op is not None and z is not None:
-        new = new - 1j * op.apply_to_vector(np.asarray(z))
-    return new
-
-
 def solve(
     u0: SpectralField,
     op: Optional[NoiseOperator],
     cfg: SolverConfig,
     nonlinearity: str = "wick",
 ) -> Trajectory:
-    """Repeated exponential-Euler steps on the uniform grid.
+    """Repeated exponential-Euler steps of the mild formulation on the uniform grid:
 
-    Deterministic given (u0, op, cfg): with op set, the increments are one
-    (steps, 2N+1) block drawn from the Philox stream (cfg.seed, 0) with
-    variance cfg.dt.  A non-finite state aborts the run; the returned
-    trajectory then ends at the last valid time and carries failed_at.
-    integrator="picard" delegates to picard_iterate against the convolution
-    sampled from the same increments.
+        u_hat(t+dt, n) = exp(i dt n^2) [u_hat(t, n) + i dt N_hat(u)(n)] - i (phi zeta)(n)
+
+    with zeta the step's exact-in-law complex Gaussian increment.  Each step is
+    first-order accurate; with the nonlinearity "none" and op None it is
+    exactly the free propagator.  Deterministic given (u0, op, cfg): with op
+    set, the increments are one (steps, 2N+1) block drawn from the Philox
+    stream (cfg.seed, 0) with variance cfg.dt.  A non-finite state aborts the
+    run; the returned trajectory then ends at the last valid time and carries
+    failed_at.
     """
     if u0.cutoff != cfg.cutoff:
         raise ValueError("u0 cutoff does not match the config")
     times = cfg.grid()
     M = cfg.steps
     dim = 2 * cfg.cutoff + 1
-    path = None
+    z = None
     if op is not None:
         if op.cutoff != cfg.cutoff:
             raise ValueError("operator cutoff does not match the config")
-        path = NoisePath(times, _draw_increments(philox_stream(cfg.seed, 0), (M, dim), cfg.dt), seed=cfg.seed)
-
-    if cfg.integrator == "picard":
-        if path is None:
-            psi = Trajectory(times, np.zeros((M + 1, dim), dtype=np.complex128))
-        else:
-            psi = convolution_from_path(op, path)
-        report = picard_iterate(u0, psi, cfg)
-        return report.iterates[-1]
-
+        z = _draw_increments(philox_stream(cfg.seed, 0), (M, dim), cfg.dt)
     prop = propagator_phases(cfg.cutoff, cfg.dt)
     states = np.zeros((M + 1, dim), dtype=np.complex128)
     states[0] = u0.coeffs
     cur = u0.coeffs.copy()
     for m in range(M):
-        cur = _euler_step(cur, prop, cfg.dt, nonlinearity, op, None if path is None else path.increments[m])
+        nl = _nonlinearity_block(cur[None, :], cfg.cutoff, nonlinearity)[0]
+        cur = prop * (cur + 1j * cfg.dt * nl)
+        if z is not None:
+            cur = cur - 1j * op.apply_to_vector(z[m])
         if not np.all(np.isfinite(cur.view(np.float64))):
-            return Trajectory(
-                times[: m + 1], states[: m + 1], noise=path, failed_at=float(times[m])
-            )
+            return Trajectory(times[: m + 1], states[: m + 1], failed_at=float(times[m]))
         states[m + 1] = cur
-    return Trajectory(times, states, noise=path)
+    return Trajectory(times, states)
 
 
 def evolve_wick_rk4ip(

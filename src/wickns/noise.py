@@ -11,9 +11,10 @@ the free propagator is a unit-modulus multiplier, the grid recursion
 with zeta complex Gaussian of variance dt reproduces the law of the
 stochastic convolution at the grid points with no time-discretization bias.
 
-Reproducibility: every sampler either takes an explicit numpy Generator or a
-(seed, trajectory_id) pair routed through a counter-based Philox stream, so
-parallel ensembles are independent of worker count and scheduling order.
+Reproducibility: every sampler takes an explicit numpy Generator; the
+callers pass counter-based Philox streams keyed by explicit seeds
+(`philox_stream`), so parallel ensembles are independent of worker count and
+scheduling order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .fields import SpectralField, frequencies, make_field, propagator_phases
 
 __all__ = [
     "NoiseOperator",
-    "NoisePath",
     "Trajectory",
     "bessel_operator",
     "identity_operator",
@@ -36,7 +36,6 @@ __all__ = [
     "make_grid",
     "philox_stream",
     "sample_white_noise_field",
-    "sample_noise_path",
     "sample_convolution_path",
     "convolution_from_path",
     "convolution_paths_block",
@@ -107,9 +106,12 @@ class NoiseOperator:
 
 
 def bessel_operator(cutoff: int, alpha: float) -> NoiseOperator:
-    """Smoothing multiplier phi_n = (1 + n^2)^(-alpha/2); alpha may be <= 0."""
+    """Smoothing multiplier phi_n = (1 + n^2)^(-alpha/2); alpha may be <= 0.
+    An alpha so negative that phi_N overflows is a ValueError."""
     ns = frequencies(cutoff).astype(np.float64)
-    return NoiseOperator(cutoff, multiplier=(1.0 + ns**2) ** (-alpha / 2.0))
+    with np.errstate(over="ignore"):
+        phi = (1.0 + ns**2) ** (-alpha / 2.0)
+    return NoiseOperator(cutoff, multiplier=phi)
 
 
 def identity_operator(cutoff: int) -> NoiseOperator:
@@ -128,32 +130,6 @@ def matrix_operator(mat) -> NoiseOperator:
 
 
 @dataclass(frozen=True)
-class NoisePath:
-    """Per-step complex Gaussian increments zeta_{m,k} with E|zeta|^2 = dt.
-
-    Increments across (m, k) are mutually independent given the seed, and the
-    path regenerates bit-identically from (seed, trajectory_id).
-    """
-
-    times: np.ndarray = dc_field(repr=False)
-    increments: np.ndarray = dc_field(repr=False)  # shape (M, K)
-    seed: Optional[int] = None
-    trajectory_id: int = 0
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        z = np.asarray(self.increments, dtype=np.complex128)
-        if t.ndim != 1 or z.ndim != 2 or z.shape[0] != t.shape[0] - 1:
-            raise ValueError("increments must have shape (len(times)-1, K)")
-        t = t.copy()
-        z = z.copy()
-        t.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "increments", z)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Time-gridded sequence of spectral states sharing one cutoff.
 
@@ -163,7 +139,6 @@ class Trajectory:
 
     times: np.ndarray = dc_field(repr=False)
     states: np.ndarray = dc_field(repr=False)  # shape (len(times), 2N+1)
-    noise: Optional[NoisePath] = None
     failed_at: Optional[float] = None
 
     def __post_init__(self):
@@ -259,23 +234,14 @@ def _free_recursion(op: NoiseOperator, z: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def sample_noise_path(cutoff: int, grid, seed: int, trajectory_id: int = 0) -> NoisePath:
-    """Increment block for one trajectory from its own Philox stream."""
-    times = np.asarray(grid, dtype=np.float64)
-    dt = _check_uniform(times)
-    rng = philox_stream(seed, trajectory_id)
-    z = _draw_increments(rng, (len(times) - 1, 2 * cutoff + 1), dt)
-    return NoisePath(times, z, seed=seed, trajectory_id=trajectory_id)
-
-
-def convolution_from_path(op: NoiseOperator, path: NoisePath) -> Trajectory:
-    """Deterministic map from an increment block to the convolution trajectory."""
-    times = path.times
-    dim = 2 * op.cutoff + 1
-    if path.increments.shape[1] != dim:
-        raise ValueError("path increment width does not match operator cutoff")
-    dt = _check_uniform(times)
-    return Trajectory(times, _free_recursion(op, path.increments, dt), noise=path)
+def convolution_from_path(op: NoiseOperator, times, increments) -> Trajectory:
+    """Deterministic map from an increment block, shape (len(times)-1, 2N+1)
+    with N the operator's cutoff, to the convolution trajectory on times."""
+    times = np.asarray(times, dtype=np.float64)
+    z = np.asarray(increments, dtype=np.complex128)
+    if times.ndim != 1 or z.shape != (len(times) - 1, 2 * op.cutoff + 1):
+        raise ValueError("increments must have shape (len(times)-1, 2N+1) for the operator cutoff N")
+    return Trajectory(times, _free_recursion(op, z, _check_uniform(times)))
 
 
 def sample_convolution_path(op: NoiseOperator, grid, rng: np.random.Generator) -> Trajectory:
@@ -289,7 +255,7 @@ def sample_convolution_path(op: NoiseOperator, grid, rng: np.random.Generator) -
     times = np.asarray(grid, dtype=np.float64)
     dt = _check_uniform(times)
     z = _draw_increments(rng, (len(times) - 1, 2 * op.cutoff + 1), dt)
-    return convolution_from_path(op, NoisePath(times, z))
+    return convolution_from_path(op, times, z)
 
 
 def convolution_paths_block(op: NoiseOperator, grid, rng: np.random.Generator, n_paths: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,10 @@ def test_parse_type_diagnostics_name_section_and_key():
         parse_config_text("[run]\ncommand = solve\n\n[noise]\nkind = pink\n")
     with pytest.raises(ConfigError, match=r"\[lab\] cutoffs"):
         parse_config_text("[run]\ncommand = solve\n\n[lab]\ncutoffs = 8,big\n")
+    with pytest.raises(ConfigError, match=r"\[lab\] cutoffs: must be >= 0, got -2"):
+        parse_config_text("[run]\ncommand = multiplier\n\n[lab]\ncutoffs = -2, 4\n")
+    # k1_values are signed lattice points, not cutoffs
+    assert parse_config_text("[run]\ncommand = sums\n\n[lab]\nk1_values = -64, 64\n").get("lab", "k1_values") == (-64, 64)
     with pytest.raises(ConfigError, match=r"\[solver\] cutoff: must be >= 0, got -1"):
         parse_config_text("[run]\ncommand = tail-mc\n\n[solver]\ncutoff = -1\n")
     with pytest.raises(ConfigError, match=r"\[noise\] alpha: must be finite, got 'nan'"):
@@ -455,6 +460,20 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
         assert f"wickns: config error: {msg}" in capsys.readouterr().err
 
+    # negative cutoffs are rejected by every command that reads them
+    for cmd, cutoffs in (("multiplier", "-2, 4"), ("wick-check", "-1"), ("trilinear", "-1, 2")):
+        cfg = _cfg(tmp_path, f"[run]\ncommand = {cmd}\n\n[lab]\ncutoffs = {cutoffs}\n", name="cutoffs.ini")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "cutoffs")]) == 1, cmd
+        assert "wickns: config error: [lab] cutoffs: must be >= 0" in capsys.readouterr().err
+
+    # (1 + n^2)^(-alpha/2) overflows at alpha = -394, cutoff 6: a config error, and no RuntimeWarning
+    for cmd in ("sample-noise", "norms", "tail-mc"):
+        cfg = _cfg(tmp_path, f"[run]\ncommand = {cmd}\n\n[solver]\ncutoff = 6\n\n[noise]\nalpha = -394\n", name="alpha.ini")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "alpha")]) == 1, cmd
+        assert "wickns: config error: [noise] alpha: -394.0 overflows" in capsys.readouterr().err
+
     for cmd in ("sample-noise", "picard"):
         for name, msg in _bad_matrix_files(tmp_path):
             cfg = _cfg(
@@ -640,6 +659,20 @@ def test_cli_sweep_failing_cell_is_recorded_and_sweep_continues(tmp_path, capsys
     assert os.path.exists(os.path.join(out, "cell-01", "report.json"))
     assert "sweep cell 0" in capsys.readouterr().err
 
+    # a cell whose built config is out of range records exit 1, and so does the sweep
+    cfg = _cfg(tmp_path, "[run]\ncommand = norms\n\n[sweep]\naxis = norms.t\nvalues = 0.5, 2.0\n", name="range.ini")
+    out = str(tmp_path / "range")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 1
+    assert [c["exit_code"] for c in _json(out, "sweep_summary.json")["cells"]] == [0, 1]
+    assert "sweep cell 1 (norms.t=2.0): config error: [norms] t: T must lie in (0, 1]" in capsys.readouterr().err
+
+    # a value that does not parse stops the sweep before any cell runs
+    cfg = _cfg(tmp_path, "[run]\ncommand = norms\n\n[sweep]\naxis = norms.t\nvalues = 0.5, abc\n", name="parse.ini")
+    out = str(tmp_path / "parse")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 1
+    assert "wickns: config error: [norms] t:" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "cell-00"))
+
 
 def test_cli_sweep_axis_validation(tmp_path, capsys):
     base = "[run]\ncommand = criticality\n\n[sweep]\n{}\n"
@@ -687,6 +720,27 @@ def test_cli_worker_count_does_not_change_results(tmp_path):
         assert open(os.path.join(out_1, name)).read() == open(os.path.join(out_3, name)).read()
 
 
+def test_cli_sweep_worker_pool_matches_serial(tmp_path):
+    cfg = _cfg(
+        tmp_path,
+        "[run]\ncommand = norms\n\n[solver]\ncutoff = 8\n\n[norms]\nwindow_steps = 16\n\n"
+        "[sweep]\naxis = noise.alpha\nvalues = 0.1, 0.5, 1.0\n",
+    )
+    outs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"w{workers}"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+        outs.append(
+            {
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name not in ("resolved_config.ini", "manifest.json")
+            }
+        )
+    assert "sweep.csv" in outs[0] and "sweep_summary.json" in outs[0] and "cell-02/report.json" in outs[0]
+    assert outs[0] == outs[1]
+
+
 # ---------------------------------------------------------------------------
 # CLI: one smoke run per remaining subcommand
 
@@ -719,7 +773,8 @@ def test_cli_picard_converges_on_small_datum(tmp_path):
     assert main(["run", "--config", cfg, "--out", out]) == 0
     rep = _json(out)
     assert rep["converged"] is True and rep["non_contracting"] is False
-    assert rep["contraction_factor"] < 0.05
+    assert rep["contraction_factor"] < 0.05 and rep["checks"]["contraction"] is True
+    assert "noise" not in RunManifest.load(os.path.join(out, "manifest.json")).task_seeds
     rows = open(os.path.join(out, "picard_differences.csv")).read().strip().splitlines()
     assert rows[0] == "iteration,difference,ratio"
     assert rows[1].endswith(",")  # no ratio before the second iterate

@@ -16,7 +16,6 @@ from wickns import (
     philox_stream,
     picard_iterate,
     solve,
-    step_exponential_euler,
     wick_coeffs_block,
     wick_nonlinearity_direct,
     wick_trilinear,
@@ -139,33 +138,40 @@ def test_gauge_sign_validation(rng):
 
 
 # ---------------------------------------------------------------------------
-# exponential Euler stepper
+# one exponential Euler step: solve with horizon = dt
+
+
+def _one_step(u, op, dt, nonlinearity="wick", seed=0):
+    cfg = SolverConfig(cutoff=u.cutoff, dt=dt, horizon=dt, seed=seed)
+    return solve(u, op, cfg, nonlinearity=nonlinearity).field(1)
 
 
 def test_step_single_mode_local_order():
     u = mode_field(4, 2, 0.7)
     errs = []
     for dt in (0.02, 0.01):
-        got = step_exponential_euler(u, None, dt).coeff(2)
+        got = _one_step(u, None, dt).coeff(2)
         errs.append(abs(got - _single_mode_exact(0.7, 2, dt)))
     assert 3.5 < errs[0] / errs[1] < 4.5  # local error is O(dt^2)
 
 
 def test_step_nonlinearity_off_is_free_propagator(rng):
     u = random_field(5, rng)
-    got = step_exponential_euler(u, None, 0.3, nonlinearity="none")
+    got = _one_step(u, None, 0.3, nonlinearity="none")
     assert got.allclose(apply_linear_propagator(u, 0.3), 1e-14)
 
 
 def test_step_pure_noise_increment():
-    z = philox_stream(4).standard_normal(5) + 1j * philox_stream(4, 1).standard_normal(5)
-    got = step_exponential_euler(zero_field(2), identity_operator(2), 0.1, noise_increment=z)
+    # the step's increment is the first row of the (seed, 0) block of variance dt
+    rng = philox_stream(4, 0)
+    z = (rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5)))[0] * np.sqrt(0.1 / 2.0)
+    got = _one_step(zero_field(2), identity_operator(2), 0.1, seed=4)
     assert np.max(np.abs(got.coeffs - (-1j) * z)) == 0.0
 
 
 def test_step_unknown_nonlinearity(rng):
     with pytest.raises(ValueError):
-        step_exponential_euler(random_field(2, rng), None, 0.1, nonlinearity="quintic")
+        _one_step(random_field(2, rng), None, 0.1, nonlinearity="quintic")
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +181,6 @@ def test_step_unknown_nonlinearity(rng):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(cutoff=4, dt=0.3, horizon=1.0)  # dt does not divide T
-    with pytest.raises(ValueError):
-        SolverConfig(cutoff=4, dt=0.1, horizon=1.0, integrator="rk45")
     with pytest.raises(ValueError):
         SolverConfig(cutoff=4, dt=0.1, horizon=1.0, picard_tolerance=0.0)
     # each message names the rejected field first; config maps it to its key
@@ -218,7 +222,6 @@ def test_solve_deterministic_given_seed():
     a = solve(zero_field(4), op, cfg)
     b = solve(zero_field(4), op, cfg)
     assert np.array_equal(a.states, b.states)
-    assert a.noise is not None and a.noise.seed == 17
 
 
 def test_solve_cutoff_mismatches():
@@ -345,15 +348,3 @@ def test_picard_grid_mismatch():
     with pytest.raises(ValueError):
         picard_iterate(zero_field(3), bad, cfg)
 
-
-def test_solve_picard_integrator_delegates():
-    cfg = SolverConfig(
-        cutoff=4, dt=0.1 / 16, horizon=0.1, integrator="picard", picard_tolerance=1e-12
-    )
-    traj = solve(mode_field(4, 1, 0.1), None, cfg)
-    direct = solve(
-        mode_field(4, 1, 0.1),
-        None,
-        SolverConfig(cutoff=4, dt=0.1 / 16, horizon=0.1, picard_tolerance=1e-12),
-    )
-    assert np.max(np.abs(traj.states - direct.states)) < 1e-10

@@ -1,9 +1,11 @@
 """Source hygiene checks that need no linter: an AST scan of the package."""
 
 import ast
+import importlib
 import pathlib
 
 import wickns
+from wickns.config import SCHEMA
 
 PACKAGE = pathlib.Path(wickns.__file__).parent
 
@@ -39,3 +41,33 @@ def test_package_has_no_unused_imports():
         if path.name != "__init__.py" and (bad := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def test_every_exported_name_resolves():
+    # the benchmark tracer wraps whatever __all__ lists, so a stale entry must fail here
+    stems = [p.stem for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    modules = [wickns] + [importlib.import_module(f"wickns.{stem}") for stem in stems]
+    missing = [f"{mod.__name__}.{name}" for mod in modules for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def string_constants_outside(source: str, skip: str) -> set[str]:
+    """String constants of a module, except those inside the value assigned to `skip`."""
+    tree = ast.parse(source)
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == skip for t in targets) and node.value is not None:
+                skipped.update(id(n) for n in ast.walk(node.value))
+    strings = (n for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return {n.value for n in strings if id(n) not in skipped}
+
+
+def test_every_schema_key_is_read():
+    assert string_constants_outside('S: dict = {"a": "b"}\nx = "c"\n', "S") == {"c"}
+    read = set()
+    for name in ("config.py", "cli.py"):
+        read |= string_constants_outside((PACKAGE / name).read_text(), "SCHEMA")
+    unread = [f"[{section}] {key}" for section, keys in SCHEMA.items() for key in keys if key not in read]
+    assert unread == []

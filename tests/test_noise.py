@@ -3,7 +3,6 @@ import pytest
 
 from wickns import (
     NoiseOperator,
-    NoisePath,
     Trajectory,
     bessel_operator,
     convolution_from_path,
@@ -19,7 +18,6 @@ from wickns import (
     operator_to_csv,
     philox_stream,
     sample_convolution_path,
-    sample_noise_path,
     sample_white_noise_field,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -145,48 +143,43 @@ def test_white_noise_moments():
 # increment paths and the convolution recursion
 
 
-def test_sample_noise_path_shape_and_reproducibility():
-    grid = make_grid(1.0, 8)
-    p1 = sample_noise_path(4, grid, seed=5, trajectory_id=2)
-    p2 = sample_noise_path(4, grid, seed=5, trajectory_id=2)
-    assert p1.increments.shape == (8, 9)
-    assert np.array_equal(p1.increments, p2.increments)
-    p3 = sample_noise_path(4, grid, seed=5, trajectory_id=3)
-    assert not np.allclose(p1.increments, p3.increments)
+def _increments(grid, cutoff, seed):
+    rng = philox_stream(seed)
+    shape = (len(grid) - 1, 2 * cutoff + 1)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt((grid[1] - grid[0]) / 2.0)
 
 
 def test_noise_path_shape_validation():
-    with pytest.raises(ValueError):
-        NoisePath(np.linspace(0, 1, 5), np.zeros((5, 3), dtype=complex))
+    # one increment row per step: a block as long as the grid is rejected
+    with pytest.raises(ValueError, match="len\\(times\\)-1"):
+        convolution_from_path(identity_operator(1), np.linspace(0, 1, 5), np.zeros((5, 3), dtype=complex))
 
 
 def test_convolution_recursion_unrolled():
     op = bessel_operator(3, 0.5)
     grid = make_grid(0.5, 6)
-    path = sample_noise_path(3, grid, seed=9)
-    traj = convolution_from_path(op, path)
+    z = _increments(grid, 3, seed=9)
+    traj = convolution_from_path(op, grid, z)
     ns = frequencies(3).astype(float)
     prop = np.exp(1j * (grid[1] - grid[0]) * ns**2)
     cur = np.zeros(7, dtype=complex)
     assert np.array_equal(traj.states[0], cur)
     for m in range(6):
-        cur = prop * cur + op.multiplier * path.increments[m]
+        cur = prop * cur + op.multiplier * z[m]
         assert np.max(np.abs(traj.states[m + 1] - cur)) == 0.0
 
 
 def test_convolution_width_mismatch():
     grid = make_grid(1.0, 4)
-    path = sample_noise_path(3, grid, seed=1)
+    z = _increments(grid, 3, seed=1)
     with pytest.raises(ValueError):
-        convolution_from_path(bessel_operator(5, 1.0), path)
+        convolution_from_path(bessel_operator(5, 1.0), grid, z)
 
 
 def test_convolution_nonuniform_grid_rejected():
     times = np.array([0.0, 0.1, 0.5, 1.0])
-    path = NoisePath(np.linspace(0, 1, 4), np.zeros((3, 3), dtype=complex))
-    object.__setattr__(path, "times", times)
-    with pytest.raises(ValueError):
-        convolution_from_path(identity_operator(1), path)
+    with pytest.raises(ValueError, match="uniform"):
+        convolution_from_path(identity_operator(1), times, np.zeros((3, 3), dtype=complex))
 
 
 def test_grid_halving_consistency():
@@ -195,14 +188,14 @@ def test_grid_halving_consistency():
     # the shared grid times.
     op = bessel_operator(4, 1.0)
     fine = make_grid(1.0, 16)
-    path = sample_noise_path(4, fine, seed=77)
-    traj_fine = convolution_from_path(op, path)
+    z = _increments(fine, 4, seed=77)
+    traj_fine = convolution_from_path(op, fine, z)
     ns = frequencies(4).astype(float)
     delta = fine[1] - fine[0]
     phase = np.exp(1j * delta * ns**2)
-    combined = phase * path.increments[0::2] + path.increments[1::2]
+    combined = phase * z[0::2] + z[1::2]
     coarse = fine[::2]
-    traj_coarse = convolution_from_path(op, NoisePath(coarse, combined))
+    traj_coarse = convolution_from_path(op, coarse, combined)
     err = np.max(np.abs(traj_fine.states[::2] - traj_coarse.states))
     assert err < 1e-13
 
