@@ -55,6 +55,10 @@ from .norms import fl_norm, gamma_norm, homogeneous_estimate_check, hs_norm, ope
 
 __all__ = ["main"]
 
+# what a run may raise at run time (exit 2, flagged manifest); a ConfigError,
+# itself a ValueError, is caught before these and exits 1
+RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError)
+
 
 class _Writer:
     """Collects this run's output files in creation order."""
@@ -323,6 +327,7 @@ def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     params = cfg.xsb_params()
     cutoffs = cfg.get("lab", "cutoffs")
+    alpha = cfg.data_alpha()
     stats = []
     for N in cutoffs:
         st = trilinear_ratio(
@@ -330,7 +335,7 @@ def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
             params,
             N,
             philox_stream(cfg.seed, 4, N),
-            alpha=cfg.get("lab", "data_alpha"),
+            alpha=alpha,
             steps=cfg.get("lab", "steps"),
         )
         stats.append(st)
@@ -453,7 +458,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
         result = HANDLERS[cfg.command](cfg, w)
     except ConfigError:
         raise
-    except (ValueError, OSError) as exc:
+    except RUNTIME_ERRORS as exc:
         # a runtime failure keeps the outputs written so far under a flagged manifest
         print(f"wickns: error: {exc}", file=sys.stderr)
         result = CommandResult({}, flags={"error": str(exc)}, failed=True)
@@ -509,7 +514,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
         except ConfigError as exc:
             print(f"sweep cell {i} ({axis}={values[i]}): config error: {exc}", file=sys.stderr)
             return 1
-        except (ValueError, OSError) as exc:
+        except RUNTIME_ERRORS as exc:
             print(f"sweep cell {i} ({axis}={values[i]}): {exc}", file=sys.stderr)
             return 2
         if code == 2:
@@ -639,7 +644,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"wickns: config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"wickns: error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from .dynamics import SolverConfig
 from .fields import SpectralField, field_from_csv, mode_field, zero_field
 from .noise import NoiseOperator, bessel_operator, identity_operator, operator_from_csv, philox_stream, sample_white_noise_field
-from .norms import XsbParams
+from .norms import MIN_GRID_POINTS, XsbParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text", "COMMANDS"]
 
@@ -40,17 +40,19 @@ COMMANDS = (
 )
 
 U0_STREAM = 999  # a drawn u0 (white:...) comes from Philox stream (seed, U0_STREAM)
+GRID_STEPS = f"int:{MIN_GRID_POINTS - 1}"  # a grid of steps + 1 points the X^{s,b} surrogate accepts
 
-# section -> key -> (type tag, default or None if required-when-used)
+# section -> key -> (type tag, default or None if required-when-used); an
+# "int:K" or "ints:K" tag rejects values below K
 SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
     "run": {
         "command": ("command", None),
         "seed": ("seed", "0"),
         "out": ("str", "out"),
-        "workers": ("workers", "1"),
+        "workers": ("int:1", "1"),
     },
     "solver": {
-        "cutoff": ("cutoff", "16"),
+        "cutoff": ("int:0", "16"),
         "dt": ("float", "0.015625"),
         "horizon": ("float", "0.5"),
         "picard_max_iters": ("int", "25"),
@@ -69,14 +71,14 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "p": ("float", "2.0"),
         "q": ("float", "2.0"),
         "t": ("float", "0.5"),
-        "window_steps": ("int", "64"),
+        "window_steps": (GRID_STEPS, "64"),
     },
     "lab": {
         "lambdas": ("floats", "1.0,1.1,1.2,1.3,1.4"),
         "samples": ("int", "2000"),
-        "steps": ("int", "64"),
-        "cutoffs": ("cutoffs", "16,32,64"),
-        "substeps": ("int", "2"),
+        "steps": (GRID_STEPS, "64"),
+        "cutoffs": ("ints:0", "16,32,64"),
+        "substeps": ("int:1", "2"),
         "ensemble_size": ("int", "100"),
         "data_alpha": ("float", "0.75"),
         "d": ("int", "1"),
@@ -108,25 +110,32 @@ def _finite(v: float, raw: str) -> float:
     return v
 
 
+def _at_least(spec: str, vs: tuple) -> None:
+    """The minimum of an "int:K" / "ints:K" tag; no check for a bare tag."""
+    low = spec.partition(":")[2]
+    if low and min(vs, default=int(low)) < int(low):
+        raise ValueError(f"must be >= {low}, got {min(vs)}")
+
+
 def _coerce(section: str, key: str, spec: str, raw: str):
+    kind = spec.partition(":")[0]
     try:
-        if spec in ("int", "seed", "workers", "cutoff"):
+        if spec == "seed":
             v = int(raw)
-            if spec == "seed" and not 0 <= v < 2**64:
+            if not 0 <= v < 2**64:
                 raise ValueError(f"must be an unsigned 64-bit value, got {v}")
-            if spec == "workers" and v < 1:
-                raise ValueError(f"must be >= 1, got {v}")
-            if spec == "cutoff" and v < 0:
-                raise ValueError(f"must be >= 0, got {v}")
+            return v
+        if kind == "int":
+            v = int(raw)
+            _at_least(spec, (v,))
             return v
         if spec == "float":
             return _finite(float(raw), raw)
         if spec == "floats":
             return tuple(_finite(float(v), raw) for v in raw.split(",") if v.strip() != "")
-        if spec in ("ints", "cutoffs"):
+        if kind == "ints":
             vs = tuple(int(v) for v in raw.split(",") if v.strip() != "")
-            if spec == "cutoffs" and min(vs, default=0) < 0:
-                raise ValueError(f"must be >= 0, got {min(vs)}")
+            _at_least(spec, vs)
             return vs
         if spec == "str":
             return raw
@@ -231,11 +240,7 @@ class ExperimentConfig:
         if kind == "identity":
             return identity_operator(N)
         if kind == "bessel":
-            alpha = self.get("noise", "alpha")
-            try:
-                return bessel_operator(N, alpha)
-            except ValueError:
-                raise ConfigError(f"[noise] alpha: {alpha!r} overflows phi_n = (1 + n^2)^(-alpha/2) at cutoff {N}") from None
+            return self._bessel("noise", "alpha", N)
         path = self.get("noise", "matrix_file")
         if not path:
             raise ConfigError("[noise] matrix_file: required for kind = matrix")
@@ -247,6 +252,19 @@ class ExperimentConfig:
         if op.cutoff != N:
             raise ConfigError(f"[noise] matrix_file: operator has cutoff {op.cutoff}, the run needs {N}")
         return op
+
+    def _bessel(self, section: str, key: str, N: int) -> NoiseOperator:
+        alpha = self.get(section, key)
+        try:
+            return bessel_operator(N, alpha)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: {alpha!r} overflows phi_n = (1 + n^2)^(-alpha/2) at cutoff {N}") from None
+
+    def data_alpha(self) -> float:
+        """[lab] data_alpha, with the overflow check of [noise] alpha at the
+        largest of [lab] cutoffs, where phi_n of a negative alpha is largest."""
+        self._bessel("lab", "data_alpha", max(self.get("lab", "cutoffs"), default=0))
+        return self.get("lab", "data_alpha")
 
     def xsb_params(self) -> XsbParams:
         return self._xsb_params(self.get("norms", "t"), "[norms] t")
@@ -328,7 +346,8 @@ def parse_config_text(text: str, origin: str = "<string>") -> ExperimentConfig:
 
 def parse_config(path: str) -> ExperimentConfig:
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return parse_config_text(text, origin=path)

@@ -7,6 +7,9 @@ one canonical windowed extension: w(t) = S(-t) u(t) is extended to
 [-2T, 2T] by its boundary values, multiplied by a C^2 bump that is 1 on
 [0, T] and supported in [-2T, 2T], transformed in time by a zero-padded
 discrete transform, and measured in l^p_n L^q_tau with weights <n>^s <tau>^b.
+At q = 2 the tau-sum of each mode is a quadratic form in the grid samples,
+evaluated through one cached Gram matrix (_xsb_gram) instead of the
+transform; the transform runs at q != 2 and is the Gram form's test oracle.
 This is a quadrature surrogate for the localized norm, not an infimum over
 extensions; all inequality checks in this package compare like with like
 under the same window.  For a free trajectory u(t) = S(t) f the surrogate
@@ -16,6 +19,7 @@ tests exploit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,6 +183,13 @@ def _validate_xsb_grid(times: np.ndarray, params: XsbParams) -> float:
     return dt
 
 
+def _interaction(states: np.ndarray, times: np.ndarray, params: XsbParams):
+    """(S(-t) u on each slice of states, dt) after the grid checks."""
+    dt = _validate_xsb_grid(times, params)
+    modes = states.shape[-1]
+    return states * np.conj(propagator_phases((modes - 1) // 2, times)), dt
+
+
 def _modulation_lq(v: np.ndarray, dt: float, b: float, q: float, pad: int) -> np.ndarray:
     """Temporal factor per mode: (sum <tau>^{bq} |V|^q dtau / (2 pi))^(1/q).
 
@@ -203,19 +214,77 @@ def _extend_and_window(states: np.ndarray, times: np.ndarray, params: XsbParams)
     (v, dt) with v on the extended grid of 4M+1 points spanning [-2T, 2T],
     multiplied by the fixed window TimeWindow(T).
     """
-    dt = _validate_xsb_grid(times, params)
+    w, dt = _interaction(states, times, params)
     modes = states.shape[-1]
-    w = states * np.conj(propagator_phases((modes - 1) // 2, times))  # S(-t) on each slice
     M = len(times) - 1
     J = 4 * M + 1
     i0 = 2 * M
-    tj = -2.0 * params.T + dt * np.arange(J)
     v = np.empty(states.shape[:-2] + (J, modes), dtype=np.complex128)
     v[..., :i0, :] = w[..., :1, :]
     v[..., i0 : i0 + M + 1, :] = w
     v[..., i0 + M + 1 :, :] = w[..., -1:, :]
-    v *= TimeWindow(params.T)(tj)[:, None]
+    v *= _extended_window(M, dt, params.T)[:, None]
     return v, dt
+
+
+def _extended_window(M: int, dt: float, T: float) -> np.ndarray:
+    """TimeWindow(T) on the extended grid -2T + dt j, j = 0 .. 4M."""
+    return TimeWindow(T)(-2.0 * T + dt * np.arange(4 * M + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _xsb_gram(M: int, dt: float, T: float, b: float, pad: int) -> np.ndarray:
+    """Gram matrix G of the q = 2 surrogate on M+1 grid points with step dt.
+
+    With w the samples of S(-t)u of one mode, v = diag(win) E w its windowed
+    boundary-value extension (4M+1 points) and V = dt * FFT_L(v),
+    L = pad (4M+1), the tau-sum of _modulation_lq at q = 2 is
+
+        sum_l <tau_l>^{2b} |V_l|^2 = w^H G w,
+        G = dt^2 (diag(win) E)^T C (diag(win) E),   C[i, k] = c[(i - k) mod L],
+
+    with c = FFT_L(<tau>^{2b}), real because the tau grid is symmetric.
+    Columns 1 .. M-1 of diag(win) E are single points, so that block of G is
+    read off c; columns 0 and M carry the boundary ramps, and C applied to a
+    ramp is one length-L circular convolution.  O(L log L + M^2) time; G is
+    real and, up to rounding, symmetric.  Read-only: the cache hands it to
+    every caller.
+    """
+    J = 4 * M + 1
+    L = pad * J
+    i0 = 2 * M  # extended index of t = 0
+    a = bracket(2.0 * np.pi * np.fft.fftfreq(L, d=dt)) ** (2.0 * b)
+    c = np.fft.fft(a).real
+    win = _extended_window(M, dt, T)
+    mid = win[i0 : i0 + M + 1]
+    k = np.arange(M + 1)
+    G = mid[:, None] * mid[None, :] * c[np.abs(k[:, None] - k[None, :])]
+    edges = [0, M]
+    ramps = np.zeros((2, L))
+    ramps[0, : i0 + 1] = win[: i0 + 1]
+    ramps[1, i0 + M : J] = win[i0 + M :]
+    cramps = L * np.fft.ifft(a * np.fft.fft(ramps, axis=-1), axis=-1).real  # C @ ramp: FFT_L(c) = L a
+    G[edges, :] = cramps[:, i0 : i0 + M + 1] * mid
+    G[:, edges] = G[edges, :].T
+    G[np.ix_(edges, edges)] = np.einsum("il,kl->ik", ramps, cramps)
+    G *= dt * dt
+    G.setflags(write=False)
+    return G
+
+
+def _modulation_l2(w: np.ndarray, dt: float, T: float, b: float, pad: int) -> np.ndarray:
+    """_modulation_lq at q = 2 from the interaction samples w (..., M+1, modes)
+    through the Gram form w^H G w, one real product G x over the re/im view x
+    of w.  Products here and in _xsb_gram are einsums, not BLAS matmuls: a
+    threaded BLAS sums in an order that depends on its thread count, and
+    results must not."""
+    M = w.shape[-2] - 1
+    G = _xsb_gram(M, dt, T, b, pad)
+    x = np.ascontiguousarray(np.moveaxis(w, -2, 0)).view(np.float64).reshape(M + 1, -1)
+    Gx = np.einsum("jk,kn->jn", G, x)
+    acc = np.sum(x * Gx, axis=0).reshape(w.shape[:-2] + (w.shape[-1], 2)).sum(axis=-1)
+    dtau = 2.0 * np.pi / (pad * (4 * M + 1) * dt)
+    return np.sqrt(acc * dtau / (2.0 * np.pi))
 
 
 def xsb_norm(traj: Trajectory, params: XsbParams, pad: int = DEFAULT_PAD) -> float:
@@ -236,7 +305,7 @@ def xsb_norm_batch(
 ) -> np.ndarray:
     """xsb_norm over an ensemble: states of shape (B, M+1, 2N+1) -> (B,).
 
-    xsb_norm runs the same code on one path; chunked to bound the FFT
+    xsb_norm runs the same code on one path; chunked to bound the
     workspace.
     """
     return _xsb_norms(states, times, params, pad, chunk)
@@ -249,8 +318,12 @@ def _xsb_norms(states, times, params, pad, chunk) -> np.ndarray:
     out = np.empty(B, dtype=np.float64)
     for lo in range(0, B, chunk):
         hi = min(lo + chunk, B)
-        v, dt = _extend_and_window(states[lo:hi], times, params)
-        tf = _modulation_lq(v, dt, params.b, params.q, pad)
+        if params.q == 2:
+            w, dt = _interaction(states[lo:hi], times, params)
+            tf = _modulation_l2(w, dt, params.T, params.b, pad)
+        else:
+            v, dt = _extend_and_window(states[lo:hi], times, params)
+            tf = _modulation_lq(v, dt, params.b, params.q, pad)
         weighted = wn * tf
         out[lo:hi] = np.sum(weighted**params.p, axis=-1) ** (1.0 / params.p)
     return out

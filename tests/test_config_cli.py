@@ -1,5 +1,6 @@
 """Config parsing, manifests, and the wickns command-line harness."""
 
+import gc
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wickns import cli
 from wickns.cli import main
 from wickns.config import COMMANDS, SCHEMA, ConfigError, parse_config, parse_config_text
 from wickns.fields import field_to_csv, make_field, mode_field
@@ -197,15 +199,20 @@ def test_parse_config_text_fuzz_ends_in_config_error_or_success(text):
             pass
 
 
+# integer keys with a minimum, drawn around it as well as from _ATOM
+_MINIMUMS = {("lab", "steps"): 15, ("norms", "window_steps"): 15, ("lab", "substeps"): 1}
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from(COMMANDS),
     st.dictionaries(st.sampled_from(_KEYS), _ATOM, max_size=5),
     st.integers(-3, 6),
     _U0,
+    st.dictionaries(st.sampled_from(sorted(_MINIMUMS)), st.integers(-2, 40).map(str), max_size=3),
 )
-def test_config_builders_fuzz_end_in_config_error_or_success(command, values, cutoff, u0):
-    values = {**values, ("run", "command"): command, ("solver", "cutoff"): str(cutoff), ("solver", "u0"): u0}
+def test_config_builders_fuzz_end_in_config_error_or_success(command, values, cutoff, u0, counts):
+    values = {**values, **counts, ("run", "command"): command, ("solver", "cutoff"): str(cutoff), ("solver", "u0"): u0}
     sections: dict = {}
     for (sec, key), raw in values.items():
         sections.setdefault(sec, []).append(f"{key} = {raw}")
@@ -214,10 +221,13 @@ def test_config_builders_fuzz_end_in_config_error_or_success(command, values, cu
         cfg = parse_config_text(text)
     except ConfigError:
         return
+    assert all(cfg.get(*key) >= low for key, low in _MINIMUMS.items())
     # each builder on its own, so one key's error does not hide another's
     builders = [cfg.solver_config, cfg.xsb_params, cfg.picard_params]
     if cfg.get("noise", "kind") != "matrix":  # bad matrix files have their own cases
         builders.append(cfg.noise_operator)
+    if max(cfg.get("lab", "cutoffs"), default=0) <= 64:  # a valid large cutoff would only allocate
+        builders.append(cfg.data_alpha)
     for build in builders:
         try:
             build()
@@ -245,6 +255,15 @@ def _bad_matrix_files(tmp_path):
     for name, (body, _) in files.items():
         (tmp_path / name).write_text(body)
     return [("missing.csv", "No such file")] + [(name, msg) for name, (_, msg) in files.items()]
+
+
+def test_parse_config_closes_its_file(tmp_path):
+    path = _cfg(tmp_path, "[run]\ncommand = divisors\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_config(path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_lab_p_accepts_inf():
@@ -485,6 +504,55 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1, (cmd, name)
             err = capsys.readouterr().err
             assert "wickns: config error: [noise] matrix_file:" in err and msg in err
+
+
+def test_cli_grid_substeps_and_data_alpha_are_config_errors(tmp_path, capsys):
+    # each used to fail only after work had started: exit 2 "grid too coarse",
+    # a ZeroDivisionError traceback, exit 2 "multiplier entries must be finite"
+    for text, msg in (
+        ("[run]\ncommand = tail-mc\n\n[lab]\nsteps = 8\n", "[lab] steps: must be >= 15, got 8"),
+        ("[run]\ncommand = trilinear\n\n[lab]\nsteps = 14\n", "[lab] steps: must be >= 15, got 14"),
+        ("[run]\ncommand = norms\n\n[norms]\nwindow_steps = 8\n", "[norms] window_steps: must be >= 15, got 8"),
+        ("[run]\ncommand = variance-test\n\n[lab]\nsubsteps = 0\n", "[lab] substeps: must be >= 1, got 0"),
+        ("[run]\ncommand = trilinear\n\n[lab]\ndata_alpha = -394\ncutoffs = 6\n", "[lab] data_alpha: -394.0 overflows"),
+    ):
+        cfg = _cfg(tmp_path, text, name="min.ini")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "min")]) == 1, text
+        assert f"wickns: config error: {msg}" in capsys.readouterr().err
+
+    # the minimum itself is a grid of MIN_GRID_POINTS points, which the surrogate accepts
+    cfg = _cfg(tmp_path, "[run]\ncommand = norms\n\n[norms]\nwindow_steps = 15\n", name="edge.ini")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "edge")]) == 0
+
+    # a sweep rejects the value before any cell runs
+    cfg = _cfg(tmp_path, "[run]\ncommand = tail-mc\n\n[sweep]\naxis = lab.steps\nvalues = 32, 8\n", name="sweep.ini")
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 1
+    assert "wickns: config error: [lab] steps: must be >= 15, got 8" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "cell-00"))
+
+
+def test_cli_arithmetic_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    def divide(cfg, w):
+        return 1.0 / 0.0
+
+    monkeypatch.setitem(cli.HANDLERS, "divisors", divide)
+    cfg = _cfg(tmp_path, "[run]\ncommand = divisors\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "wickns: error: float division by zero" in capsys.readouterr().err
+    man = RunManifest.load(os.path.join(out, "manifest.json"))
+    assert man.flags == {"error": "float division by zero"}
+
+    # raised outside a handler, it still exits 2 with a diagnostic, not a traceback
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "_run_into", overflow)
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "wickns: error: math range error" in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exits_2(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wickns
 from wickns import (
     Trajectory,
     TimeWindow,
@@ -13,6 +18,7 @@ from wickns import (
     discrete_duhamel,
     duhamel_estimate_check,
     fl_norm,
+    frequencies,
     gamma_norm,
     homogeneous_estimate_check,
     hs_norm,
@@ -23,11 +29,14 @@ from wickns import (
     mode_field,
     operator_norm,
     philox_stream,
+    propagator_phases,
     raised_cosine_ramp,
     temporal_window_factor,
     xsb_norm,
     xsb_norm_batch,
 )
+from wickns.noise import _complex_normal
+from wickns.norms import _extend_and_window, _modulation_lq, _xsb_gram
 from conftest import random_field
 
 
@@ -291,6 +300,73 @@ def test_xsb_batch_matches_scalar(rng):
     for i in range(7):
         single = xsb_norm(Trajectory(grid, states[i]), params)
         assert batch[i] == pytest.approx(single, rel=1e-12)
+
+
+def _padded_fft_norms(states, times, params, pad):
+    """The surrogate through the padded time FFT at any q: the q != 2 path,
+    and the oracle of the q = 2 Gram form."""
+    v, dt = _extend_and_window(states, times, params)
+    tf = _modulation_lq(v, dt, params.b, params.q, pad)
+    wn = bracket(frequencies((states.shape[-1] - 1) // 2)) ** params.s
+    return np.sum((wn * tf) ** params.p, axis=-1) ** (1.0 / params.p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.0, 0.49, exclude_min=True),
+    st.floats(0.0, 0.49, exclude_min=True),
+    st.floats(1.2, 4.0),
+    st.floats(1.0 / 16.0, 1.0),
+    st.integers(15, 200),
+    st.integers(0, 20),
+    st.sampled_from([2, 3, 8]),  # L = pad (4M + 1) is odd at pad 3
+    st.integers(0, 2**32),
+)
+def test_xsb_gram_form_matches_padded_fft(s, b, p, T, M, N, pad, seed):
+    params = XsbParams(s, b, -0.1, p, 2.0, T)
+    times = np.linspace(0.0, T, M + 1)
+    rng = philox_stream(seed)
+    noise = _complex_normal(rng, (M + 1, 2 * N + 1))
+    # free flow: S(-t)u is constant in t, the smooth end where the form cancels most
+    free = _complex_normal(rng, 2 * N + 1) * propagator_phases(N, times)
+    states = np.stack([noise, free])
+    got = xsb_norm_batch(states, times, params, pad=pad)
+    want = _padded_fft_norms(states, times, params, pad)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_xsb_gram_cached_per_key():
+    key = (32, 0.5 / 32, 0.5, 0.3, 8)  # (M, dt, T, b, pad)
+    G = _xsb_gram(*key)
+    assert G.shape == (33, 33) and not G.flags.writeable
+    assert _xsb_gram(*key) is G
+    for other in ((64, 0.5 / 64, 0.5, 0.3, 8), (32, 1.0 / 32, 1.0, 0.3, 8), (32, 0.5 / 32, 0.5, 0.2, 8), (32, 0.5 / 32, 0.5, 0.3, 3)):
+        H = _xsb_gram(*other)
+        assert H is not G
+        assert H.shape != G.shape or not np.array_equal(H, G)
+
+
+_BLAS_PROBE = """
+import numpy as np
+from wickns import XsbParams, philox_stream, propagator_phases, xsb_norm_batch
+from wickns.noise import _complex_normal
+times = np.linspace(0.0, 0.5, 1025)
+states = _complex_normal(philox_stream(7), (8, 1, 129)) * propagator_phases(64, times)
+print([x.hex() for x in xsb_norm_batch(states, times, XsbParams(0.1, 0.45, -0.1, 2.0, 2.0, 0.5))])
+"""
+
+
+def test_xsb_gram_form_bits_do_not_depend_on_blas_threads():
+    # G x is (1025 x 1025) by (1025 x 2064), large enough for a threaded BLAS to
+    # split, and free flows cancel enough in the form to show its last bits
+    src = os.path.dirname(os.path.dirname(wickns.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_xsb_psi_median_scaling():
