@@ -273,7 +273,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         "orders": orders,
     }
     ok = bool(orders) and min(orders) >= 0.9
-    if not residuals or residuals[0] == 0.0:
+    if residuals[0] == 0.0:
         # zero datum: both flows are exactly zero, the ladder carries no signal
         ok = all(r == 0.0 for r in residuals)
     return CommandResult(report, checks=[("first_order_gauge_residual", ok)], task_seeds=cfg.u0_task_seeds())

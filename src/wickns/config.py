@@ -55,7 +55,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "cutoff": ("int:0", "16"),
         "dt": ("float", "0.015625"),
         "horizon": ("float", "0.5"),
-        "picard_max_iters": ("int", "25"),
+        "picard_max_iters": ("int:1", "25"),
         "picard_tolerance": ("float", "1e-10"),
         "u0": ("str", "zero"),
     },
@@ -75,23 +75,23 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
     },
     "lab": {
         "lambdas": ("floats", "1.0,1.1,1.2,1.3,1.4"),
-        "samples": ("int", "2000"),
+        "samples": ("int:1", "2000"),
         "steps": (GRID_STEPS, "64"),
         "cutoffs": ("ints:0", "16,32,64"),
         "substeps": ("int:1", "2"),
-        "ensemble_size": ("int", "100"),
+        "ensemble_size": ("int:1", "100"),
         "data_alpha": ("float", "0.75"),
-        "d": ("int", "1"),
+        "d": ("int:1", "1"),
         "p": ("str", "2"),
         "delta": ("float", "0.5"),
-        "limit": ("int", "100000"),
+        "limit": ("int:1", "100000"),
         "beta": ("float", "2.0"),
         "gamma": ("float", "0.6"),
         "k1_values": ("ints", "64,128,256,512,1024,2048,4096,8192"),
         "k2": ("int", "0"),
         "sum_cutoff": ("int", "131072"),
-        "fields": ("int", "100"),
-        "dt_halvings": ("int", "4"),
+        "fields": ("int:1", "100"),
+        "dt_halvings": ("int:1", "4"),
     },
     "sweep": {
         "axis": ("str", ""),

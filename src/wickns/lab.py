@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import evolve_wick_rk4ip
 from .fields import alias_free_length, from_grid, propagator_phases, to_grid
@@ -57,6 +58,9 @@ LEMMA_EPS = 0.01  # fixed epsilon of the beta = 1 borderline case
 # paths per ensemble chunk; each chunk has its own stream, so a size fixes the results at a seed
 TAIL_CHUNK = 500
 VARIANCE_CHUNK = 2500
+# output frequencies and sigma0 candidates per block of the multiplier scan
+_N_BLOCK = 8
+_SIGMA_BLOCK = 4
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +197,20 @@ class MultiplierReport:
     cutoff: int
 
 
-def _sigma0_candidates(cutoff: int, tau_grid: Optional[Sequence[float]], n: int) -> np.ndarray:
-    if tau_grid is not None:
-        return np.asarray(tau_grid, dtype=np.float64) - float(n) ** 2
-    top = 4.0 * cutoff**2
-    geo = [0.0]
-    v = 1.0
+def _sigma0_candidates(cutoff: int) -> np.ndarray:
+    """Default sigma0 sweep, the same for every n: {0, +-2^k <= 4 cutoff^2}
+    united with the near-diagonal peaks -2 d1 d3; all integers."""
+    top = 4 * cutoff**2
+    geo = [0]
+    v = 1
     while v <= top:
         geo.extend((v, -v))
-        v *= 2.0
+        v *= 2
     # exact kernel peaks -2 d1 d3 of the near-diagonal triples
     offsets = [d for d in range(-8, 9) if d != 0]
-    res = {-2.0 * d1 * d3 for d1 in offsets for d3 in offsets}
-    cand = np.asarray(sorted(set(geo) | res), dtype=np.float64)
-    return cand[np.abs(cand) <= top + 0.5]
+    res = {-2 * d1 * d3 for d1 in offsets for d3 in offsets}
+    cand = np.asarray(sorted(set(geo) | res), dtype=np.int64)
+    return cand[np.abs(cand) <= top]
 
 
 def multiplier_supremum_report(
@@ -226,7 +230,18 @@ def multiplier_supremum_report(
     intermediate modulations.  The kernel derivation needs
     2/3 < (b - a) p' < 1; outside that window the report carries
     kernel_window_ok = False but the quantity is still evaluated as written.
-    The sup is taken over n >= 0 (it is invariant under joint sign flip).
+    The sup is taken over n >= 0 (it is invariant under joint sign flip);
+    ties go to the first (n, sigma0) in scan order.
+
+    The kernel sees (n1, n3) only through the integer h = 2 (n-n1)(n-n3), so
+    each n's base weights are first summed per distinct h (one bincount);
+    each value is then <n>^{s p'} sum_h W_n(h) <sigma0 + h>^{-kappa}.  The
+    default sigma0 candidates are integers and the same for every n, so the
+    kernel is one table over the integers |sigma0 + h| <= 8 cutoff^2 and
+    all (n, sigma0) values come from an einsum of W with gathered kernel
+    blocks.  A tau_grid gives each n its own sigma0, so its kernel is
+    evaluated per n over that n's reachable h.  Both are blocked over n and
+    sigma0 to keep memory at O(block * H).
     """
     if not params.trilinear_window_ok():
         raise ValueError("exponent window violated: need -1/p < b' < 0 < b < 1 - 1/p")
@@ -236,26 +251,83 @@ def multiplier_supremum_report(
     window_ok = 2.0 / 3.0 < (params.b - a) * pd < 1.0
     sp = params.s * pd
     ap = a * pd
+    N = cutoff
+    span = 2 * N + 1
 
-    m = np.arange(-cutoff, cutoff + 1)
+    m = np.arange(-N, N + 1)
     wm = bracket(m) ** (-sp)
+    # <n2>^{-sp} padded with zeros over n2 in [-3N, 2N]: its Hankel windows are the n2 weights
+    wn2 = np.zeros(5 * N + 1)
+    wn2[2 * N : 4 * N + 1] = wm
+    # output frequency n reaches the offsets d1 = n - n1, d3 = n - n3 when both lie in
+    # [n - N, n + N] and |n2| = |n - d1 - d3| <= N; over 0 <= n <= N that is
+    # d1, d3, d1 + d3 in [-N, 2N] and |d1 - d3| <= 2N.  Number the distinct nonzero
+    # products d1 d3 so reached; every other pair has zero weight and reads column 0.
+    d = np.arange(-N, 2 * N + 1)
+    prods = np.multiply.outer(d, d)
+    pair = np.add.outer(d, d)
+    off = (pair < -N) | (pair > 2 * N) | (prods == 0)
+    np.subtract.outer(d, d, out=pair)
+    off |= np.abs(pair, out=pair) > 2 * N
+    prods[off] = -2 * N * N
+    prods += 2 * N * N  # d1 d3 lies in [-2N^2, N^2]
+    del pair, off
+    reached = np.zeros(3 * N * N + 1, dtype=bool)
+    reached[prods] = True
+    col = (np.cumsum(reached, dtype=np.int32) - 1)[prods][::-1, ::-1]  # n1 (n3) order from row N - n
+    h = 2 * (np.flatnonzero(reached) - 2 * N * N)
+    del prods, reached
+
+    base = np.empty((span, span))
+    cols = np.empty((span, span), dtype=np.intp)
+    W = np.empty((_N_BLOCK, h.size))
+
+    def fill_weights(k: int, n: int) -> None:
+        """W[k] = the base weights of output frequency n summed per column of h."""
+        w1 = wm * bracket((n - m).astype(np.float64)) ** (-ap)
+        w1[n + N] = 0.0  # n1 = n excluded; same vector reused for n3
+        np.multiply.outer(w1, w1, out=base)
+        np.multiply(base, sliding_window_view(wn2[N - n : 5 * N + 1 - n], span), out=base)  # n2 = n1 + n3 - n
+        np.copyto(cols, col[N - n : 3 * N + 1 - n, N - n : 3 * N + 1 - n])
+        W[k] = np.bincount(cols.ravel(), weights=base.ravel(), minlength=h.size)
+
+    if tau_grid is None:
+        cand = _sigma0_candidates(cutoff)  # sigma0, the same for every n
+        # <x>^{-kappa} at every integer |sigma0 + h| <= 8 N^2, computed in place as bracket() does
+        table = np.arange(8 * N * N + 1, dtype=np.float64)
+        np.multiply(table, table, out=table)
+        np.sqrt(np.add(1.0, table, out=table), out=table)
+        np.power(table, -kappa, out=table)
+        idx = np.empty((_SIGMA_BLOCK, h.size), dtype=np.int64)
+        kern = np.empty((_SIGMA_BLOCK, h.size))
+    else:
+        cand = np.asarray(tau_grid, dtype=np.float64)  # tau = sigma0 + n^2
+    n_sigma = cand.size
     best = (-np.inf, 0, 0.0)
-    for n in range(0, cutoff + 1):
-        d1 = (n - m).astype(np.float64)
-        w1 = wm * bracket(d1) ** (-ap)
-        if abs(n) <= cutoff:
-            w1 = w1.copy()
-            w1[n + cutoff] = 0.0  # n1 = n excluded; same vector reused for n3
-        # n2 = n1 + n3 - n over the (n1, n3) grid, out-of-band pairs dropped
-        n2 = m[:, None] + m[None, :] - n
-        w2 = np.where(np.abs(n2) <= cutoff, bracket(n2) ** (-sp), 0.0)
-        base = np.outer(w1, w1) * w2
-        h = 2.0 * np.outer(d1, d1)
-        pref = bracket(np.float64(n)) ** (params.s * pd)
-        for s0 in _sigma0_candidates(cutoff, tau_grid, n):
-            val = pref * float(np.sum(base * bracket(s0 + h) ** (-kappa)))
-            if val > best[0]:
-                best = (val, n, s0 + float(n) ** 2)
+    for n0 in range(0, N + 1, _N_BLOCK):
+        ns = np.arange(n0, min(n0 + _N_BLOCK, N + 1))
+        for k, n in enumerate(ns):
+            fill_weights(k, n)
+        vals = np.empty((ns.size, n_sigma))
+        for c0 in range(0, n_sigma, _SIGMA_BLOCK):
+            c = slice(c0, min(c0 + _SIGMA_BLOCK, n_sigma))
+            if tau_grid is None:
+                x = idx[: c.stop - c0]
+                np.add(cand[c, None], h, out=x)
+                np.take(table, np.abs(x, out=x), out=kern[: c.stop - c0])
+                vals[:, c] = np.einsum("nh,ch->nc", W[: ns.size], kern[: c.stop - c0])
+                continue
+            for k, n in enumerate(ns):
+                live = np.flatnonzero(W[k])  # the h this n reaches
+                kern_n = bracket(cand[c, None] - float(n) ** 2 + h[live]) ** (-kappa)
+                vals[k, c] = np.einsum("h,ch->c", W[k, live], kern_n)
+        vals *= bracket(ns.astype(np.float64))[:, None] ** (params.s * pd)
+        i = int(np.argmax(vals))  # first maximum in (n, sigma0) order, as the scan order
+        if vals.flat[i] > best[0]:
+            k, c = divmod(i, n_sigma)
+            n = int(ns[k])
+            s0 = float(cand[c]) if tau_grid is None else float(cand[c]) - float(n) ** 2
+            best = (float(vals.flat[i]), n, s0 + float(n) ** 2)
     return MultiplierReport(
         value=float(best[0]),
         arg_n=int(best[1]),

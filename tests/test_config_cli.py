@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import pathlib
 import warnings
 
 import numpy as np
@@ -25,9 +26,16 @@ def _cfg(tmp_path, text, name="exp.ini"):
     return str(path)
 
 
+def _read(*parts) -> str:
+    return pathlib.Path(*parts).read_text()
+
+
+def _write(path, text: str) -> None:
+    pathlib.Path(path).write_text(text)
+
+
 def _json(out_dir, name="report.json"):
-    with open(os.path.join(out_dir, name)) as fh:
-        return json.load(fh)
+    return json.loads(_read(out_dir, name))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +207,13 @@ def test_parse_config_text_fuzz_ends_in_config_error_or_success(text):
             pass
 
 
-# integer keys with a minimum, drawn around it as well as from _ATOM
-_MINIMUMS = {("lab", "steps"): 15, ("norms", "window_steps"): 15, ("lab", "substeps"): 1}
+# the minimum K of every "int:K" / "ints:K" key; each is drawn around it as well as from _ATOM
+_MINIMUMS = {
+    (sec, key): int(low)
+    for sec in SCHEMA
+    for key, (tag, _) in SCHEMA[sec].items()
+    if tag.partition(":")[0] in ("int", "ints") and (low := tag.partition(":")[2])
+}
 
 
 @settings(max_examples=400, deadline=None)
@@ -209,7 +222,7 @@ _MINIMUMS = {("lab", "steps"): 15, ("norms", "window_steps"): 15, ("lab", "subst
     st.dictionaries(st.sampled_from(_KEYS), _ATOM, max_size=5),
     st.integers(-3, 6),
     _U0,
-    st.dictionaries(st.sampled_from(sorted(_MINIMUMS)), st.integers(-2, 40).map(str), max_size=3),
+    st.dictionaries(st.sampled_from(sorted(_MINIMUMS)), st.integers(-2, 40).map(str), max_size=5),
 )
 def test_config_builders_fuzz_end_in_config_error_or_success(command, values, cutoff, u0, counts):
     values = {**values, **counts, ("run", "command"): command, ("solver", "cutoff"): str(cutoff), ("solver", "u0"): u0}
@@ -221,7 +234,7 @@ def test_config_builders_fuzz_end_in_config_error_or_success(command, values, cu
         cfg = parse_config_text(text)
     except ConfigError:
         return
-    assert all(cfg.get(*key) >= low for key, low in _MINIMUMS.items())
+    assert all(min(np.atleast_1d(cfg.get(*key)), default=low) >= low for key, low in _MINIMUMS.items())
     # each builder on its own, so one key's error does not hide another's
     builders = [cfg.solver_config, cfg.xsb_params, cfg.picard_params]
     if cfg.get("noise", "kind") != "matrix":  # bad matrix files have their own cases
@@ -379,7 +392,7 @@ def test_cli_zero_solve_writes_zero_trajectory(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out]) == 0
-    rows = open(os.path.join(out, "trajectory.csv")).read().strip().splitlines()
+    rows = _read(out, "trajectory.csv").strip().splitlines()
     assert rows[0] == "t,n,re,im"
     assert len(rows) == 1 + 5 * 9  # five time points, nine modes
     for row in rows[1:]:
@@ -399,7 +412,7 @@ def test_cli_same_config_twice_is_byte_identical(tmp_path):
     assert main(["run", "--config", cfg, "--out", out_a]) == 0
     assert main(["run", "--config", cfg, "--out", out_b]) == 0
     for name in ("trajectory.csv", "report.json", "resolved_config.ini"):
-        assert open(os.path.join(out_a, name)).read() == open(os.path.join(out_b, name)).read()
+        assert _read(out_a, name) == _read(out_b, name)
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):
@@ -409,7 +422,7 @@ def test_cli_seed_override_changes_outputs(tmp_path):
     assert main(["run", "--config", cfg, "--out", out_a, "--seed", "5"]) == 0
     assert main(["run", "--config", cfg, "--out", out_b, "--seed", "5"]) == 0
     assert main(["run", "--config", cfg, "--out", out_c, "--seed", "6"]) == 0
-    read = lambda d: open(os.path.join(d, "psi.csv")).read()
+    read = lambda d: _read(d, "psi.csv")
     assert read(out_a) == read(out_b)
     assert read(out_a) != read(out_c)
     assert RunManifest.load(os.path.join(out_a, "manifest.json")).seed == 5
@@ -484,6 +497,21 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         cfg = _cfg(tmp_path, f"[run]\ncommand = {cmd}\n\n[lab]\ncutoffs = {cutoffs}\n", name="cutoffs.ini")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "cutoffs")]) == 1, cmd
         assert "wickns: config error: [lab] cutoffs: must be >= 0" in capsys.readouterr().err
+
+    # counts of 0 used to exit 2 (the first five) or pass vacuously (the last two)
+    for cmd, section, key in (
+        ("trilinear", "lab", "ensemble_size"),
+        ("variance-test", "lab", "samples"),
+        ("criticality", "lab", "d"),
+        ("divisors", "lab", "limit"),
+        ("picard", "solver", "picard_max_iters"),
+        ("wick-check", "lab", "fields"),
+        ("gauge-check", "lab", "dt_halvings"),
+    ):
+        cfg = _cfg(tmp_path, f"[run]\ncommand = {cmd}\n\n[{section}]\n{key} = 0\n", name="count.ini")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "count")]) == 1, cmd
+        assert f"wickns: config error: [{section}] {key}: must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "count").exists()
 
     # (1 + n^2)^(-alpha/2) overflows at alpha = -394, cutoff 6: a config error, and no RuntimeWarning
     for cmd in ("sample-noise", "norms", "tail-mc"):
@@ -623,7 +651,7 @@ def test_cli_rerun_reproduces_bytes(tmp_path, monkeypatch):
 
     assert main(["rerun", "--manifest", os.path.join(out, "manifest.json")]) == 0
     replay = out + "-rerun"  # default replay directory sits beside the original
-    assert open(os.path.join(replay, "report.json")).read() == open(os.path.join(out, "report.json")).read()
+    assert _read(replay, "report.json") == _read(out, "report.json")
 
     explicit = str(tmp_path / "explicit")
     assert main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", explicit]) == 0
@@ -635,20 +663,20 @@ def test_cli_rerun_detects_divergence(tmp_path, capsys):
     out = str(tmp_path / "orig")
     assert main(["run", "--config", cfg, "--out", out]) == 0
     man_path = os.path.join(out, "manifest.json")
-    recorded = open(man_path).read()
+    recorded = _read(man_path)
 
     # forge a recorded hash: the replay must notice the mismatch
     body = json.loads(recorded)
     rec = next(o for o in body["outputs"] if o["name"] == "report.json")
     rec["sha256"] = "0" * 64
-    open(man_path, "w").write(json.dumps(body))
+    _write(man_path, json.dumps(body))
     assert main(["rerun", "--manifest", man_path, "--out", str(tmp_path / "replay")]) == 2
     assert "outputs differ: report.json" in capsys.readouterr().err
 
     # forge the recorded flags: hashes still match, the flags do not
     body = json.loads(recorded)
     body["flags"] = {"blowup": True}
-    open(man_path, "w").write(json.dumps(body))
+    _write(man_path, json.dumps(body))
     assert main(["rerun", "--manifest", man_path, "--out", str(tmp_path / "replay_flags")]) == 2
     assert capsys.readouterr().err == "rerun: flags differ: recorded {'blowup': True}, replay {}\n"
 
@@ -662,7 +690,7 @@ def test_cli_rerun_detects_divergence(tmp_path, capsys):
 
     # corrupt the embedded config: rejected before any run
     body["resolved_config"] += "# tail\n"
-    open(man_path, "w").write(json.dumps(body))
+    _write(man_path, json.dumps(body))
     assert main(["rerun", "--manifest", man_path, "--out", str(tmp_path / "replay2")]) == 2
     assert "config_hash does not match" in capsys.readouterr().err
 
@@ -679,7 +707,7 @@ def test_cli_sweep_alpha_ladder_aggregates_norms(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
-    rows = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    rows = _read(out, "sweep.csv").strip().splitlines()
     header = rows[0].split(",")
     assert header[:3] == ["index", "value", "exit_code"]
     gcol = header.index("gamma_radonifying")
@@ -709,19 +737,20 @@ def test_cli_sweep_single_cell_matches_run(tmp_path):
     out_sweep = str(tmp_path / "sweep-out")
     assert main(["sweep", "--config", sweep_cfg, "--out", out_sweep]) == 0
     cell = os.path.join(out_sweep, "cell-00")
-    assert open(os.path.join(cell, "report.json")).read() == open(os.path.join(out_run, "report.json")).read()
+    assert _read(cell, "report.json") == _read(out_run, "report.json")
 
 
 def test_cli_sweep_failing_cell_is_recorded_and_sweep_continues(tmp_path, capsys):
+    # b' = -0.9 leaves the multiplier's exponent window -1/p < b' < 0: a runtime failure
     cfg = _cfg(
         tmp_path,
-        "[run]\ncommand = criticality\n\n[sweep]\naxis = lab.d\nvalues = 0, 1\n",
+        "[run]\ncommand = multiplier\n\n[lab]\ncutoffs = 2, 4\n\n[sweep]\naxis = norms.bprime\nvalues = -0.9, -0.05\n",
     )
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 2
-    rows = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
-    assert rows[1].startswith("0,0,2,")
-    assert rows[2].startswith("1,1,0,")
+    rows = _read(out, "sweep.csv").strip().splitlines()
+    assert rows[1].startswith("0,-0.9,2,")
+    assert rows[2].startswith("1,-0.05,0,")
     # the bad cell never produced a report, the good one did
     assert not os.path.exists(os.path.join(out, "cell-00", "report.json"))
     assert os.path.exists(os.path.join(out, "cell-01", "report.json"))
@@ -765,7 +794,7 @@ def test_cli_sweep_tail_mc_over_horizon(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 0
-    rows = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    rows = _read(out, "sweep.csv").strip().splitlines()
     header = rows[0].split(",")
     rates = [float(r.split(",")[header.index("rate")]) for r in rows[1:]]
     rsq = [float(r.split(",")[header.index("r_squared")]) for r in rows[1:]]
@@ -785,7 +814,7 @@ def test_cli_worker_count_does_not_change_results(tmp_path):
     assert main(["run", "--config", cfg, "--out", out_1, "--workers", "1"]) == 0
     assert main(["run", "--config", cfg, "--out", out_3, "--workers", "3"]) == 0
     for name in ("tail_fit.csv", "report.json"):
-        assert open(os.path.join(out_1, name)).read() == open(os.path.join(out_3, name)).read()
+        assert _read(out_1, name) == _read(out_3, name)
 
 
 def test_cli_sweep_worker_pool_matches_serial(tmp_path):
@@ -825,7 +854,7 @@ def test_cli_sample_noise_mass_bookkeeping(tmp_path):
     expected = 0.5 * float(np.sum(bessel_operator(8, 0.75).row_l2() ** 2))
     assert rep["mean_final_mass"] == pytest.approx(expected, rel=1e-12)
     assert math.isfinite(rep["final_mass"]) and rep["checks"]["finite_path"] is True
-    assert open(os.path.join(out, "psi.csv")).readline().strip() == "t,n,re,im"
+    assert _read(out, "psi.csv").splitlines()[0].strip() == "t,n,re,im"
     assert os.path.exists(os.path.join(out, "phi.csv"))
     assert RunManifest.load(os.path.join(out, "manifest.json")).task_seeds == {"path": [5, 0]}
 
@@ -843,7 +872,7 @@ def test_cli_picard_converges_on_small_datum(tmp_path):
     assert rep["converged"] is True and rep["non_contracting"] is False
     assert rep["contraction_factor"] < 0.05 and rep["checks"]["contraction"] is True
     assert "noise" not in RunManifest.load(os.path.join(out, "manifest.json")).task_seeds
-    rows = open(os.path.join(out, "picard_differences.csv")).read().strip().splitlines()
+    rows = _read(out, "picard_differences.csv").strip().splitlines()
     assert rows[0] == "iteration,difference,ratio"
     assert rows[1].endswith(",")  # no ratio before the second iterate
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
@@ -863,7 +892,7 @@ def test_cli_norms_reports_and_checks(tmp_path):
     assert rep["gamma_radonifying"] == rep["hilbert_schmidt"]
     assert rep["operator_l2"] == 1.0
     assert rep["free_flow_ratio"] == pytest.approx(rep["window_factor"], rel=1e-8)
-    names = [r.split(",")[0] for r in open(os.path.join(out, "norms.csv")).read().strip().splitlines()[1:]]
+    names = [r.split(",")[0] for r in _read(out, "norms.csv").strip().splitlines()[1:]]
     assert names == [
         "fourier_lebesgue",
         "gamma_radonifying",
@@ -880,7 +909,7 @@ def test_cli_wick_check_forms_agree(tmp_path):
     assert main(["run", "--config", cfg, "--out", out]) == 0
     rep = _json(out)
     assert rep["max_discrepancy"] <= 1e-12 and rep["checks"]["forms_agree"] is True
-    rows = open(os.path.join(out, "wick_check.csv")).read().strip().splitlines()
+    rows = _read(out, "wick_check.csv").strip().splitlines()
     assert rows[0] == "cutoff,max_discrepancy_conv,max_discrepancy_split" and len(rows) == 3
     assert RunManifest.load(os.path.join(out, "manifest.json")).task_seeds == {"4": [2, 1, 4], "8": [2, 1, 8]}
 
@@ -937,7 +966,7 @@ def test_cli_variance_test_tracks_target(tmp_path):
     assert main(["run", "--config", cfg, "--out", out]) == 0
     rep = _json(out)
     assert rep["max_rel_dev"] < 0.05 and rep["checks"]["variance_tracks_1_plus_t"] is True
-    rows = open(os.path.join(out, "variance.csv")).read().strip().splitlines()
+    rows = _read(out, "variance.csv").strip().splitlines()
     assert rows[0] == "t,n,variance,target" and len(rows) == 1 + 3 * 9
 
 
@@ -953,7 +982,7 @@ def test_cli_trilinear_p99_stable(tmp_path):
     rep = _json(out)
     assert all(g < 2.0 for g in rep["p99_growth_factors"])
     assert rep["checks"]["p99_stable_under_doubling"] is True
-    header = open(os.path.join(out, "trilinear.csv")).readline().strip()
+    header = _read(out, "trilinear.csv").splitlines()[0].strip()
     assert header == "cutoff,count,filtered,mean,p50,p90,p99,max"
 
 

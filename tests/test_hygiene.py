@@ -71,3 +71,32 @@ def test_every_schema_key_is_read():
         read |= string_constants_outside((PACKAGE / name).read_text(), "SCHEMA")
     unread = [f"[{section}] {key}" for section, keys in SCHEMA.items() for key in keys if key not in read]
     assert unread == []
+
+
+def unmanaged_opens(source: str) -> list[int]:
+    """Lines that call open() (the builtin or an .open method) other than as
+    the context manager of a with statement, whose file nothing closes."""
+    tree = ast.parse(source)
+    managed = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With) for item in node.items}
+    calls = (node for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in managed)
+    return sorted(
+        node.lineno
+        for node in calls
+        if (isinstance(node.func, ast.Name) and node.func.id == "open")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+    )
+
+
+def test_unmanaged_open_scan_flags_only_bare_calls():
+    src = "with open(p) as fh, q.open('rb') as g:\n    pass\nx = open(p).read()\nopen(p, 'w').write(s)\ny = p.open()\n"
+    assert unmanaged_opens(src) == [3, 4, 5]
+
+
+def test_package_and_tests_open_files_only_in_with():
+    tests = pathlib.Path(__file__).parent
+    found = {
+        f"{path.parent.name}/{path.name}": bad
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py"))
+        if (bad := unmanaged_opens(path.read_text()))
+    }
+    assert found == {}

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -22,6 +25,7 @@ from wickns import (
     variance_invariance_test,
     wick_trilinear,
 )
+import wickns
 from wickns import lab
 from conftest import random_field
 
@@ -147,6 +151,71 @@ def test_multiplier_kernel_peak_location():
     assert rep.kernel_exponent == pytest.approx(0.91, abs=1e-12)
     assert rep.arg_n == 0
     assert rep.arg_tau == 2.0
+
+
+def _multiplier_oracle(params, cutoff, tau_grid=None):
+    """(value, arg_n, arg_tau) of the multiplier supremum by the direct scan:
+    every (n1, n3) pair evaluated at every (n, sigma0), first maximum kept."""
+    pd = params.p_dual
+    a = -params.bprime
+    kappa = 3.0 * (params.b - a) * pd - 2.0
+    sp = params.s * pd
+    ap = a * pd
+    m = np.arange(-cutoff, cutoff + 1)
+    wm = bracket(m) ** (-sp)
+    best = (-np.inf, 0, 0.0)
+    for n in range(0, cutoff + 1):
+        d1 = (n - m).astype(np.float64)
+        w1 = wm * bracket(d1) ** (-ap)
+        w1[n + cutoff] = 0.0  # n1 = n excluded; same vector reused for n3
+        n2 = m[:, None] + m[None, :] - n
+        w2 = np.where(np.abs(n2) <= cutoff, bracket(n2) ** (-sp), 0.0)
+        base = np.outer(w1, w1) * w2
+        h = 2.0 * np.outer(d1, d1)
+        pref = bracket(np.float64(n)) ** sp
+        if tau_grid is None:
+            sigma0 = lab._sigma0_candidates(cutoff).astype(np.float64)
+        else:
+            sigma0 = np.asarray(tau_grid, dtype=np.float64) - float(n) ** 2
+        for s0 in sigma0:
+            val = pref * float(np.sum(base * bracket(s0 + h) ** (-kappa)))
+            if val > best[0]:
+                best = (val, n, s0 + float(n) ** 2)
+    return best
+
+
+@pytest.mark.parametrize(
+    "s, b, bprime, p",
+    [(0.3, 0.45, -0.05, 2.0), (0.1, 0.74, -0.24, 4.0), (0.0, 0.49, -0.005, 2.0)],
+    ids=["bench", "flat-kernel", "steep-kernel"],
+)
+def test_multiplier_regrouped_scan_matches_direct_scan(s, b, bprime, p):
+    # (0.1, 0.74, -0.24, 4) has kappa = 0: every sigma0 ties and the first one must win
+    params = XsbParams(s, b, bprime, p, 2.0, 0.5)
+    for N in range(25):
+        for tau_grid in (None, [-9.5, -4.0, -2.0, 0.0, 1.0, 2.0, 4.0, 7.25, 30.0]):
+            rep = multiplier_supremum_report(params, N, tau_grid=tau_grid)
+            value, arg_n, arg_tau = _multiplier_oracle(params, N, tau_grid)
+            assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0), (N, tau_grid)
+            assert (rep.arg_n, rep.arg_tau) == (arg_n, arg_tau), (N, tau_grid)
+
+
+_MULTIPLIER_PROBE = """
+from wickns import XsbParams, multiplier_supremum_report
+rep = multiplier_supremum_report(XsbParams(0.3, 0.45, -0.05, 2.0, 2.0, 0.5), 32)
+print(rep.value.hex(), rep.arg_n, rep.arg_tau.hex())
+"""
+
+
+def test_multiplier_bits_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(wickns.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _MULTIPLIER_PROBE], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_multiplier_flat_kernel_flagged():
