@@ -89,7 +89,7 @@ SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
         "gamma": ("float", "0.6"),
         "k1_values": ("ints", "64,128,256,512,1024,2048,4096,8192"),
         "k2": ("int", "0"),
-        "sum_cutoff": ("int", "131072"),
+        "sum_cutoff": ("int:0", "131072"),
         "fields": ("int:1", "100"),
         "dt_halvings": ("int:1", "4"),
     },

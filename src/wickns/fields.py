@@ -171,19 +171,25 @@ def alias_free_length(N: int) -> int:
 
 def to_grid(coeffs: np.ndarray, gridpoints: int) -> np.ndarray:
     """Samples of sum_n c(n) e^{2 pi i n x_j} on the uniform grid, along the
-    last axis of a block of coefficient rows (..., 2N+1) -> (..., gridpoints)."""
+    last axis of a block of coefficient rows (..., 2N+1) -> (..., gridpoints).
+
+    The unscaled inverse transform runs in place on its own spectrum buffer;
+    for a power-of-two grid it equals ifft(spec) * gridpoints bit for bit."""
     N = (coeffs.shape[-1] - 1) // 2
     spec = np.zeros(coeffs.shape[:-1] + (gridpoints,), dtype=np.complex128)
     spec[..., : N + 1] = coeffs[..., N:]  # frequencies 0..N
     if N > 0:
         spec[..., gridpoints - N :] = coeffs[..., :N]  # frequencies -N..-1
-    return np.fft.ifft(spec, axis=-1) * gridpoints
+    return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
 
 
 def from_grid(samples: np.ndarray, cutoff: int) -> np.ndarray:
-    """Inverse of to_grid, truncated to frequencies -N..N along the last axis."""
+    """Inverse of to_grid, truncated to frequencies -N..N along the last axis.
+
+    Leaves samples untouched; for a power-of-two grid the forward-normalized
+    transform equals fft(samples) / L bit for bit."""
     L = samples.shape[-1]
-    W = np.fft.fft(samples, axis=-1) / L
+    W = np.fft.fft(samples, axis=-1, norm="forward")
     out = np.empty(samples.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
     out[..., cutoff:] = W[..., : cutoff + 1]
     if cutoff > 0:

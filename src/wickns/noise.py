@@ -211,14 +211,22 @@ def sample_white_noise_field(cutoff: int, variance: float, rng: np.random.Genera
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """re + i im with re, im independent standard normal blocks of `shape`,
-    drawn real block first; E|z|^2 = 2, so callers scale it themselves."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    drawn real block first; E|z|^2 = 2, so callers scale it themselves.
+    One float buffer holds each block in turn before it is copied in."""
+    out = np.empty(shape, dtype=np.complex128)
+    part = rng.standard_normal(shape)
+    out.real = part
+    rng.standard_normal(out=part)
+    out.imag = part
+    return out
 
 
 def _draw_increments(rng: np.random.Generator, shape, dt: float) -> np.ndarray:
     # One block draw per path or ensemble: the stream layout is independent
     # of how steps or modes are later traversed.
-    return _complex_normal(rng, shape) * np.sqrt(dt / 2.0)
+    z = _complex_normal(rng, shape)
+    z *= np.sqrt(dt / 2.0)
+    return z
 
 
 def _free_recursion(op: NoiseOperator, z: np.ndarray, dt: float) -> np.ndarray:

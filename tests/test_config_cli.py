@@ -279,6 +279,14 @@ def test_parse_config_closes_its_file(tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_cli_negative_sum_cutoff_is_config_error(tmp_path, capsys):
+    # a negative cutoff used to sum over an empty lattice and exit 0 with lhs = 0.0
+    cfg = _cfg(tmp_path, "[run]\ncommand = sums\n\n[lab]\nsum_cutoff = -1\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "wickns: config error: [lab] sum_cutoff: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lab_p_accepts_inf():
     base = "[run]\ncommand = criticality\n\n[lab]\np = {}\n"
     assert parse_config_text(base.format("2.5")).lab_p() == 2.5

@@ -21,6 +21,8 @@ from wickns import (
     wick_trilinear,
     zero_field,
 )
+from wickns.dynamics import ROW_BLOCK
+from wickns.noise import _draw_increments
 from conftest import random_field
 
 
@@ -293,6 +295,22 @@ def test_rk4ip_noise_kick_matches_recursion():
     Z = (philox_stream(9).standard_normal((2, 1, 5)) * (1 + 0j))[:]
     out = evolve_wick_rk4ip(np.zeros((2, 5), dtype=complex), phi, Z, dt=0.1, steps=1, N=2)
     assert np.max(np.abs(out[0] - (-1j) * phi * Z[:, 0, :])) == 0.0
+
+
+@pytest.mark.parametrize("rows", [2 * ROW_BLOCK + 7, 5])
+def test_rk4ip_row_blocks_match_rows_evolved_alone(rows):
+    # rows never interact: blocking them must not move a single bit
+    N, steps, dt = 3, 4, 1 / 64
+    rng = philox_stream(21)
+    U0 = rng.standard_normal((rows, 2 * N + 1)) + 1j * rng.standard_normal((rows, 2 * N + 1))
+    Z = _draw_increments(rng, (rows, steps, 2 * N + 1), dt)
+    phi = np.linspace(0.5, 1.5, 2 * N + 1)
+    record = [0, 1, steps]
+    out = evolve_wick_rk4ip(U0, phi, Z, dt, steps, N, record=record)
+    alone = np.stack([evolve_wick_rk4ip(U0[i : i + 1], phi, Z[i : i + 1], dt, steps, N, record=record)[:, 0] for i in range(rows)], axis=1)
+    assert out.shape == (len(record), rows, 2 * N + 1)
+    assert np.array_equal(out, alone)
+    assert np.array_equal(out[0], U0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from wickns import (
     project,
     zero_field,
 )
-from wickns.fields import from_grid, propagator_phases
+from wickns.fields import from_grid, propagator_phases, to_grid
 from conftest import brute_convolve, random_field
 
 complex_lists = st.integers(min_value=0, max_value=8).flatmap(
@@ -174,6 +174,24 @@ def test_evaluate_round_trip(rng):
     rec = np.concatenate([back[-N:], back[: N + 1]])
     assert np.max(np.abs(rec - f.coeffs)) < 1e-12
     assert np.max(np.abs(from_grid(vals, N) - f.coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("N, L", [(0, 1), (1, 8), (3, 16), (16, 128), (40, 256)])
+def test_grid_pair_matches_backward_normalized_forms(N, L):
+    # on a power-of-two grid the forward-normalized transforms are the old
+    # ifft(spec) * L and fft(x) / L bit for bit
+    rng = philox_stream(4)
+    U = rng.standard_normal((6, 2 * N + 1)) + 1j * rng.standard_normal((6, 2 * N + 1))
+    spec = np.zeros((6, L), dtype=np.complex128)
+    spec[:, : N + 1] = U[:, N:]
+    spec[:, L - N :] = U[:, :N]
+    assert np.array_equal(to_grid(U, L), np.fft.ifft(spec) * L)
+    x = to_grid(U, L)
+    x *= np.abs(x) ** 2
+    kept = x.copy()
+    W = np.fft.fft(x) / L
+    assert np.array_equal(from_grid(x, N), np.concatenate([W[:, L - N :], W[:, : N + 1]], axis=1))
+    assert np.array_equal(x, kept)
 
 
 def test_evaluate_grid_too_small():

@@ -22,6 +22,7 @@ from wickns import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from wickns.noise import _complex_normal
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,14 @@ def test_philox_stream_keys_disjoint():
     a = philox_stream(7, 0).standard_normal(8)
     b = philox_stream(7, 1).standard_normal(8)
     assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("shape", [5, (3, 4), (2, 3, 7)])
+def test_complex_normal_matches_two_block_draw(shape):
+    # real block first, then the imaginary block, from one stream
+    want = philox_stream(8, 1)
+    want = want.standard_normal(shape) + 1j * want.standard_normal(shape)
+    assert np.array_equal(_complex_normal(philox_stream(8, 1), shape), want)
 
 
 def test_white_noise_zero_variance():
