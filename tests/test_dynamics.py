@@ -307,7 +307,8 @@ def test_rk4ip_row_blocks_match_rows_evolved_alone(rows):
     phi = np.linspace(0.5, 1.5, 2 * N + 1)
     record = [0, 1, steps]
     out = evolve_wick_rk4ip(U0, phi, Z, dt, steps, N, record=record)
-    alone = np.stack([evolve_wick_rk4ip(U0[i : i + 1], phi, Z[i : i + 1], dt, steps, N, record=record)[:, 0] for i in range(rows)], axis=1)
+    alone = [evolve_wick_rk4ip(U0[i : i + 1], phi, Z[i : i + 1], dt, steps, N, record=record) for i in range(rows)]
+    alone = np.concatenate(alone, axis=1)
     assert out.shape == (len(record), rows, 2 * N + 1)
     assert np.array_equal(out, alone)
     assert np.array_equal(out[0], U0)

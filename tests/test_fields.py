@@ -178,8 +178,8 @@ def test_evaluate_round_trip(rng):
 
 @pytest.mark.parametrize("N, L", [(0, 1), (1, 8), (3, 16), (16, 128), (40, 256)])
 def test_grid_pair_matches_backward_normalized_forms(N, L):
-    # on a power-of-two grid the forward-normalized transforms are the old
-    # ifft(spec) * L and fft(x) / L bit for bit
+    # on a power-of-two grid the forward-normalized transforms equal
+    # ifft(spec) * L and fft(x) / L bit for bit, and from_grid keeps its input
     rng = philox_stream(4)
     U = rng.standard_normal((6, 2 * N + 1)) + 1j * rng.standard_normal((6, 2 * N + 1))
     spec = np.zeros((6, L), dtype=np.complex128)

@@ -120,8 +120,8 @@ def test_philox_stream_keys_disjoint():
 @pytest.mark.parametrize("shape", [5, (3, 4), (2, 3, 7)])
 def test_complex_normal_matches_two_block_draw(shape):
     # real block first, then the imaginary block, from one stream
-    want = philox_stream(8, 1)
-    want = want.standard_normal(shape) + 1j * want.standard_normal(shape)
+    rng = philox_stream(8, 1)
+    want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert np.array_equal(_complex_normal(philox_stream(8, 1), shape), want)
 
 
