@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .config import COMMANDS, ConfigError, ExperimentConfig, parse_config, parse_config_text
 from .dynamics import gauge_transform, solve, wick_coeffs_block, wick_nonlinearity_direct, wick_trilinear, picard_iterate
-from .fields import frequencies, make_field
+from .fields import _csv_text, frequencies, make_field
 from .lab import (
     convolution_sum_check,
     criticality_report,
@@ -61,16 +61,38 @@ RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError)
 
 
 class _Writer:
-    """Collects this run's output files in creation order."""
+    """Collects a run's output files in creation order, starting with
+    resolved_config.ini, and seals them under one manifest."""
 
-    def __init__(self, out_dir: str):
+    def __init__(self, out_dir: str, cfg: ExperimentConfig):
+        self.t0 = time.monotonic()
         self.out_dir = out_dir
+        self.cfg = cfg
         self.names: list[str] = []
+        os.makedirs(out_dir, exist_ok=True)
+        self.text("resolved_config.ini", cfg.resolved)
 
     def text(self, name: str, body: str) -> None:
         with open(os.path.join(self.out_dir, name), "w") as fh:
             fh.write(body)
         self.names.append(name)
+
+    def seal(self, command: str, flags: dict, task_seeds: dict) -> None:
+        """Writes manifest.json: the run's wall time and a sha256 per output."""
+        cfg = self.cfg
+        man = RunManifest(
+            command=command,
+            seed=cfg.seed,
+            workers=cfg.workers,
+            resolved_config=cfg.resolved,
+            code_version=__version__,
+            flags=flags,
+            task_seeds=task_seeds,
+        )
+        man.wall_time_s = time.monotonic() - self.t0
+        for name in self.names:
+            man.record_output(self.out_dir, name)
+        man.write(self.out_dir)
 
 
 @dataclass
@@ -80,21 +102,6 @@ class CommandResult:
     flags: dict = dc_field(default_factory=dict)
     task_seeds: dict = dc_field(default_factory=dict)  # task label -> philox stream key
     failed: bool = False
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, np.integer):
-        return str(int(x))
-    return str(x)
-
-
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +175,12 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     else:
         psi = Trajectory(grid, np.zeros((scfg.steps + 1, 2 * scfg.cutoff + 1), dtype=np.complex128))
     rep = picard_iterate(u0, psi, scfg, params)
-    w.text("trajectory.csv", trajectory_to_csv(rep.iterates[-1]))
+    w.text("trajectory.csv", trajectory_to_csv(rep.solution))
     rows = []
     for i, d in enumerate(rep.differences):
         ratio = rep.ratios[i - 1] if i >= 1 else ""
         rows.append((i + 1, d, ratio))
-    w.text("picard_differences.csv", _csv("iteration,difference,ratio", rows))
+    w.text("picard_differences.csv", _csv_text("iteration,difference,ratio", zip(*rows)))
     report = {
         "iterations": rep.iterations,
         "converged": rep.converged,
@@ -215,7 +222,7 @@ def _cmd_norms(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         gv = next(r["value"] for r in records if r["norm_name"] == "gamma_radonifying")
         hv = next(r["value"] for r in records if r["norm_name"] == "hilbert_schmidt")
         checks.append(("gamma_matches_hs_at_p2", abs(gv - hv) <= 1e-12 * max(1.0, hv)))
-    w.text("norms.csv", _csv("norm_name,value", [(r["norm_name"], r["value"]) for r in records]))
+    w.text("norms.csv", _csv_text("norm_name,value", zip(*[(r["norm_name"], r["value"]) for r in records])))
     # norm names are unique per run; flat copies keep sweep tables useful
     report = {"records": records}
     report.update({r["norm_name"]: r["value"] for r in records})
@@ -240,7 +247,7 @@ def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
             d_split = max(d_split, float(np.max(np.abs(fft_vals[i] - split))))
         rows.append((N, d_conv, d_split))
         worst = max(worst, d_conv, d_split)
-    w.text("wick_check.csv", _csv("cutoff,max_discrepancy_conv,max_discrepancy_split", rows))
+    w.text("wick_check.csv", _csv_text("cutoff,max_discrepancy_conv,max_discrepancy_split", zip(*rows)))
     report = {
         "cutoffs": list(cutoffs),
         "fields_per_cutoff": nfields,
@@ -265,7 +272,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         order = math.log2(residuals[-1] / r) if residuals and r > 0 else ""
         residuals.append(r)
         rows.append((sk.dt, r, order))
-    w.text("gauge_residuals.csv", _csv("dt,residual,order", rows))
+    w.text("gauge_residuals.csv", _csv_text("dt,residual,order", zip(*rows)))
     orders = [row[2] for row in rows if row[2] != ""]
     report = {
         "dts": [row[0] for row in rows],
@@ -291,8 +298,8 @@ def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         steps=cfg.get("lab", "steps"),
         workers=cfg.workers,
     )
-    rows = list(zip(rep.multipliers, rep.lambda_values, rep.survivals, [int(u) for u in rep.usable]))
-    w.text("tail_fit.csv", _csv("multiplier,lambda,survival,usable", rows))
+    cols = [rep.multipliers, rep.lambda_values, rep.survivals, [int(u) for u in rep.usable]]
+    w.text("tail_fit.csv", _csv_text("multiplier,lambda,survival,usable", cols))
     checks = [("gaussian_shape", rep.r_squared >= 0.9 and rep.slope < 0.0)]
     return CommandResult(asdict(rep), checks=checks, task_seeds={"ensemble": [cfg.seed, 2]})
 
@@ -313,7 +320,7 @@ def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     for t, per_mode in zip(rep.times, rep.variances):
         for n, v in zip(ns, per_mode):
             rows.append((t, int(n), v, rep.target(t)))
-    w.text("variance.csv", _csv("t,n,variance,target", rows))
+    w.text("variance.csv", _csv_text("t,n,variance,target", zip(*rows)))
     checks = [("variance_tracks_1_plus_t", rep.max_rel_dev <= 0.05 and not rep.flagged)]
     return CommandResult(
         asdict(rep),
@@ -340,7 +347,7 @@ def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         )
         stats.append(st)
     rows = [(N, s.count, s.filtered, s.mean, s.p50, s.p90, s.p99, s.max) for N, s in zip(cutoffs, stats)]
-    w.text("trilinear.csv", _csv("cutoff,count,filtered,mean,p50,p90,p99,max", rows))
+    w.text("trilinear.csv", _csv_text("cutoff,count,filtered,mean,p50,p90,p99,max", zip(*rows)))
     growth = [stats[i + 1].p99 / stats[i].p99 for i in range(len(stats) - 1)]
     report = {
         "cutoffs": list(cutoffs),
@@ -357,7 +364,7 @@ def _cmd_multiplier(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     cutoffs = cfg.get("lab", "cutoffs")
     reports = [multiplier_supremum_report(params, N) for N in cutoffs]
     rows = [(r.cutoff, r.value, r.arg_n, r.arg_tau) for r in reports]
-    w.text("multiplier.csv", _csv("cutoff,value,arg_n,arg_tau", rows))
+    w.text("multiplier.csv", _csv_text("cutoff,value,arg_n,arg_tau", zip(*rows)))
     ratios = [reports[i + 1].value / reports[i].value for i in range(len(reports) - 1)]
     report = {
         "cutoffs": list(cutoffs),
@@ -379,7 +386,7 @@ def _cmd_sums(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     for k1 in cfg.get("lab", "k1_values"):
         lhs, shape = convolution_sum_check(beta, gamma, k1, k2, cutoff)
         rows.append((k1, k2, lhs, shape))
-    w.text("sums.csv", _csv("k1,k2,lhs,bound_shape", rows))
+    w.text("sums.csv", _csv_text("k1,k2,lhs,bound_shape", zip(*rows)))
     pts = [(abs(r[0] - k2), r[2]) for r in rows if abs(r[0] - k2) >= 64 and r[2] > 0]
     predicted = -lemma_exponent(beta, gamma)
     fitted = None
@@ -450,10 +457,7 @@ HANDLERS = {
 
 
 def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    t0 = time.monotonic()
-    w = _Writer(out_dir)
-    w.text("resolved_config.ini", cfg.resolved)
+    w = _Writer(out_dir, cfg)
     try:
         result = HANDLERS[cfg.command](cfg, w)
     except ConfigError:
@@ -466,19 +470,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
         report = dict(result.report)
         report["checks"] = {name: bool(ok) for name, ok in result.checks}
         w.text("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    man = RunManifest(
-        command=cfg.command,
-        seed=cfg.seed,
-        workers=cfg.workers,
-        resolved_config=cfg.resolved,
-        code_version=__version__,
-        flags=result.flags,
-        task_seeds=result.task_seeds,
-    )
-    man.wall_time_s = time.monotonic() - t0
-    for name in w.names:
-        man.record_output(out_dir, name)
-    man.write(out_dir)
+    w.seal(cfg.command, result.flags, result.task_seeds)
     for name, ok in result.checks:
         print(f"{cfg.command}: check {name}: {'pass' if ok else 'FAIL'}")
     print(f"{cfg.command}: wrote {len(w.names)} outputs to {out_dir}")
@@ -503,9 +495,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
     # every cell's config is checked before any cell runs
     children = [cfg.with_value(section, key, v) for v in values]
-    os.makedirs(out_dir, exist_ok=True)
-    w = _Writer(out_dir)
-    w.text("resolved_config.ini", cfg.resolved)
+    w = _Writer(out_dir, cfg)
 
     def run_cell(i: int) -> int:
         # a failing cell must not abort the sweep; its row records the cell's exit code
@@ -552,20 +542,10 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
             v = rep.get(k, "")
             row.append(v if isinstance(v, (int, float, str, bool)) else "")
         rows.append(tuple(row))
-    w.text("sweep.csv", _csv(",".join(["index", "value", "exit_code", *scalar_keys]), rows))
+    w.text("sweep.csv", _csv_text(",".join(["index", "value", "exit_code", *scalar_keys]), zip(*rows)))
     summary = {"axis": axis, "values": values, "command": cfg.command, "cells": cells}
     w.text("sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    man = RunManifest(
-        command=f"sweep:{cfg.command}",
-        seed=cfg.seed,
-        workers=cfg.workers,
-        resolved_config=cfg.resolved,
-        code_version=__version__,
-        flags={"cells_failed": any(c != 0 for c in codes)},
-    )
-    for name in w.names:
-        man.record_output(out_dir, name)
-    man.write(out_dir)
+    w.seal(f"sweep:{cfg.command}", {"cells_failed": any(c != 0 for c in codes)}, {})
     print(f"sweep: {len(cells)} cells over {axis}, worst exit {max(codes, default=0)}")
     if any(c == 2 for c in codes):
         return 2

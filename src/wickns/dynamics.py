@@ -284,7 +284,7 @@ def evolve_wick_rk4ip(
 class PicardReport:
     """Iteration diagnostics of the fixed-point map."""
 
-    iterates: list = dc_field(default_factory=list)
+    solution: Optional[Trajectory] = None  # the final iterate
     differences: list = dc_field(default_factory=list)
     ratios: list = dc_field(default_factory=list)
     contraction_factor: Optional[float] = None
@@ -319,7 +319,6 @@ def picard_iterate(
     lin = u0.coeffs[None, :] * propagator_phases(N, times)
     cur = lin - 1j * psi.states
     report = PicardReport()
-    report.iterates.append(Trajectory(times, cur))
     bad_streak = 0
     for it in range(cfg.picard_max_iters):
         forcing = wick_coeffs_block(cur, N)
@@ -327,7 +326,6 @@ def picard_iterate(
         new = lin + 1j * duh.states - 1j * psi.states
         diff = xsb_norm(Trajectory(times, new - cur), params)
         report.differences.append(diff)
-        report.iterates.append(Trajectory(times, new))
         report.iterations = it + 1
         if len(report.differences) >= 2:
             prev = report.differences[-2]
@@ -341,6 +339,7 @@ def picard_iterate(
         if bad_streak >= 3:
             report.non_contracting = True
             break
+    report.solution = Trajectory(times, cur)
     pos = [r for r in report.ratios if r > 0]
     if pos:
         report.contraction_factor = float(np.exp(np.mean(np.log(pos))))

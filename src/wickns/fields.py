@@ -211,25 +211,53 @@ def evaluate(f: SpectralField, gridpoints: int) -> np.ndarray:
     return to_grid(f.coeffs, gridpoints)
 
 
+_PLAIN = frozenset((float, int, str, bool))  # types whose str() already is the _fmt form
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, np.integer):
+        return str(int(x))
+    return str(x)
+
+
+def _csv_text(header: str, columns) -> str:
+    """The one CSV writer, over equal-length columns: a float by its shortest
+    round-trip repr (so tables re-read bit for bit), a numpy integer as an
+    int, anything else by str.  A column of plain Python values, such as a
+    .tolist(), is formatted by str alone, which gives the same text."""
+    cells = [map(str if _PLAIN.issuperset(map(type, c)) else _fmt, c) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
+def _csv_rows(text: str, header: str, kinds) -> list[tuple]:
+    """The one CSV reader: checks the header, then converts each row's
+    fields by `kinds`; errors name the line as counted in text."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"expected header {header!r}")
+    first = text[: len(text) - len(text.lstrip())].count("\n") + 2
+    rows = []
+    for i, ln in enumerate(lines[1:], start=first):
+        parts = ln.split(",")
+        if len(parts) != len(kinds):
+            raise ValueError(f"line {i}: expected {len(kinds)} fields {header}, got {len(parts)}")
+        try:
+            rows.append(tuple(kind(v) for kind, v in zip(kinds, parts)))
+        except ValueError:
+            raise ValueError(f"line {i}: cannot parse {ln.strip()!r}") from None
+    return rows
+
+
 def field_to_csv(f: SpectralField) -> str:
     """CSV serialization: header `n,re,im`, one row per frequency."""
-    lines = ["n,re,im"]
-    for n, c in zip(f.ns, f.coeffs):
-        lines.append(f"{n},{float(c.real)!r},{float(c.imag)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_text("n,re,im", [f.ns.tolist(), f.coeffs.real.tolist(), f.coeffs.imag.tolist()])
 
 
 def field_from_csv(text: str) -> SpectralField:
-    rows = [ln for ln in text.strip().splitlines()]
-    if not rows or rows[0].strip() != "n,re,im":
-        raise ValueError("expected header 'n,re,im'")
-    ns, vals = [], []
-    for ln in rows[1:]:
-        sn, sre, sim = ln.split(",")
-        ns.append(int(sn))
-        vals.append(complex(float(sre), float(sim)))
-    ns_arr = np.asarray(ns)
-    N = (len(ns) - 1) // 2
-    if len(ns) != 2 * N + 1 or not np.array_equal(ns_arr, frequencies(N)):
+    rows = _csv_rows(text, "n,re,im", (int, float, float))
+    N = (len(rows) - 1) // 2
+    if len(rows) != 2 * N + 1 or [r[0] for r in rows] != frequencies(N).tolist():
         raise ValueError("rows must cover contiguous frequencies -N..N")
-    return make_field(N, vals)
+    return make_field(N, [complex(re, im) for _, re, im in rows])

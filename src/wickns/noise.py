@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, frequencies, make_field, propagator_phases
+from .fields import SpectralField, _csv_rows, _csv_text, frequencies, make_field, propagator_phases
 
 __all__ = [
     "NoiseOperator",
@@ -307,33 +307,28 @@ def moment_bound_check(coeffs, p: float, samples: int, rng: np.random.Generator)
     return lp / (np.sqrt(p) * l2)
 
 
+def _grid_columns(outer, inner, values: np.ndarray) -> list:
+    """Columns outer[i], inner[j], re, im of values[i, j], row-major."""
+    cols = (np.repeat(outer, len(inner)), np.tile(inner, len(outer)), values.real.ravel(), values.imag.ravel())
+    return [c.tolist() for c in cols]
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV serialization: header `t,n,re,im`, grid-major then frequency."""
-    ns = frequencies(traj.cutoff)
-    lines = ["t,n,re,im"]
-    for m, t in enumerate(traj.times):
-        row = traj.states[m]
-        for n, c in zip(ns, row):
-            lines.append(f"{float(t)!r},{n},{float(c.real)!r},{float(c.imag)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_text("t,n,re,im", _grid_columns(traj.times, frequencies(traj.cutoff), traj.states))
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
     """Inverse of trajectory_to_csv: every time lists frequencies -N..N in
     order, with one N for the whole file."""
-    rows = text.strip().splitlines()
-    if not rows or rows[0].strip() != "t,n,re,im":
-        raise ValueError("expected header 't,n,re,im'")
     ts, ns, states = [], [], []
-    for ln in rows[1:]:
-        st, sn, sre, sim = ln.split(",")
-        t = float(st)
+    for t, n, re, im in _csv_rows(text, "t,n,re,im", (float, int, float, float)):
         if not ts or t != ts[-1]:
             ts.append(t)
             ns.append([])
             states.append([])
-        ns[-1].append(int(sn))
-        states[-1].append(complex(float(sre), float(sim)))
+        ns[-1].append(n)
+        states[-1].append(complex(re, im))
     if not ts:
         raise ValueError("no rows after the header")
     N = (len(ns[0]) - 1) // 2
@@ -347,16 +342,8 @@ def operator_to_csv(op: NoiseOperator) -> str:
     """Multiplier: `n,phi_n` rows.  Matrix: `n,k,re,im` rows."""
     ns = frequencies(op.cutoff)
     if op.is_multiplier:
-        lines = ["n,phi_n"]
-        for n, v in zip(ns, op.multiplier):
-            lines.append(f"{n},{float(v)!r}")
-    else:
-        lines = ["n,k,re,im"]
-        for i, n in enumerate(ns):
-            for j, k in enumerate(ns):
-                c = op.matrix[i, j]
-                lines.append(f"{n},{k},{float(c.real)!r},{float(c.imag)!r}")
-    return "\n".join(lines) + "\n"
+        return _csv_text("n,phi_n", [ns.tolist(), op.multiplier.tolist()])
+    return _csv_text("n,k,re,im", _grid_columns(ns, ns, op.matrix))
 
 
 def operator_from_csv(text: str) -> NoiseOperator:
@@ -365,18 +352,7 @@ def operator_from_csv(text: str) -> NoiseOperator:
     Entries not listed are zero, so a diagonal operator may list only its
     diagonal; the row and the column frequencies must each cover -N..N.
     """
-    rows = text.strip().splitlines()
-    if not rows or rows[0].strip() != "n,k,re,im":
-        raise ValueError("expected header 'n,k,re,im'")
-    entries = []
-    for i, ln in enumerate(rows[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"line {i}: expected 4 fields n,k,re,im, got {len(parts)}")
-        try:
-            entries.append((int(parts[0]), int(parts[1]), complex(float(parts[2]), float(parts[3]))))
-        except ValueError:
-            raise ValueError(f"line {i}: cannot parse {ln.strip()!r}") from None
+    entries = _csv_rows(text, "n,k,re,im", (int, int, float, float))
     if not entries:
         raise ValueError("no matrix entries")
     ns = sorted({e[0] for e in entries})
@@ -385,6 +361,6 @@ def operator_from_csv(text: str) -> NoiseOperator:
     if ns != full or sorted({e[1] for e in entries}) != full:
         raise ValueError("row and column frequencies must each cover -N..N")
     mat = np.zeros((2 * N + 1, 2 * N + 1), dtype=np.complex128)
-    for n, k, c in entries:
-        mat[n + N, k + N] = c
+    for n, k, re, im in entries:
+        mat[n + N, k + N] = complex(re, im)
     return NoiseOperator(N, matrix=mat)

@@ -46,6 +46,7 @@ __all__ = [
 
 DEFAULT_PAD = 8  # zero-pad factor of the temporal transform
 MIN_GRID_POINTS = 16
+_CHUNK = 64  # paths per pass of xsb_norm_batch
 
 
 def bracket(x) -> np.ndarray:
@@ -293,7 +294,7 @@ def xsb_norm(traj: Trajectory, params: XsbParams, pad: int = DEFAULT_PAD) -> flo
     || <n>^s <tau>^b (windowed extension of S(-t)u(t))^(t -> tau) ||_{l^p_n L^q_tau}
     with the temporal transform and L^q_tau both discrete.
     """
-    return float(_xsb_norms(traj.states[None], traj.times, params, pad, 1)[0])
+    return float(_xsb_norms(traj.states[None], traj.times, params, pad)[0])
 
 
 def xsb_norm_batch(
@@ -301,23 +302,22 @@ def xsb_norm_batch(
     times: np.ndarray,
     params: XsbParams,
     pad: int = DEFAULT_PAD,
-    chunk: int = 64,
 ) -> np.ndarray:
     """xsb_norm over an ensemble: states of shape (B, M+1, 2N+1) -> (B,).
 
-    xsb_norm runs the same code on one path; chunked to bound the
-    workspace.
+    xsb_norm runs the same code on one path; _CHUNK paths at a time bound
+    the workspace.
     """
-    return _xsb_norms(states, times, params, pad, chunk)
+    return _xsb_norms(states, times, params, pad)
 
 
-def _xsb_norms(states, times, params, pad, chunk) -> np.ndarray:
+def _xsb_norms(states, times, params, pad) -> np.ndarray:
     B = states.shape[0]
     modes = states.shape[-1]
     wn = bracket(frequencies((modes - 1) // 2)) ** params.s
     out = np.empty(B, dtype=np.float64)
-    for lo in range(0, B, chunk):
-        hi = min(lo + chunk, B)
+    for lo in range(0, B, _CHUNK):
+        hi = min(lo + _CHUNK, B)
         if params.q == 2:
             w, dt = _interaction(states[lo:hi], times, params)
             tf = _modulation_l2(w, dt, params.T, params.b, pad)

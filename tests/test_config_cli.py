@@ -500,6 +500,13 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
         assert f"wickns: config error: {msg}" in capsys.readouterr().err
 
+    # a malformed csv: datum names its key and the line
+    datum = tmp_path / "short.csv"
+    datum.write_text("n,re,im\n-1,0.0,0.0\n0,1.0\n1,0.0,0.0\n")
+    cfg = _cfg(tmp_path, f"[run]\ncommand = solve\n\n[solver]\ncutoff = 1\nu0 = csv:{datum}\n", name="datum.ini")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "datum")]) == 1
+    assert "wickns: config error: [solver] u0: line 3: expected 3 fields n,re,im, got 2" in capsys.readouterr().err
+
     # negative cutoffs are rejected by every command that reads them
     for cmd, cutoffs in (("multiplier", "-2, 4"), ("wick-check", "-1"), ("trilinear", "-1, 2")):
         cfg = _cfg(tmp_path, f"[run]\ncommand = {cmd}\n\n[lab]\ncutoffs = {cutoffs}\n", name="cutoffs.ini")
@@ -727,6 +734,9 @@ def test_cli_sweep_alpha_ladder_aggregates_norms(tmp_path):
     assert [c["exit_code"] for c in summary["cells"]] == [0, 0, 0]
     man = RunManifest.load(os.path.join(out, "manifest.json"))
     assert man.command == "sweep:norms"
+    # the sweep's wall time spans its cells', which are sealed the same way
+    cell_times = [RunManifest.load(os.path.join(out, c["dir"], "manifest.json")).wall_time_s for c in summary["cells"]]
+    assert man.wall_time_s >= sum(cell_times) > 0
 
     # a sweep manifest replays like any other
     assert main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", str(tmp_path / "replay")]) == 0

@@ -328,7 +328,7 @@ def test_picard_trivial_converges_first_iteration():
     rep = picard_iterate(zero_field(3), _zero_psi(cfg), cfg)
     assert rep.converged
     assert rep.iterations == 1
-    assert np.all(rep.iterates[-1].states == 0)
+    assert np.all(rep.solution.states == 0)
 
 
 def test_picard_small_data_contracts():
@@ -346,7 +346,7 @@ def test_picard_limit_matches_stepper():
     rep = picard_iterate(mode_field(4, 1, 0.1), _zero_psi(cfg), cfg)
     traj = solve(mode_field(4, 1, 0.1), None, cfg)
     sup = max(
-        fl_norm(make_field(4, rep.iterates[-1].states[m] - traj.states[m]), 0.0, 2.0)
+        fl_norm(make_field(4, rep.solution.states[m] - traj.states[m]), 0.0, 2.0)
         for m in range(cfg.steps + 1)
     )
     assert sup <= 10 * max(cfg.dt, cfg.picard_tolerance)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,13 @@ from wickns import (
     fl_norm,
     make_field,
     mode_field,
+    operator_from_csv,
     philox_stream,
     project,
+    trajectory_from_csv,
     zero_field,
 )
-from wickns.fields import from_grid, propagator_phases, to_grid
+from wickns.fields import _csv_text, from_grid, propagator_phases, to_grid
 from conftest import brute_convolve, random_field
 
 complex_lists = st.integers(min_value=0, max_value=8).flatmap(
@@ -206,6 +210,36 @@ def test_field_csv_round_trip(rng):
     g = field_from_csv(text)
     assert g.cutoff == f.cutoff
     assert np.array_equal(g.coeffs, f.coeffs)
+
+
+def test_csv_text_golden_bytes():
+    # columns of plain values (str alone) and of mixed numpy values (_fmt) give one text
+    plain = [[0.1, -3, 2.5], [-0.0, "", 7], [1e-300, True, 0.1]]
+    mixed = [[0.1, np.int64(-3), np.float64(2.5)], [np.float64(-0.0), "", np.int32(7)], [1e-300, np.bool_(True), np.float32(0.1)]]
+    assert _csv_text("a,b,c", plain) == "a,b,c\n0.1,-0.0,1e-300\n-3,,True\n2.5,7,0.1\n"
+    assert _csv_text("a,b,c", mixed) == "a,b,c\n0.1,-0.0,1e-300\n-3,,True\n2.5,7,0.10000000149011612\n"
+    assert _csv_text("a,b,c", [[], [], []]) == _csv_text("a,b,c", []) == "a,b,c\n"
+
+
+@pytest.mark.parametrize(
+    "reader, header, good",
+    [
+        (field_from_csv, "n,re,im", "0,1.0,0.0"),
+        (trajectory_from_csv, "t,n,re,im", "0.0,0,1.0,0.0"),
+        (operator_from_csv, "n,k,re,im", "0,0,1.0,0.0"),
+    ],
+)
+def test_csv_readers_name_the_bad_line(reader, header, good):
+    k = header.count(",") + 1
+    short = good.rsplit(",", 1)[0]
+    garbled = good.replace("1.0", "one")
+    for text, msg in (
+        (f"{header}\n{good}\n{short}\n", f"line 3: expected {k} fields {header}, got {k - 1}"),
+        (f"\n\n{header}\n{short}\n", f"line 4: expected {k} fields {header}, got {k - 1}"),
+        (f"{header}\n{good}\n{garbled}\n", f"line 3: cannot parse '{garbled}'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            reader(text)
 
 
 def test_field_arithmetic(rng):

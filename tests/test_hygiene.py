@@ -100,3 +100,28 @@ def test_package_and_tests_open_files_only_in_with():
         if (bad := unmanaged_opens(path.read_text()))
     }
     assert found == {}
+
+
+def test_csv_codec_lives_only_in_fields():
+    # one writer and one reader: every *_to_csv writes through _csv_text and
+    # every *_from_csv reads through _csv_rows, both defined in fields alone
+    defined, checked, bypass = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = f"{path.stem}.{node.name}"
+            if node.name in ("_csv_text", "_csv_rows"):
+                defined.append(name)
+            if node.name.endswith("_to_csv"):
+                helper = "_csv_text"
+            elif node.name.endswith("_from_csv"):
+                helper = "_csv_rows"
+            else:
+                continue
+            checked.append(name)
+            calls = {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            if helper not in calls:
+                bypass.append(name)
+    assert sorted(defined) == ["fields._csv_rows", "fields._csv_text"]
+    assert len(checked) >= 6 and bypass == []  # field, trajectory, operator: to and from

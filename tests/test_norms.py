@@ -36,7 +36,7 @@ from wickns import (
     xsb_norm_batch,
 )
 from wickns.noise import _complex_normal
-from wickns.norms import _extend_and_window, _modulation_lq, _xsb_gram
+from wickns.norms import _CHUNK, _extend_and_window, _modulation_lq, _xsb_gram
 from conftest import random_field
 
 
@@ -294,10 +294,11 @@ def test_homogeneous_parseval_oracle():
 def test_xsb_batch_matches_scalar(rng):
     op = bessel_operator(6, 0.75)
     grid = make_grid(0.5, 32)
-    states = convolution_paths_block(op, grid, rng, 7)
+    B = 2 * _CHUNK + 3  # two full chunks and a partial one
+    states = convolution_paths_block(op, grid, rng, B)
     params = XsbParams(0.1, 0.3, -0.3, 2.0, 2.0, 0.5)
-    batch = xsb_norm_batch(states, grid, params, chunk=3)
-    for i in range(7):
+    batch = xsb_norm_batch(states, grid, params)
+    for i in range(B):
         single = xsb_norm(Trajectory(grid, states[i]), params)
         assert batch[i] == pytest.approx(single, rel=1e-12)
 
