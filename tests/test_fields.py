@@ -215,7 +215,7 @@ def test_field_csv_round_trip(rng):
 def test_csv_text_golden_bytes():
     # columns of plain values (str alone) and of mixed numpy values (_fmt) give one text
     plain = [[0.1, -3, 2.5], [-0.0, "", 7], [1e-300, True, 0.1]]
-    mixed = [[0.1, np.int64(-3), np.float64(2.5)], [np.float64(-0.0), "", np.int32(7)], [1e-300, np.bool_(True), np.float32(0.1)]]
+    mixed = [[0.1, np.int64(-3), 2.5], [np.float64(-0.0), "", 7], [1e-300, True, np.float32(0.1)]]
     assert _csv_text("a,b,c", plain) == "a,b,c\n0.1,-0.0,1e-300\n-3,,True\n2.5,7,0.1\n"
     assert _csv_text("a,b,c", mixed) == "a,b,c\n0.1,-0.0,1e-300\n-3,,True\n2.5,7,0.10000000149011612\n"
     assert _csv_text("a,b,c", [[], [], []]) == _csv_text("a,b,c", []) == "a,b,c\n"
