@@ -28,34 +28,33 @@ alpha = 0.75
 """
 
 if __name__ == "__main__":
-    work = tempfile.mkdtemp(prefix="wickns-demo-")
-    cfg = os.path.join(work, "experiment.ini")
-    with open(cfg, "w") as fh:
-        fh.write(CONFIG)
+    with tempfile.TemporaryDirectory(prefix="wickns-demo-") as work:
+        cfg = os.path.join(work, "experiment.ini")
+        with open(cfg, "w") as fh:
+            fh.write(CONFIG)
 
-    out = os.path.join(work, "out")
-    code = main(["run", "--config", cfg, "--out", out])
-    print(f"run exit {code}; outputs: {sorted(os.listdir(out))}")
+        out = os.path.join(work, "out")
+        code = main(["run", "--config", cfg, "--out", out])
+        print(f"run exit {code}; outputs: {sorted(os.listdir(out))}")
 
-    with open(os.path.join(out, "report.json")) as fh:
-        report = json.load(fh)
-    print(f"final mass {report['final_mass']:.4f} "
-          f"(law predicts {report['mean_final_mass']:.4f} on average), checks {report['checks']}")
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
+        print(f"final mass {report['final_mass']:.4f} "
+              f"(law predicts {report['mean_final_mass']:.4f} on average), checks {report['checks']}")
 
-    # replay from the manifest alone: the original config file is not needed
-    replay = os.path.join(work, "replay")
-    code = main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", replay])
-    print(f"rerun exit {code} (0 means every output matched byte for byte)")
+        # replay from the manifest alone: the original config file is not needed
+        replay = os.path.join(work, "replay")
+        code = main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", replay])
+        print(f"rerun exit {code} (0 means every output matched byte for byte)")
 
-    # sweeps fan one scalar key across cells and aggregate a row per cell
-    sweep_cfg = os.path.join(work, "sweep.ini")
-    with open(sweep_cfg, "w") as fh:
-        fh.write(CONFIG + "\n[sweep]\naxis = noise.alpha\nvalues = 0.25, 0.5, 1.0\n")
-    sweep_out = os.path.join(work, "sweep")
-    code = main(["sweep", "--config", sweep_cfg, "--out", sweep_out])
-    with open(os.path.join(sweep_out, "sweep.csv")) as fh:
-        table = fh.read().strip().splitlines()
-    print(f"sweep exit {code}; {len(table) - 1} cells")
-    for line in table:
-        print("  " + ",".join(line.split(",")[:6]))
-    print(f"artifacts left in {work}")
+        # sweeps fan one scalar key across cells and aggregate a row per cell
+        sweep_cfg = os.path.join(work, "sweep.ini")
+        with open(sweep_cfg, "w") as fh:
+            fh.write(CONFIG + "\n[sweep]\naxis = noise.alpha\nvalues = 0.25, 0.5, 1.0\n")
+        sweep_out = os.path.join(work, "sweep")
+        code = main(["sweep", "--config", sweep_cfg, "--out", sweep_out])
+        with open(os.path.join(sweep_out, "sweep.csv")) as fh:
+            table = fh.read().strip().splitlines()
+        print(f"sweep exit {code}; {len(table) - 1} cells")
+        for line in table:
+            print("  " + ",".join(line.split(",")[:6]))

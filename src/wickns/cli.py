@@ -267,6 +267,9 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         sk = replace(scfg, dt=scfg.dt / 2**k)
         wick_traj = solve(u0, None, sk, nonlinearity="wick")
         cubic_traj = solve(u0, None, sk, nonlinearity="cubic")
+        for flow, traj in (("wick", wick_traj), ("cubic", cubic_traj)):
+            if traj.failed_at is not None:
+                raise ValueError(f"{flow} flow blew up after t = {traj.failed_at} at dt = {sk.dt}")
         gauged = gauge_transform(cubic_traj, sign=1)
         r = float(np.max(np.abs(wick_traj.states - gauged.states)))
         order = math.log2(residuals[-1] / r) if residuals and r > 0 else ""

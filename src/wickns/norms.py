@@ -7,9 +7,12 @@ one canonical windowed extension: w(t) = S(-t) u(t) is extended to
 [-2T, 2T] by its boundary values, multiplied by a C^2 bump that is 1 on
 [0, T] and supported in [-2T, 2T], transformed in time by a zero-padded
 discrete transform, and measured in l^p_n L^q_tau with weights <n>^s <tau>^b.
-At q = 2 the tau-sum of each mode is a quadratic form in the grid samples,
-evaluated through one cached Gram matrix (_xsb_gram) instead of the
-transform; the transform runs at q != 2 and is the Gram form's test oracle.
+At q = 2 the tau-sum of each mode is a quadratic form in the grid samples
+whose matrix is Toeplitz away from the two boundary rows, because the window
+is 1 on [0, T]; it is evaluated through a cached circulant embedding
+(_xsb_circulant), one FFT of length about 2M per mode plus the two boundary
+rows, instead of the transform.  The transform runs at q != 2 and is the
+q = 2 form's test oracle.
 This is a quadrature surrogate for the localized norm, not an infimum over
 extensions; all inequality checks in this package compare like with like
 under the same window.  For a free trajectory u(t) = S(t) f the surrogate
@@ -233,23 +236,49 @@ def _extended_window(M: int, dt: float, T: float) -> np.ndarray:
     return TimeWindow(T)(-2.0 * T + dt * np.arange(4 * M + 1))
 
 
+def _five_smooth(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n: the FFT lengths numpy transforms fastest."""
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 @functools.lru_cache(maxsize=8)
-def _xsb_gram(M: int, dt: float, T: float, b: float, pad: int) -> np.ndarray:
-    """Gram matrix G of the q = 2 surrogate on M+1 grid points with step dt.
+def _xsb_circulant(M: int, dt: float, T: float, b: float, pad: int):
+    """The q = 2 surrogate on M+1 grid points with step dt as a Toeplitz form.
 
     With w the samples of S(-t)u of one mode, v = diag(win) E w its windowed
     boundary-value extension (4M+1 points) and V = dt * FFT_L(v),
     L = pad (4M+1), the tau-sum of _modulation_lq at q = 2 is
 
         sum_l <tau_l>^{2b} |V_l|^2 = w^H G w,
-        G = dt^2 (diag(win) E)^T C (diag(win) E),   C[i, k] = c[(i - k) mod L],
+        G = dt^2 (diag(win) E)^T C (diag(win) E),   C[i, k] = c[|i - k|],
 
-    with c = FFT_L(<tau>^{2b}), real because the tau grid is symmetric.
-    Columns 1 .. M-1 of diag(win) E are single points, so that block of G is
-    read off c; columns 0 and M carry the boundary ramps, and C applied to a
-    ramp is one length-L circular convolution.  O(L log L + M^2) time; G is
-    real and, up to rounding, symmetric.  Read-only: the cache hands it to
-    every caller.
+    with c = FFT_L(<tau>^{2b}), real and even mod L because the tau grid is
+    symmetric.  Columns 1 .. M-1 of diag(win) E are single points, so that
+    block of G is the Toeplitz matrix dt^2 mid_j mid_k c[|j - k|]; rows and
+    columns 0 and M carry the boundary ramps, and C applied to a ramp is one
+    length-L circular convolution.  Returns
+
+        inner   the window weights mid_j on the grid, zero at j = 0 and M;
+        lam     dt^2 / P times the real spectrum of the circulant embedding
+                of c[0 .. M] at length P, the smallest 5-smooth P >= 2M + 1,
+                so that y^H (Toeplitz block) y = sum_l lam_l |FFT_P(y)_l|^2
+                for y = inner * w;
+        rows    rows 0 and M of G, shape (2, M+1);
+        corner  their entries in columns 0 and M, shape (2, 2).
+
+    O(L log L + M) time and memory; no (M+1)^2 array is formed.  Read-only:
+    the cache hands the arrays to every caller.
     """
     J = 4 * M + 1
     L = pad * J
@@ -258,32 +287,49 @@ def _xsb_gram(M: int, dt: float, T: float, b: float, pad: int) -> np.ndarray:
     c = np.fft.fft(a).real
     win = _extended_window(M, dt, T)
     mid = win[i0 : i0 + M + 1]
-    k = np.arange(M + 1)
-    G = mid[:, None] * mid[None, :] * c[np.abs(k[:, None] - k[None, :])]
-    edges = [0, M]
+    P = _five_smooth(2 * M + 1)
+    col = np.zeros(P)
+    col[: M + 1] = c[: M + 1]
+    col[P - M :] = c[M:0:-1]
+    lam = np.fft.fft(col).real * (dt * dt / P)
+    inner = mid.copy()
+    inner[[0, M]] = 0.0
     ramps = np.zeros((2, L))
     ramps[0, : i0 + 1] = win[: i0 + 1]
     ramps[1, i0 + M : J] = win[i0 + M :]
     cramps = L * np.fft.ifft(a * np.fft.fft(ramps, axis=-1), axis=-1).real  # C @ ramp: FFT_L(c) = L a
-    G[edges, :] = cramps[:, i0 : i0 + M + 1] * mid
-    G[:, edges] = G[edges, :].T
-    G[np.ix_(edges, edges)] = np.einsum("il,kl->ik", ramps, cramps)
-    G *= dt * dt
-    G.setflags(write=False)
-    return G
+    rows = cramps[:, i0 : i0 + M + 1] * mid
+    rows[:, [0, M]] = np.einsum("il,kl->ik", ramps, cramps)
+    rows *= dt * dt
+    corner = rows[:, [0, M]]
+    for arr in (inner, lam, rows, corner):
+        arr.setflags(write=False)
+    return inner, lam, rows, corner
 
 
 def _modulation_l2(w: np.ndarray, dt: float, T: float, b: float, pad: int) -> np.ndarray:
     """_modulation_lq at q = 2 from the interaction samples w (..., M+1, modes)
-    through the Gram form w^H G w, one real product G x over the re/im view x
-    of w.  Products here and in _xsb_gram are einsums, not BLAS matmuls: a
-    threaded BLAS sums in an order that depends on its thread count, and
-    results must not."""
+    through the Toeplitz form of _xsb_circulant:
+
+        w^H G w = sum_l lam_l |FFT_P(inner w)_l|^2
+                  + 2 Re sum_e conj(w_e) (rows_e . w) - sum_{e,f} conj(w_e) corner_ef w_f,
+
+    e, f over the edge samples 0 and M; one length-P FFT per mode.  Sums are
+    einsums over real views, not BLAS matmuls: a threaded BLAS sums in an
+    order that depends on its thread count, and results must not."""
     M = w.shape[-2] - 1
-    G = _xsb_gram(M, dt, T, b, pad)
-    x = np.ascontiguousarray(np.moveaxis(w, -2, 0)).view(np.float64).reshape(M + 1, -1)
-    Gx = np.einsum("jk,kn->jn", G, x)
-    acc = np.sum(x * Gx, axis=0).reshape(w.shape[:-2] + (w.shape[-1], 2)).sum(axis=-1)
+    inner, lam, rows, corner = _xsb_circulant(M, dt, T, b, pad)
+    P = len(lam)
+    y = np.zeros(w.shape[:-2] + (w.shape[-1], P), dtype=np.complex128)  # time last, zero-padded
+    np.multiply(np.swapaxes(w, -1, -2), inner, out=y[..., : M + 1])
+    np.fft.fft(y, axis=-1, out=y)
+    yr = y.view(np.float64).reshape(y.shape[:-1] + (P, 2))
+    acc = np.einsum("...mlc,...mlc,l->...m", yr, yr, lam)
+    x = w.view(np.float64).reshape(w.shape + (2,))
+    xe = x[..., [0, M], :, :]
+    rx = np.einsum("ek,...kmc->...emc", rows, x)
+    acc += 2.0 * np.einsum("...emc,...emc->...m", xe, rx)
+    acc -= np.einsum("...emc,ef,...fmc->...m", xe, corner, xe)
     dtau = 2.0 * np.pi / (pad * (4 * M + 1) * dt)
     return np.sqrt(acc * dtau / (2.0 * np.pi))
 

@@ -957,6 +957,21 @@ def test_cli_gauge_check_first_order(tmp_path):
     assert rep0["checks"]["first_order_gauge_residual"] is True
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_cli_gauge_check_blowup_names_flow_dt_and_time(tmp_path, capsys):
+    # the exponential-Euler cubic flow overflows at t = 0.3125 while the Wick flow completes
+    cfg = _cfg(tmp_path, "[run]\ncommand = gauge-check\nseed = 8\n\n[solver]\ncutoff = 6\nu0 = white:0.5\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "broadcast" not in err
+    msg = "cubic flow blew up after t = 0.3125 at dt = 0.015625"
+    assert f"wickns: error: {msg}" in err
+    man = RunManifest.load(os.path.join(out, "manifest.json"))
+    assert man.flags == {"error": msg}
+    assert compare_outputs(man, out) == []
+
+
 def test_cli_records_u0_stream_for_every_command_reading_u0(tmp_path):
     for cmd in ("solve", "picard", "norms", "gauge-check"):
         for u0, expected in (("white:0.01", {"u0": [4, 999]}), ("mode:1:0.1", {})):

@@ -36,7 +36,7 @@ from wickns import (
     xsb_norm_batch,
 )
 from wickns.noise import _complex_normal
-from wickns.norms import _CHUNK, _extend_and_window, _modulation_lq, _xsb_gram
+from wickns.norms import _CHUNK, _extend_and_window, _modulation_lq, _xsb_circulant
 from conftest import random_field
 
 
@@ -305,7 +305,7 @@ def test_xsb_batch_matches_scalar(rng):
 
 def _padded_fft_norms(states, times, params, pad):
     """The surrogate through the padded time FFT at any q: the q != 2 path,
-    and the oracle of the q = 2 Gram form."""
+    and the oracle of the q = 2 circulant form."""
     v, dt = _extend_and_window(states, times, params)
     tf = _modulation_lq(v, dt, params.b, params.q, pad)
     wn = bracket(frequencies((states.shape[-1] - 1) // 2)) ** params.s
@@ -336,15 +336,44 @@ def test_xsb_gram_form_matches_padded_fft(s, b, p, T, M, N, pad, seed):
     assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
+@pytest.mark.parametrize("M", [15, 1024])
+@pytest.mark.parametrize("pad", [3, 8])
+def test_xsb_circulant_form_matches_padded_fft_at_workload_scale(M, pad):
+    # the hypothesis oracle stops at M = 200; picard runs at M = 1024
+    N = 8
+    params = XsbParams(0.1, 0.45, -0.1, 2.0, 2.0, 0.25)
+    times = np.linspace(0.0, params.T, M + 1)
+    rng = philox_stream(M + pad)
+    noise = _complex_normal(rng, (M + 1, 2 * N + 1))
+    free = _complex_normal(rng, 2 * N + 1) * propagator_phases(N, times)
+    states = np.stack([noise, free])
+    got = xsb_norm_batch(states, times, params, pad=pad)
+    want = _padded_fft_norms(states, times, params, pad)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def _is_five_smooth(n):
+    for f in (2, 3, 5):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
 def test_xsb_gram_cached_per_key():
     key = (32, 0.5 / 32, 0.5, 0.3, 8)  # (M, dt, T, b, pad)
-    G = _xsb_gram(*key)
-    assert G.shape == (33, 33) and not G.flags.writeable
-    assert _xsb_gram(*key) is G
+    form = _xsb_circulant(*key)
+    inner, lam, rows, corner = form
+    assert inner.shape == (33,) and rows.shape == (2, 33) and corner.shape == (2, 2)
+    assert inner[0] == inner[-1] == 0.0
+    assert not any(arr.flags.writeable for arr in form)
+    assert _xsb_circulant(*key) is form
     for other in ((64, 0.5 / 64, 0.5, 0.3, 8), (32, 1.0 / 32, 1.0, 0.3, 8), (32, 0.5 / 32, 0.5, 0.2, 8), (32, 0.5 / 32, 0.5, 0.3, 3)):
-        H = _xsb_gram(*other)
-        assert H is not G
-        assert H.shape != G.shape or not np.array_equal(H, G)
+        H = _xsb_circulant(*other)
+        assert H is not form
+        assert any(h.shape != g.shape or not np.array_equal(h, g) for h, g in zip(H, form))
+    for M in (15, 32, 64, 1024):
+        P = len(_xsb_circulant(M, 0.5 / M, 0.5, 0.3, 8)[1])
+        assert P >= 2 * M + 1 and _is_five_smooth(P)
 
 
 _BLAS_PROBE = """
