@@ -32,6 +32,7 @@ from .config import COMMANDS, ConfigError, ExperimentConfig, parse_config, parse
 from .dynamics import gauge_transform, solve, wick_coeffs_block, wick_nonlinearity_direct, wick_trilinear, picard_iterate
 from .fields import _csv_text, frequencies, make_field
 from .lab import (
+    _pool_map,
     convolution_sum_check,
     criticality_report,
     divisor_bound_scan,
@@ -145,14 +146,15 @@ def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     traj = solve(u0, op, scfg, nonlinearity="wick")
     w.text("trajectory.csv", trajectory_to_csv(traj))
     blowup = traj.failed_at is not None
-    report = {
-        "cutoff": scfg.cutoff,
-        "dt": scfg.dt,
-        "steps_completed": len(traj.times) - 1,
-        "failed_at": traj.failed_at,
-        "mass_initial": float(np.sum(np.abs(traj.states[0]) ** 2)),
-        "mass_final": float(np.sum(np.abs(traj.states[-1]) ** 2)),
-    }
+    with np.errstate(over="ignore"):  # the mass of a huge finite state is inf
+        report = {
+            "cutoff": scfg.cutoff,
+            "dt": scfg.dt,
+            "steps_completed": len(traj.times) - 1,
+            "failed_at": traj.failed_at,
+            "mass_initial": float(np.sum(np.abs(traj.states[0]) ** 2)),
+            "mass_final": float(np.sum(np.abs(traj.states[-1]) ** 2)),
+        }
     seeds = {"noise": [cfg.seed, 0]} if op is not None else {}
     seeds.update(cfg.u0_task_seeds())
     return CommandResult(
@@ -459,8 +461,11 @@ HANDLERS = {
 # orchestration
 
 
-def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
+def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> tuple[int, dict]:
+    """Runs one command into out_dir; returns its exit code and the report it
+    wrote to report.json ({} when it wrote none)."""
     w = _Writer(out_dir, cfg)
+    report = {}
     try:
         result = HANDLERS[cfg.command](cfg, w)
     except ConfigError:
@@ -479,12 +484,12 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     print(f"{cfg.command}: wrote {len(w.names)} outputs to {out_dir}")
     if result.failed:
         print(f"{cfg.command}: runtime failure (see manifest flags)", file=sys.stderr)
-        return 2
+        return 2, report
     if assert_checks and not all(ok for _, ok in result.checks):
         bad = [name for name, ok in result.checks if not ok]
         print(f"{cfg.command}: assertion failed: {', '.join(bad)}", file=sys.stderr)
-        return 3
-    return 0
+        return 3, report
+    return 0, report
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
@@ -496,67 +501,45 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
         raise ConfigError(f"[sweep] axis: expected section.key, got {axis!r}")
     section, key = axis.split(".", 1)
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
+    if not values:
+        raise ConfigError(f"[sweep] values: no value in {raw_values!r}")
     # every cell's config is checked before any cell runs
     children = [cfg.with_value(section, key, v) for v in values]
     w = _Writer(out_dir, cfg)
 
-    def run_cell(i: int) -> int:
+    def run_cell(i: int) -> tuple[int, dict]:
         # a failing cell must not abort the sweep; its row records the cell's exit code
         try:
-            code = _run_into(children[i], os.path.join(out_dir, f"cell-{i:02d}"), assert_checks)
+            code, report = _run_into(children[i], os.path.join(out_dir, f"cell-{i:02d}"), assert_checks)
         except ConfigError as exc:
             print(f"sweep cell {i} ({axis}={values[i]}): config error: {exc}", file=sys.stderr)
-            return 1
+            return 1, {}
         except RUNTIME_ERRORS as exc:
             print(f"sweep cell {i} ({axis}={values[i]}): {exc}", file=sys.stderr)
-            return 2
+            return 2, {}
         if code == 2:
             print(f"sweep cell {i} ({axis}={values[i]}): runtime failure (see its manifest flags)", file=sys.stderr)
-        return code
+        return code, report
 
     # cells are pure given the config; completion order never touches output order
-    if cfg.workers > 1 and len(values) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=min(cfg.workers, len(values))) as pool:
-            codes = list(pool.map(run_cell, range(len(values))))
-    else:
-        codes = [run_cell(i) for i in range(len(values))]
+    codes, reports = zip(*_pool_map(run_cell, len(values), cfg.workers))
     cells = [
         {"index": i, "value": values[i], "dir": f"cell-{i:02d}", "exit_code": codes[i]}
         for i in range(len(values))
     ]
 
-    # aggregated table: one row per cell, scalar report entries as columns
-    reports = []
-    for cell in cells:
-        try:
-            with open(os.path.join(out_dir, cell["dir"], "report.json")) as fh:
-                reports.append(json.load(fh))
-        except (OSError, json.JSONDecodeError):
-            reports.append({})
-    scalar_keys = sorted(
-        {k for r in reports for k, v in r.items() if isinstance(v, (int, float, str, bool)) and v is not None}
-    )
-    rows = []
-    for cell, rep in zip(cells, reports):
-        row = [cell["index"], cell["value"], cell["exit_code"]]
-        for k in scalar_keys:
-            v = rep.get(k, "")
-            row.append(v if isinstance(v, (int, float, str, bool)) else "")
-        rows.append(tuple(row))
-    w.text("sweep.csv", _csv_text(",".join(["index", "value", "exit_code", *scalar_keys]), zip(*rows)))
+    # aggregated table: one row per cell, the scalar report entries as columns
+    scalar = (int, float, str, bool)
+    keys = sorted({k for r in reports for k, v in r.items() if isinstance(v, scalar)})
+    columns = [range(len(values)), values, codes]
+    columns += [[r[k] if isinstance(r.get(k), scalar) else "" for r in reports] for k in keys]
+    w.text("sweep.csv", _csv_text(",".join(["index", "value", "exit_code", *keys]), columns))
     summary = {"axis": axis, "values": values, "command": cfg.command, "cells": cells}
     w.text("sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    w.seal(f"sweep:{cfg.command}", {"cells_failed": any(c != 0 for c in codes)}, {})
-    print(f"sweep: {len(cells)} cells over {axis}, worst exit {max(codes, default=0)}")
-    if any(c == 2 for c in codes):
-        return 2
-    if any(c == 1 for c in codes):
-        return 1
-    if assert_checks and any(c == 3 for c in codes):
-        return 3
-    return 0
+    w.seal(f"sweep:{cfg.command}", {"cells_failed": any(codes)}, {})
+    print(f"sweep: {len(cells)} cells over {axis}, worst exit {max(codes)}")
+    # a runtime failure outranks a config error, which outranks a failed --assert check
+    return next((c for c in (2, 1, 3) if c in codes), 0)
 
 
 def _cmd_rerun(args) -> int:
@@ -570,7 +553,7 @@ def _cmd_rerun(args) -> int:
     if old.command.startswith("sweep:"):
         code = _run_sweep(cfg, base, assert_checks=False)
     else:
-        code = _run_into(cfg.with_overrides(command=old.command), base, assert_checks=False)
+        code, _ = _run_into(cfg.with_overrides(command=old.command), base, assert_checks=False)
     new = RunManifest.load(os.path.join(base, "manifest.json"))
     problems = [f"replay exited {code}"] if code else []
     if new.flags != old.flags:
@@ -623,7 +606,7 @@ def main(argv=None) -> int:
         out_dir = args.out or os.environ.get("WICKNS_OUT") or cfg.out
         if args.subcommand == "sweep":
             return _run_sweep(cfg, out_dir, args.assert_checks)
-        return _run_into(cfg, out_dir, args.assert_checks)
+        return _run_into(cfg, out_dir, args.assert_checks)[0]
     except ConfigError as exc:
         print(f"wickns: config error: {exc}", file=sys.stderr)
         return 1

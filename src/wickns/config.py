@@ -309,12 +309,13 @@ class ExperimentConfig:
 
     def lab_p(self) -> float:
         raw = self.get("lab", "p")
-        if raw in ("inf", "infinity"):
-            return math.inf
         try:
-            return float(raw)
+            p = float(raw)
         except ValueError:
             raise ConfigError(f"[lab] p: not a number or 'inf': {raw!r}") from None
+        if not p > 1.0:  # also catches nan
+            raise ConfigError(f"[lab] p: must lie in (1, inf], got {raw!r}")
+        return p
 
 
 def parse_config_text(text: str, origin: str = "<string>") -> ExperimentConfig:

@@ -211,14 +211,16 @@ def solve(
     states = np.zeros((M + 1, dim), dtype=np.complex128)
     states[0] = u0.coeffs
     cur = u0.coeffs.copy()
-    for m in range(M):
-        nl = _nonlinearity_block(cur[None, :], cfg.cutoff, nonlinearity)[0]
-        cur = prop * (cur + 1j * cfg.dt * nl)
-        if z is not None:
-            cur = cur - 1j * op.apply_to_vector(z[m])
-        if not np.all(np.isfinite(cur.view(np.float64))):
-            return Trajectory(times[: m + 1], states[: m + 1], failed_at=float(times[m]))
-        states[m + 1] = cur
+    # an overflowing step is caught by the finiteness check below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(M):
+            nl = _nonlinearity_block(cur[None, :], cfg.cutoff, nonlinearity)[0]
+            cur = prop * (cur + 1j * cfg.dt * nl)
+            if z is not None:
+                cur = cur - 1j * op.apply_to_vector(z[m])
+            if not np.all(np.isfinite(cur.view(np.float64))):
+                return Trajectory(times[: m + 1], states[: m + 1], failed_at=float(times[m]))
+            states[m + 1] = cur
     return Trajectory(times, states)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -449,13 +449,16 @@ def _chunk_map(fn, samples: int, chunk: int, rng: np.random.Generator, workers: 
     sizes = [min(chunk, samples - i * chunk) for i in range(nchunks)]
     seeds = [int(s) for s in rng.integers(0, 2**62, size=nchunks)]
 
-    def one(i: int):
-        return fn(philox_stream(seeds[i]), sizes[i])
+    return _pool_map(lambda i: fn(philox_stream(seeds[i]), sizes[i]), nchunks, workers)
 
+
+def _pool_map(fn, n: int, workers: int) -> list:
+    """[fn(i) for i in range(n)], in index order, on up to `workers` threads."""
+    workers = min(workers, n)
     if workers <= 1:
-        return [one(i) for i in range(nchunks)]
+        return [fn(i) for i in range(n)]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(nchunks)))
+        return list(pool.map(fn, range(n)))
 
 
 def _ensemble_xsb_norms(
@@ -647,17 +650,8 @@ class CriticalityReport:
     classifications: dict
 
     def as_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "p": self.p if math.isfinite(self.p) else "inf",
-            "s_crit_p": self.s_crit_p,
-            "s_crit_inf": self.s_crit_inf,
-            "s_hat_crit_p": self.s_hat_crit_p,
-            "white_noise_reg_sobolev": self.white_noise_reg_sobolev,
-            "white_noise_reg_fl": self.white_noise_reg_fl,
-            "heat_convolution_reg": self.heat_convolution_reg,
-            "classifications": dict(self.classifications),
-        }
+        # JSON has no infinity literal, so p = inf is written as the string "inf"
+        return {**asdict(self), "p": self.p if math.isfinite(self.p) else "inf"}
 
 
 def _classify(critical: float, noise_reg: float) -> str:

@@ -294,6 +294,10 @@ def test_lab_p_accepts_inf():
     assert parse_config_text(base.format("infinity")).lab_p() == math.inf
     with pytest.raises(ConfigError, match=r"\[lab\] p"):
         parse_config_text(base.format("many")).lab_p()
+    # these used to reach criticality_report and exit 2 with a message naming no key
+    for raw in ("0.5", "nan", "-inf"):
+        with pytest.raises(ConfigError, match=rf"^\[lab\] p: must lie in \(1, inf\], got '{raw}'$"):
+            parse_config_text(base.format(raw)).lab_p()
 
 
 def test_builders_propagate_seed_and_horizon():
@@ -495,6 +499,7 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         ("[run]\ncommand = norms\n\n[norms]\np = 1.0\n", "[norms] p: p must lie in (1, inf)"),
         ("[run]\ncommand = solve\n\n[solver]\ndt = 0.3\nhorizon = 0.5\n", "[solver] dt: dt must divide the horizon"),
         ("[run]\ncommand = picard\n\n[solver]\nhorizon = 1.5\n", "[solver] horizon: T must lie in (0, 1]"),
+        ("[run]\ncommand = criticality\n\n[lab]\np = 0.5\n", "[lab] p: must lie in (1, inf], got '0.5'"),
     ):
         cfg = _cfg(tmp_path, text, name="keyed.ini")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
@@ -621,7 +626,6 @@ def test_cli_runtime_error_exits_2(tmp_path, capsys):
     assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"error": "need at least 3 lambda levels, got 2"}
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_cli_blowup_exits_2_with_flagged_manifest(tmp_path):
     cfg = _cfg(
         tmp_path,
@@ -629,7 +633,10 @@ def test_cli_blowup_exits_2_with_flagged_manifest(tmp_path):
         "[noise]\nkind = none\n",
     )
     out = str(tmp_path / "out")
-    assert main(["run", "--config", cfg, "--out", out]) == 2
+    # the blow-up is reported by the run itself, not by numpy overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", cfg, "--out", out]) == 2
     # partial outputs stay on disk and the manifest carries the flag
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     man = RunManifest.load(os.path.join(out, "manifest.json"))
@@ -789,6 +796,25 @@ def test_cli_sweep_failing_cell_is_recorded_and_sweep_continues(tmp_path, capsys
     assert not os.path.exists(os.path.join(out, "cell-00"))
 
 
+def test_cli_sweep_into_reused_directory_tabulates_only_this_sweep(tmp_path, capsys):
+    # the table used to be re-read from each cell's report.json, so a failed cell's
+    # row carried the report an earlier sweep had left in the same directory
+    out = str(tmp_path / "out")
+    for values, code in (("0.5, 0.25", 0), ("0.5, 2.0", 1)):
+        cfg = _cfg(tmp_path, f"[run]\ncommand = norms\n\n[sweep]\naxis = norms.t\nvalues = {values}\n")
+        assert main(["sweep", "--config", cfg, "--out", out]) == code
+    rows = [r.split(",") for r in _read(out, "sweep.csv").strip().splitlines()]
+    assert rows[2][:3] == ["1", "2.0", "1"] and rows[2][3:] == [""] * (len(rows[0]) - 3)
+    assert os.path.exists(os.path.join(out, "cell-01", "report.json"))  # the stale file is still there
+    capsys.readouterr()
+
+    # the replay reproduces every recorded output; its one complaint is the failed cell's exit
+    replay = str(tmp_path / "replay")
+    assert main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", replay]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "rerun: replay exited 1"
+    assert compare_outputs(RunManifest.load(os.path.join(out, "manifest.json")), replay) == []
+
+
 def test_cli_sweep_axis_validation(tmp_path, capsys):
     base = "[run]\ncommand = criticality\n\n[sweep]\n{}\n"
     for block, msg in (
@@ -796,10 +822,12 @@ def test_cli_sweep_axis_validation(tmp_path, capsys):
         ("axis = labd\nvalues = 1,2", "expected section.key"),
         ("axis = lab.dims\nvalues = 1,2", "unknown key"),
         ("axis = lab.cutoffs\nvalues = 8,16", "not a scalar key"),
+        ("axis = lab.d\nvalues = ,", "[sweep] values: no value in ','"),  # ran 0 cells and exited 0
     ):
         cfg = _cfg(tmp_path, base.format(block), name="sweep.ini")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert msg in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_tail_mc_over_horizon(tmp_path):
@@ -957,12 +985,13 @@ def test_cli_gauge_check_first_order(tmp_path):
     assert rep0["checks"]["first_order_gauge_residual"] is True
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_cli_gauge_check_blowup_names_flow_dt_and_time(tmp_path, capsys):
     # the exponential-Euler cubic flow overflows at t = 0.3125 while the Wick flow completes
     cfg = _cfg(tmp_path, "[run]\ncommand = gauge-check\nseed = 8\n\n[solver]\ncutoff = 6\nu0 = white:0.5\n")
     out = str(tmp_path / "out")
-    assert main(["run", "--config", cfg, "--out", out]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "broadcast" not in err
     msg = "cubic flow blew up after t = 0.3125 at dt = 0.015625"

@@ -125,3 +125,20 @@ def test_csv_codec_lives_only_in_fields():
                 bypass.append(name)
     assert sorted(defined) == ["fields._csv_rows", "fields._csv_text"]
     assert len(checked) >= 6 and bypass == []  # field, trajectory, operator: to and from
+
+
+def test_one_thread_pool():
+    # ensemble chunks and sweep cells share lab._pool_map; no module opens a pool of its own
+    where = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> outermost function around it (ast.walk visits outer ones first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), f"{path.stem}.{fn.name}")
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if name == "ThreadPoolExecutor":
+                where.append(owner.get(id(node), f"{path.stem} (module level)"))
+    assert where == ["lab._pool_map"]
