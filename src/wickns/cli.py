@@ -18,6 +18,7 @@ outputs plus a flagged manifest stay on disk), 3 a --assert check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -63,7 +64,9 @@ RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError)
 
 class _Writer:
     """Collects a run's output files in creation order, starting with
-    resolved_config.ini, and seals them under one manifest."""
+    resolved_config.ini, and seals them under one manifest.  A manifest an
+    earlier run left in out_dir is removed first, so a run that ends before
+    sealing leaves none that vouches for the new files."""
 
     def __init__(self, out_dir: str, cfg: ExperimentConfig):
         self.t0 = time.monotonic()
@@ -71,6 +74,8 @@ class _Writer:
         self.cfg = cfg
         self.names: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "manifest.json"))
         self.text("resolved_config.ini", cfg.resolved)
 
     def text(self, name: str, body: str) -> None:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, alias_free_length, from_grid, make_field, propagator_phases, to_grid
+from .fields import SpectralField, _five_smooth, alias_free_length, from_grid, make_field, propagator_phases, to_grid
 from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments, philox_stream
 from .norms import XsbParams, discrete_duhamel, xsb_norm
 
@@ -86,20 +86,23 @@ class WickSplit:
         return self.nonres + self.res
 
 
-def cubic_coeffs_block(U: np.ndarray, N: int) -> np.ndarray:
+def cubic_coeffs_block(U: np.ndarray, N: int, *, gridpoints: Optional[int] = None) -> np.ndarray:
     """(|u|^2 u)^ on [-N, N] for a block of coefficient rows, full-band
-    intermediate via a zero-padded transform (no aliasing for L >= 4N+1)."""
-    phys = to_grid(U, alias_free_length(N))
+    intermediate via a zero-padded transform on `gridpoints` points
+    (default alias_free_length(N)); any length >= 4N+1 is alias-free."""
+    L = alias_free_length(N) if gridpoints is None else gridpoints
+    phys = to_grid(U, L)
     dens = np.abs(phys)
     np.square(dens, out=dens)  # np.abs(phys) ** 2, bit for bit
     np.multiply(dens, phys, out=phys)
     return from_grid(phys, N)
 
 
-def wick_coeffs_block(U: np.ndarray, N: int) -> np.ndarray:
-    """Renormalized cubic (|u|^2 - 2M) u for a block of coefficient rows."""
+def wick_coeffs_block(U: np.ndarray, N: int, *, gridpoints: Optional[int] = None) -> np.ndarray:
+    """Renormalized cubic (|u|^2 - 2M) u for a block of coefficient rows, on
+    the grid cubic_coeffs_block takes for `gridpoints`."""
     mass = np.sum(np.abs(U) ** 2, axis=1, keepdims=True)
-    out = cubic_coeffs_block(U, N)
+    out = cubic_coeffs_block(U, N, gridpoints=gridpoints)
     out -= 2.0 * mass * U
     return out
 
@@ -247,17 +250,31 @@ def evolve_wick_rk4ip(
     Rows never interact, so they are integrated ROW_BLOCK at a time, each
     block through every step with its working set in cache; every row gets
     the same arithmetic as when it is evolved alone.
+
+    The Wick kernel runs on _five_smooth(4N+1) points (72 at N = 16), the
+    shortest fast alias-free grid, so results agree with the power-of-two
+    grid of alias_free_length to rounding, not bit for bit.  solve and
+    picard_iterate keep the power-of-two grid: their arithmetic is frozen,
+    and a converged Picard fixed point must reproduce solve's trajectory.
     """
     h = dt / substeps
     record = [steps] if record is None else record
     rec_set = {int(r) for r in record}
     out = np.empty((len(record), *U0.shape), dtype=np.complex128)
     order = {int(r): i for i, r in enumerate(record)}
+    L = _five_smooth(4 * N + 1)
 
-    def rhs(V: np.ndarray, s: float) -> np.ndarray:
+    def phases(s: float) -> tuple[np.ndarray, np.ndarray]:
         ph = propagator_phases(N, s)
-        W = wick_coeffs_block(ph * V, N)
-        return np.multiply(1j * np.conj(ph), W, out=W)
+        return ph, 1j * np.conj(ph)
+
+    # per substep k: the phases at its offsets s, s + h/2 and s + h
+    offsets = [(phases(s), phases(s + 0.5 * h), phases(s + h)) for s in (k * h for k in range(substeps))]
+
+    def rhs(V: np.ndarray, phase: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        fwd, back = phase
+        W = wick_coeffs_block(fwd * V, N, gridpoints=L)
+        return np.multiply(back, W, out=W)
 
     prop = propagator_phases(N, dt)
     for lo in range(0, U0.shape[0], ROW_BLOCK):
@@ -267,12 +284,11 @@ def evolve_wick_rk4ip(
             out[order[0], rows] = U
         for m in range(steps):
             V = U  # interaction rep referenced to the step start
-            for k in range(substeps):
-                s = k * h
-                k1 = rhs(V, s)
-                k2 = rhs(V + 0.5 * h * k1, s + 0.5 * h)
-                k3 = rhs(V + 0.5 * h * k2, s + 0.5 * h)
-                k4 = rhs(V + h * k3, s + h)
+            for p0, p1, p2 in offsets:
+                k1 = rhs(V, p0)
+                k2 = rhs(V + 0.5 * h * k1, p1)
+                k3 = rhs(V + 0.5 * h * k2, p1)
+                k4 = rhs(V + h * k3, p2)
                 V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             U = prop * V
             if phi is not None and Z is not None:

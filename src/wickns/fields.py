@@ -169,12 +169,32 @@ def alias_free_length(N: int) -> int:
     return L
 
 
+def _five_smooth(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n: the FFT lengths numpy transforms fastest.
+    _five_smooth(4N+1) is the shortest fast alias-free grid for a cubic."""
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def to_grid(coeffs: np.ndarray, gridpoints: int) -> np.ndarray:
     """Samples of sum_n c(n) e^{2 pi i n x_j} on the uniform grid, along the
     last axis of a block of coefficient rows (..., 2N+1) -> (..., gridpoints).
 
+    Any gridpoints >= 2N+1 works; a product of such samples is alias-free
+    on [-N, N] when gridpoints leaves room for its band (4N+1 for a cubic).
     The unscaled inverse transform runs in place on its own spectrum buffer;
-    for a power-of-two grid it equals ifft(spec) * gridpoints bit for bit."""
+    it equals ifft(spec) * gridpoints bit for bit only when gridpoints is a
+    power of two, and to rounding at other lengths."""
     N = (coeffs.shape[-1] - 1) // 2
     spec = np.zeros(coeffs.shape[:-1] + (gridpoints,), dtype=np.complex128)
     spec[..., : N + 1] = coeffs[..., N:]  # frequencies 0..N
@@ -186,8 +206,9 @@ def to_grid(coeffs: np.ndarray, gridpoints: int) -> np.ndarray:
 def from_grid(samples: np.ndarray, cutoff: int) -> np.ndarray:
     """Inverse of to_grid, truncated to frequencies -N..N along the last axis.
 
-    Leaves samples untouched; for a power-of-two grid the forward-normalized
-    transform equals fft(samples) / L bit for bit."""
+    Runs at any length L of the last axis and leaves samples untouched; the
+    forward-normalized transform equals fft(samples) / L bit for bit only
+    when L is a power of two, and to rounding at other lengths."""
     L = samples.shape[-1]
     W = np.fft.fft(samples, axis=-1, norm="forward")
     out = np.empty(samples.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)

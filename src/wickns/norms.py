@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import SpectralField, frequencies, propagator_phases
+from .fields import SpectralField, _five_smooth, frequencies, propagator_phases
 from .noise import NoiseOperator, Trajectory, _check_uniform, _complex_normal, philox_stream
 
 __all__ = [
@@ -234,22 +234,6 @@ def _extend_and_window(states: np.ndarray, times: np.ndarray, params: XsbParams)
 def _extended_window(M: int, dt: float, T: float) -> np.ndarray:
     """TimeWindow(T) on the extended grid -2T + dt j, j = 0 .. 4M."""
     return TimeWindow(T)(-2.0 * T + dt * np.arange(4 * M + 1))
-
-
-def _five_smooth(n: int) -> int:
-    """Smallest 2^i 3^j 5^k >= n: the FFT lengths numpy transforms fastest."""
-    best = 2 * n
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 @functools.lru_cache(maxsize=8)

@@ -554,6 +554,20 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
             assert "wickns: config error: [noise] matrix_file:" in err and msg in err
 
 
+def test_cli_config_error_in_reused_out_leaves_no_stale_manifest(tmp_path, capsys):
+    # the config error surfaces only after resolved_config.ini is rewritten; the
+    # first run's manifest must not stay beside it, vouching for other files
+    out = str(tmp_path / "out")
+    good = _cfg(tmp_path, "[run]\ncommand = norms\n\n[norms]\nt = 0.5\n", name="good.ini")
+    assert main(["run", "--config", good, "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, "manifest.json"))
+    bad = _cfg(tmp_path, "[run]\ncommand = norms\n\n[norms]\nt = 2.0\n", name="bad.ini")
+    assert main(["run", "--config", bad, "--out", out]) == 1
+    assert "[norms] t: T must lie in (0, 1]" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    assert "t = 2.0" in _read(out, "resolved_config.ini")
+
+
 def test_cli_grid_substeps_and_data_alpha_are_config_errors(tmp_path, capsys):
     # each used to fail only after work had started: exit 2 "grid too coarse",
     # a ZeroDivisionError traceback, exit 2 "multiplier entries must be finite"
@@ -806,6 +820,7 @@ def test_cli_sweep_into_reused_directory_tabulates_only_this_sweep(tmp_path, cap
     rows = [r.split(",") for r in _read(out, "sweep.csv").strip().splitlines()]
     assert rows[2][:3] == ["1", "2.0", "1"] and rows[2][3:] == [""] * (len(rows[0]) - 3)
     assert os.path.exists(os.path.join(out, "cell-01", "report.json"))  # the stale file is still there
+    assert not os.path.exists(os.path.join(out, "cell-01", "manifest.json"))  # but no manifest vouches for it
     capsys.readouterr()
 
     # the replay reproduces every recorded output; its one complaint is the failed cell's exit

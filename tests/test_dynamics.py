@@ -21,8 +21,10 @@ from wickns import (
     wick_trilinear,
     zero_field,
 )
-from wickns.dynamics import ROW_BLOCK
-from wickns.noise import _draw_increments
+from wickns import dynamics
+from wickns.dynamics import ROW_BLOCK, _cubic_coeffs_conv
+from wickns.fields import _five_smooth, alias_free_length
+from wickns.noise import _complex_normal, _draw_increments
 from conftest import random_field
 
 
@@ -107,6 +109,28 @@ def test_blocked_forms_match_convolution_path(rng):
             f = make_field(N, U[i])
             assert np.max(np.abs(wick_block[i] - wick_nonlinearity_direct(f).coeffs)) < 1e-12
             assert np.max(np.abs(cubic_block[i] - cubic_nonlinearity(f).coeffs)) < 1e-12
+
+
+def test_five_smooth_grid_matches_convolution_oracle():
+    # _five_smooth(4N+1) leaves the power-of-two ladder at N = 2 (10 < 16); the
+    # plain convolutions are the oracle whatever the grid length
+    rng = philox_stream(31)
+    for N in range(65):
+        L = _five_smooth(4 * N + 1)
+        U = rng.standard_normal((3, 2 * N + 1)) + 1j * rng.standard_normal((3, 2 * N + 1))
+        got = cubic_coeffs_block(U, N, gridpoints=L)
+        want = np.stack([_cubic_coeffs_conv(u, N) for u in U])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_block_kernels_default_to_power_of_two_grid(rng):
+    # picard_iterate, solve and wick-check call the kernels without gridpoints;
+    # their arithmetic is frozen on alias_free_length
+    for N in (0, 2, 5, 16):
+        U = np.stack([random_field(N, rng).coeffs for _ in range(4)])
+        L = alias_free_length(N)
+        assert np.array_equal(wick_coeffs_block(U, N), wick_coeffs_block(U, N, gridpoints=L))
+        assert np.array_equal(cubic_coeffs_block(U, N), cubic_coeffs_block(U, N, gridpoints=L))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +336,22 @@ def test_rk4ip_row_blocks_match_rows_evolved_alone(rows):
     assert out.shape == (len(record), rows, 2 * N + 1)
     assert np.array_equal(out, alone)
     assert np.array_equal(out[0], U0)
+
+
+def test_rk4ip_five_smooth_grid_matches_power_of_two_grid(monkeypatch):
+    # the ensemble stepper's 72-point kernel (N = 16) against the same evolution
+    # with the kernel on alias_free_length's 128 points, at variance-test's scale
+    N, steps, dt, rows = 16, 8, 1 / 256, 6
+    rng = philox_stream(22)
+    U0 = _complex_normal(rng, (rows, 2 * N + 1)) / np.sqrt(2.0)
+    Z = _draw_increments(rng, (rows, steps, 2 * N + 1), dt)
+    phi = np.linspace(0.5, 1.5, 2 * N + 1)
+    record = [1, steps]
+    got = evolve_wick_rk4ip(U0, phi, Z, dt, steps, N, record=record)
+    monkeypatch.setattr(dynamics, "_five_smooth", lambda n: alias_free_length((n - 1) // 4))
+    want = evolve_wick_rk4ip(U0, phi, Z, dt, steps, N, record=record)
+    assert not np.array_equal(got, want)  # the two runs did use different grids
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

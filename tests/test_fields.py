@@ -21,7 +21,7 @@ from wickns import (
     trajectory_from_csv,
     zero_field,
 )
-from wickns.fields import _csv_text, from_grid, propagator_phases, to_grid
+from wickns.fields import _csv_text, _five_smooth, alias_free_length, from_grid, propagator_phases, to_grid
 from conftest import brute_convolve, random_field
 
 complex_lists = st.integers(min_value=0, max_value=8).flatmap(
@@ -196,6 +196,20 @@ def test_grid_pair_matches_backward_normalized_forms(N, L):
     W = np.fft.fft(x) / L
     assert np.array_equal(from_grid(x, N), np.concatenate([W[:, L - N :], W[:, : N + 1]], axis=1))
     assert np.array_equal(x, kept)
+
+
+def _is_five_smooth(n):
+    for f in (2, 3, 5):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+def test_five_smooth_is_least_five_smooth_length():
+    smooth = [m for m in range(1, 2049) if _is_five_smooth(m)]  # 2048 >= 2000 closes the list
+    got = [_five_smooth(n) for n in range(1, 2001)]
+    assert got == [next(m for m in smooth if m >= n) for n in range(1, 2001)]
+    assert _five_smooth(4 * 16 + 1) == 72 < alias_free_length(16) == 128
 
 
 def test_evaluate_grid_too_small():

@@ -142,3 +142,79 @@ def test_one_thread_pool():
             if name == "ThreadPoolExecutor":
                 where.append(owner.get(id(node), f"{path.stem} (module level)"))
     assert where == ["lab._pool_map"]
+
+
+GRID_HELPERS = ("alias_free_length", "_five_smooth")
+
+
+def hard_coded_grid_lengths(source: str) -> list[int]:
+    """Lines where a grid length is hard-coded: the length argument of a
+    to_grid call or a gridpoints= keyword that is not built from a call to
+    alias_free_length or _five_smooth, a parameter passed on, or a local name
+    assigned only from those.  Each top-level function or method is one flat
+    scope with the functions nested in it."""
+    tree = ast.parse(source)
+    top = tree.body + [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+    bad = []
+    for fn in top:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = {a.arg for f in ast.walk(fn) if isinstance(f, ast.FunctionDef) for a in f.args.args + f.args.kwonlyargs}
+        assigned: dict[str, list] = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, ast.Name):
+                        assigned.setdefault(t.id, []).append(node.value)
+
+        def ok(expr, seen=()) -> bool:
+            if isinstance(expr, ast.Call):
+                return isinstance(expr.func, ast.Name) and expr.func.id in GRID_HELPERS
+            if isinstance(expr, ast.IfExp):
+                return ok(expr.body, seen) and ok(expr.orelse, seen)
+            if isinstance(expr, ast.Name) and expr.id not in seen:
+                if expr.id in assigned:
+                    return all(ok(v, seen + (expr.id,)) for v in assigned[expr.id])
+                return expr.id in params
+            return False
+
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            lengths = [k.value for k in node.keywords if k.arg == "gridpoints"]
+            if isinstance(node.func, ast.Name) and node.func.id == "to_grid" and len(node.args) > 1:
+                lengths.append(node.args[1])
+            bad += [node.lineno for expr in lengths if not ok(expr)]
+    return sorted(set(bad))
+
+
+def test_grid_length_scan_flags_only_hard_coded_lengths():
+    src = (
+        "def f(U, N, gridpoints=None):\n"
+        "    L = alias_free_length(N) if gridpoints is None else gridpoints\n"
+        "    a = to_grid(U, L)\n"
+        "    b = to_grid(U, _five_smooth(4 * N + 1))\n"
+        "    c = to_grid(U, 128)\n"
+        "    M = 4 * N + 8\n"
+        "    d = wick_coeffs_block(U, N, gridpoints=M)\n"
+        "    def g(V):\n"
+        "        return wick_coeffs_block(V, N, gridpoints=L)\n"
+        "    return to_grid(U, 2 * L)\n"
+        "class K:\n"
+        "    def m(self, U):\n"
+        "        return to_grid(U, 64)\n"
+    )
+    assert hard_coded_grid_lengths(src) == [5, 7, 10, 13]
+
+
+def test_fft_lengths_live_only_in_fields():
+    # the two length rules are defined once, beside to_grid, and every grid
+    # length elsewhere in the package is one of theirs
+    defined, hard_coded = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        defined += [f"{path.stem}.{n.name}" for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name in GRID_HELPERS]
+        if path.name != "fields.py" and (bad := hard_coded_grid_lengths(source)):
+            hard_coded[path.name] = bad
+    assert sorted(defined) == ["fields._five_smooth", "fields.alias_free_length"]
+    assert hard_coded == {}

@@ -35,6 +35,7 @@ from wickns import (
     xsb_norm,
     xsb_norm_batch,
 )
+from wickns.fields import _five_smooth
 from wickns.noise import _complex_normal
 from wickns.norms import _CHUNK, _extend_and_window, _modulation_lq, _xsb_circulant
 from conftest import random_field
@@ -352,13 +353,6 @@ def test_xsb_circulant_form_matches_padded_fft_at_workload_scale(M, pad):
     assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
-def _is_five_smooth(n):
-    for f in (2, 3, 5):
-        while n % f == 0:
-            n //= f
-    return n == 1
-
-
 def test_xsb_gram_cached_per_key():
     key = (32, 0.5 / 32, 0.5, 0.3, 8)  # (M, dt, T, b, pad)
     form = _xsb_circulant(*key)
@@ -373,7 +367,7 @@ def test_xsb_gram_cached_per_key():
         assert any(h.shape != g.shape or not np.array_equal(h, g) for h, g in zip(H, form))
     for M in (15, 32, 64, 1024):
         P = len(_xsb_circulant(M, 0.5 / M, 0.5, 0.3, 8)[1])
-        assert P >= 2 * M + 1 and _is_five_smooth(P)
+        assert P == _five_smooth(2 * M + 1)  # itself checked by brute force in test_fields
 
 
 _BLAS_PROBE = """
