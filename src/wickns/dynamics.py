@@ -269,7 +269,7 @@ def evolve_wick_rk4ip(
         return ph, 1j * np.conj(ph)
 
     # per substep k: the phases at its offsets s, s + h/2 and s + h
-    offsets = [(phases(s), phases(s + 0.5 * h), phases(s + h)) for s in (k * h for k in range(substeps))]
+    substep_phases = [(phases(s), phases(s + 0.5 * h), phases(s + h)) for s in (k * h for k in range(substeps))]
 
     def rhs(V: np.ndarray, phase: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         fwd, back = phase
@@ -284,7 +284,7 @@ def evolve_wick_rk4ip(
             out[order[0], rows] = U
         for m in range(steps):
             V = U  # interaction rep referenced to the step start
-            for p0, p1, p2 in offsets:
+            for p0, p1, p2 in substep_phases:
                 k1 = rhs(V, p0)
                 k2 = rhs(V + 0.5 * h * k1, p1)
                 k3 = rhs(V + 0.5 * h * k2, p1)

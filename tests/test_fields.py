@@ -206,9 +206,11 @@ def _is_five_smooth(n):
 
 
 def test_five_smooth_is_least_five_smooth_length():
-    smooth = [m for m in range(1, 2049) if _is_five_smooth(m)]  # 2048 >= 2000 closes the list
-    got = [_five_smooth(n) for n in range(1, 2001)]
-    assert got == [next(m for m in smooth if m >= n) for n in range(1, 2001)]
+    # n up to 2100 covers 2M + 1 = 2049 of the X^{s,b} circulant at M = 1024;
+    # 2160 = 2^4 3^3 5 >= 2100 closes the list
+    smooth = [m for m in range(1, 2161) if _is_five_smooth(m)]
+    got = [_five_smooth(n) for n in range(1, 2101)]
+    assert got == [next(m for m in smooth if m >= n) for n in range(1, 2101)]
     assert _five_smooth(4 * 16 + 1) == 72 < alias_free_length(16) == 128
 
 
