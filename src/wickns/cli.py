@@ -12,7 +12,8 @@ replays a manifest and verifies the hashes byte for byte.  WICKNS_OUT is
 the only environment override (output directory; the --out flag wins).
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure (partial
-outputs plus a flagged manifest stay on disk), 3 a --assert check failed.
+outputs plus a flagged manifest stay on disk; a command exits 2 exactly when
+its manifest carries a truthy flag), 3 a --assert check failed.
 """
 
 from __future__ import annotations
@@ -64,15 +65,17 @@ RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError)
 
 class _Writer:
     """Collects a run's output files in creation order, starting with
-    resolved_config.ini, and seals them under one manifest.  A manifest an
-    earlier run left in out_dir is removed first, so a run that ends before
-    sealing leaves none that vouches for the new files."""
+    resolved_config.ini, and the Philox streams it draws, and seals them under
+    one manifest.  A manifest an earlier run left in out_dir is removed first,
+    so a run that ends before sealing leaves none that vouches for the new
+    files."""
 
     def __init__(self, out_dir: str, cfg: ExperimentConfig):
         self.t0 = time.monotonic()
         self.out_dir = out_dir
         self.cfg = cfg
         self.names: list[str] = []
+        self.task_seeds: dict[str, list[int]] = {}
         os.makedirs(out_dir, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, "manifest.json"))
@@ -83,8 +86,14 @@ class _Writer:
             fh.write(body)
         self.names.append(name)
 
-    def seal(self, command: str, flags: dict, task_seeds: dict) -> None:
-        """Writes manifest.json: the run's wall time and a sha256 per output."""
+    def stream(self, label: str, *key: int) -> np.random.Generator:
+        """The Philox stream (seed, *key), recorded as task_seeds[label]."""
+        self.task_seeds[label] = [self.cfg.seed, *key]
+        return philox_stream(self.cfg.seed, *key)
+
+    def seal(self, command: str, flags: dict) -> None:
+        """Writes manifest.json: the run's wall time, the streams it drew and
+        a sha256 per output."""
         cfg = self.cfg
         man = RunManifest(
             command=command,
@@ -93,7 +102,7 @@ class _Writer:
             resolved_config=cfg.resolved,
             code_version=__version__,
             flags=flags,
-            task_seeds=task_seeds,
+            task_seeds=self.task_seeds,
         )
         man.wall_time_s = time.monotonic() - self.t0
         for name in self.names:
@@ -105,9 +114,7 @@ class _Writer:
 class CommandResult:
     report: dict
     checks: list = dc_field(default_factory=list)  # (name, bool)
-    flags: dict = dc_field(default_factory=dict)
-    task_seeds: dict = dc_field(default_factory=dict)  # task label -> philox stream key
-    failed: bool = False
+    flags: dict = dc_field(default_factory=dict)  # any truthy value makes the run exit 2
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +131,7 @@ def _require_operator(cfg: ExperimentConfig):
 def _cmd_sample_noise(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
     op = _require_operator(cfg)
-    traj = sample_convolution_path(op, scfg.grid(), philox_stream(cfg.seed, 0))
+    traj = sample_convolution_path(op, scfg.grid(), w.stream("path", 0))
     w.text("psi.csv", trajectory_to_csv(traj))
     if op.is_multiplier:
         w.text("phi.csv", operator_to_csv(op))
@@ -137,18 +144,15 @@ def _cmd_sample_noise(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         "final_mass": final_mass,
         "mean_final_mass": mean_mass,
     }
-    return CommandResult(
-        report,
-        checks=[("finite_path", math.isfinite(final_mass))],
-        task_seeds={"path": [cfg.seed, 0]},
-    )
+    return CommandResult(report, checks=[("finite_path", math.isfinite(final_mass))])
 
 
 def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
     op = cfg.noise_operator()
-    u0 = cfg.initial_field(scfg.cutoff)
-    traj = solve(u0, op, scfg, nonlinearity="wick")
+    u0 = cfg.initial_field(w.stream)
+    rng = w.stream("noise", 0) if op is not None else None
+    traj = solve(u0, op, scfg, nonlinearity="wick", rng=rng)
     w.text("trajectory.csv", trajectory_to_csv(traj))
     blowup = traj.failed_at is not None
     with np.errstate(over="ignore"):  # the mass of a huge finite state is inf
@@ -160,25 +164,17 @@ def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
             "mass_initial": float(np.sum(np.abs(traj.states[0]) ** 2)),
             "mass_final": float(np.sum(np.abs(traj.states[-1]) ** 2)),
         }
-    seeds = {"noise": [cfg.seed, 0]} if op is not None else {}
-    seeds.update(cfg.u0_task_seeds())
-    return CommandResult(
-        report,
-        checks=[("completed", not blowup)],
-        flags={"blowup": blowup},
-        task_seeds=seeds,
-        failed=blowup,
-    )
+    return CommandResult(report, checks=[("completed", not blowup)], flags={"blowup": blowup})
 
 
 def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
     op = cfg.noise_operator()
-    u0 = cfg.initial_field(scfg.cutoff)
+    u0 = cfg.initial_field(w.stream)
     params = cfg.picard_params()
     grid = scfg.grid()
     if op is not None:
-        psi = sample_convolution_path(op, grid, philox_stream(cfg.seed, 0))
+        psi = sample_convolution_path(op, grid, w.stream("noise", 0))
     else:
         psi = Trajectory(grid, np.zeros((scfg.steps + 1, 2 * scfg.cutoff + 1), dtype=np.complex128))
     rep = picard_iterate(u0, psi, scfg, params)
@@ -196,15 +192,14 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         "differences": rep.differences,
     }
     ok = rep.converged and (rep.contraction_factor or 1.0) < 1.0
-    seeds = {"noise": [cfg.seed, 0]} if op is not None else {}
-    seeds.update(cfg.u0_task_seeds())
-    return CommandResult(report, checks=[("contraction", ok)], task_seeds=seeds, failed=not rep.converged)
+    flags = {} if rep.converged else {"not_converged": True}
+    return CommandResult(report, checks=[("contraction", ok)], flags=flags)
 
 
 def _cmd_norms(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
     op = cfg.noise_operator()
-    u0 = cfg.initial_field(scfg.cutoff)
+    u0 = cfg.initial_field(w.stream)
     params = cfg.xsb_params()
     steps = cfg.get("norms", "window_steps")
     records = []
@@ -233,7 +228,7 @@ def _cmd_norms(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     # norm names are unique per run; flat copies keep sweep tables useful
     report = {"records": records}
     report.update({r["norm_name"]: r["value"] for r in records})
-    return CommandResult(report, checks=checks, task_seeds=cfg.u0_task_seeds())
+    return CommandResult(report, checks=checks)
 
 
 def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
@@ -242,7 +237,7 @@ def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     rows = []
     worst = 0.0
     for N in cutoffs:
-        U = _complex_normal(philox_stream(cfg.seed, 1, N), (nfields, 2 * N + 1)) / np.sqrt(2.0)
+        U = _complex_normal(w.stream(str(N), 1, N), (nfields, 2 * N + 1)) / np.sqrt(2.0)
         fft_vals = wick_coeffs_block(U, N)
         d_conv = 0.0
         d_split = 0.0
@@ -260,13 +255,12 @@ def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         "fields_per_cutoff": nfields,
         "max_discrepancy": worst,
     }
-    seeds = {str(N): [cfg.seed, 1, N] for N in cutoffs}
-    return CommandResult(report, checks=[("forms_agree", worst <= 1e-12)], task_seeds=seeds)
+    return CommandResult(report, checks=[("forms_agree", worst <= 1e-12)])
 
 
 def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
-    u0 = cfg.initial_field(scfg.cutoff)
+    u0 = cfg.initial_field(w.stream)
     halvings = cfg.get("lab", "dt_halvings")
     rows = []
     residuals = []
@@ -293,7 +287,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     if residuals[0] == 0.0:
         # zero datum: both flows are exactly zero, the ladder carries no signal
         ok = all(r == 0.0 for r in residuals)
-    return CommandResult(report, checks=[("first_order_gauge_residual", ok)], task_seeds=cfg.u0_task_seeds())
+    return CommandResult(report, checks=[("first_order_gauge_residual", ok)])
 
 
 def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
@@ -304,14 +298,14 @@ def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         params,
         cfg.get("lab", "lambdas"),
         cfg.get("lab", "samples"),
-        philox_stream(cfg.seed, 2),
+        w.stream("ensemble", 2),
         steps=cfg.get("lab", "steps"),
         workers=cfg.workers,
     )
     cols = [rep.multipliers, rep.lambda_values, rep.survivals, [int(u) for u in rep.usable]]
     w.text("tail_fit.csv", _csv_text("multiplier,lambda,survival,usable", cols))
     checks = [("gaussian_shape", rep.r_squared >= 0.9 and rep.slope < 0.0)]
-    return CommandResult(asdict(rep), checks=checks, task_seeds={"ensemble": [cfg.seed, 2]})
+    return CommandResult(asdict(rep), checks=checks)
 
 
 def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
@@ -321,7 +315,7 @@ def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         T=scfg.horizon,
         dt=scfg.dt,
         samples=cfg.get("lab", "samples"),
-        rng=philox_stream(cfg.seed, 3),
+        rng=w.stream("ensemble", 3),
         substeps=cfg.get("lab", "substeps"),
         workers=cfg.workers,
     )
@@ -332,13 +326,7 @@ def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
             rows.append((t, int(n), v, rep.target(t)))
     w.text("variance.csv", _csv_text("t,n,variance,target", zip(*rows)))
     checks = [("variance_tracks_1_plus_t", rep.max_rel_dev <= 0.05 and not rep.flagged)]
-    return CommandResult(
-        asdict(rep),
-        checks=checks,
-        flags={"blowup": rep.flagged},
-        task_seeds={"ensemble": [cfg.seed, 3]},
-        failed=rep.flagged,
-    )
+    return CommandResult(asdict(rep), checks=checks, flags={"blowup": rep.flagged})
 
 
 def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
@@ -351,7 +339,7 @@ def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
             cfg.get("lab", "ensemble_size"),
             params,
             N,
-            philox_stream(cfg.seed, 4, N),
+            w.stream(str(N), 4, N),
             alpha=alpha,
             steps=cfg.get("lab", "steps"),
         )
@@ -365,13 +353,15 @@ def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         "p99_growth_factors": growth,
     }
     ok = all(g < 2.0 for g in growth) if growth else True
-    seeds = {str(N): [cfg.seed, 4, N] for N in cutoffs}
-    return CommandResult(report, checks=[("p99_stable_under_doubling", ok)], task_seeds=seeds)
+    return CommandResult(report, checks=[("p99_stable_under_doubling", ok)])
 
 
 def _cmd_multiplier(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     params = cfg.xsb_params()
     cutoffs = cfg.get("lab", "cutoffs")
+    if 0 in cutoffs[:-1]:
+        # every (n1, n3) pair is diagonal at cutoff 0, so the supremum there is 0
+        raise ConfigError("[lab] cutoffs: 0 may come only last, the supremum at cutoff 0 is 0 and the next ratio divides by it")
     reports = [multiplier_supremum_report(params, N) for N in cutoffs]
     rows = [(r.cutoff, r.value, r.arg_n, r.arg_tau) for r in reports]
     w.text("multiplier.csv", _csv_text("cutoff,value,arg_n,arg_tau", zip(*rows)))
@@ -477,17 +467,18 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> tuple
         raise
     except RUNTIME_ERRORS as exc:
         # a runtime failure keeps the outputs written so far under a flagged manifest
-        print(f"wickns: error: {exc}", file=sys.stderr)
-        result = CommandResult({}, flags={"error": str(exc)}, failed=True)
+        msg = str(exc) or type(exc).__name__
+        print(f"wickns: error: {msg}", file=sys.stderr)
+        result = CommandResult({}, flags={"error": msg})
     else:
         report = dict(result.report)
         report["checks"] = {name: bool(ok) for name, ok in result.checks}
         w.text("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    w.seal(cfg.command, result.flags, result.task_seeds)
+    w.seal(cfg.command, result.flags)
     for name, ok in result.checks:
         print(f"{cfg.command}: check {name}: {'pass' if ok else 'FAIL'}")
     print(f"{cfg.command}: wrote {len(w.names)} outputs to {out_dir}")
-    if result.failed:
+    if any(result.flags.values()):
         print(f"{cfg.command}: runtime failure (see manifest flags)", file=sys.stderr)
         return 2, report
     if assert_checks and not all(ok for _, ok in result.checks):
@@ -541,7 +532,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     w.text("sweep.csv", _csv_text(",".join(["index", "value", "exit_code", *keys]), columns))
     summary = {"axis": axis, "values": values, "command": cfg.command, "cells": cells}
     w.text("sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    w.seal(f"sweep:{cfg.command}", {"cells_failed": any(codes)}, {})
+    w.seal(f"sweep:{cfg.command}", {"cells_failed": any(codes)})
     print(f"sweep: {len(cells)} cells over {axis}, worst exit {max(codes)}")
     # a runtime failure outranks a config error, which outranks a failed --assert check
     return next((c for c in (2, 1, 3) if c in codes), 0)

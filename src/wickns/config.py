@@ -15,10 +15,13 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
+
+import numpy as np
 
 from .dynamics import SolverConfig
 from .fields import SpectralField, field_from_csv, mode_field, zero_field
-from .noise import NoiseOperator, bessel_operator, identity_operator, operator_from_csv, philox_stream, sample_white_noise_field
+from .noise import NoiseOperator, bessel_operator, identity_operator, operator_from_csv, sample_white_noise_field
 from .norms import MIN_GRID_POINTS, XsbParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text", "COMMANDS"]
@@ -230,11 +233,11 @@ class ExperimentConfig:
     def solver_config(self) -> SolverConfig:
         names = ("cutoff", "dt", "horizon", "picard_max_iters", "picard_tolerance")
         keys = {k: f"[solver] {k}" for k in names}
-        return _keyed(SolverConfig, keys, seed=self.seed, **{k: self.get("solver", k) for k in names})
+        return _keyed(SolverConfig, keys, **{k: self.get("solver", k) for k in names})
 
-    def noise_operator(self, cutoff: int | None = None) -> NoiseOperator | None:
+    def noise_operator(self) -> NoiseOperator | None:
         kind = self.get("noise", "kind")
-        N = cutoff if cutoff is not None else self.get("solver", "cutoff")
+        N = self.get("solver", "cutoff")
         if kind == "none":
             return None
         if kind == "identity":
@@ -278,15 +281,18 @@ class ExperimentConfig:
         keys = {**{k: f"[norms] {k}" for k in names}, "T": T_key}
         return _keyed(XsbParams, keys, T=T, **{k: self.get("norms", k) for k in names})
 
-    def initial_field(self, cutoff: int) -> SpectralField:
+    def initial_field(self, stream: Callable[..., np.random.Generator]) -> SpectralField:
+        """[solver] u0 at [solver] cutoff; only a white datum calls stream, the
+        run's recording stream opener, as stream("u0", U0_STREAM)."""
         spec = self.get("solver", "u0")
+        cutoff = self.get("solver", "cutoff")
         parts = spec.split(":")
         try:
             if parts[0] == "zero":
                 return zero_field(cutoff)
             if parts[0] == "white":
                 variance = float(parts[1]) if len(parts) > 1 else 1.0
-                return sample_white_noise_field(cutoff, variance, philox_stream(self.seed, U0_STREAM))
+                return sample_white_noise_field(cutoff, variance, stream("u0", U0_STREAM))
             if parts[0] == "mode":
                 n = int(parts[1])
                 re = float(parts[2]) if len(parts) > 2 else 1.0
@@ -301,11 +307,6 @@ class ExperimentConfig:
         except (IndexError, ValueError, OSError) as exc:
             raise ConfigError(f"[solver] u0: {exc}") from None
         raise ConfigError(f"[solver] u0: unknown kind {parts[0]!r}")
-
-    def u0_task_seeds(self) -> dict:
-        """{"u0": stream key} when initial_field draws the datum, else {}."""
-        drawn = self.get("solver", "u0").split(":")[0] == "white"
-        return {"u0": [self.seed, U0_STREAM]} if drawn else {}
 
     def lab_p(self) -> float:
         raw = self.get("lab", "p")

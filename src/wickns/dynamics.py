@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import SpectralField, _five_smooth, alias_free_length, from_grid, make_field, propagator_phases, to_grid
-from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments, philox_stream
+from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments
 from .norms import XsbParams, discrete_duhamel, xsb_norm
 
 __all__ = [
@@ -52,7 +52,6 @@ class SolverConfig:
     horizon: float
     picard_max_iters: int = 25
     picard_tolerance: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         # each message starts with the field it rejects (config names the key from it)
@@ -187,6 +186,7 @@ def solve(
     op: Optional[NoiseOperator],
     cfg: SolverConfig,
     nonlinearity: str = "wick",
+    rng: Optional[np.random.Generator] = None,
 ) -> Trajectory:
     """Repeated exponential-Euler steps of the mild formulation on the uniform grid:
 
@@ -194,11 +194,11 @@ def solve(
 
     with zeta the step's exact-in-law complex Gaussian increment.  Each step is
     first-order accurate; with the nonlinearity "none" and op None it is
-    exactly the free propagator.  Deterministic given (u0, op, cfg): with op
-    set, the increments are one (steps, 2N+1) block drawn from the Philox
-    stream (cfg.seed, 0) with variance cfg.dt.  A non-finite state aborts the
-    run; the returned trajectory then ends at the last valid time and carries
-    failed_at.
+    exactly the free propagator.  With op set, the increments are one
+    (steps, 2N+1) block of variance cfg.dt drawn from rng, which is then
+    required; the CLI passes the Philox stream (seed, 0).  A non-finite state
+    aborts the run; the returned trajectory then ends at the last valid time
+    and carries failed_at.
     """
     if u0.cutoff != cfg.cutoff:
         raise ValueError("u0 cutoff does not match the config")
@@ -209,7 +209,9 @@ def solve(
     if op is not None:
         if op.cutoff != cfg.cutoff:
             raise ValueError("operator cutoff does not match the config")
-        z = _draw_increments(philox_stream(cfg.seed, 0), (M, dim), cfg.dt)
+        if rng is None:
+            raise ValueError("a noise operator needs an rng")
+        z = _draw_increments(rng, (M, dim), cfg.dt)
     prop = propagator_phases(cfg.cutoff, cfg.dt)
     states = np.zeros((M + 1, dim), dtype=np.complex128)
     states[0] = u0.coeffs

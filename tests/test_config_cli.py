@@ -125,41 +125,61 @@ def test_with_value_replaces_one_scalar():
         cfg.with_value("run", "seed", "-1")
 
 
+def _stream_of(cfg, calls=None):
+    """A stream opener like the CLI writer's: philox_stream(seed, *key), each call listed in calls."""
+
+    def stream(label, *key):
+        if calls is not None:
+            calls.append((label, *key))
+        return philox_stream(cfg.seed, *key)
+
+    return stream
+
+
 def test_u0_mini_syntax(tmp_path):
-    base = "[run]\ncommand = solve\nseed = 21\n\n[solver]\nu0 = {}\n"
-    zero = parse_config_text(base.format("zero")).initial_field(4)
+    def initial_field(u0, cutoff=4, seed=21):
+        cfg = parse_config_text(f"[run]\ncommand = solve\nseed = {seed}\n\n[solver]\ncutoff = {cutoff}\nu0 = {u0}\n")
+        calls = []
+        f = cfg.initial_field(_stream_of(cfg, calls))
+        # only a white datum is drawn, from the u0 stream
+        assert calls == ([("u0", 999)] if u0.startswith("white") else []), u0
+        return f
+
+    zero = initial_field("zero")
     assert zero.cutoff == 4 and np.all(zero.coeffs == 0)
 
-    mode = parse_config_text(base.format("mode:2:0.5:-0.25")).initial_field(4)
+    mode = initial_field("mode:2:0.5:-0.25")
     assert mode.coeff(2) == 0.5 - 0.25j and mode.mass() == pytest.approx(0.3125)
 
-    w1 = parse_config_text(base.format("white:2.0")).initial_field(4)
-    w2 = parse_config_text(base.format("white:2.0")).initial_field(4)
+    w1 = initial_field("white:2.0")
+    w2 = initial_field("white:2.0")
     assert np.array_equal(w1.coeffs, w2.coeffs)  # same master seed, same datum
-    w3 = parse_config_text(base.replace("seed = 21", "seed = 22").format("white:2.0")).initial_field(4)
+    w3 = initial_field("white:2.0", seed=22)
     assert not np.array_equal(w1.coeffs, w3.coeffs)
 
     f = make_field(3, [0.1j, 0, 1.0, 0.5, 0, 0, 0.25 - 0.5j])
     path = tmp_path / "datum.csv"
     path.write_text(field_to_csv(f))
-    loaded = parse_config_text(base.format(f"csv:{path}")).initial_field(3)
+    loaded = initial_field(f"csv:{path}", cutoff=3)
     assert loaded.allclose(f, tol=0)
 
     for bad in ("mode", "mode:x", "white:soon", "csv:/nonexistent/datum.csv", "sawtooth"):
         with pytest.raises(ConfigError, match=r"\[solver\] u0"):
-            parse_config_text(base.format(bad)).initial_field(4)
+            initial_field(bad)
     with pytest.raises(ConfigError, match=r"\[solver\] u0: datum has cutoff 3, the run needs 4"):
-        parse_config_text(base.format(f"csv:{path}")).initial_field(4)
+        initial_field(f"csv:{path}")
 
 
 def test_noise_operator_kinds(tmp_path):
-    base = "[run]\ncommand = solve\n\n[noise]\n{}\n"
-    assert parse_config_text(base.format("kind = none")).noise_operator(4) is None
+    def noise_operator(noise, cutoff):
+        return parse_config_text(f"[run]\ncommand = solve\n\n[solver]\ncutoff = {cutoff}\n\n[noise]\n{noise}\n").noise_operator()
 
-    ident = parse_config_text(base.format("kind = identity")).noise_operator(4)
+    assert noise_operator("kind = none", 4) is None
+
+    ident = noise_operator("kind = identity", 4)
     assert np.all(ident.multiplier == 1.0)
 
-    bes = parse_config_text(base.format("kind = bessel\nalpha = 0.75")).noise_operator(8)
+    bes = noise_operator("kind = bessel\nalpha = 0.75", 8)
     assert np.allclose(bes.multiplier, bessel_operator(8, 0.75).multiplier)
 
     rng = np.random.default_rng(3)
@@ -167,15 +187,14 @@ def test_noise_operator_kinds(tmp_path):
     op = NoiseOperator(1, matrix=mat)
     path = tmp_path / "op.csv"
     path.write_text(operator_to_csv(op))
-    loaded = parse_config_text(base.format(f"kind = matrix\nmatrix_file = {path}")).noise_operator(1)
+    loaded = noise_operator(f"kind = matrix\nmatrix_file = {path}", 1)
     assert loaded.cutoff == 1 and np.array_equal(loaded.matrix, mat)
 
     with pytest.raises(ConfigError, match="matrix_file"):
-        parse_config_text(base.format("kind = matrix")).noise_operator(4)
+        noise_operator("kind = matrix", 4)
     for name, msg in _bad_matrix_files(tmp_path):
-        cfg = parse_config_text(base.format(f"kind = matrix\nmatrix_file = {tmp_path / name}"))
         with pytest.raises(ConfigError, match=r"\[noise\] matrix_file: .*" + msg):
-            cfg.noise_operator(2)
+            noise_operator(f"kind = matrix\nmatrix_file = {tmp_path / name}", 2)
 
 
 # raw values: arbitrary short text plus numbers at and past every range edge
@@ -247,7 +266,7 @@ def test_config_builders_fuzz_end_in_config_error_or_success(command, values, cu
         except ConfigError:
             pass
     try:
-        assert cfg.initial_field(cutoff).cutoff == cutoff
+        assert cfg.initial_field(_stream_of(cfg)).cutoff == cutoff
     except ConfigError:
         pass
 
@@ -300,13 +319,13 @@ def test_lab_p_accepts_inf():
             parse_config_text(base.format(raw)).lab_p()
 
 
-def test_builders_propagate_seed_and_horizon():
+def test_builders_propagate_cutoff_and_horizon():
     cfg = parse_config_text(
         "[run]\ncommand = picard\nseed = 77\n\n[solver]\ncutoff = 8\nhorizon = 0.25\ndt = 0.015625\n\n"
         "[norms]\nb = 0.4\nbprime = -0.2\nt = 0.25\n"
     )
     scfg = cfg.solver_config()
-    assert scfg.seed == 77 and scfg.cutoff == 8 and scfg.steps == 16
+    assert scfg.cutoff == 8 and scfg.steps == 16
     params = cfg.xsb_params()
     assert params.T == 0.25 and params.b == 0.4 and params.p == 2.0
 
@@ -518,6 +537,12 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "cutoffs")]) == 1, cmd
         assert "wickns: config error: [lab] cutoffs: must be >= 0" in capsys.readouterr().err
 
+    # the multiplier supremum is 0 at cutoff 0, so no later cutoff has a ratio to it;
+    # this used to exit 2 with "float division by zero", naming no key
+    cfg = _cfg(tmp_path, "[run]\ncommand = multiplier\n\n[lab]\ncutoffs = 0, 8\n", name="zero.ini")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "zero")]) == 1
+    assert "wickns: config error: [lab] cutoffs: 0 may come only last" in capsys.readouterr().err
+
     # counts of 0 used to exit 2 (the first five) or pass vacuously (the last two)
     for cmd, section, key in (
         ("trilinear", "lab", "ensemble_size"),
@@ -608,6 +633,15 @@ def test_cli_arithmetic_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch
     man = RunManifest.load(os.path.join(out, "manifest.json"))
     assert man.flags == {"error": "float division by zero"}
 
+    # an exception without a message still leaves a truthy flag, so the run still exits 2
+    def silent(cfg, w):
+        raise ValueError()
+
+    monkeypatch.setitem(cli.HANDLERS, "divisors", silent)
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "wickns: error: ValueError" in capsys.readouterr().err
+    assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"error": "ValueError"}
+
     # raised outside a handler, it still exits 2 with a diagnostic, not a traceback
     def overflow(*args):
         raise OverflowError("math range error")
@@ -637,7 +671,9 @@ def test_cli_runtime_error_exits_2(tmp_path, capsys):
     out = str(tmp_path / "tail")
     assert main(["run", "--config", cfg, "--out", out]) == 2
     assert "need at least 3 lambda levels" in capsys.readouterr().err
-    assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"error": "need at least 3 lambda levels, got 2"}
+    man = RunManifest.load(os.path.join(out, "manifest.json"))
+    assert man.flags == {"error": "need at least 3 lambda levels, got 2"}
+    assert man.task_seeds == {"ensemble": [0, 2]}  # the streams drawn before the failure
 
 
 def test_cli_blowup_exits_2_with_flagged_manifest(tmp_path):
@@ -932,11 +968,22 @@ def test_cli_picard_converges_on_small_datum(tmp_path):
     rep = _json(out)
     assert rep["converged"] is True and rep["non_contracting"] is False
     assert rep["contraction_factor"] < 0.05 and rep["checks"]["contraction"] is True
-    assert "noise" not in RunManifest.load(os.path.join(out, "manifest.json")).task_seeds
+    man = RunManifest.load(os.path.join(out, "manifest.json"))
+    assert "noise" not in man.task_seeds and man.flags == {}
     rows = _read(out, "picard_differences.csv").strip().splitlines()
     assert rows[0] == "iteration,difference,ratio"
     assert rows[1].endswith(",")  # no ratio before the second iterate
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
+
+
+def test_cli_picard_not_converged_exits_2_with_flag(tmp_path, capsys):
+    # this used to exit 2 with empty flags, so the manifest did not say why
+    cfg = _cfg(tmp_path, "[run]\ncommand = picard\n\n[solver]\ncutoff = 8\nu0 = white:0.5\npicard_max_iters = 2\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "picard: runtime failure (see manifest flags)" in capsys.readouterr().err
+    assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"not_converged": True}
+    assert _json(out)["converged"] is False
 
 
 def test_cli_norms_reports_and_checks(tmp_path):
@@ -1031,6 +1078,34 @@ def test_cli_records_u0_stream_for_every_command_reading_u0(tmp_path):
     # the recorded stream is the one the datum was drawn from
     datum = sample_white_noise_field(2, 0.01, philox_stream(4, 999))
     assert _json(str(tmp_path / "solve-white"))["mass_initial"] == datum.mass()
+
+
+_SOLVER = "[solver]\ncutoff = 2\ndt = 0.015625\nhorizon = 0.25\n"
+# command -> (toy config body after [run], the task_seeds its manifest records); the i-th runs at seed 5 + i
+_TASK_SEEDS = {
+    "sample-noise": (_SOLVER, {"path": [5, 0]}),
+    "solve": (_SOLVER + "u0 = white:0.01\n", {"noise": [6, 0], "u0": [6, 999]}),
+    "picard": (_SOLVER + "u0 = white:0.01\n\n[norms]\nt = 0.25\n", {"noise": [7, 0], "u0": [7, 999]}),
+    "norms": (_SOLVER + "u0 = white:0.01\n\n[norms]\nwindow_steps = 16\n", {"u0": [8, 999]}),
+    "wick-check": ("[lab]\ncutoffs = 2, 3\nfields = 2\n", {"2": [9, 1, 2], "3": [9, 1, 3]}),
+    "gauge-check": (_SOLVER + "u0 = white:0.01\n\n[lab]\ndt_halvings = 2\n", {"u0": [10, 999]}),
+    "tail-mc": (_SOLVER + "\n[lab]\nsamples = 1000\nsteps = 16\n", {"ensemble": [11, 2]}),
+    "variance-test": (_SOLVER + "\n[lab]\nsamples = 20\n", {"ensemble": [12, 3]}),
+    "trilinear": ("[lab]\ncutoffs = 2, 3\nensemble_size = 3\nsteps = 16\n", {"2": [13, 4, 2], "3": [13, 4, 3]}),
+    "multiplier": ("[norms]\nb = 0.45\nbprime = -0.05\n\n[lab]\ncutoffs = 2, 3\n", {}),
+    "sums": ("[lab]\nsum_cutoff = 64\nk1_values = 64, 128\n", {}),
+    "divisors": ("[lab]\nlimit = 100\n", {}),
+    "criticality": ("", {}),
+}
+
+
+def test_cli_task_seeds_of_every_command(tmp_path):
+    assert sorted(_TASK_SEEDS) == sorted(COMMANDS)
+    for seed, (cmd, (body, expected)) in enumerate(_TASK_SEEDS.items(), start=5):
+        cfg = _cfg(tmp_path, f"[run]\ncommand = {cmd}\nseed = {seed}\n\n{body}", name=f"{cmd}.ini")
+        out = str(tmp_path / cmd)
+        assert main(["run", "--config", cfg, "--out", out]) == 0, cmd
+        assert RunManifest.load(os.path.join(out, "manifest.json")).task_seeds == expected, cmd
 
 
 def test_cli_variance_test_tracks_target(tmp_path):

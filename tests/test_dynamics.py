@@ -168,8 +168,8 @@ def test_gauge_sign_validation(rng):
 
 
 def _one_step(u, op, dt, nonlinearity="wick", seed=0):
-    cfg = SolverConfig(cutoff=u.cutoff, dt=dt, horizon=dt, seed=seed)
-    return solve(u, op, cfg, nonlinearity=nonlinearity).field(1)
+    cfg = SolverConfig(cutoff=u.cutoff, dt=dt, horizon=dt)
+    return solve(u, op, cfg, nonlinearity=nonlinearity, rng=philox_stream(seed, 0)).field(1)
 
 
 def test_step_single_mode_local_order():
@@ -243,10 +243,10 @@ def test_solve_single_mode_convergence_order():
 
 
 def test_solve_deterministic_given_seed():
-    cfg = SolverConfig(cutoff=4, dt=1 / 32, horizon=0.25, seed=17)
+    cfg = SolverConfig(cutoff=4, dt=1 / 32, horizon=0.25)
     op = identity_operator(4)
-    a = solve(zero_field(4), op, cfg)
-    b = solve(zero_field(4), op, cfg)
+    a = solve(zero_field(4), op, cfg, rng=philox_stream(17, 0))
+    b = solve(zero_field(4), op, cfg, rng=philox_stream(17, 0))
     assert np.array_equal(a.states, b.states)
 
 
@@ -256,6 +256,8 @@ def test_solve_cutoff_mismatches():
         solve(zero_field(3), None, cfg)
     with pytest.raises(ValueError):
         solve(zero_field(4), identity_operator(3), cfg)
+    with pytest.raises(ValueError, match="needs an rng"):
+        solve(zero_field(4), identity_operator(4), cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -218,3 +218,45 @@ def test_fft_lengths_live_only_in_fields():
             hard_coded[path.name] = bad
     assert sorted(defined) == ["fields._five_smooth", "fields.alias_free_length"]
     assert hard_coded == {}
+
+
+def philox_callers(source: str) -> list[str]:
+    """Qualified names of the functions or methods that call philox_stream;
+    "<module>" for a call outside any function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name == "philox_stream":
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_philox_caller_scan_names_enclosing_scopes():
+    src = (
+        "class W:\n"
+        "    def stream(self, *key):\n"
+        "        return philox_stream(self.seed, *key)\n"
+        "def f(cfg):\n"
+        "    def g():\n"
+        "        return noise.philox_stream(cfg.seed, 1)\n"
+        "    return g()\n"
+        "rng = philox_stream(0)\n"
+    )
+    assert philox_callers(src) == ["<module>", "W.stream", "f.g"]
+
+
+def test_streams_are_opened_only_by_the_run_writer():
+    # the CLI writer opens every stream of a run and records its key in the
+    # manifest's task_seeds, so no key can be drawn without being recorded
+    callers = {name: philox_callers((PACKAGE / name).read_text()) for name in ("cli.py", "config.py", "dynamics.py")}
+    assert callers["cli.py"] == ["_Writer.stream"] and callers["config.py"] == []
+    assert [c for c in callers["dynamics.py"] if c.split(".")[0] == "solve"] == []  # solve takes its rng
