@@ -30,11 +30,12 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from . import __version__
-from .config import COMMANDS, ConfigError, ExperimentConfig, parse_config, parse_config_text
+from .config import COMMANDS, ConfigError, ExperimentConfig, _keyed, parse_config, parse_config_text
 from .dynamics import gauge_transform, solve, wick_coeffs_block, wick_nonlinearity_direct, wick_trilinear, picard_iterate
 from .fields import _csv_text, frequencies, make_field
 from .lab import (
     _pool_map,
+    _tail_multipliers,
     convolution_sum_check,
     criticality_report,
     divisor_bound_scan,
@@ -293,15 +294,10 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     op = _require_operator(cfg)
     params = cfg.xsb_params()
-    rep = tail_estimate_mc(
-        op,
-        params,
-        cfg.get("lab", "lambdas"),
-        cfg.get("lab", "samples"),
-        w.stream("ensemble", 2),
-        steps=cfg.get("lab", "steps"),
-        workers=cfg.workers,
-    )
+    ladder = {k: cfg.get("lab", k) for k in ("lambdas", "samples")}
+    # checked before the stream opens; a range error names its key
+    _keyed(_tail_multipliers, {k: f"[lab] {k}" for k in ladder}, **ladder)
+    rep = tail_estimate_mc(op, params, rng=w.stream("ensemble", 2), steps=cfg.get("lab", "steps"), workers=cfg.workers, **ladder)
     cols = [rep.multipliers, rep.lambda_values, rep.survivals, [int(u) for u in rep.usable]]
     w.text("tail_fit.csv", _csv_text("multiplier,lambda,survival,usable", cols))
     checks = [("gaussian_shape", rep.r_squared >= 0.9 and rep.slope < 0.0)]
@@ -532,7 +528,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     w.text("sweep.csv", _csv_text(",".join(["index", "value", "exit_code", *keys]), columns))
     summary = {"axis": axis, "values": values, "command": cfg.command, "cells": cells}
     w.text("sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    w.seal(f"sweep:{cfg.command}", {"cells_failed": any(codes)})
+    w.seal(f"sweep:{cfg.command}", {"cells_failed": 2 in codes})
     print(f"sweep: {len(cells)} cells over {axis}, worst exit {max(codes)}")
     # a runtime failure outranks a config error, which outranks a failed --assert check
     return next((c for c in (2, 1, 3) if c in codes), 0)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import SpectralField, _five_smooth, alias_free_length, from_grid, make_field, propagator_phases, to_grid
-from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments
+from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments, make_grid
 from .norms import XsbParams, discrete_duhamel, xsb_norm
 
 __all__ = [
@@ -70,7 +70,7 @@ class SolverConfig:
         return int(round(self.horizon / self.dt))
 
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        return make_grid(self.horizon, self.steps)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .noise import (
     bessel_operator,
     convolution_paths_block,
     identity_operator,
+    make_grid,
     philox_stream,
 )
 from .norms import XsbParams, bracket, gamma_norm, xsb_norm_batch
@@ -390,7 +391,7 @@ def trilinear_ratio(
     """
     N = cutoff
     op = bessel_operator(N, alpha)
-    grid = np.linspace(0.0, params.T, steps + 1)
+    grid = make_grid(params.T, steps)
     phases = propagator_phases(N, grid)
     trajs = []
     for _ in range(3):
@@ -471,12 +472,25 @@ def _ensemble_xsb_norms(
 ) -> np.ndarray:
     """Surrogate norms of `samples` convolution paths, chunk-seeded so the
     result is independent of worker count."""
-    grid = np.linspace(0.0, params.T, steps + 1)
+    grid = make_grid(params.T, steps)
 
     def one(sub: np.random.Generator, size: int) -> np.ndarray:
         return xsb_norm_batch(convolution_paths_block(op, grid, sub, size), grid, params)
 
     return np.concatenate(_chunk_map(one, samples, TAIL_CHUNK, rng, workers))
+
+
+def _tail_multipliers(lambdas: Sequence[float], samples: int) -> np.ndarray:
+    """The lambda ladder as an array, after the range checks of tail_estimate_mc
+    on its own arguments; each message starts with the argument it rejects."""
+    if samples < 1000:
+        raise ValueError(f"samples must be at least 1000, got {samples}")
+    mult = np.asarray(list(lambdas), dtype=np.float64)
+    if np.any(mult <= 0):
+        raise ValueError("lambdas must be positive multipliers")
+    if mult.size < 3:
+        raise ValueError(f"lambdas must hold at least 3 lambda levels, got {mult.size}")
+    return mult
 
 
 def tail_estimate_mc(
@@ -498,13 +512,7 @@ def tail_estimate_mc(
     """
     if not params.b < 1.0 - 1.0 / params.q:
         raise ValueError("need b < 1 - 1/q for a finite tail scale")
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    mult = np.asarray(list(lambdas), dtype=np.float64)
-    if np.any(mult <= 0):
-        raise ValueError("lambda multipliers must be positive")
-    if mult.size < 3:
-        raise ValueError(f"need at least 3 lambda levels, got {mult.size}")
+    mult = _tail_multipliers(lambdas, samples)
     norms = _ensemble_xsb_norms(op, params, samples, rng, steps, workers)
     med = float(np.median(norms))
     lam = mult * med

@@ -15,6 +15,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 
+__all__ = ["RunManifest", "compare_outputs", "sha256_file"]
+
 SCHEMA_VERSION = 1
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import SpectralField, _five_smooth, frequencies, propagator_phases
-from .noise import NoiseOperator, Trajectory, _check_uniform, _complex_normal, philox_stream
+from .noise import NoiseOperator, Trajectory, _check_uniform, _complex_normal, make_grid, philox_stream
 
 __all__ = [
     "XsbParams",
@@ -367,7 +367,7 @@ def temporal_window_factor(params: XsbParams, steps: int = 64) -> float:
     For u(t) = S(t) f the surrogate norm equals this factor times
     fl_norm(f, s, p) exactly, because S(-t)u(t) is constant in t.
     """
-    times = np.linspace(0.0, params.T, steps + 1)
+    times = make_grid(params.T, steps)
     ones = np.ones((steps + 1, 1), dtype=np.complex128)
     v, dt = _extend_and_window(ones, times, params)
     return float(_modulation_lq(v, dt, params.b, params.q, DEFAULT_PAD)[0])
@@ -382,7 +382,7 @@ def homogeneous_estimate_check(f: SpectralField, params: XsbParams, steps: int =
     denom = fl_norm(f, params.s, params.p)
     if denom == 0:
         raise ValueError("fl_norm of the datum is zero")
-    times = np.linspace(0.0, params.T, steps + 1)
+    times = make_grid(params.T, steps)
     traj = Trajectory(times, f.coeffs[None, :] * propagator_phases(f.cutoff, times))
     return xsb_norm(traj, params) / denom
 

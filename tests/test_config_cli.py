@@ -519,6 +519,10 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         ("[run]\ncommand = solve\n\n[solver]\ndt = 0.3\nhorizon = 0.5\n", "[solver] dt: dt must divide the horizon"),
         ("[run]\ncommand = picard\n\n[solver]\nhorizon = 1.5\n", "[solver] horizon: T must lie in (0, 1]"),
         ("[run]\ncommand = criticality\n\n[lab]\np = 0.5\n", "[lab] p: must lie in (1, inf], got '0.5'"),
+        # tail-mc's own ranges; the first two used to exit 2 naming no key
+        ("[run]\ncommand = tail-mc\n\n[lab]\nsamples = 999\n", "[lab] samples: samples must be at least 1000, got 999"),
+        ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", "[lab] lambdas: lambdas must hold at least 3 lambda levels, got 2"),
+        ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 0, 1, 2\n", "[lab] lambdas: lambdas must be positive multipliers"),
     ):
         cfg = _cfg(tmp_path, text, name="keyed.ini")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
@@ -651,6 +655,9 @@ def test_cli_arithmetic_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch
     assert "wickns: error: math range error" in capsys.readouterr().err
 
 
+TAIL_NO_USABLE_LEVEL = "[run]\ncommand = tail-mc\n\n[lab]\nsamples = 1000\nsteps = 16\nlambdas = 5, 6, 7\n"
+
+
 def test_cli_runtime_error_exits_2(tmp_path, capsys):
     # exponent window violation surfaces as a runtime error, not a crash
     cfg = _cfg(
@@ -666,13 +673,13 @@ def test_cli_runtime_error_exits_2(tmp_path, capsys):
     assert [o["name"] for o in man.outputs] == ["resolved_config.ini"]
     assert compare_outputs(man, out) == []
 
-    # tail-mc rejects a ladder of fewer than 3 levels before it simulates anything
-    cfg = _cfg(tmp_path, "[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", name="tail.ini")
+    # a ladder far above the ensemble median leaves no usable level: known only after the draws
+    cfg = _cfg(tmp_path, TAIL_NO_USABLE_LEVEL, name="tail.ini")
     out = str(tmp_path / "tail")
     assert main(["run", "--config", cfg, "--out", out]) == 2
-    assert "need at least 3 lambda levels" in capsys.readouterr().err
+    assert "fewer than 3 usable lambda levels" in capsys.readouterr().err
     man = RunManifest.load(os.path.join(out, "manifest.json"))
-    assert man.flags == {"error": "need at least 3 lambda levels, got 2"}
+    assert man.flags == {"error": "fewer than 3 usable lambda levels (survivals [0.0, 0.0, 0.0])"}
     assert man.task_seeds == {"ensemble": [0, 2]}  # the streams drawn before the failure
 
 
@@ -753,7 +760,7 @@ def test_cli_rerun_detects_divergence(tmp_path, capsys):
     assert capsys.readouterr().err == "rerun: flags differ: recorded {'blowup': True}, replay {}\n"
 
     # a flagged run replays to the same flags and hashes, but its replay still exits 2
-    tail = _cfg(tmp_path, "[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", name="tail.ini")
+    tail = _cfg(tmp_path, TAIL_NO_USABLE_LEVEL, name="tail.ini")
     assert main(["run", "--config", tail, "--out", str(tmp_path / "tail")]) == 2
     tail_man = os.path.join(str(tmp_path / "tail"), "manifest.json")
     capsys.readouterr()
@@ -823,6 +830,7 @@ def test_cli_sweep_failing_cell_is_recorded_and_sweep_continues(tmp_path, capsys
     )
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"cells_failed": True}
     rows = _read(out, "sweep.csv").strip().splitlines()
     assert rows[1].startswith("0,-0.9,2,")
     assert rows[2].startswith("1,-0.05,0,")
@@ -836,6 +844,8 @@ def test_cli_sweep_failing_cell_is_recorded_and_sweep_continues(tmp_path, capsys
     out = str(tmp_path / "range")
     assert main(["sweep", "--config", cfg, "--out", out]) == 1
     assert [c["exit_code"] for c in _json(out, "sweep_summary.json")["cells"]] == [0, 1]
+    # the flag marks only a runtime failure, so it is false exactly when the sweep does not exit 2
+    assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"cells_failed": False}
     assert "sweep cell 1 (norms.t=2.0): config error: [norms] t: T must lie in (0, 1]" in capsys.readouterr().err
 
     # a value that does not parse stops the sweep before any cell runs

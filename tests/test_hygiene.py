@@ -260,3 +260,47 @@ def test_streams_are_opened_only_by_the_run_writer():
     callers = {name: philox_callers((PACKAGE / name).read_text()) for name in ("cli.py", "config.py", "dynamics.py")}
     assert callers["cli.py"] == ["_Writer.stream"] and callers["config.py"] == []
     assert [c for c in callers["dynamics.py"] if c.split(".")[0] == "solve"] == []  # solve takes its rng
+
+
+# the library layers: every module but cli, which the package import leaves out
+LAYERS = [p.stem for p in sorted(PACKAGE.glob("*.py")) if p.stem not in ("__init__", "cli")]
+
+
+def named_imports(source: str) -> list[str]:
+    """Names a module binds one by one with `from ... import name`; a star
+    import binds none by name."""
+    tree = ast.parse(source)
+    return sorted(
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name != "*"
+    )
+
+
+def test_named_import_scan_skips_only_star_imports():
+    src = "from .fields import *\nfrom .noise import make_grid, Trajectory as T\nfrom . import cli\nimport os\n"
+    assert named_imports(src) == ["T", "cli", "make_grid"]
+
+
+def test_package_declares_no_name_of_its_own():
+    # each public name is declared once, in its layer's __all__; __init__ only re-exports
+    assert named_imports((PACKAGE / "__init__.py").read_text()) == []
+
+
+def test_every_layer_name_is_exported_as_itself():
+    missing = []
+    for short in LAYERS:
+        mod = importlib.import_module(f"wickns.{short}")
+        missing += [f"{short}.{name}" for name in mod.__all__ if name not in wickns.__all__ or getattr(wickns, name) is not getattr(mod, name)]
+    assert len(LAYERS) == 7 and missing == []
+
+
+def test_every_package_name_comes_from_one_layer():
+    submodules = {name for name in wickns.__all__ if getattr(getattr(wickns, name), "__name__", None) == f"wickns.{name}"}
+    owners = {name: [] for name in wickns.__all__ if name not in submodules}
+    for short in LAYERS:
+        for name in importlib.import_module(f"wickns.{short}").__all__:
+            owners.setdefault(name, []).append(short)
+    assert {name: where for name, where in owners.items() if len(where) != 1} == {}
