@@ -65,50 +65,39 @@ RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError)
 
 
 class _Writer:
-    """Collects a run's output files in creation order, starting with
-    resolved_config.ini, and the Philox streams it draws, and seals them under
-    one manifest.  A manifest an earlier run left in out_dir is removed first,
-    so a run that ends before sealing leaves none that vouches for the new
-    files."""
+    """Records a run's output files in creation order, starting with
+    resolved_config.ini, and the Philox streams it draws, straight into the
+    run's manifest.  A manifest an earlier run left in out_dir is removed
+    first, so a run that ends before sealing leaves none that vouches for the
+    new files."""
 
     def __init__(self, out_dir: str, cfg: ExperimentConfig):
         self.t0 = time.monotonic()
         self.out_dir = out_dir
-        self.cfg = cfg
-        self.names: list[str] = []
-        self.task_seeds: dict[str, list[int]] = {}
+        self.man = RunManifest(
+            command=cfg.command, seed=cfg.seed, workers=cfg.workers, resolved_config=cfg.resolved, code_version=__version__
+        )
         os.makedirs(out_dir, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, "manifest.json"))
-        self.text("resolved_config.ini", cfg.resolved)
+        self.text("resolved_config.ini", self.man.resolved_config)
 
     def text(self, name: str, body: str) -> None:
         with open(os.path.join(self.out_dir, name), "w") as fh:
             fh.write(body)
-        self.names.append(name)
+        self.man.record_output(self.out_dir, name)
 
     def stream(self, label: str, *key: int) -> np.random.Generator:
         """The Philox stream (seed, *key), recorded as task_seeds[label]."""
-        self.task_seeds[label] = [self.cfg.seed, *key]
-        return philox_stream(self.cfg.seed, *key)
+        self.man.task_seeds[label] = [self.man.seed, *key]
+        return philox_stream(self.man.seed, *key)
 
     def seal(self, command: str, flags: dict) -> None:
-        """Writes manifest.json: the run's wall time, the streams it drew and
-        a sha256 per output."""
-        cfg = self.cfg
-        man = RunManifest(
-            command=command,
-            seed=cfg.seed,
-            workers=cfg.workers,
-            resolved_config=cfg.resolved,
-            code_version=__version__,
-            flags=flags,
-            task_seeds=self.task_seeds,
-        )
-        man.wall_time_s = time.monotonic() - self.t0
-        for name in self.names:
-            man.record_output(self.out_dir, name)
-        man.write(self.out_dir)
+        """Writes manifest.json with the run's command, flags and wall time."""
+        self.man.command = command
+        self.man.flags = flags
+        self.man.wall_time_s = time.monotonic() - self.t0
+        self.man.write(self.out_dir)
 
 
 @dataclass
@@ -473,7 +462,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> tuple
     w.seal(cfg.command, result.flags)
     for name, ok in result.checks:
         print(f"{cfg.command}: check {name}: {'pass' if ok else 'FAIL'}")
-    print(f"{cfg.command}: wrote {len(w.names)} outputs to {out_dir}")
+    print(f"{cfg.command}: wrote {len(w.man.outputs)} outputs to {out_dir}")
     if any(result.flags.values()):
         print(f"{cfg.command}: runtime failure (see manifest flags)", file=sys.stderr)
         return 2, report
@@ -545,7 +534,7 @@ def _cmd_rerun(args) -> int:
     if old.command.startswith("sweep:"):
         code = _run_sweep(cfg, base, assert_checks=False)
     else:
-        code, _ = _run_into(cfg.with_overrides(command=old.command), base, assert_checks=False)
+        code, _ = _run_into(cfg.with_value("run", "command", old.command), base, assert_checks=False)
     new = RunManifest.load(os.path.join(base, "manifest.json"))
     problems = [f"replay exited {code}"] if code else []
     if new.flags != old.flags:
@@ -592,7 +581,9 @@ def main(argv=None) -> int:
             return _cmd_rerun(args)
         cfg = parse_config(args.config)
         command = None if args.subcommand in ("run", "sweep") else args.subcommand
-        cfg = cfg.with_overrides(command=command, seed=args.seed, workers=args.workers)
+        for key, raw in (("command", command), ("seed", args.seed), ("workers", args.workers)):
+            if raw is not None:
+                cfg = cfg.with_value("run", key, raw)
         # where outputs land is not part of the experiment's identity, so the
         # resolved config (and hence the manifest hash) never records --out
         out_dir = args.out or os.environ.get("WICKNS_OUT") or cfg.out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,8 +45,9 @@ COMMANDS = (
 U0_STREAM = 999  # a drawn u0 (white:...) comes from Philox stream (seed, U0_STREAM)
 GRID_STEPS = f"int:{MIN_GRID_POINTS - 1}"  # a grid of steps + 1 points the X^{s,b} surrogate accepts
 
-# section -> key -> (type tag, default or None if required-when-used); an
-# "int:K" or "ints:K" tag rejects values below K
+# section -> key -> (type tag, default); only [run] command has none, and a
+# config without it is rejected before defaults apply; an "int:K" or "ints:K"
+# tag rejects values below K
 SCHEMA: dict[str, dict[str, tuple[str, str | None]]] = {
     "run": {
         "command": ("command", None),
@@ -182,41 +183,22 @@ def _canonical_text(values: dict) -> str:
     return out.getvalue()
 
 
-def _from_values(values: dict) -> "ExperimentConfig":
-    return ExperimentConfig(
-        command=values[("run", "command")],
-        seed=values[("run", "seed")],
-        out=values[("run", "out")],
-        workers=values[("run", "workers")],
-        values=values,
-        resolved=_canonical_text(values),
-    )
-
-
 @dataclass
 class ExperimentConfig:
-    command: str
-    seed: int
-    out: str
-    workers: int
-    values: dict = dc_field(default_factory=dict)  # (section, key) -> typed value
-    resolved: str = ""  # canonical INI text with defaults materialized
+    values: dict  # (section, key) -> typed value, every schema key present
+
+    command = property(lambda self: self.values[("run", "command")])
+    seed = property(lambda self: self.values[("run", "seed")])
+    out = property(lambda self: self.values[("run", "out")])
+    workers = property(lambda self: self.values[("run", "workers")])
+
+    @property
+    def resolved(self) -> str:
+        """Canonical INI text with defaults materialized."""
+        return _canonical_text(self.values)
 
     def get(self, section: str, key: str):
         return self.values[(section, key)]
-
-    def with_overrides(
-        self,
-        command: str | None = None,
-        seed: int | None = None,
-        workers: int | None = None,
-    ) -> "ExperimentConfig":
-        """Copy with CLI-level overrides applied and the resolved text rebuilt."""
-        values = dict(self.values)
-        for key, raw in (("command", command), ("seed", seed), ("workers", workers)):
-            if raw is not None:
-                values[("run", key)] = _coerce("run", key, SCHEMA["run"][key][0], raw)
-        return _from_values(values)
 
     def with_value(self, section: str, key: str, raw: str) -> "ExperimentConfig":
         """Copy with one schema key replaced from its raw string form."""
@@ -224,9 +206,7 @@ class ExperimentConfig:
             raise ConfigError(f"[{section}] {key}: unknown key")
         if isinstance(self.values[(section, key)], tuple):
             raise ConfigError(f"[{section}] {key}: not a scalar key, cannot sweep")
-        values = dict(self.values)
-        values[(section, key)] = _coerce(section, key, SCHEMA[section][key][0], raw)
-        return _from_values(values)
+        return ExperimentConfig({**self.values, (section, key): _coerce(section, key, SCHEMA[section][key][0], raw)})
 
     # -- builders ---------------------------------------------------------
 
@@ -336,14 +316,9 @@ def parse_config_text(text: str, origin: str = "<string>") -> ExperimentConfig:
     values: dict = {}
     for section, keys in SCHEMA.items():
         for key, (spec, default) in keys.items():
-            if section in cp and key in cp[section]:
-                raw = cp[section][key]
-            elif default is not None:
-                raw = default
-            else:
-                raise ConfigError(f"[{section}] {key}: missing")
+            raw = cp[section][key] if section in cp and key in cp[section] else default
             values[(section, key)] = _coerce(section, key, spec, raw)
-    return _from_values(values)
+    return ExperimentConfig(values)
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -261,7 +261,6 @@ def evolve_wick_rk4ip(
     """
     h = dt / substeps
     record = [steps] if record is None else record
-    rec_set = {int(r) for r in record}
     out = np.empty((len(record), *U0.shape), dtype=np.complex128)
     order = {int(r): i for i, r in enumerate(record)}
     L = _five_smooth(4 * N + 1)
@@ -282,7 +281,7 @@ def evolve_wick_rk4ip(
     for lo in range(0, U0.shape[0], ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         U = U0[rows].astype(np.complex128, copy=True)
-        if 0 in rec_set:
+        if 0 in order:
             out[order[0], rows] = U
         for m in range(steps):
             V = U  # interaction rep referenced to the step start
@@ -295,7 +294,7 @@ def evolve_wick_rk4ip(
             U = prop * V
             if phi is not None and Z is not None:
                 U = U - 1j * phi * Z[rows, m, :]
-            if m + 1 in rec_set:
+            if m + 1 in order:
                 out[order[m + 1], rows] = U
     return out
 

@@ -170,7 +170,7 @@ def operator_norm(op: NoiseOperator) -> float:
         if nw == 0:
             return 0.0
         v_new = w / nw
-        if abs(nw - lam) <= 1e-13 * max(1.0, nw):
+        if abs(nw - lam) <= 1e-13 * nw:
             lam = nw
             break
         lam = nw

@@ -98,19 +98,20 @@ def test_resolved_config_reparses_to_equal_structure():
 
 
 def test_with_overrides_validation():
+    # the CLI applies its subcommand, --seed and --workers through with_value
     cfg = parse_config_text("[run]\ncommand = solve\n")
-    up = cfg.with_overrides(command="divisors", seed=7, workers=2)
+    up = cfg.with_value("run", "command", "divisors").with_value("run", "seed", 7).with_value("run", "workers", 2)
     assert (up.command, up.seed, up.workers) == ("divisors", 7, 2)
     assert "seed = 7" in up.resolved
     assert cfg.seed == 0  # original untouched
     with pytest.raises(ConfigError, match="unsigned 64-bit"):
-        cfg.with_overrides(seed=-1)
+        cfg.with_value("run", "seed", -1)
     with pytest.raises(ConfigError, match="unsigned 64-bit"):
-        cfg.with_overrides(seed=2**64)
+        cfg.with_value("run", "seed", 2**64)
     with pytest.raises(ConfigError, match="workers"):
-        cfg.with_overrides(workers=0)
+        cfg.with_value("run", "workers", 0)
     with pytest.raises(ConfigError, match="unknown command"):
-        cfg.with_overrides(command="bogus")
+        cfg.with_value("run", "command", "bogus")
 
 
 def test_with_value_replaces_one_scalar():
@@ -505,6 +506,8 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     cfg = _cfg(tmp_path, "[run]\ncommand = solve\n", name="neg.ini")
     assert main(["run", "--config", cfg, "--seed", "-3"]) == 1
     assert "unsigned 64-bit" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--workers", "0"]) == 1
+    assert "wickns: config error: [run] workers: must be >= 1, got 0" in capsys.readouterr().err
 
     # range checks hold for values from the file as well as from the flags
     for line, msg in (("seed = -3", "unsigned 64-bit"), ("workers = -2", "workers: must be >= 1")):
@@ -699,6 +702,28 @@ def test_cli_blowup_exits_2_with_flagged_manifest(tmp_path):
     man = RunManifest.load(os.path.join(out, "manifest.json"))
     assert man.flags == {"blowup": True}
     assert _json(out)["checks"]["completed"] is False
+
+
+def test_cli_manifest_lists_every_output_in_creation_order(tmp_path):
+    # the writer records each file as it writes it: a finished run and a
+    # flagged one both vouch for exactly the files in their directory
+    grid = "[solver]\ncutoff = 4\ndt = 0.125\nhorizon = 0.5\n"
+    for text, code, names in (
+        (f"[run]\ncommand = sample-noise\n\n{grid}", 0, ["resolved_config.ini", "psi.csv", "phi.csv", "report.json"]),
+        (
+            f"[run]\ncommand = solve\n\n{grid}u0 = mode:1:1e160\n\n[noise]\nkind = none\n",
+            2,
+            ["resolved_config.ini", "trajectory.csv", "report.json"],
+        ),
+    ):
+        out = tmp_path / names[1]
+        assert main(["run", "--config", _cfg(tmp_path, text), "--out", str(out)]) == code
+        man = RunManifest.load(str(out / "manifest.json"))
+        assert [o["name"] for o in man.outputs] == names
+        assert sorted(os.listdir(out)) == sorted([*names, "manifest.json"])
+        for o in man.outputs:
+            path = str(out / o["name"])
+            assert (o["sha256"], o["bytes"]) == (sha256_file(path), os.path.getsize(path))
 
 
 def test_cli_assert_turns_failed_check_into_exit_3(tmp_path, capsys):

@@ -207,6 +207,17 @@ def test_operator_norm_power_iteration(rng):
         assert abs(got - want) <= 1e-10 * want
 
 
+def test_operator_norm_is_relative_below_one(rng):
+    # the stop test is relative at every scale: the diagonal noise of the
+    # picard_path workload (bessel 0.75 scaled by 1e-3, largest entry 1e-3)
+    diag = 1e-3 * bessel_operator(64, 0.75).multiplier
+    assert abs(operator_norm(matrix_operator(np.diag(diag))) - 1e-3) <= 1e-12 * 1e-3
+    mat = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    want = np.linalg.norm(mat, 2)
+    for scale in (1.0, 1e-3):
+        assert abs(operator_norm(matrix_operator(scale * mat)) - scale * want) <= 1e-11 * scale * want
+
+
 def test_gamma_ideal_property(rng):
     # ||S T U||_HS <= ||S||_op ||T||_HS ||U||_op for random desk-scale matrices
     dim = 33
