@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 NONLINEARITIES = ("wick", "cubic", "none")
-ROW_BLOCK = 500  # rows evolve_wick_rk4ip integrates together
+ROW_BLOCK = 500  # rows evolve_wick_rk4ip integrates together; variance-test draws its noise in these blocks
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ scheduling order.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -61,6 +63,8 @@ class NoiseOperator:
     cutoff: int
     multiplier: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
+    # the diagonal of a matrix that is diagonal with real entries, else None
+    _real_diagonal: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = 2 * self.cutoff + 1
@@ -86,6 +90,11 @@ class NoiseOperator:
             mat = mat.copy()
             mat.setflags(write=False)
             object.__setattr__(self, "matrix", mat)
+            diag = np.diagonal(mat)
+            if not np.any(diag.imag) and np.count_nonzero(mat) == np.count_nonzero(diag):
+                d = diag.real.copy()
+                d.setflags(write=False)
+                object.__setattr__(self, "_real_diagonal", d)
 
     @property
     def is_multiplier(self) -> bool:
@@ -99,9 +108,15 @@ class NoiseOperator:
 
     def apply_to_vector(self, z: np.ndarray) -> np.ndarray:
         """phi applied along the last axis of z (driving indices), so a block
-        of vectors (..., 2N+1) maps row by row."""
+        of vectors (..., 2N+1) maps row by row.
+
+        A real diagonal matrix is applied as an elementwise product: no BLAS
+        call, and the matrix product's bits wherever the result is nonzero.
+        A complex diagonal would not keep those bits, so it keeps the product."""
         if self.is_multiplier:
             return self.multiplier * z
+        if self._real_diagonal is not None:
+            return self._real_diagonal * z
         return z @ self.matrix.T
 
 
@@ -223,10 +238,46 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _draw_increments(rng: np.random.Generator, shape, dt: float) -> np.ndarray:
     # One block draw per path or ensemble: the stream layout is independent
-    # of how steps or modes are later traversed.
+    # of how steps or modes are later traversed.  _increment_blocks draws the
+    # same bits one row block at a time, in O(rows) memory.
     z = _complex_normal(rng, shape)
     z *= np.sqrt(dt / 2.0)
     return z
+
+
+def _increment_blocks(rng: np.random.Generator, shape, dt: float, rows: int):
+    """Yields (slice, z) with z == _draw_increments(rng, shape, dt)[slice]
+    bit for bit, `rows` leading rows at a time, and leaves rng where that
+    whole draw leaves it once the blocks are exhausted.
+
+    The whole draw takes every real part, then every imaginary part, from
+    one stream.  So rng reads the first block's real parts, a copy of its
+    bit generator reads the other blocks' real parts, and rng, moved past
+    them, reads the imaginary parts.  Ziggurat rejection makes the number
+    of words unknowable, so the move is a draw into a discarded,
+    cache-sized head of the float buffer; a single block needs none.  One
+    float and one complex buffer of `rows` rows are reused: each z is
+    overwritten by the next block."""
+    B, total = shape[0], math.prod(shape)
+    part = np.empty((min(rows, B), *shape[1:]))
+    z = np.empty(part.shape, dtype=np.complex128)
+    rng.standard_normal(out=part)
+    z.real = part
+    real = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    skip = part.reshape(-1)[:4096]
+    for lo in range(part.size, total, max(skip.size, 1)):
+        rng.standard_normal(out=skip[: total - lo])
+    scale = np.sqrt(dt / 2.0)
+    for lo in range(0, B, rows):
+        n = min(rows, B - lo)
+        buf, zb = part[:n], z[:n]
+        if lo:
+            real.standard_normal(out=buf)
+            zb.real = buf
+        rng.standard_normal(out=buf)
+        zb.imag = buf
+        zb *= scale
+        yield slice(lo, lo + n), zb
 
 
 def _free_recursion(op: NoiseOperator, z: np.ndarray, dt: float) -> np.ndarray:

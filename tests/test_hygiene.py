@@ -127,6 +127,17 @@ def test_csv_codec_lives_only_in_fields():
     assert len(checked) >= 6 and bypass == []  # field, trajectory, operator: to and from
 
 
+def test_gaussian_draw_lives_only_in_noise():
+    # every standard_normal call and every bit-generator copy is in noise, so
+    # the complex Gaussian draw and its stream layout live in one place
+    where = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("standard_normal", "bit_generator"):
+                where.add(f"{path.stem}.{node.attr}")
+    assert sorted(where) == ["noise.bit_generator", "noise.standard_normal"]
+
+
 def test_one_thread_pool():
     # ensemble chunks and sweep cells share lab._pool_map; no module opens a pool of its own
     where = []

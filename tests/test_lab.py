@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -27,6 +28,8 @@ from wickns import (
 )
 import wickns
 from wickns import lab
+from wickns.dynamics import evolve_wick_rk4ip
+from wickns.noise import _complex_normal, _draw_increments
 from conftest import random_field
 
 
@@ -341,6 +344,45 @@ def test_variance_report_small_ensemble():
     assert not rep.flagged
     d = asdict(rep)
     assert len(d["variances"]) == 3 and len(d["variances"][0]) == 9
+
+
+def test_variance_row_blocks_match_whole_draw_oracle():
+    # oracle: the chunk's g, then its whole Z in one draw, then every row in one
+    # stepper call; 1007 rows span three row blocks, the last one short
+    N, T, dt, B, steps, rec = 4, 0.25, 1 / 256, 1007, 64, [16, 32, 64]
+    rep = variance_invariance_test(N, T, dt, B, philox_stream(63), substeps=1)
+    sub = philox_stream(int(philox_stream(63).integers(0, 2**62, size=1)[0]))
+    g = _complex_normal(sub, (B, 2 * N + 1)) / np.sqrt(2.0)
+    Z = _draw_increments(sub, (B, steps, 2 * N + 1), dt)
+    snaps = evolve_wick_rk4ip(g, np.ones(2 * N + 1), Z, dt, steps, N, 1, rec)
+    assert np.all(np.isfinite(snaps))
+    variances = np.sum(np.abs(snaps) ** 2, axis=1) / B
+    ts = np.array(rec) * dt
+    rel = np.abs(variances - (1.0 + ts)[:, None]) / (1.0 + ts)[:, None]
+    vfit = np.vstack([np.ones(2 * N + 1), variances])
+    per_mode = np.polyfit(np.concatenate(([0.0], ts)), vfit, 1)[0]
+    assert asdict(rep) == {
+        "times": tuple(ts.tolist()),
+        "variances": tuple(tuple(row) for row in variances.tolist()),
+        "max_rel_dev": float(np.max(rel)),
+        "slope": float(np.polyfit(np.concatenate(([0.0], ts)), vfit.mean(axis=1), 1)[0]),
+        "per_mode_slope_range": (float(np.min(per_mode)), float(np.max(per_mode))),
+        "blowup_fraction": 0.0,
+        "flagged": False,
+        "samples": B,
+        "substeps": 1,
+    }
+
+
+def test_variance_test_holds_one_row_block_of_increments():
+    # the whole increment block would be 2000 * 64 * 9 complex = 18.4 MB
+    tracemalloc.start()
+    try:
+        variance_invariance_test(4, 0.25, 1 / 256, 2000, philox_stream(5), substeps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 64 * 9 * 16
 
 
 def test_variance_grid_guards():

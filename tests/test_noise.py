@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,10 @@ from wickns import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from wickns.noise import _complex_normal
+from wickns.dynamics import ROW_BLOCK
+from wickns.noise import _complex_normal, _draw_increments, _increment_blocks
+
+PICARD_NOISE = pathlib.Path(__file__).resolve().parents[1] / "wickbench" / "workloads" / "picard_noise.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +67,24 @@ def test_matrix_operator_row_l2_and_apply(rng):
     assert np.allclose(op.row_l2(), want, rtol=0, atol=1e-14)
     z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     assert np.allclose(op.apply_to_vector(z), mat @ z, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(129,), (1024, 129), (3, 64, 129)])
+def test_real_diagonal_matrix_applies_as_product_with_blas_bits(shape):
+    # the picard_path workload's diagonal Bessel matrix, on increment-sized draws
+    op = operator_from_csv(PICARD_NOISE.read_text())
+    assert op._real_diagonal is not None
+    z = _draw_increments(philox_stream(4, len(shape)), shape, 1 / 1024)
+    assert np.array_equal(op.apply_to_vector(z), z @ op.matrix.T)
+
+
+def test_complex_diagonal_matrix_keeps_blas():
+    # an elementwise product would not reproduce zgemm's bits here
+    d = np.exp(1j * np.linspace(0.0, 1.0, 129))
+    op = NoiseOperator(64, matrix=np.diag(d))
+    assert op._real_diagonal is None
+    z = _draw_increments(philox_stream(4, 2), (1024, 129), 1 / 1024)
+    assert np.array_equal(op.apply_to_vector(z), z @ op.matrix.T)
 
 
 def test_operator_validation():
@@ -123,6 +146,23 @@ def test_complex_normal_matches_two_block_draw(shape):
     rng = philox_stream(8, 1)
     want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert np.array_equal(_complex_normal(philox_stream(8, 1), shape), want)
+
+
+@pytest.mark.parametrize("B, rows", [(1007, ROW_BLOCK), (3, ROW_BLOCK), (2 * ROW_BLOCK, ROW_BLOCK), (7, 2)])
+def test_increment_blocks_match_whole_draw(B, rows):
+    # the same bits as one whole draw, and the stream left where that draw leaves it
+    shape, dt = (B, 6, 5), 1 / 64
+    rng, whole = philox_stream(8, 2), philox_stream(8, 2)
+    blocks = list(_increment_blocks(rng, shape, dt, rows))
+    want = _draw_increments(whole, shape, dt)
+    slices = [r for r, _ in blocks]
+    assert slices == [slice(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
+    assert np.array_equal(rng.standard_normal(4), whole.standard_normal(4))
+    # one reused buffer: copy each block before asking for the next
+    rng = philox_stream(8, 2)
+    got = [z.copy() for _, z in _increment_blocks(rng, shape, dt, rows)]
+    assert all(np.array_equal(z, want[r]) for r, z in zip(slices, got))
+    assert all(np.shares_memory(z, blocks[0][1]) for _, z in blocks)
 
 
 def test_white_noise_zero_variance():
