@@ -359,13 +359,13 @@ def test_variance_row_blocks_match_whole_draw_oracle():
     variances = np.sum(np.abs(snaps) ** 2, axis=1) / B
     ts = np.array(rec) * dt
     rel = np.abs(variances - (1.0 + ts)[:, None]) / (1.0 + ts)[:, None]
-    vfit = np.vstack([np.ones(2 * N + 1), variances])
-    per_mode = np.polyfit(np.concatenate(([0.0], ts)), vfit, 1)[0]
+    tfit, vfit = np.concatenate(([0.0], ts)), np.vstack([np.ones(2 * N + 1), variances])
+    per_mode = np.polyfit(tfit, vfit, 1)[0]
     assert asdict(rep) == {
         "times": tuple(ts.tolist()),
         "variances": tuple(tuple(row) for row in variances.tolist()),
         "max_rel_dev": float(np.max(rel)),
-        "slope": float(np.polyfit(np.concatenate(([0.0], ts)), vfit.mean(axis=1), 1)[0]),
+        "slope": float(np.polyfit(tfit, vfit.mean(axis=1), 1)[0]),
         "per_mode_slope_range": (float(np.min(per_mode)), float(np.max(per_mode))),
         "blowup_fraction": 0.0,
         "flagged": False,
