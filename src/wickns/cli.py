@@ -183,6 +183,8 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     }
     ok = rep.converged and (rep.contraction_factor or 1.0) < 1.0
     flags = {} if rep.converged else {"not_converged": True}
+    if rep.non_finite:
+        flags["non_finite"] = True
     return CommandResult(report, checks=[("contraction", ok)], flags=flags)
 
 

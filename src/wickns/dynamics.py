@@ -309,9 +309,11 @@ class PicardReport:
     contraction_factor: Optional[float] = None
     converged: bool = False
     non_contracting: bool = False
+    non_finite: bool = False  # stopped at a nan or inf difference
     iterations: int = 0
 
 
+@np.errstate(all="ignore")  # a diverging iterate is caught as non_finite
 def picard_iterate(
     u0: SpectralField,
     psi: Trajectory,
@@ -326,7 +328,8 @@ def picard_iterate(
     sampled convolution.  Successive differences are measured by xsb_norm at
     params (default s = 0, b = 0.3, b' = -0.3, p = q = 2, T = grid end); the
     contraction factor is the geometric mean of the difference ratios.  Three
-    consecutive non-contracting ratios abort with a partial report.
+    consecutive non-contracting ratios abort with a partial report, and so
+    does the first non-finite difference; no ratio is taken against it.
     """
     times = psi.times
     dt = _check_uniform(times)
@@ -352,6 +355,9 @@ def picard_iterate(
             report.ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
         cur = new
+        if not np.isfinite(diff):
+            report.non_finite = True
+            break
         if diff < cfg.picard_tolerance:
             report.converged = True
             break

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 __all__ = ["RunManifest", "compare_outputs", "sha256_file"]
 
@@ -65,8 +65,14 @@ class RunManifest:
     def load(cls, path: str) -> "RunManifest":
         with open(path) as fh:
             body = json.load(fh)
+        if not isinstance(body, dict):
+            raise ValueError("manifest is not a JSON object")
         if body.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported manifest schema {body.get('schema_version')!r}")
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        missing = [k for k in (*required, "config_hash") if k not in body]
+        if missing:
+            raise ValueError(f"manifest lacks {', '.join(missing)}")
         m = cls(**{f.name: body[f.name] for f in fields(cls) if f.name in body})
         if body["config_hash"] != m.config_hash:
             raise ValueError("manifest config_hash does not match embedded config")

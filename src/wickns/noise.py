@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, _csv_rows, _csv_text, frequencies, make_field, propagator_phases
+from .fields import SpectralField, _csv_rows, _csv_text, _fmt, frequencies, make_field, propagator_phases
 
 __all__ = [
     "NoiseOperator",
@@ -359,9 +359,18 @@ def moment_bound_check(coeffs, p: float, samples: int, rng: np.random.Generator)
 
 
 def _grid_columns(outer, inner, values: np.ndarray) -> list:
-    """Columns outer[i], inner[j], re, im of values[i, j], row-major."""
-    cols = (np.repeat(outer, len(inner)), np.tile(inner, len(outer)), values.real.ravel(), values.imag.ravel())
-    return [c.tolist() for c in cols]
+    """Columns outer[i], inner[j], re, im of values[i, j], row-major.
+
+    Each outer and inner label is formatted once and its string repeated,
+    which gives _csv_text's bytes without one repr per row."""
+    outer_s = list(map(_fmt, outer))
+    inner_s = list(map(_fmt, inner))
+    return [
+        [s for s in outer_s for _ in inner_s],
+        inner_s * len(outer_s),
+        values.real.ravel().tolist(),
+        values.imag.ravel().tolist(),
+    ]
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

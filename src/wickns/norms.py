@@ -191,7 +191,19 @@ def _interaction(states: np.ndarray, times: np.ndarray, params: XsbParams):
     """(S(-t) u on each slice of states, dt) after the grid checks."""
     dt = _validate_xsb_grid(times, params)
     modes = states.shape[-1]
-    return states * np.conj(propagator_phases((modes - 1) // 2, times)), dt
+    grid = np.asarray(times, dtype=np.float64).tobytes()
+    return states * _inverse_phases((modes - 1) // 2, grid), dt
+
+
+@functools.lru_cache(maxsize=4)
+def _inverse_phases(cutoff: int, grid: bytes) -> np.ndarray:
+    """conj(propagator_phases(cutoff, t)) on the float64 times whose bytes are
+    grid.  Keyed by the bytes, not by (M, dt): two grids that agree in
+    (M, dt) may still differ in their last bits.  Read-only: the cache hands
+    the array to every caller."""
+    phases = np.conj(propagator_phases(cutoff, np.frombuffer(grid)))
+    phases.setflags(write=False)
+    return phases
 
 
 def _modulation_lq(v: np.ndarray, dt: float, b: float, q: float, pad: int) -> np.ndarray:

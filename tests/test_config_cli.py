@@ -370,6 +370,32 @@ def test_manifest_rejects_tampering(tmp_path):
     with pytest.raises(ValueError, match="unsupported manifest schema"):
         RunManifest.load(str(tmp_path / "manifest.json"))
 
+    (tmp_path / "manifest.json").write_text(json.dumps([body]))
+    with pytest.raises(ValueError, match="manifest is not a JSON object"):
+        RunManifest.load(str(tmp_path / "manifest.json"))
+
+
+@pytest.mark.parametrize(
+    "keep, named",
+    [
+        (lambda k: k == "schema_version", "command, seed, workers, resolved_config, code_version, config_hash"),
+        (lambda k: k != "config_hash", "config_hash"),
+    ],
+    ids=["schema_version_only", "no_config_hash"],
+)
+def test_rerun_of_manifest_missing_fields_is_an_error(tmp_path, capsys, keep, named):
+    # these raised TypeError and KeyError, and rerun printed a traceback
+    man = RunManifest("divisors", 0, 1, "[run]\ncommand = divisors\n", "0.1.0")
+    man.write(str(tmp_path))
+    path = tmp_path / "manifest.json"
+    body = {k: v for k, v in json.loads(path.read_text()).items() if keep(k)}
+    path.write_text(json.dumps(body))
+    with pytest.raises(ValueError, match=f"manifest lacks {named}$"):
+        RunManifest.load(str(path))
+    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "replay")]) == 2
+    assert capsys.readouterr().err == f"wickns: error: manifest lacks {named}\n"
+    assert not (tmp_path / "replay").exists()
+
 
 def test_compare_outputs_flags_missing_and_changed(tmp_path):
     old_dir = tmp_path / "old"
@@ -1019,6 +1045,26 @@ def test_cli_picard_not_converged_exits_2_with_flag(tmp_path, capsys):
     assert "picard: runtime failure (see manifest flags)" in capsys.readouterr().err
     assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"not_converged": True}
     assert _json(out)["converged"] is False
+
+
+def test_cli_picard_non_finite_stops_with_flag(tmp_path, capsys):
+    # a huge datum drives the iterates to nan; this ran all 8 iterations on
+    # nan, printed numpy warnings and recorded ratios of 0.0 after each nan
+    cfg = _cfg(
+        tmp_path,
+        "[run]\ncommand = picard\n\n[solver]\ncutoff = 8\ndt = 0.0078125\nhorizon = 0.25\n"
+        "u0 = white:1e12\npicard_max_iters = 8\n\n[noise]\nkind = bessel\n",
+    )
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"non_finite": True, "not_converged": True}
+    rows = [r.split(",") for r in _read(out, "picard_differences.csv").splitlines()[1:]]
+    assert [float(r[1]) for r in rows[:-1]] == _json(out)["differences"][:-1]
+    assert all(math.isfinite(float(r[1])) for r in rows[:-1]) and rows[-1][1] == "nan"
+    assert len(rows) == _json(out)["iterations"] < 8
 
 
 def test_cli_norms_reports_and_checks(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -401,6 +403,19 @@ def test_picard_non_contracting_diagnosed():
     assert rep.non_contracting
     assert not rep.converged
     assert len(rep.ratios) >= 3 and all(r >= 1.0 for r in rep.ratios[-3:])
+
+
+def test_picard_stops_at_first_non_finite_difference():
+    # the cubic term overflows by the third iterate; numpy stays silent, the
+    # loop stops there, and no ratio is taken against the non-finite difference
+    cfg = SolverConfig(cutoff=8, dt=1 / 128, horizon=0.25, picard_max_iters=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = picard_iterate(make_field(8, np.full(17, 1e12 + 0j)), _zero_psi(cfg), cfg)
+    assert rep.non_finite and not rep.converged and not rep.non_contracting
+    assert rep.iterations == len(rep.differences) < cfg.picard_max_iters
+    assert np.all(np.isfinite(rep.differences[:-1])) and not np.isfinite(rep.differences[-1])
+    assert len(rep.ratios) == len(rep.differences) - 1
 
 
 def test_picard_grid_mismatch():

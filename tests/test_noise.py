@@ -372,6 +372,40 @@ def test_trajectory_state_at():
         traj.state_at(0.3)
 
 
+def _grid_csv_oracle(header, outer, inner, values, outer_kind=float) -> str:
+    """The grid tables row by row, one repr per cell."""
+    rows = [
+        f"{outer_kind(a)!r},{int(b)},{float(v.real)!r},{float(v.imag)!r}"
+        for i, a in enumerate(outer)
+        for j, b in enumerate(inner)
+        for v in (values[i, j],)
+    ]
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("N", [0, 2])
+def test_grid_csv_matches_row_oracle(N):
+    # awkward floats in both the time column and the values; each time and
+    # frequency string is formatted once and repeated, so compare bytes
+    odd = np.array([-0.0, 0.0, 1e-05, 1e16, 5e-324, -2.0, 3.0, 0.1, -1e-300, 1.5e308])
+    times = np.array([-0.0, 5e-324, 1e-05, 3.0, 1e16])
+    dim = 2 * N + 1
+    k = np.arange(len(times) * dim)
+    states = (odd[k % len(odd)] + 1j * odd[(3 * k + 1) % len(odd)]).reshape(len(times), dim)
+    traj = Trajectory(times, states)
+    text = trajectory_to_csv(traj)
+    assert text == _grid_csv_oracle("t,n,re,im", times, frequencies(N), states)
+    back = trajectory_from_csv(text)
+    assert back.times.tobytes() == times.tobytes()
+    assert back.states.tobytes() == states.tobytes()
+
+    mat = (odd[k[: dim * dim] % len(odd)] - 1j * odd[(k[: dim * dim] + 4) % len(odd)]).reshape(dim, dim)
+    op = matrix_operator(mat)
+    ns = frequencies(N)
+    assert operator_to_csv(op) == _grid_csv_oracle("n,k,re,im", ns, ns, mat, outer_kind=int)
+    assert operator_from_csv(operator_to_csv(op)).matrix.tobytes() == mat.tobytes()
+
+
 def test_trajectory_csv_round_trip():
     grid = make_grid(0.25, 3)
     traj = sample_convolution_path(bessel_operator(2, 0.5), grid, philox_stream(6))

@@ -37,7 +37,16 @@ from wickns import (
 )
 from wickns.fields import _five_smooth
 from wickns.noise import _complex_normal
-from wickns.norms import _CHUNK, _extend_and_window, _modulation_lq, _xsb_circulant
+from wickns.lab import _pool_map
+from wickns.noise import _check_uniform
+from wickns.norms import (
+    _CHUNK,
+    _extend_and_window,
+    _inverse_phases,
+    _modulation_l2,
+    _modulation_lq,
+    _xsb_circulant,
+)
 from conftest import random_field
 
 
@@ -379,6 +388,51 @@ def test_xsb_gram_cached_per_key():
     for M in (15, 32, 64, 1024):
         P = len(_xsb_circulant(M, 0.5 / M, 0.5, 0.3, 8)[1])
         assert P >= 2 * M + 1 and P == _five_smooth(2 * M + 1)  # brute-forced through 2100 in test_fields
+
+
+def _uncached_xsb_norm(states, times, params, pad=8):
+    """xsb_norm at q = 2 with the inverse phases built afresh on each call."""
+    N = (states.shape[-1] - 1) // 2
+    w = states * np.conj(propagator_phases(N, times))
+    tf = _modulation_l2(w[None], _check_uniform(times), params.T, params.b, pad)[0]
+    return float(np.sum((bracket(frequencies(N)) ** params.s * tf) ** params.p) ** (1.0 / params.p))
+
+
+def test_inverse_phases_cached_per_grid_bytes():
+    N, T, M = 16, 0.9, 40
+    spaced = np.linspace(0.0, T, M + 1)
+    stepped = np.arange(M + 1) * (T / M)
+    # the same (N, M, dt), yet the last time differs in its last bit
+    assert _check_uniform(spaced) == _check_uniform(stepped)
+    assert spaced.tobytes() != stepped.tobytes()
+    _inverse_phases.cache_clear()
+    phases = _inverse_phases(N, spaced.tobytes())
+    assert not phases.flags.writeable
+    assert np.array_equal(phases, np.conj(propagator_phases(N, spaced)))
+    assert _inverse_phases(N, spaced.tobytes()) is phases
+    params = XsbParams(0.1, 0.45, -0.1, 2.0, 2.0, T)
+    states = _complex_normal(philox_stream(17), (M + 1, 2 * N + 1))
+    for times in (spaced, stepped, spaced):
+        assert xsb_norm(Trajectory(times, states), params) == _uncached_xsb_norm(states, times, params)
+
+
+def test_inverse_phases_cache_filled_from_pool_threads():
+    # more threads than cores and a short switch interval, so the threads
+    # race to fill the cache; each must still read the serial bits
+    grid = make_grid(0.5, 64)
+    states = convolution_paths_block(bessel_operator(8, 0.75), grid, philox_stream(3), 8)
+    params = XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, 0.5)
+    serial = xsb_norm_batch(states, grid, params)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4, 4, 4):
+            _inverse_phases.cache_clear()
+            size = len(states) // workers
+            parts = _pool_map(lambda i: xsb_norm_batch(states[i * size : (i + 1) * size], grid, params), workers, workers)
+            assert np.array_equal(np.concatenate(parts), serial)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 _BLAS_PROBE = """
