@@ -375,10 +375,9 @@ def test_trajectory_state_at():
 def _grid_csv_oracle(header, outer, inner, values, outer_kind=float) -> str:
     """The grid tables row by row, one repr per cell."""
     rows = [
-        f"{outer_kind(a)!r},{int(b)},{float(v.real)!r},{float(v.imag)!r}"
+        f"{outer_kind(a)!r},{int(b)},{float(values[i, j].real)!r},{float(values[i, j].imag)!r}"
         for i, a in enumerate(outer)
         for j, b in enumerate(inner)
-        for v in (values[i, j],)
     ]
     return "\n".join([header, *rows]) + "\n"
 

@@ -36,9 +36,8 @@ from wickns import (
     xsb_norm_batch,
 )
 from wickns.fields import _five_smooth
-from wickns.noise import _complex_normal
 from wickns.lab import _pool_map
-from wickns.noise import _check_uniform
+from wickns.noise import _check_uniform, _complex_normal
 from wickns.norms import (
     _CHUNK,
     _extend_and_window,
