@@ -62,6 +62,7 @@ __all__ = ["main"]
 # what a run may raise at run time (exit 2, flagged manifest); a ConfigError,
 # itself a ValueError, is caught before these and exits 1
 RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError)
+WRITE_SLICE = 1 << 20  # characters handed to a text file per write
 
 
 class _Writer:
@@ -83,8 +84,10 @@ class _Writer:
         self.text("resolved_config.ini", self.man.resolved_config)
 
     def text(self, name: str, body: str) -> None:
+        # in slices, so the text layer never encodes a bytes copy of a whole table
         with open(os.path.join(self.out_dir, name), "w") as fh:
-            fh.write(body)
+            for lo in range(0, len(body), WRITE_SLICE):
+                fh.write(body[lo : lo + WRITE_SLICE])
         self.man.record_output(self.out_dir, name)
 
     def stream(self, label: str, *key: int) -> np.random.Generator:

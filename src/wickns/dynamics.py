@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 NONLINEARITIES = ("wick", "cubic", "none")
+GRID_SAMPLES = 1 << 16  # grid samples cubic_coeffs_block holds at once; an ensemble block of ROW_BLOCK rows fits
 ROW_BLOCK = 500  # rows evolve_wick_rk4ip integrates together; variance-test draws its noise in these blocks
 
 
@@ -88,8 +89,19 @@ class WickSplit:
 def cubic_coeffs_block(U: np.ndarray, N: int, *, gridpoints: Optional[int] = None) -> np.ndarray:
     """(|u|^2 u)^ on [-N, N] for a block of coefficient rows, full-band
     intermediate via a zero-padded transform on `gridpoints` points
-    (default alias_free_length(N)); any length >= 4N+1 is alias-free."""
+    (default alias_free_length(N)); any length >= 4N+1 is alias-free.
+
+    Rows go through the grid in groups of at most GRID_SAMPLES samples, so
+    a long block never holds its whole grid at once.  Each row is
+    transformed alone, so the grouping does not change a bit."""
     L = alias_free_length(N) if gridpoints is None else gridpoints
+    rows = max(1, GRID_SAMPLES // L)
+    if U.shape[0] <= rows:
+        return _cubic_on_grid(U, N, L)
+    return np.concatenate([_cubic_on_grid(U[lo : lo + rows], N, L) for lo in range(0, U.shape[0], rows)])
+
+
+def _cubic_on_grid(U: np.ndarray, N: int, L: int) -> np.ndarray:
     phys = to_grid(U, L)
     dens = np.abs(phys)
     np.square(dens, out=dens)  # np.abs(phys) ** 2, bit for bit

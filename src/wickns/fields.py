@@ -11,6 +11,7 @@ output only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -243,13 +244,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_text(header: str, columns) -> str:
+def _csv_text(header: Optional[str], columns, *, plain: bool = False) -> str:
     """The one CSV writer, over equal-length columns: a float by its shortest
     round-trip repr (so tables re-read bit for bit), a numpy integer as an
     int, anything else by str.  A column of plain Python values, such as a
-    .tolist(), is formatted by str alone, which gives the same text."""
-    cells = [map(str if _PLAIN.issuperset(map(type, c)) else _fmt, c) for c in columns]
-    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+    .tolist(), is formatted by str alone, which gives the same text; plain
+    says every column is one, so no value's type is looked at.  With header
+    None the text is the rows alone: a long table is written as its header
+    and blocks of rows, joined."""
+    cells = [map(str if plain or _PLAIN.issuperset(map(type, c)) else _fmt, c) for c in columns]
+    lines = map(",".join, zip(*cells))
+    return "\n".join([*lines, ""] if header is None else [header, *lines, ""])
 
 
 def _csv_rows(text: str, header: str, kinds) -> list[tuple]:

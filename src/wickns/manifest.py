@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 __all__ = ["RunManifest", "compare_outputs", "sha256_file"]
@@ -73,6 +74,19 @@ class RunManifest:
         missing = [k for k in (*required, "config_hash") if k not in body]
         if missing:
             raise ValueError(f"manifest lacks {', '.join(missing)}")
+        hints = {**typing.get_type_hints(cls), "config_hash": str}
+        bad = []
+        for name, hint in hints.items():
+            kind = typing.get_origin(hint) or hint
+            if name in body and not isinstance(body[name], (int, float) if kind is float else kind):
+                bad.append(f"{name} (expected {kind.__name__}, got {type(body[name]).__name__})")
+        outputs = body.get("outputs")
+        if isinstance(outputs, list) and not all(
+            isinstance(r, dict) and isinstance(r.get("name"), str) and isinstance(r.get("sha256"), str) for r in outputs
+        ):
+            bad.append("outputs (each entry needs a string name and sha256)")
+        if bad:
+            raise ValueError(f"manifest fields of the wrong type: {'; '.join(bad)}")
         m = cls(**{f.name: body[f.name] for f in fields(cls) if f.name in body})
         if body["config_hash"] != m.config_hash:
             raise ValueError("manifest config_hash does not match embedded config")

@@ -49,6 +49,8 @@ __all__ = [
     "operator_from_csv",
 ]
 
+_CSV_BLOCK_ROWS = 1 << 14  # rows of a trajectory or matrix table formatted together
+
 
 @dataclass(frozen=True)
 class NoiseOperator:
@@ -358,24 +360,31 @@ def moment_bound_check(coeffs, p: float, samples: int, rng: np.random.Generator)
     return lp / (np.sqrt(p) * l2)
 
 
-def _grid_columns(outer, inner, values: np.ndarray) -> list:
-    """Columns outer[i], inner[j], re, im of values[i, j], row-major.
+def _grid_blocks(outer, inner, values: np.ndarray):
+    """Columns outer[i], inner[j], re, im of values[i, j], row-major, for a
+    block of whole outer labels at a time, about _CSV_BLOCK_ROWS rows each.
 
     Each outer and inner label is formatted once and its string repeated,
-    which gives _csv_text's bytes without one repr per row."""
-    outer_s = list(map(_fmt, outer))
+    which gives _csv_text's bytes without one repr per row.  Every column
+    holds str or float only, so _csv_text may take it as plain.  One block's
+    per-row strings are alive at a time, not the whole table's."""
     inner_s = list(map(_fmt, inner))
-    return [
-        [s for s in outer_s for _ in inner_s],
-        inner_s * len(outer_s),
-        values.real.ravel().tolist(),
-        values.imag.ravel().tolist(),
-    ]
+    step = max(1, _CSV_BLOCK_ROWS // len(inner_s))
+    for lo in range(0, len(outer), step):
+        outer_s = list(map(_fmt, outer[lo : lo + step]))
+        block = values[lo : lo + step]
+        yield [
+            [s for s in outer_s for _ in inner_s],
+            inner_s * len(outer_s),
+            block.real.ravel().tolist(),
+            block.imag.ravel().tolist(),
+        ]
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV serialization: header `t,n,re,im`, grid-major then frequency."""
-    return _csv_text("t,n,re,im", _grid_columns(traj.times, frequencies(traj.cutoff), traj.states))
+    blocks = _grid_blocks(traj.times, frequencies(traj.cutoff), traj.states)
+    return "".join([_csv_text("t,n,re,im", []), *(_csv_text(None, c, plain=True) for c in blocks)])
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
@@ -403,7 +412,8 @@ def operator_to_csv(op: NoiseOperator) -> str:
     ns = frequencies(op.cutoff)
     if op.is_multiplier:
         return _csv_text("n,phi_n", [ns.tolist(), op.multiplier.tolist()])
-    return _csv_text("n,k,re,im", _grid_columns(ns, ns, op.matrix))
+    blocks = _grid_blocks(ns, ns, op.matrix)
+    return "".join([_csv_text("n,k,re,im", []), *(_csv_text(None, c, plain=True) for c in blocks)])
 
 
 def operator_from_csv(text: str) -> NoiseOperator:

@@ -376,25 +376,49 @@ def test_manifest_rejects_tampering(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "keep, named",
+    "edit, message",
     [
-        (lambda k: k == "schema_version", "command, seed, workers, resolved_config, code_version, config_hash"),
-        (lambda k: k != "config_hash", "config_hash"),
+        (
+            lambda b: {"schema_version": b["schema_version"]},
+            "manifest lacks command, seed, workers, resolved_config, code_version, config_hash",
+        ),
+        (lambda b: {k: v for k, v in b.items() if k != "config_hash"}, "manifest lacks config_hash"),
+        (
+            lambda b: {**b, "resolved_config": 5},
+            "manifest fields of the wrong type: resolved_config (expected str, got int)",
+        ),
+        (lambda b: {**b, "outputs": 5}, "manifest fields of the wrong type: outputs (expected list, got int)"),
+        (
+            lambda b: {**b, "outputs": [{"name": 5, "sha256": "0"}], "flags": []},
+            "manifest fields of the wrong type: flags (expected dict, got list); "
+            "outputs (each entry needs a string name and sha256)",
+        ),
     ],
-    ids=["schema_version_only", "no_config_hash"],
+    ids=["schema_version_only", "no_config_hash", "resolved_config_int", "outputs_int", "bad_entry_and_flags"],
 )
-def test_rerun_of_manifest_missing_fields_is_an_error(tmp_path, capsys, keep, named):
-    # these raised TypeError and KeyError, and rerun printed a traceback
+def test_rerun_of_manifest_missing_fields_is_an_error(tmp_path, capsys, edit, message):
+    # these raised TypeError, KeyError or AttributeError, and rerun printed a
+    # traceback; a bad outputs list did so only after replaying the whole run
     man = RunManifest("divisors", 0, 1, "[run]\ncommand = divisors\n", "0.1.0")
     man.write(str(tmp_path))
     path = tmp_path / "manifest.json"
-    body = {k: v for k, v in json.loads(path.read_text()).items() if keep(k)}
-    path.write_text(json.dumps(body))
-    with pytest.raises(ValueError, match=f"manifest lacks {named}$"):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError) as err:
         RunManifest.load(str(path))
+    assert str(err.value) == message
     assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "replay")]) == 2
-    assert capsys.readouterr().err == f"wickns: error: manifest lacks {named}\n"
+    assert capsys.readouterr().err == f"wickns: error: {message}\n"
     assert not (tmp_path / "replay").exists()
+
+
+def test_writer_writes_a_long_body_whole(tmp_path):
+    # a body is written in WRITE_SLICE slices; a long one must land whole
+    body = "".join(f"{i},{i / 7!r}\n" for i in range(120_000))
+    assert len(body) > 2 * cli.WRITE_SLICE
+    w = cli._Writer(str(tmp_path), parse_config_text("[run]\ncommand = divisors\n"))
+    w.text("big.csv", body)
+    assert (tmp_path / "big.csv").read_text() == body
+    assert w.man.outputs[-1]["bytes"] == len(body)
 
 
 def test_compare_outputs_flags_missing_and_changed(tmp_path):

@@ -25,7 +25,7 @@ from wickns import (
 )
 from wickns import dynamics
 from wickns.dynamics import ROW_BLOCK, _cubic_coeffs_conv
-from wickns.fields import _five_smooth, alias_free_length
+from wickns.fields import _five_smooth, alias_free_length, from_grid, to_grid
 from wickns.noise import _complex_normal, _draw_increments
 from conftest import random_field
 
@@ -111,6 +111,27 @@ def test_blocked_forms_match_convolution_path(rng):
             f = make_field(N, U[i])
             assert np.max(np.abs(wick_block[i] - wick_nonlinearity_direct(f).coeffs)) < 1e-12
             assert np.max(np.abs(cubic_block[i] - cubic_nonlinearity(f).coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "rows, N, L, sizes", [(1025, 64, None, [128] * 8 + [1]), (500, 16, 72, [500]), (1007, 16, 72, [910, 97])]
+)
+def test_grouped_grid_kernels_match_one_whole_block_transform(monkeypatch, rows, N, L, sizes):
+    # Picard's 1025 x 512 grid goes through in groups, an ensemble row block
+    # of 500 on 72 points stays one group, and 1007 rows split there; every
+    # row is transformed alone, so the bits are those of one whole-block pass
+    rng = philox_stream(41)
+    U = _complex_normal(rng, (rows, 2 * N + 1))
+    grid = alias_free_length(N) if L is None else L
+    phys = to_grid(U, grid)
+    cubic = from_grid(np.abs(phys) ** 2 * phys, N)
+    wick = cubic - 2.0 * np.sum(np.abs(U) ** 2, axis=1, keepdims=True) * U
+    groups = []
+    whole = dynamics._cubic_on_grid
+    monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(len(V)) or whole(V, *a))
+    assert np.array_equal(cubic_coeffs_block(U, N, gridpoints=L), cubic)
+    assert np.array_equal(wick_coeffs_block(U, N, gridpoints=L), wick)
+    assert groups == 2 * sizes  # group sizes of the cubic call, then of the Wick call
 
 
 def test_five_smooth_grid_matches_convolution_oracle():

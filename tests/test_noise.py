@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from wickns import (
     trajectory_to_csv,
 )
 from wickns.dynamics import ROW_BLOCK
-from wickns.noise import _complex_normal, _draw_increments, _increment_blocks
+from wickns.noise import _CSV_BLOCK_ROWS, _complex_normal, _draw_increments, _increment_blocks
 
 PICARD_NOISE = pathlib.Path(__file__).resolve().parents[1] / "wickbench" / "workloads" / "picard_noise.csv"
 
@@ -382,27 +383,47 @@ def _grid_csv_oracle(header, outer, inner, values, outer_kind=float) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-@pytest.mark.parametrize("N", [0, 2])
+@pytest.mark.parametrize("N", [0, 2, 64])
 def test_grid_csv_matches_row_oracle(N):
     # awkward floats in both the time column and the values; each time and
-    # frequency string is formatted once and repeated, so compare bytes
+    # frequency string is formatted once and repeated, and the rows are
+    # formatted in blocks of whole times, so compare bytes on both sides of
+    # a block boundary (N = 64: a matrix table of two blocks)
     odd = np.array([-0.0, 0.0, 1e-05, 1e16, 5e-324, -2.0, 3.0, 0.1, -1e-300, 1.5e308])
-    times = np.array([-0.0, 5e-324, 1e-05, 3.0, 1e16])
     dim = 2 * N + 1
-    k = np.arange(len(times) * dim)
-    states = (odd[k % len(odd)] + 1j * odd[(3 * k + 1) % len(odd)]).reshape(len(times), dim)
-    traj = Trajectory(times, states)
-    text = trajectory_to_csv(traj)
-    assert text == _grid_csv_oracle("t,n,re,im", times, frequencies(N), states)
-    back = trajectory_from_csv(text)
-    assert back.times.tobytes() == times.tobytes()
-    assert back.states.tobytes() == states.tobytes()
+    block = _CSV_BLOCK_ROWS // dim
+    for count in (1, block - 1, block + 1, 1025):
+        times = np.concatenate([[-0.0, 5e-324, 1e-05, 0.1, 3.0], 3.0 + np.arange(1, count) / 7])[:count]
+        k = np.arange(count * dim)
+        states = (odd[k % len(odd)] + 1j * odd[(3 * k + 1) % len(odd)]).reshape(count, dim)
+        traj = Trajectory(times, states)
+        text = trajectory_to_csv(traj)
+        assert text == _grid_csv_oracle("t,n,re,im", times, frequencies(N), states)
+        back = trajectory_from_csv(text)
+        assert back.times.tobytes() == times.tobytes()
+        assert back.states.tobytes() == states.tobytes()
 
-    mat = (odd[k[: dim * dim] % len(odd)] - 1j * odd[(k[: dim * dim] + 4) % len(odd)]).reshape(dim, dim)
+    k = np.arange(dim * dim)
+    mat = (odd[k % len(odd)] - 1j * odd[(k + 4) % len(odd)]).reshape(dim, dim)
     op = matrix_operator(mat)
     ns = frequencies(N)
     assert operator_to_csv(op) == _grid_csv_oracle("n,k,re,im", ns, ns, mat, outer_kind=int)
     assert operator_from_csv(operator_to_csv(op)).matrix.tobytes() == mat.tobytes()
+
+
+def test_trajectory_csv_peak_memory_is_about_twice_its_text():
+    # the rows are formatted a block at a time: the block texts and their
+    # join are alive at once, one block's per-row strings besides (4.4x its
+    # text when the whole table was formatted at once)
+    rng = philox_stream(12)
+    traj = Trajectory(make_grid(0.25, 1024), _complex_normal(rng, (1025, 129)))
+    tracemalloc.start()
+    try:
+        text = trajectory_to_csv(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(text)
 
 
 def test_trajectory_csv_round_trip():
