@@ -393,7 +393,7 @@ def test_grid_csv_matches_row_oracle(N):
     dim = 2 * N + 1
     block = _CSV_BLOCK_ROWS // dim
     for count in (1, block - 1, block + 1, 1025):
-        times = np.concatenate([[-0.0, 5e-324, 1e-05, 0.1, 3.0], 3.0 + np.arange(1, count) / 7])[:count]
+        times = np.append(np.concatenate([[-0.0, 5e-324, 1e-05], 3.0 + np.arange(count) / 7])[: count - 1], 1e16)
         k = np.arange(count * dim)
         states = (odd[k % len(odd)] + 1j * odd[(3 * k + 1) % len(odd)]).reshape(count, dim)
         traj = Trajectory(times, states)
