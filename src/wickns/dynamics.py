@@ -91,8 +91,8 @@ def cubic_coeffs_block(U: np.ndarray, N: int, *, gridpoints: Optional[int] = Non
     intermediate via a zero-padded transform on `gridpoints` points
     (default alias_free_length(N)); any length >= 4N+1 is alias-free.
 
-    Rows go through the grid in groups of at most GRID_SAMPLES samples, so
-    a long block never holds its whole grid at once.  Each row is
+    Rows go through the grid GRID_SAMPLES // gridpoints at a time (at least
+    one), so a long block never holds its whole grid at once.  Each row is
     transformed alone, so the grouping does not change a bit."""
     L = alias_free_length(N) if gridpoints is None else gridpoints
     rows = max(1, GRID_SAMPLES // L)
