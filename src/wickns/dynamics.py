@@ -91,14 +91,17 @@ def cubic_coeffs_block(U: np.ndarray, N: int, *, gridpoints: Optional[int] = Non
     intermediate via a zero-padded transform on `gridpoints` points
     (default alias_free_length(N)); any length >= 4N+1 is alias-free.
 
-    Rows go through the grid GRID_SAMPLES // gridpoints at a time (at least
-    one), so a long block never holds its whole grid at once.  Each row is
-    transformed alone, so the grouping does not change a bit."""
+    Rows, over every leading axis, go through the grid GRID_SAMPLES //
+    gridpoints at a time (at least one), so a long block never holds its
+    whole grid at once.  Each row is transformed alone, so the grouping does
+    not change a bit."""
     L = alias_free_length(N) if gridpoints is None else gridpoints
     rows = max(1, GRID_SAMPLES // L)
-    if U.shape[0] <= rows:
+    flat = U.reshape(-1, U.shape[-1])
+    if len(flat) <= rows:
         return _cubic_on_grid(U, N, L)
-    return np.concatenate([_cubic_on_grid(U[lo : lo + rows], N, L) for lo in range(0, U.shape[0], rows)])
+    out = np.concatenate([_cubic_on_grid(flat[lo : lo + rows], N, L) for lo in range(0, len(flat), rows)])
+    return out.reshape(U.shape)
 
 
 def _cubic_on_grid(U: np.ndarray, N: int, L: int) -> np.ndarray:

@@ -11,7 +11,6 @@ output only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -244,17 +243,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_text(header: Optional[str], columns, *, plain: bool = False) -> str:
+def _csv_text(header: str, columns=(), *, blocks=()) -> str:
     """The one CSV writer, over equal-length columns: a float by its shortest
     round-trip repr (so tables re-read bit for bit), a numpy integer as an
     int, anything else by str.  A column of plain Python values, such as a
-    .tolist(), is formatted by str alone, which gives the same text; plain
-    says every column is one, so no value's type is looked at.  With header
-    None the text is the rows alone: a long table is written as its header
-    and blocks of rows, joined."""
-    cells = [map(str if plain or _PLAIN.issuperset(map(type, c)) else _fmt, c) for c in columns]
-    lines = map(",".join, zip(*cells))
-    return "\n".join([*lines, ""] if header is None else [header, *lines, ""])
+    .tolist(), is formatted by str alone, which gives the same text.
+
+    A long table comes as `blocks` of rows instead, each a list of such
+    columns known to hold str and float only, so no value's type is looked
+    at.  Each block is formatted on its own and the texts are joined once,
+    so only one block's per-row strings are alive at a time."""
+    cells = [map(str if _PLAIN.issuperset(map(type, c)) else _fmt, c) for c in columns]
+    texts = ["\n".join([header, *map(",".join, zip(*cells)), ""])]
+    for block in blocks:
+        texts.append("\n".join([*map(",".join, zip(*[map(str, c) for c in block])), ""]))
+    return "".join(texts)
 
 
 def _csv_rows(text: str, header: str, kinds) -> list[tuple]:

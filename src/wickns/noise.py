@@ -362,12 +362,12 @@ def moment_bound_check(coeffs, p: float, samples: int, rng: np.random.Generator)
 
 def _grid_blocks(outer, inner, values: np.ndarray):
     """Columns outer[i], inner[j], re, im of values[i, j], row-major, for a
-    block of whole outer labels at a time, about _CSV_BLOCK_ROWS rows each.
+    block of whole outer labels at a time, about _CSV_BLOCK_ROWS rows each:
+    the `blocks` of _csv_text.
 
     Each outer and inner label is formatted once and its string repeated,
-    which gives _csv_text's bytes without one repr per row.  Every column
-    holds str or float only, so _csv_text may take it as plain.  One block's
-    per-row strings are alive at a time, not the whole table's."""
+    which gives _csv_text's bytes without one repr per row; every column
+    holds str or float only."""
     inner_s = list(map(_fmt, inner))
     step = max(1, _CSV_BLOCK_ROWS // len(inner_s))
     for lo in range(0, len(outer), step):
@@ -383,8 +383,7 @@ def _grid_blocks(outer, inner, values: np.ndarray):
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV serialization: header `t,n,re,im`, grid-major then frequency."""
-    blocks = _grid_blocks(traj.times, frequencies(traj.cutoff), traj.states)
-    return "".join([_csv_text("t,n,re,im", []), *(_csv_text(None, c, plain=True) for c in blocks)])
+    return _csv_text("t,n,re,im", blocks=_grid_blocks(traj.times, frequencies(traj.cutoff), traj.states))
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
@@ -412,8 +411,7 @@ def operator_to_csv(op: NoiseOperator) -> str:
     ns = frequencies(op.cutoff)
     if op.is_multiplier:
         return _csv_text("n,phi_n", [ns.tolist(), op.multiplier.tolist()])
-    blocks = _grid_blocks(ns, ns, op.matrix)
-    return "".join([_csv_text("n,k,re,im", []), *(_csv_text(None, c, plain=True) for c in blocks)])
+    return _csv_text("n,k,re,im", blocks=_grid_blocks(ns, ns, op.matrix))
 
 
 def operator_from_csv(text: str) -> NoiseOperator:

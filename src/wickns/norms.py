@@ -212,30 +212,15 @@ def _modulation_lq(v: np.ndarray, dt: float, b: float, q: float, pad: int) -> np
     v has shape (..., J, modes); V(tau) = dt * zero-padded FFT along the time
     axis, tau on the discrete transform grid.  A global phase from the grid
     origin drops out of |V|.
-
-    One path at a time, in cache-sized buffers: the transform runs time-last,
-    contiguous, which gives the strided transform's bits faster, and |V| is
-    taken back time-major, since the tau-sum's einsum sums in another order
-    on time-last data.
     """
-    J, modes = v.shape[-2:]
+    J = v.shape[-2]
     L = pad * J
+    V = np.abs(np.fft.fft(v, n=L, axis=-2)) * dt
     tau = 2.0 * np.pi * np.fft.fftfreq(L, d=dt)
     dtau = 2.0 * np.pi / (L * dt)
     wt = bracket(tau) ** (b * q)
-    paths = v.reshape(-1, J, modes)
-    acc = np.empty((paths.shape[0], modes))
-    y = np.zeros((modes, L), dtype=np.complex128)
-    V = np.empty((L, modes))
-    for i, path in enumerate(paths):
-        y[:, :J] = path.T
-        y[:, J:] = 0.0
-        np.fft.fft(y, axis=-1, out=y)
-        np.abs(y.T, out=V)
-        V *= dt
-        np.power(V, q, out=V)
-        acc[i] = np.einsum("tm,t->m", V, wt)
-    return (acc.reshape(v.shape[:-2] + (modes,)) * dtau / (2.0 * np.pi)) ** (1.0 / q)
+    acc = np.einsum("...tm,t->...m", V**q, wt)
+    return (acc * dtau / (2.0 * np.pi)) ** (1.0 / q)
 
 
 def _extend_and_window(states: np.ndarray, times: np.ndarray, params: XsbParams):

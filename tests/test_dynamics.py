@@ -134,6 +134,20 @@ def test_grouped_grid_kernels_match_one_whole_block_transform(monkeypatch, rows,
     assert groups == 2 * sizes  # group sizes of the cubic call, then of the Wick call
 
 
+@pytest.mark.parametrize("shape, N, sizes", [((201,), 100, [1]), ((3, 400, 129), 64, [128] * 9 + [48])])
+def test_grouped_cubic_groups_rows_over_every_leading_axis(monkeypatch, shape, N, sizes):
+    # a single row of 201 coefficients is one row, not two groups
+    # of coefficients, and a (3, 400) stack of rows groups as 1200 rows
+    U = _complex_normal(philox_stream(43), shape)
+    phys = to_grid(U, alias_free_length(N))
+    cubic = from_grid(np.abs(phys) ** 2 * phys, N)
+    groups = []
+    whole = dynamics._cubic_on_grid
+    monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(V.shape[:-1]) or whole(V, *a))
+    assert np.array_equal(cubic_coeffs_block(U, N), cubic)
+    assert groups == ([shape[:-1]] if len(sizes) == 1 else [(k,) for k in sizes])
+
+
 def test_five_smooth_grid_matches_convolution_oracle():
     # _five_smooth(4N+1) leaves the power-of-two ladder at N = 2 (10 < 16); the
     # plain convolutions are the oracle whatever the grid length

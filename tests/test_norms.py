@@ -332,21 +332,6 @@ def _padded_fft_norms(states, times, params, pad):
     return np.sum((wn * tf) ** params.p, axis=-1) ** (1.0 / params.p)
 
 
-@pytest.mark.parametrize("q", [3.0, 4.0])
-@pytest.mark.parametrize("shape", [(2, 3, 33, 5), (4, 129, 65), (17, 1)])
-def test_modulation_lq_keeps_the_strided_transform_bits(q, shape):
-    # it runs one path at a time, time-last; the oracle is one strided
-    # transform and one time-major tau-sum over the whole block
-    v = _complex_normal(philox_stream(len(shape), int(q)), shape)
-    dt, b, pad = 0.0078125, 0.7, 8
-    L = pad * shape[-2]
-    V = np.abs(np.fft.fft(v, n=L, axis=-2)) * dt
-    wt = bracket(2.0 * np.pi * np.fft.fftfreq(L, d=dt)) ** (b * q)
-    dtau = 2.0 * np.pi / (L * dt)
-    want = (np.einsum("...tm,t->...m", V**q, wt) * dtau / (2.0 * np.pi)) ** (1.0 / q)
-    assert np.array_equal(_modulation_lq(v, dt, b, q, pad), want)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.0, 0.49, exclude_min=True),
