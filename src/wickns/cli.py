@@ -399,7 +399,8 @@ def _cmd_sums(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 def _cmd_divisors(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     limit = cfg.get("lab", "limit")
     delta = cfg.get("lab", "delta")
-    ratio, argmax = divisor_bound_scan(limit, delta)
+    # a range error names its key, before the sieve runs
+    ratio, argmax = _keyed(divisor_bound_scan, {"limit": "[lab] limit", "delta": "[lab] delta"}, limit=limit, delta=delta)
     report = {
         "limit": limit,
         "delta": delta,
@@ -523,9 +524,10 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     summary = {"axis": axis, "values": values, "command": cfg.command, "cells": cells}
     w.text("sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     w.seal(f"sweep:{cfg.command}", {"cells_failed": 2 in codes})
-    print(f"sweep: {len(cells)} cells over {axis}, worst exit {max(codes)}")
     # a runtime failure outranks a config error, which outranks a failed --assert check
-    return next((c for c in (2, 1, 3) if c in codes), 0)
+    code = next((c for c in (2, 1, 3) if c in codes), 0)
+    print(f"sweep: {len(cells)} cells over {axis}, worst exit {code}")
+    return code
 
 
 def _cmd_rerun(args) -> int:

@@ -117,7 +117,7 @@ def _finite(v: float, raw: str) -> float:
 def _at_least(spec: str, vs: tuple) -> None:
     """The minimum of an "int:K" / "ints:K" tag; no check for a bare tag."""
     low = spec.partition(":")[2]
-    if low and min(vs, default=int(low)) < int(low):
+    if low and min(vs) < int(low):
         raise ValueError(f"must be >= {low}, got {min(vs)}")
 
 
@@ -139,6 +139,8 @@ def _coerce(section: str, key: str, spec: str, raw: str):
             return tuple(_finite(float(v), raw) for v in raw.split(",") if v.strip() != "")
         if kind == "ints":
             vs = tuple(int(v) for v in raw.split(",") if v.strip() != "")
+            if not vs:
+                raise ValueError("must hold at least one value")
             _at_least(spec, vs)
             return vs
         if spec == "str":
@@ -246,7 +248,7 @@ class ExperimentConfig:
     def data_alpha(self) -> float:
         """[lab] data_alpha, with the overflow check of [noise] alpha at the
         largest of [lab] cutoffs, where phi_n of a negative alpha is largest."""
-        self._bessel("lab", "data_alpha", max(self.get("lab", "cutoffs"), default=0))
+        self._bessel("lab", "data_alpha", max(self.get("lab", "cutoffs")))
         return self.get("lab", "data_alpha")
 
     def xsb_params(self) -> XsbParams:

@@ -31,7 +31,6 @@ __all__ = [
     "WickSplit",
     "PicardReport",
     "wick_nonlinearity_direct",
-    "cubic_nonlinearity",
     "wick_trilinear",
     "gauge_transform",
     "solve",
@@ -133,11 +132,6 @@ def wick_nonlinearity_direct(u: SpectralField) -> SpectralField:
     """(|u|^2 - 2 M) u in coefficient space, truncated to [-N, N] at the end."""
     cubic = _cubic_coeffs_conv(u.coeffs, u.cutoff)
     return make_field(u.cutoff, cubic - 2.0 * u.mass() * u.coeffs)
-
-
-def cubic_nonlinearity(u: SpectralField) -> SpectralField:
-    """Plain |u|^2 u without renormalization, for gauge-equivalence checks."""
-    return make_field(u.cutoff, _cubic_coeffs_conv(u.coeffs, u.cutoff))
 
 
 def wick_trilinear(u1: SpectralField, u2: SpectralField, u3: SpectralField) -> WickSplit:

@@ -36,7 +36,6 @@ from .noise import (
 from .norms import XsbParams, bracket, gamma_norm, xsb_norm_batch
 
 __all__ = [
-    "ModulationPoint",
     "CriticalityReport",
     "TailFitReport",
     "TrilinearStats",
@@ -83,39 +82,6 @@ def resonance_defects(n1, n2, n3):
     return lhs - rhs
 
 
-@dataclass(frozen=True)
-class ModulationPoint:
-    """One frequency-modulation configuration (n, n1, n2, n3, tau).
-
-    Requires n = n1 - n2 + n3.  With sigma_j = tau_j - n_j^2 and
-    sigma_0 = tau - n^2 the alternating sum sigma_0 - sigma_1 + sigma_2 -
-    sigma_3 equals -2 (n - n1)(n - n3), so at low intermediate modulations
-    the kernel peaks near sigma_0 = -2 (n - n1)(n - n3).
-    """
-
-    n: int
-    n1: int
-    n2: int
-    n3: int
-    tau: float
-
-    def __post_init__(self):
-        if self.n != self.n1 - self.n2 + self.n3:
-            raise ValueError("need n = n1 - n2 + n3")
-
-    @property
-    def sigma0(self) -> float:
-        return self.tau - self.n**2
-
-    @property
-    def resonance_product(self) -> int:
-        return 2 * (self.n - self.n1) * (self.n - self.n3)
-
-    @property
-    def is_resonant(self) -> bool:
-        return self.n == self.n1 or self.n == self.n3
-
-
 # ---------------------------------------------------------------------------
 # divisor arithmetic
 
@@ -137,10 +103,13 @@ def divisor_bound_scan(limit: int, delta: float) -> tuple[float, int]:
     """(max_{1 <= n <= limit} d(n) / n^delta, the first n attaining it) via a
     harmonic sieve.
 
-    The sieve costs sum_d limit/d = O(limit log limit) slice updates.
+    The sieve costs sum_d limit/d = O(limit log limit) slice updates.  Each
+    range error's message starts with the argument it rejects.
     """
-    if limit < 1 or delta <= 0:
-        raise ValueError("need limit >= 1 and delta > 0")
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     counts = np.zeros(limit + 1, dtype=np.int32)
     for d in range(1, limit + 1):
         counts[d::d] += 1

@@ -33,8 +33,6 @@ __all__ = [
     "Trajectory",
     "bessel_operator",
     "identity_operator",
-    "multiplier_operator",
-    "matrix_operator",
     "make_grid",
     "philox_stream",
     "sample_white_noise_field",
@@ -42,9 +40,7 @@ __all__ = [
     "convolution_from_path",
     "convolution_paths_block",
     "convolution_variance",
-    "moment_bound_check",
     "trajectory_to_csv",
-    "trajectory_from_csv",
     "operator_to_csv",
     "operator_from_csv",
 ]
@@ -136,16 +132,6 @@ def identity_operator(cutoff: int) -> NoiseOperator:
     return bessel_operator(cutoff, 0.0)
 
 
-def multiplier_operator(values) -> NoiseOperator:
-    values = np.asarray(values, dtype=np.float64)
-    return NoiseOperator((values.shape[0] - 1) // 2, multiplier=values)
-
-
-def matrix_operator(mat) -> NoiseOperator:
-    mat = np.asarray(mat, dtype=np.complex128)
-    return NoiseOperator((mat.shape[0] - 1) // 2, matrix=mat)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-gridded sequence of spectral states sharing one cutoff.
@@ -177,19 +163,6 @@ class Trajectory:
     @property
     def cutoff(self) -> int:
         return (self.states.shape[1] - 1) // 2
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def field(self, m: int) -> SpectralField:
-        return make_field(self.cutoff, self.states[m])
-
-    def state_at(self, t: float) -> SpectralField:
-        m = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[m] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} not on the grid")
-        return self.field(m)
 
 
 def make_grid(horizon: float, steps: int) -> np.ndarray:
@@ -342,24 +315,6 @@ def convolution_variance(op: NoiseOperator, t: float, n: int) -> float:
     return float(t * row**2)
 
 
-def moment_bound_check(coeffs, p: float, samples: int, rng: np.random.Generator) -> float:
-    """Empirical L^p norm of sum a_n g_n divided by sqrt(p) * ||a||_{l2}.
-
-    The Gaussian moment equivalence says this ratio is bounded by an absolute
-    constant over p >= 2 and arbitrary coefficient sequences.
-    """
-    a = np.asarray(coeffs, dtype=np.complex128)
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    g = _complex_normal(rng, (samples, a.shape[0])) / np.sqrt(2.0)
-    x = g @ a
-    lp = float(np.mean(np.abs(x) ** p) ** (1.0 / p))
-    l2 = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    if l2 == 0:
-        raise ValueError("coefficient sequence must be non-zero")
-    return lp / (np.sqrt(p) * l2)
-
-
 def _grid_blocks(outer, inner, values: np.ndarray):
     """Columns outer[i], inner[j], re, im of values[i, j], row-major, for a
     block of whole outer labels at a time, about _CSV_BLOCK_ROWS rows each:
@@ -384,26 +339,6 @@ def _grid_blocks(outer, inner, values: np.ndarray):
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV serialization: header `t,n,re,im`, grid-major then frequency."""
     return _csv_text("t,n,re,im", blocks=_grid_blocks(traj.times, frequencies(traj.cutoff), traj.states))
-
-
-def trajectory_from_csv(text: str) -> Trajectory:
-    """Inverse of trajectory_to_csv: every time lists frequencies -N..N in
-    order, with one N for the whole file."""
-    ts, ns, states = [], [], []
-    for t, n, re, im in _csv_rows(text, "t,n,re,im", (float, int, float, float)):
-        if not ts or t != ts[-1]:
-            ts.append(t)
-            ns.append([])
-            states.append([])
-        ns[-1].append(n)
-        states[-1].append(complex(re, im))
-    if not ts:
-        raise ValueError("no rows after the header")
-    N = (len(ns[0]) - 1) // 2
-    for t, got in zip(ts, ns):
-        if got != list(range(-N, N + 1)):
-            raise ValueError(f"time {t!r}: frequencies must run -N..N in order, with one N for every time")
-    return Trajectory(np.asarray(ts), np.asarray(states, dtype=np.complex128))
 
 
 def operator_to_csv(op: NoiseOperator) -> str:

@@ -43,7 +43,6 @@ __all__ = [
     "temporal_window_factor",
     "homogeneous_estimate_check",
     "discrete_duhamel",
-    "duhamel_estimate_check",
     "bracket",
 ]
 
@@ -85,10 +84,6 @@ class XsbParams:
     def trilinear_window_ok(self) -> bool:
         """-1/p < b' < 0 < b < 1 - 1/p, the admissible trilinear window."""
         return -1.0 / self.p < self.bprime < 0.0 < self.b < 1.0 - 1.0 / self.p
-
-    def solution_class_ok(self) -> bool:
-        """(b - 1) p < -1, required of the solution-space exponent."""
-        return (self.b - 1.0) * self.p < -1.0
 
     def with_exponent(self, b: float) -> "XsbParams":
         return replace(self, b=b)
@@ -413,16 +408,3 @@ def discrete_duhamel(F: Trajectory) -> Trajectory:
         out[m + 1] = prop * (out[m] + dt * F.states[m])
     return Trajectory(F.times, out)
 
-
-def duhamel_estimate_check(F: Trajectory, params: XsbParams) -> tuple[float, float]:
-    """Returns (||Duhamel(F)|| at exponent b, ||F|| at exponent b').
-
-    Exponent window: -1/q < b' <= 0 <= b <= 1 + b'.  The inhomogeneous linear
-    estimate asserts lhs <= C T^{1 + b' - b} rhs with C independent of T.
-    """
-    p = params
-    if not (-1.0 / p.q < p.bprime <= 0.0 <= p.b <= 1.0 + p.bprime):
-        raise ValueError("exponent window violated: need -1/q < b' <= 0 <= b <= 1 + b'")
-    lhs = xsb_norm(discrete_duhamel(F), params)
-    rhs = xsb_norm(F, params.with_exponent(params.bprime))
-    return lhs, rhs

@@ -576,10 +576,23 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         ("[run]\ncommand = tail-mc\n\n[lab]\nsamples = 999\n", "[lab] samples: samples must be at least 1000, got 999"),
         ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", "[lab] lambdas: lambdas must hold at least 3 lambda levels, got 2"),
         ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 0, 1, 2\n", "[lab] lambdas: lambdas must be positive multipliers"),
+        # the divisor scan's range; it used to exit 2 naming no key, under a flagged manifest
+        ("[run]\ncommand = divisors\n\n[lab]\ndelta = 0\n", "[lab] delta: delta must be positive, got 0.0"),
+        ("[run]\ncommand = divisors\n\n[lab]\ndelta = -0.5\n", "[lab] delta: delta must be positive, got -0.5"),
     ):
         cfg = _cfg(tmp_path, text, name="keyed.ini")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
         assert f"wickns: config error: {msg}" in capsys.readouterr().err
+        assert not (tmp_path / "keyed" / "manifest.json").exists()
+
+    # an empty integer list is rejected before anything is written; multiplier
+    # used to die on an IndexError, and the others to pass their checks on no data
+    for command, key in (("multiplier", "cutoffs"), ("trilinear", "cutoffs"), ("wick-check", "cutoffs"), ("sums", "k1_values")):
+        cfg = _cfg(tmp_path, f"[run]\ncommand = {command}\n\n[lab]\n{key} =\n", name="empty.ini")
+        out = tmp_path / f"empty-{command}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1, command
+        assert f"wickns: config error: [lab] {key}: must hold at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
     # a malformed csv: datum names its key and the line
     datum = tmp_path / "short.csv"
@@ -922,6 +935,17 @@ def test_cli_sweep_failing_cell_is_recorded_and_sweep_continues(tmp_path, capsys
     # the flag marks only a runtime failure, so it is false exactly when the sweep does not exit 2
     assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"cells_failed": False}
     assert "sweep cell 1 (norms.t=2.0): config error: [norms] t: T must lie in (0, 1]" in capsys.readouterr().err
+
+    # a failed --assert check (3) ranks below a runtime failure (2); the last line names the code returned
+    cfg = _cfg(
+        tmp_path,
+        "[run]\ncommand = multiplier\n\n[lab]\ncutoffs = 2, 4\n\n[sweep]\naxis = norms.b\nvalues = 0.45, 0.95\n",
+        name="assert.ini",
+    )
+    out = str(tmp_path / "assert")
+    assert main(["sweep", "--config", cfg, "--out", out, "--assert"]) == 2
+    assert [c["exit_code"] for c in _json(out, "sweep_summary.json")["cells"]] == [3, 2]
+    assert capsys.readouterr().out.splitlines()[-1] == "sweep: 2 cells over norms.b, worst exit 2"
 
     # a value that does not parse stops the sweep before any cell runs
     cfg = _cfg(tmp_path, "[run]\ncommand = norms\n\n[sweep]\naxis = norms.t\nvalues = 0.5, abc\n", name="parse.ini")

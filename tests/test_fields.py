@@ -18,7 +18,6 @@ from wickns import (
     operator_from_csv,
     philox_stream,
     project,
-    trajectory_from_csv,
     zero_field,
 )
 from wickns.fields import _csv_text, _five_smooth, alias_free_length, from_grid, propagator_phases, to_grid
@@ -241,7 +240,6 @@ def test_csv_text_golden_bytes():
     "reader, header, good",
     [
         (field_from_csv, "n,re,im", "0,1.0,0.0"),
-        (trajectory_from_csv, "t,n,re,im", "0.0,0,1.0,0.0"),
         (operator_from_csv, "n,k,re,im", "0,0,1.0,0.0"),
     ],
 )

@@ -124,7 +124,7 @@ def test_csv_codec_lives_only_in_fields():
             if helper not in calls:
                 bypass.append(name)
     assert sorted(defined) == ["fields._csv_rows", "fields._csv_text"]
-    assert len(checked) >= 6 and bypass == []  # field, trajectory, operator: to and from
+    assert len(checked) >= 5 and bypass == []  # field and operator: to and from; trajectory: to
 
 
 def test_gaussian_draw_lives_only_in_noise():
@@ -306,6 +306,46 @@ def test_every_layer_name_is_exported_as_itself():
         mod = importlib.import_module(f"wickns.{short}")
         missing += [f"{short}.{name}" for name in mod.__all__ if name not in wickns.__all__ or getattr(wickns, name) is not getattr(mod, name)]
     assert len(LAYERS) == 7 and missing == []
+
+
+def unread_exports(exports: dict[str, list[str]], sources: list[str]) -> list[str]:
+    """`layer.name` for each exported name that no source reads as a name or
+    an attribute; a def or class line, an __all__ string, a comment or a
+    docstring does not read it."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{layer}.{name}" for layer, names in exports.items() for name in names if name not in read)
+
+
+def test_unread_export_scan_flags_only_names_nothing_reads():
+    layer = (
+        '"""f and h are documented here."""\n'
+        '__all__ = ["f", "g", "K", "h"]\n'
+        "def f():\n"
+        "    return K()  # h\n"
+        "class K:\n"
+        "    pass\n"
+        "def g():\n"
+        "    pass\n"
+        "def h():\n"
+        "    pass\n"
+    )
+    demo = "import m\nm.g()\n"
+    assert unread_exports({"m": ["f", "g", "K", "h"]}, [layer, demo]) == ["m.f", "m.h"]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public name that only its own tests call is surface without a use;
+    # the package itself, the demos and the benchmark are its readers
+    root = PACKAGE.parents[1]
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((root / "demos").glob("*.py")) + sorted((root / "wickbench").rglob("*.py"))
+    exports = {short: importlib.import_module(f"wickns.{short}").__all__ for short in LAYERS}
+    assert unread_exports(exports, [path.read_text() for path in paths]) == []
 
 
 def test_every_package_name_comes_from_one_layer():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from wickns import (
-    ModulationPoint,
     XsbParams,
     bessel_operator,
     bracket,
@@ -41,16 +40,6 @@ def test_resonance_identity_random_triples():
     rng = philox_stream(2)
     n1, n2, n3 = rng.integers(-10**6, 10**6, size=(3, 10_000))
     assert np.all(resonance_defects(n1, n2, n3) == 0)
-
-
-def test_modulation_point_fields():
-    pt = ModulationPoint(n=2, n1=3, n2=4, n3=3, tau=10.0)
-    assert pt.sigma0 == 6.0
-    assert pt.resonance_product == 2 * (2 - 3) * (2 - 3)
-    assert not pt.is_resonant
-    assert ModulationPoint(n=3, n1=3, n2=1, n3=1, tau=0.0).is_resonant
-    with pytest.raises(ValueError):
-        ModulationPoint(n=1, n1=1, n2=1, n3=2, tau=0.0)
 
 
 # ---------------------------------------------------------------------------
