@@ -266,7 +266,7 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         for flow, traj in (("wick", wick_traj), ("cubic", cubic_traj)):
             if traj.failed_at is not None:
                 raise ValueError(f"{flow} flow blew up after t = {traj.failed_at} at dt = {sk.dt}")
-        gauged = gauge_transform(cubic_traj, sign=1)
+        gauged = gauge_transform(cubic_traj)
         r = float(np.max(np.abs(wick_traj.states - gauged.states)))
         order = math.log2(residuals[-1] / r) if residuals and r > 0 else ""
         residuals.append(r)
@@ -291,6 +291,8 @@ def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     ladder = {k: cfg.get("lab", k) for k in ("lambdas", "samples")}
     # checked before the stream opens; a range error names its key
     _keyed(_tail_multipliers, {k: f"[lab] {k}" for k in ladder}, **ladder)
+    if not params.b < 1.0 - 1.0 / params.q:
+        raise ConfigError(f"[norms] b: need b < 1 - 1/q = {1.0 - 1.0 / params.q!r} for a finite tail scale, got {params.b!r}")
     rep = tail_estimate_mc(op, params, rng=w.stream("ensemble", 2), steps=cfg.get("lab", "steps"), workers=cfg.workers, **ladder)
     cols = [rep.multipliers, rep.lambda_values, rep.survivals, [int(u) for u in rep.usable]]
     w.text("tail_fit.csv", _csv_text("multiplier,lambda,survival,usable", cols))
@@ -300,6 +302,8 @@ def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 
 def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
+    if scfg.steps % 4:
+        raise ConfigError(f"[solver] dt: horizon/dt must be a multiple of 4 so T/4, T/2, T are grid times, got {scfg.steps}")
     rep = variance_invariance_test(
         cutoff=scfg.cutoff,
         T=scfg.horizon,
@@ -342,12 +346,16 @@ def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         "stats": [asdict(s) for s in stats],
         "p99_growth_factors": growth,
     }
-    ok = all(g < 2.0 for g in growth) if growth else True
+    ok = bool(growth) and all(g < 2.0 for g in growth)
     return CommandResult(report, checks=[("p99_stable_under_doubling", ok)])
 
 
 def _cmd_multiplier(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     params = cfg.xsb_params()
+    if not params.trilinear_window_ok():
+        raise ConfigError(
+            f"[norms] b, bprime, p: need -1/p < bprime < 0 < b < 1 - 1/p, got b = {params.b!r}, bprime = {params.bprime!r}, p = {params.p!r}"
+        )
     cutoffs = cfg.get("lab", "cutoffs")
     if 0 in cutoffs[:-1]:
         # every (n1, n3) pair is diagonal at cutoff 0, so the supremum there is 0

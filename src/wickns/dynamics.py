@@ -40,9 +40,8 @@ __all__ = [
     "evolve_wick_rk4ip",
 ]
 
-NONLINEARITIES = ("wick", "cubic", "none")
-GRID_SAMPLES = 1 << 16  # grid samples cubic_coeffs_block holds at once; an ensemble block of ROW_BLOCK rows fits
-ROW_BLOCK = 500  # rows evolve_wick_rk4ip integrates together; variance-test draws its noise in these blocks
+NONLINEARITIES = ("wick", "cubic")
+GRID_SAMPLES = 1 << 16  # grid samples cubic_coeffs_block holds at once; a variance-test row block fits
 
 
 @dataclass(frozen=True)
@@ -166,17 +165,14 @@ def wick_trilinear(u1: SpectralField, u2: SpectralField, u3: SpectralField) -> W
     return WickSplit(make_field(N, nonres), make_field(N, res))
 
 
-def gauge_transform(traj: Trajectory, sign: int = 1) -> Trajectory:
-    """Mass-dependent phase rotation u(t_m) -> exp(-sign * 2 i t_m M(t_m)) u(t_m).
+def gauge_transform(traj: Trajectory) -> Trajectory:
+    """Mass-dependent phase rotation u(t_m) -> exp(-2 i t_m M(t_m)) u(t_m).
 
     The modulus of every coefficient is untouched, so all FL norms are
-    preserved pointwise in time, and sign=+1 followed by sign=-1 is the
-    identity exactly (the mass it reads is unchanged by the phase).
+    preserved pointwise in time.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     mass = np.sum(np.abs(traj.states) ** 2, axis=1)
-    phase = np.exp(-1j * sign * 2.0 * traj.times * mass)
+    phase = np.exp(-1j * 2.0 * traj.times * mass)
     return Trajectory(traj.times, traj.states * phase[:, None])
 
 
@@ -185,8 +181,6 @@ def _nonlinearity_block(U: np.ndarray, N: int, kind: str) -> np.ndarray:
         return wick_coeffs_block(U, N)
     if kind == "cubic":
         return cubic_coeffs_block(U, N)
-    if kind == "none":
-        return np.zeros_like(U)
     raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
 
 
@@ -202,8 +196,7 @@ def solve(
         u_hat(t+dt, n) = exp(i dt n^2) [u_hat(t, n) + i dt N_hat(u)(n)] - i (phi zeta)(n)
 
     with zeta the step's exact-in-law complex Gaussian increment.  Each step is
-    first-order accurate; with the nonlinearity "none" and op None it is
-    exactly the free propagator.  With op set, the increments are one
+    first-order accurate.  With op set, the increments are one
     (steps, 2N+1) block of variance cfg.dt drawn from rng, which is then
     required; the CLI passes the Philox stream (seed, 0).  A non-finite state
     aborts the run; the returned trajectory then ends at the last valid time
@@ -240,27 +233,24 @@ def solve(
 
 def evolve_wick_rk4ip(
     U0: np.ndarray,
-    phi: Optional[np.ndarray],
-    Z: Optional[np.ndarray],
+    phi: np.ndarray,
+    Z: np.ndarray,
     dt: float,
     steps: int,
     N: int,
-    substeps: int = 2,
-    record: Optional[list[int]] = None,
+    substeps: int,
+    record: list[int],
 ) -> np.ndarray:
     """Batched interaction-picture RK4 for the Wick flow with end-of-step
-    noise kicks.
+    noise kicks, over the rows it is handed.
 
     U0: (B, 2N+1) initial coefficient rows.  Z: (B, steps, 2N+1) complex
-    Gaussian increments of variance dt (or None for phi = 0).  Each noise
-    step is split into `substeps` deterministic RK4 substeps; the kick
-    -i phi zeta is applied at the step end, which leaves the per-mode law of
-    the linear part exact.  Returns states at the grid indices in `record`
-    (default: final time only) as an array (len(record), B, 2N+1).
-
-    Rows never interact, so they are integrated ROW_BLOCK at a time, each
-    block through every step with its working set in cache; every row gets
-    the same arithmetic as when it is evolved alone.
+    Gaussian increments of variance dt.  Each noise step is split into
+    `substeps` deterministic RK4 substeps; the kick -i phi zeta is applied at
+    the step end, which leaves the per-mode law of the linear part exact.
+    Returns states at the grid indices in `record` as an array
+    (len(record), B, 2N+1).  Rows never interact, so every row gets the same
+    arithmetic as when it is evolved alone.
 
     The Wick kernel runs on _five_smooth(4N+1) points (72 at N = 16), the
     shortest fast alias-free grid, so results agree with the power-of-two
@@ -269,7 +259,6 @@ def evolve_wick_rk4ip(
     and a converged Picard fixed point must reproduce solve's trajectory.
     """
     h = dt / substeps
-    record = [steps] if record is None else record
     out = np.empty((len(record), *U0.shape), dtype=np.complex128)
     order = {int(r): i for i, r in enumerate(record)}
     L = _five_smooth(4 * N + 1)
@@ -287,24 +276,20 @@ def evolve_wick_rk4ip(
         return np.multiply(back, W, out=W)
 
     prop = propagator_phases(N, dt)
-    for lo in range(0, U0.shape[0], ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        U = U0[rows].astype(np.complex128, copy=True)
-        if 0 in order:
-            out[order[0], rows] = U
-        for m in range(steps):
-            V = U  # interaction rep referenced to the step start
-            for p0, p1, p2 in substep_phases:
-                k1 = rhs(V, p0)
-                k2 = rhs(V + 0.5 * h * k1, p1)
-                k3 = rhs(V + 0.5 * h * k2, p1)
-                k4 = rhs(V + h * k3, p2)
-                V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            U = prop * V
-            if phi is not None and Z is not None:
-                U = U - 1j * phi * Z[rows, m, :]
-            if m + 1 in order:
-                out[order[m + 1], rows] = U
+    U = U0
+    if 0 in order:
+        out[order[0]] = U
+    for m in range(steps):
+        V = U  # interaction rep referenced to the step start
+        for p0, p1, p2 in substep_phases:
+            k1 = rhs(V, p0)
+            k2 = rhs(V + 0.5 * h * k1, p1)
+            k3 = rhs(V + 0.5 * h * k2, p1)
+            k4 = rhs(V + h * k3, p2)
+            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        U = prop * V - 1j * phi * Z[:, m, :]
+        if m + 1 in order:
+            out[order[m + 1]] = U
     return out
 
 

@@ -232,9 +232,6 @@ def evaluate(f: SpectralField, gridpoints: int) -> np.ndarray:
     return to_grid(f.coeffs, gridpoints)
 
 
-_PLAIN = frozenset((float, int, str, bool))  # types whose str() already is the _fmt form
-
-
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -246,14 +243,13 @@ def _fmt(x) -> str:
 def _csv_text(header: str, columns=(), *, blocks=()) -> str:
     """The one CSV writer, over equal-length columns: a float by its shortest
     round-trip repr (so tables re-read bit for bit), a numpy integer as an
-    int, anything else by str.  A column of plain Python values, such as a
-    .tolist(), is formatted by str alone, which gives the same text.
+    int, anything else by str.
 
     A long table comes as `blocks` of rows instead, each a list of such
     columns known to hold str and float only, so no value's type is looked
     at.  Each block is formatted on its own and the texts are joined once,
     so only one block's per-row strings are alive at a time."""
-    cells = [map(str if _PLAIN.issuperset(map(type, c)) else _fmt, c) for c in columns]
+    cells = [map(_fmt, c) for c in columns]
     texts = ["\n".join([header, *map(",".join, zip(*cells)), ""])]
     for block in blocks:
         texts.append("\n".join([*map(",".join, zip(*[map(str, c) for c in block])), ""]))

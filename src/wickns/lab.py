@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import ROW_BLOCK, evolve_wick_rk4ip
+from .dynamics import evolve_wick_rk4ip
 from .fields import alias_free_length, from_grid, propagator_phases, to_grid
 from .noise import (
     NoiseOperator,
@@ -58,6 +58,7 @@ LEMMA_EPS = 0.01  # fixed epsilon of the beta = 1 borderline case
 # paths per ensemble chunk; each chunk has its own stream, so a size fixes the results at a seed
 TAIL_CHUNK = 500
 VARIANCE_CHUNK = 2500
+ROW_BLOCK = 500  # variance paths drawn and integrated together, one evolve_wick_rk4ip call each
 # output frequencies and sigma0 candidates per block of the multiplier scan
 _N_BLOCK = 8
 _SIGMA_BLOCK = 4
@@ -553,10 +554,10 @@ def variance_invariance_test(
     The ensemble is integrated with the batched interaction-picture RK4
     stepper (the first-order stepper's per-step mass inflation overflows at
     this data scale).  Noise increments per step are exact in law.  They
-    are drawn ROW_BLOCK paths at a time, the rows the stepper integrates
-    together, with the bits of one whole draw per chunk.  Paths that still
-    go non-finite are excluded and counted; a blow-up fraction above 1% flags
-    the report.
+    are drawn ROW_BLOCK paths at a time, with the bits of one whole draw per
+    chunk, and each row block goes through the stepper in one call.  Paths
+    that still go non-finite are excluded and counted; a blow-up fraction
+    above 1% flags the report.
     """
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9:

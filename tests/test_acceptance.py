@@ -133,7 +133,7 @@ def test_c07_deterministic_convergence_and_gauge_order():
         cfg = SolverConfig(cutoff=N, dt=(1 / 32) / 2**j, horizon=T)
         wick = solve(u0, None, cfg, nonlinearity="wick")
         cubic = solve(u0, None, cfg, nonlinearity="cubic")
-        residuals.append(float(np.max(np.abs(wick.states - gauge_transform(cubic, sign=1).states))))
+        residuals.append(float(np.max(np.abs(wick.states - gauge_transform(cubic).states))))
     orders = [np.log2(residuals[j] / residuals[j + 1]) for j in range(4)]
     assert min(orders) >= 0.9
 

@@ -579,6 +579,11 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         # the divisor scan's range; it used to exit 2 naming no key, under a flagged manifest
         ("[run]\ncommand = divisors\n\n[lab]\ndelta = 0\n", "[lab] delta: delta must be positive, got 0.0"),
         ("[run]\ncommand = divisors\n\n[lab]\ndelta = -0.5\n", "[lab] delta: delta must be positive, got -0.5"),
+        # exponents outside the trilinear window, b past the tail scale, and
+        # T/4 off the grid used to exit 2 naming no key, under a flagged manifest
+        ("[run]\ncommand = multiplier\n\n[norms]\nb = 0.95\n", "[norms] b, bprime, p: need -1/p < bprime < 0 < b < 1 - 1/p, got b = 0.95"),
+        ("[run]\ncommand = tail-mc\n\n[norms]\nb = 0.6\nq = 2\n", "[norms] b: need b < 1 - 1/q = 0.5 for a finite tail scale, got 0.6"),
+        ("[run]\ncommand = variance-test\n\n[solver]\ndt = 0.05\nhorizon = 0.25\n", "[solver] dt: horizon/dt must be a multiple of 4"),
     ):
         cfg = _cfg(tmp_path, text, name="keyed.ini")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
@@ -724,18 +729,20 @@ def test_cli_arithmetic_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch
 TAIL_NO_USABLE_LEVEL = "[run]\ncommand = tail-mc\n\n[lab]\nsamples = 1000\nsteps = 16\nlambdas = 5, 6, 7\n"
 
 
+# dt N^2 = 256: every variance path overflows, known only after the ensemble runs
+VARIANCE_BLOWUP = "[run]\ncommand = variance-test\n\n[solver]\ncutoff = 64\ndt = 0.0625\nhorizon = 0.25\n\n[lab]\nsamples = 4\n"
+
+
 def test_cli_runtime_error_exits_2(tmp_path, capsys):
-    # exponent window violation surfaces as a runtime error, not a crash
-    cfg = _cfg(
-        tmp_path,
-        "[run]\ncommand = multiplier\n\n[norms]\nb = 0.8\nbprime = -0.24\np = 4\n\n[lab]\ncutoffs = 8, 16\n",
-    )
+    # a blown-up ensemble surfaces as a runtime error, not a crash
+    cfg = _cfg(tmp_path, VARIANCE_BLOWUP)
     out = str(tmp_path / "out")
-    assert main(["run", "--config", cfg, "--out", out]) == 2
-    assert "wickns: error: exponent window violated" in capsys.readouterr().err
+    with np.errstate(all="ignore"):  # the overflow is what the run reports
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "wickns: error: every path blew up" in capsys.readouterr().err
     # the outputs written so far stay on disk under a manifest flagged with the error
     man = RunManifest.load(os.path.join(out, "manifest.json"))
-    assert man.flags == {"error": "exponent window violated: need -1/p < b' < 0 < b < 1 - 1/p"}
+    assert man.flags == {"error": "every path blew up"}
     assert [o["name"] for o in man.outputs] == ["resolved_config.ini"]
     assert compare_outputs(man, out) == []
 
@@ -911,17 +918,15 @@ def test_cli_sweep_single_cell_matches_run(tmp_path):
 
 
 def test_cli_sweep_failing_cell_is_recorded_and_sweep_continues(tmp_path, capsys):
-    # b' = -0.9 leaves the multiplier's exponent window -1/p < b' < 0: a runtime failure
-    cfg = _cfg(
-        tmp_path,
-        "[run]\ncommand = multiplier\n\n[lab]\ncutoffs = 2, 4\n\n[sweep]\naxis = norms.bprime\nvalues = -0.9, -0.05\n",
-    )
+    # every path blows up at cutoff 64 (a runtime failure), none at cutoff 2
+    cfg = _cfg(tmp_path, VARIANCE_BLOWUP + "\n[sweep]\naxis = solver.cutoff\nvalues = 64, 2\n")
     out = str(tmp_path / "out")
-    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    with np.errstate(all="ignore"):
+        assert main(["sweep", "--config", cfg, "--out", out]) == 2
     assert RunManifest.load(os.path.join(out, "manifest.json")).flags == {"cells_failed": True}
     rows = _read(out, "sweep.csv").strip().splitlines()
-    assert rows[1].startswith("0,-0.9,2,")
-    assert rows[2].startswith("1,-0.05,0,")
+    assert rows[1].startswith("0,64,2,")
+    assert rows[2].startswith("1,2,0,")
     # the bad cell never produced a report, the good one did
     assert not os.path.exists(os.path.join(out, "cell-00", "report.json"))
     assert os.path.exists(os.path.join(out, "cell-01", "report.json"))
@@ -937,15 +942,13 @@ def test_cli_sweep_failing_cell_is_recorded_and_sweep_continues(tmp_path, capsys
     assert "sweep cell 1 (norms.t=2.0): config error: [norms] t: T must lie in (0, 1]" in capsys.readouterr().err
 
     # a failed --assert check (3) ranks below a runtime failure (2); the last line names the code returned
-    cfg = _cfg(
-        tmp_path,
-        "[run]\ncommand = multiplier\n\n[lab]\ncutoffs = 2, 4\n\n[sweep]\naxis = norms.b\nvalues = 0.45, 0.95\n",
-        name="assert.ini",
-    )
+    # (4 paths at cutoff 2 miss the 1 + t law)
+    cfg = _cfg(tmp_path, VARIANCE_BLOWUP + "\n[sweep]\naxis = solver.cutoff\nvalues = 2, 64\n", name="assert.ini")
     out = str(tmp_path / "assert")
-    assert main(["sweep", "--config", cfg, "--out", out, "--assert"]) == 2
+    with np.errstate(all="ignore"):
+        assert main(["sweep", "--config", cfg, "--out", out, "--assert"]) == 2
     assert [c["exit_code"] for c in _json(out, "sweep_summary.json")["cells"]] == [3, 2]
-    assert capsys.readouterr().out.splitlines()[-1] == "sweep: 2 cells over norms.b, worst exit 2"
+    assert capsys.readouterr().out.splitlines()[-1] == "sweep: 2 cells over solver.cutoff, worst exit 2"
 
     # a value that does not parse stops the sweep before any cell runs
     cfg = _cfg(tmp_path, "[run]\ncommand = norms\n\n[sweep]\naxis = norms.t\nvalues = 0.5, abc\n", name="parse.ini")
@@ -1265,6 +1268,14 @@ def test_cli_trilinear_p99_stable(tmp_path):
     assert rep["checks"]["p99_stable_under_doubling"] is True
     header = _read(out, "trilinear.csv").splitlines()[0].strip()
     assert header == "cutoff,count,filtered,mean,p50,p90,p99,max"
+
+    # one cutoff has no doubling to compare, so the check fails as multiplier's does
+    one = _cfg(tmp_path, pathlib.Path(cfg).read_text().replace("cutoffs = 4, 8", "cutoffs = 4"), name="one.ini")
+    out = str(tmp_path / "one")
+    assert main(["run", "--config", one, "--out", out, "--assert"]) == 3
+    rep = _json(out)
+    assert rep["p99_growth_factors"] == []
+    assert rep["checks"]["p99_stable_under_doubling"] is False
 
 
 def test_cli_sums_recovers_decay_exponent(tmp_path):

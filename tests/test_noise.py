@@ -21,7 +21,7 @@ from wickns import (
     sample_white_noise_field,
     trajectory_to_csv,
 )
-from wickns.dynamics import ROW_BLOCK
+from wickns.lab import ROW_BLOCK
 from wickns.fields import _csv_rows
 from wickns.noise import _CSV_BLOCK_ROWS, _complex_normal, _draw_increments, _increment_blocks
 
