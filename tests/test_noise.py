@@ -21,8 +21,8 @@ from wickns import (
     sample_white_noise_field,
     trajectory_to_csv,
 )
-from wickns.lab import ROW_BLOCK
 from wickns.fields import _csv_rows
+from wickns.lab import ROW_BLOCK
 from wickns.noise import _CSV_BLOCK_ROWS, _complex_normal, _draw_increments, _increment_blocks
 
 PICARD_NOISE = pathlib.Path(__file__).resolve().parents[1] / "wickbench" / "workloads" / "picard_noise.csv"
