@@ -11,7 +11,18 @@ criticality arithmetic), and `cli` the reproducible experiment runner.
 
 Each layer declares its public names once, in its own `__all__`; the package
 re-exports them from there.
+
+Importing the package defaults `OPENBLAS_NUM_THREADS` to 1 before numpy
+loads: OpenBLAS otherwise starts a spinning helper thread per extra core,
+which no run uses, and a threaded dense complex product (a noise matrix
+applied by `convolution_paths_block`) changes its last bits with the thread
+count.  A value already set wins.  A process that imported numpy before
+wickns keeps the pool it started with.
 """
+
+import os as _os
+
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .fields import *
 from .noise import *

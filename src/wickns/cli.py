@@ -10,6 +10,8 @@ boolean checks), and `manifest.json` with a sha256 per output.  Outputs are
 deterministic in (config, seed) and independent of --workers; `rerun`
 replays a manifest and verifies the hashes byte for byte.  WICKNS_OUT is
 the only environment override (output directory; the --out flag wins).
+Importing the package defaults OPENBLAS_NUM_THREADS to 1 unless it is set,
+so the CLI runs OpenBLAS on one thread; the only parallelism is --workers.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure (partial
 outputs plus a flagged manifest stay on disk; a command exits 2 exactly when

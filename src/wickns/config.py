@@ -6,7 +6,8 @@ rejected, values are type-checked, and the fully-resolved config (defaults
 materialized, keys sorted) is written beside every run's outputs so a
 manifest can reproduce the run without the original file.  No environment
 variable is consulted except WICKNS_OUT, which overrides the output
-directory.
+directory.  Importing the package defaults OPENBLAS_NUM_THREADS to 1 when
+it is unset; that is not part of a config, and no output records it.
 """
 
 from __future__ import annotations

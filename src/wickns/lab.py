@@ -571,8 +571,11 @@ def variance_invariance_test(
     def one(sub: np.random.Generator, B: int):
         g = _complex_normal(sub, (B, dim)) / np.sqrt(2.0)
         snaps = np.empty((len(rec), B, dim), dtype=np.complex128)
-        for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, ROW_BLOCK):
-            snaps[:, rows] = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, steps, cutoff, substeps, rec)
+        # a path that overflows is counted below, as in `solve`; the errstate
+        # sits here because a pool thread does not inherit the caller's
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, ROW_BLOCK):
+                snaps[:, rows] = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, steps, cutoff, substeps, rec)
         finite = np.all(np.isfinite(snaps.view(np.float64)), axis=(0, 2))
         good = snaps[:, finite, :]
         sq_sum = np.sum(np.abs(good) ** 2, axis=1)  # (len(rec), dim)

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -28,6 +30,18 @@ def _cfg(tmp_path, text, name="exp.ini"):
 
 def _read(*parts) -> str:
     return pathlib.Path(*parts).read_text()
+
+
+def _fresh_python(args, tmp_path, **env_changes):
+    """A fresh interpreter on this checkout's package, with the environment
+    edited: a value of None removes the variable."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
 
 
 def _write(path, text: str) -> None:
@@ -528,6 +542,25 @@ def test_cli_out_resolution_order(tmp_path, monkeypatch):
     assert not os.path.exists(tmp_path / "envout" / "flagout")
 
 
+_BLAS_DEFAULT_PROBE = """
+import os, sys
+import wickns
+threads = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else 1
+print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+
+
+def test_import_defaults_openblas_to_one_thread(tmp_path):
+    # the pytest process set the default in its own environment, so remove it
+    run = _fresh_python(["-c", _BLAS_DEFAULT_PROBE], tmp_path, OPENBLAS_NUM_THREADS=None)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "1"]  # no spinning BLAS helper thread
+    # a value the caller set wins
+    run = _fresh_python(["-c", _BLAS_DEFAULT_PROBE], tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[0] == "2"
+
+
 # ---------------------------------------------------------------------------
 # CLI: exit codes
 
@@ -754,6 +787,16 @@ def test_cli_runtime_error_exits_2(tmp_path, capsys):
     man = RunManifest.load(os.path.join(out, "manifest.json"))
     assert man.flags == {"error": "fewer than 3 usable lambda levels (survivals [0.0, 0.0, 0.0])"}
     assert man.task_seeds == {"ensemble": [0, 2]}  # the streams drawn before the failure
+
+
+@pytest.mark.parametrize("samples, workers", [(4, 1), (2600, 2)])
+def test_variance_blowup_prints_no_runtime_warning(tmp_path, samples, workers):
+    # 2600 samples are two chunks, so at 2 workers the overflow happens in pool threads
+    cfg = _cfg(tmp_path, VARIANCE_BLOWUP.replace("samples = 4", f"samples = {samples}"))
+    run = _fresh_python(["-m", "wickns.cli", "run", "--config", cfg, "--out", "out", "--workers", str(workers)], tmp_path)
+    assert run.returncode == 2
+    assert "wickns: error: every path blew up" in run.stderr
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_cli_blowup_exits_2_with_flagged_manifest(tmp_path):

@@ -300,6 +300,43 @@ def test_package_declares_no_name_of_its_own():
     assert named_imports((PACKAGE / "__init__.py").read_text()) == []
 
 
+def imports_before_blas_default(source: str) -> list[int]:
+    """Lines of the import statements, other than `import os`, that run
+    before the module's `environ.setdefault("OPENBLAS_NUM_THREADS", ...)`;
+    all of them when there is no such call."""
+    tree = ast.parse(source)
+    first = min(
+        (
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "setdefault"
+            and node.args
+            and getattr(node.args[0], "value", None) == "OPENBLAS_NUM_THREADS"
+        ),
+        default=float("inf"),
+    )
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and node.lineno < first
+        and not (isinstance(node, ast.Import) and [a.name for a in node.names] == ["os"])
+    )
+
+
+def test_blas_default_scan_flags_only_imports_that_run_first():
+    src = 'import os as _os\nfrom .fields import *\n_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\nfrom .noise import *\n'
+    assert imports_before_blas_default(src) == [2]
+    assert imports_before_blas_default("import os\nfrom .fields import *\nimport numpy\n") == [2, 3]
+
+
+def test_blas_default_is_set_before_the_package_imports_numpy():
+    # OpenBLAS reads its thread count once, when numpy first loads it, so an
+    # import sorter must not move a layer import above the default
+    assert imports_before_blas_default((PACKAGE / "__init__.py").read_text()) == []
+
+
 def test_every_layer_name_is_exported_as_itself():
     missing = []
     for short in LAYERS:

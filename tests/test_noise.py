@@ -1,9 +1,13 @@
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import wickns
 from wickns import (
     NoiseOperator,
     Trajectory,
@@ -82,6 +86,33 @@ def test_complex_diagonal_matrix_keeps_blas():
     assert op._real_diagonal is None
     z = _draw_increments(philox_stream(4, 2), (1024, 129), 1 / 1024)
     assert np.array_equal(op.apply_to_vector(z), z @ op.matrix.T)
+
+
+# wickns is imported before numpy, as the CLI does
+_DENSE_PATHS_PROBE = """
+import hashlib
+from wickns import NoiseOperator, convolution_paths_block, make_grid, philox_stream
+import numpy as np
+rng = philox_stream(2024, 1)
+matrix = (rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129))) / np.sqrt(129.0)
+states = convolution_paths_block(NoiseOperator(64, matrix=matrix), make_grid(0.5, 32), philox_stream(2024, 2), 64)
+print(hashlib.sha256(states.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core starts no BLAS helper thread")
+def test_dense_matrix_paths_bits_do_not_depend_on_the_blas_default():
+    # a threaded zgemm of this size changes its last bits with the thread
+    # count; the package's one-thread default makes an unset variable read as 1
+    src = os.path.dirname(os.path.dirname(wickns.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    digests = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        run = subprocess.run([sys.executable, "-c", _DENSE_PATHS_PROBE], env={**env, **extra}, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_operator_validation():
