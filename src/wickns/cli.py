@@ -72,7 +72,7 @@ class _Writer:
     resolved_config.ini, and the Philox streams it draws, straight into the
     run's manifest.  A manifest an earlier run left in out_dir is removed
     first, so a run that ends before sealing leaves none that vouches for the
-    new files."""
+    new files.  It also notes what it creates, for `discard`."""
 
     def __init__(self, out_dir: str, cfg: ExperimentConfig):
         self.t0 = time.monotonic()
@@ -80,14 +80,19 @@ class _Writer:
         self.man = RunManifest(
             command=cfg.command, seed=cfg.seed, workers=cfg.workers, resolved_config=cfg.resolved, code_version=__version__
         )
+        self.made_dir = not os.path.isdir(out_dir)
+        self.created = []  # paths of files that did not exist before this run wrote them
         os.makedirs(out_dir, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, "manifest.json"))
         self.text("resolved_config.ini", self.man.resolved_config)
 
     def text(self, name: str, body: str) -> None:
+        path = os.path.join(self.out_dir, name)
+        if not os.path.exists(path):
+            self.created.append(path)
         # in slices, so the text layer never encodes a bytes copy of a whole table
-        with open(os.path.join(self.out_dir, name), "w") as fh:
+        with open(path, "w") as fh:
             for lo in range(0, len(body), WRITE_SLICE):
                 fh.write(body[lo : lo + WRITE_SLICE])
         self.man.record_output(self.out_dir, name)
@@ -96,6 +101,17 @@ class _Writer:
         """The Philox stream (seed, *key), recorded as task_seeds[label]."""
         self.man.task_seeds[label] = [self.man.seed, *key]
         return philox_stream(self.man.seed, *key)
+
+    def discard(self) -> None:
+        """Removes the files this run created, and out_dir if this run made
+        it and it is left empty, so a config error leaves what a parse-time
+        one leaves.  A file the run overwrote cannot be restored; it stays."""
+        for path in self.created:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        if self.made_dir:
+            with contextlib.suppress(OSError):
+                os.rmdir(self.out_dir)
 
     def seal(self, command: str, flags: dict) -> None:
         """Writes manifest.json with the run's command, flags and wall time."""
@@ -465,6 +481,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> tuple
     try:
         result = HANDLERS[cfg.command](cfg, w)
     except ConfigError:
+        w.discard()
         raise
     except RUNTIME_ERRORS as exc:
         # a runtime failure keeps the outputs written so far under a flagged manifest

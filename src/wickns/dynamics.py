@@ -226,9 +226,9 @@ def solve(
             if z is not None:
                 cur = cur - 1j * op.apply_to_vector(z[m])
             if not np.all(np.isfinite(cur.view(np.float64))):
-                return Trajectory(times[: m + 1], states[: m + 1], failed_at=float(times[m]))
+                return Trajectory._adopt(times[: m + 1], states[: m + 1], failed_at=float(times[m]))
             states[m + 1] = cur
-    return Trajectory(times, states)
+    return Trajectory._adopt(times, states)
 
 
 def evolve_wick_rk4ip(
@@ -338,9 +338,9 @@ def picard_iterate(
     bad_streak = 0
     for it in range(cfg.picard_max_iters):
         forcing = wick_coeffs_block(cur, N)
-        duh = discrete_duhamel(Trajectory(times, forcing))
+        duh = discrete_duhamel(Trajectory._adopt(times, forcing))
         new = lin + 1j * duh.states - 1j * psi.states
-        diff = xsb_norm(Trajectory(times, new - cur), params)
+        diff = xsb_norm(Trajectory._adopt(times, new - cur), params)
         report.differences.append(diff)
         report.iterations = it + 1
         if len(report.differences) >= 2:
@@ -358,7 +358,7 @@ def picard_iterate(
         if bad_streak >= 3:
             report.non_contracting = True
             break
-    report.solution = Trajectory(times, cur)
+    report.solution = Trajectory._adopt(times, cur)
     pos = [r for r in report.ratios if r > 0]
     if pos:
         report.contraction_factor = float(np.exp(np.mean(np.log(pos))))

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _CSV_BLOCK_ROWS = 1 << 14  # rows of a trajectory or matrix table formatted together
+_DRAW_BUF = 1 << 15  # float values per generator call of a Gaussian draw
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,9 @@ class Trajectory:
     """Time-gridded sequence of spectral states sharing one cutoff.
 
     failed_at carries the last valid time when a solver aborted on a
-    non-finite state; None means the trajectory is clean.
+    non-finite state; None means the trajectory is clean.  The arrays are
+    read-only copies of the caller's; `_adopt` keeps a fresh states array
+    without the copy.
     """
 
     times: np.ndarray = dc_field(repr=False)
@@ -145,16 +148,27 @@ class Trajectory:
     failed_at: Optional[float] = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        s = np.asarray(self.states, dtype=np.complex128)
+        self._own(self.times, np.array(self.states, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, times, states: np.ndarray, failed_at: Optional[float] = None) -> "Trajectory":
+        """A trajectory over a complex states array that nobody else holds:
+        the array is set read-only and kept, not copied.  For internal
+        callers that hand over an array they just built."""
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "failed_at", failed_at)
+        traj._own(times, states)
+        return traj
+
+    def _own(self, times, s: np.ndarray) -> None:
+        # times is small and may be the caller's, so it is always copied
+        t = np.array(times, dtype=np.float64)
         if t.ndim != 1 or s.ndim != 2 or s.shape[0] != t.shape[0]:
             raise ValueError("states must have one row per grid time")
         if s.shape[1] % 2 != 1:
             raise ValueError("states must have 2N+1 columns")
         if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("time grid must be strictly increasing")
-        t = t.copy()
-        s = s.copy()
         t.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -199,23 +213,55 @@ def sample_white_noise_field(cutoff: int, variance: float, rng: np.random.Genera
     return make_field(cutoff, np.sqrt(variance) * g)
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def _fill_normal(rng: np.random.Generator, dest, buf: np.ndarray) -> None:
+    """Writes standard normals into the float array dest in C order, drawn
+    at most buf.size at a time into the float buffer buf.  dest may be a
+    strided view, such as the real or the imaginary parts of a complex
+    block; an int dest is a count of values drawn and discarded.
+
+    The generator reads one value per normal in order, so however dest is
+    shaped, and however a draw is split into consecutive calls, the values
+    and the stream position are those of one whole standard_normal draw."""
+    if isinstance(dest, int):
+        for lo in range(0, dest, buf.size):
+            rng.standard_normal(out=buf[: min(buf.size, dest - lo)])
+        return
+    inner = math.prod(dest.shape[1:])
+    if dest.size == 0:
+        return
+    if inner > buf.size:  # a row does not fit: one leading index at a time
+        for row in dest:
+            _fill_normal(rng, row, buf)
+        return
+    step = buf.size // inner
+    for lo in range(0, len(dest), step):
+        part = buf[: min(step, len(dest) - lo) * inner]
+        rng.standard_normal(out=part)
+        dest[lo : lo + step] = part.reshape(-1, *dest.shape[1:])
+
+
+def _draw_buffer(size: int) -> np.ndarray:
+    """The float buffer of _fill_normal for draws of up to `size` values."""
+    return np.empty(min(_DRAW_BUF, max(size, 1)))
+
+
+def _complex_normal(rng: np.random.Generator, shape, out: Optional[np.ndarray] = None) -> np.ndarray:
     """re + i im with re, im independent standard normal blocks of `shape`,
     drawn real block first; E|z|^2 = 2, so callers scale it themselves.
-    One float buffer holds each block in turn before it is copied in."""
-    out = np.empty(shape, dtype=np.complex128)
-    part = rng.standard_normal(shape)
-    out.real = part
-    rng.standard_normal(out=part)
-    out.imag = part
+    Fills the complex array `out` of that shape in place when it is given."""
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    buf = _draw_buffer(out.size)
+    _fill_normal(rng, out.real, buf)
+    _fill_normal(rng, out.imag, buf)
     return out
 
 
-def _draw_increments(rng: np.random.Generator, shape, dt: float) -> np.ndarray:
+def _draw_increments(rng: np.random.Generator, shape, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     # One block draw per path or ensemble: the stream layout is independent
     # of how steps or modes are later traversed.  _increment_blocks draws the
     # same bits one row block at a time, in O(rows) memory.
-    z = _complex_normal(rng, shape)
+    z = _complex_normal(rng, shape, out)
     z *= np.sqrt(dt / 2.0)
     return z
 
@@ -229,43 +275,34 @@ def _increment_blocks(rng: np.random.Generator, shape, dt: float, rows: int):
     one stream.  So rng reads the first block's real parts, a copy of its
     bit generator reads the other blocks' real parts, and rng, moved past
     them, reads the imaginary parts.  Ziggurat rejection makes the number
-    of words unknowable, so the move is a draw into a discarded,
-    cache-sized head of the float buffer; a single block needs none.  One
-    float and one complex buffer of `rows` rows are reused: each z is
-    overwritten by the next block."""
+    of words unknowable, so the move is a discarded draw; a single block
+    needs none.  One complex buffer of `rows` rows is reused, each z
+    overwritten by the next block, and every draw goes through one float
+    buffer of at most _DRAW_BUF values."""
     B, total = shape[0], math.prod(shape)
-    part = np.empty((min(rows, B), *shape[1:]))
-    z = np.empty(part.shape, dtype=np.complex128)
-    rng.standard_normal(out=part)
-    z.real = part
+    z = np.empty((min(rows, B), *shape[1:]), dtype=np.complex128)
+    buf = _draw_buffer(total)
+    _fill_normal(rng, z.real, buf)
     real = np.random.Generator(copy.deepcopy(rng.bit_generator))
-    skip = part.reshape(-1)[:4096]
-    for lo in range(part.size, total, max(skip.size, 1)):
-        rng.standard_normal(out=skip[: total - lo])
+    _fill_normal(rng, total - z.size, buf)
     scale = np.sqrt(dt / 2.0)
     for lo in range(0, B, rows):
         n = min(rows, B - lo)
-        buf, zb = part[:n], z[:n]
+        zb = z[:n]
         if lo:
-            real.standard_normal(out=buf)
-            zb.real = buf
-        rng.standard_normal(out=buf)
-        zb.imag = buf
+            _fill_normal(real, zb.real, buf)
+        _fill_normal(rng, zb.imag, buf)
         zb *= scale
         yield slice(lo, lo + n), zb
 
 
-def _free_recursion(op: NoiseOperator, z: np.ndarray, dt: float) -> np.ndarray:
-    """psi(t_0) = 0, psi(t_{m+1}) = exp(i dt n^2) psi(t_m) + phi z_m for
-    increments z of shape (..., steps, 2N+1); returns (..., steps+1, 2N+1)."""
+def _free_recursion(op: NoiseOperator, out: np.ndarray, dt: float) -> None:
+    """psi(t_0) = 0, psi(t_{m+1}) = exp(i dt n^2) psi(t_m) + phi z_m, in place
+    over a block of shape (..., steps+1, 2N+1) whose slot 0 is zero and whose
+    slot m+1 holds the increment z_m; slot m then holds psi(t_m)."""
     prop = propagator_phases(op.cutoff, dt)
-    steps, dim = z.shape[-2:]
-    out = np.zeros(z.shape[:-2] + (steps + 1, dim), dtype=np.complex128)
-    cur = np.zeros(z.shape[:-2] + (dim,), dtype=np.complex128)
-    for m in range(steps):
-        cur = prop * cur + op.apply_to_vector(z[..., m, :])
-        out[..., m + 1, :] = cur
-    return out
+    for m in range(out.shape[-2] - 1):
+        out[..., m + 1, :] = prop * out[..., m, :] + op.apply_to_vector(out[..., m + 1, :])
 
 
 def convolution_from_path(op: NoiseOperator, times, increments) -> Trajectory:
@@ -275,7 +312,11 @@ def convolution_from_path(op: NoiseOperator, times, increments) -> Trajectory:
     z = np.asarray(increments, dtype=np.complex128)
     if times.ndim != 1 or z.shape != (len(times) - 1, 2 * op.cutoff + 1):
         raise ValueError("increments must have shape (len(times)-1, 2N+1) for the operator cutoff N")
-    return Trajectory(times, _free_recursion(op, z, _check_uniform(times)))
+    dt = _check_uniform(times)
+    out = np.zeros((len(times), z.shape[1]), dtype=np.complex128)
+    out[1:] = z  # a copy: the caller's increments are never written
+    _free_recursion(op, out, dt)
+    return Trajectory._adopt(times, out)
 
 
 def sample_convolution_path(op: NoiseOperator, grid, rng: np.random.Generator) -> Trajectory:
@@ -298,11 +339,17 @@ def convolution_paths_block(op: NoiseOperator, grid, rng: np.random.Generator, n
     Returns states of shape (n_paths, len(grid), 2N+1).  Same per-mode law as
     sample_convolution_path; increments are drawn as one (paths, steps, modes)
     block so the result depends only on the generator state, not on batching.
+    The increments are drawn into slots 1..steps of the returned block and
+    recursed in place, so the block is the only array of its size.
     """
     times = np.asarray(grid, dtype=np.float64)
     dt = _check_uniform(times)
-    z = _draw_increments(rng, (n_paths, len(times) - 1, 2 * op.cutoff + 1), dt)
-    return _free_recursion(op, z, dt)
+    out = np.empty((n_paths, len(times), 2 * op.cutoff + 1), dtype=np.complex128)
+    out[:, 0] = 0.0
+    z = out[:, 1:]
+    _draw_increments(rng, z.shape, dt, out=z)
+    _free_recursion(op, out, dt)
+    return out
 
 
 def convolution_variance(op: NoiseOperator, t: float, n: int) -> float:

@@ -406,5 +406,5 @@ def discrete_duhamel(F: Trajectory) -> Trajectory:
     out = np.zeros_like(F.states)
     for m in range(len(F.times) - 1):
         out[m + 1] = prop * (out[m] + dt * F.states[m])
-    return Trajectory(F.times, out)
+    return Trajectory._adopt(F.times, out)
 

@@ -701,6 +701,36 @@ def test_cli_config_error_in_reused_out_leaves_no_stale_manifest(tmp_path, capsy
     assert "t = 2.0" in _read(out, "resolved_config.ini")
 
 
+def test_cli_handler_config_error_leaves_no_directory(tmp_path, capsys):
+    # these checks run in their command's handler, after the run made its
+    # directory and wrote resolved_config.ini; the run removes both again
+    for text in (
+        "[run]\ncommand = multiplier\n\n[norms]\nb = 0.95\n",
+        "[run]\ncommand = tail-mc\n\n[norms]\nb = 0.6\nq = 2\n",
+        "[run]\ncommand = variance-test\n\n[solver]\ndt = 0.05\nhorizon = 0.25\n",
+    ):
+        cfg = _cfg(tmp_path, text, name="handler.ini")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1, text
+        assert "wickns: config error:" in capsys.readouterr().err
+        assert not out.exists(), text
+
+    # a directory that was there keeps what it held, and loses only what the run created
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert os.listdir(out) == ["keep.txt"]
+
+    # a runtime failure still keeps its partial outputs under a flagged manifest
+    cfg = _cfg(tmp_path, VARIANCE_BLOWUP, name="blowup.ini")
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "blowup")]) == 2
+    man = RunManifest.load(str(tmp_path / "blowup" / "manifest.json"))
+    assert man.flags == {"error": "every path blew up"}
+    assert [o["name"] for o in man.outputs] == ["resolved_config.ini"]
+    capsys.readouterr()
+
+
 def test_cli_grid_substeps_and_data_alpha_are_config_errors(tmp_path, capsys):
     # each used to fail only after work had started: exit 2 "grid too coarse",
     # a ZeroDivisionError traceback, exit 2 "multiplier entries must be finite"

@@ -138,6 +138,25 @@ def test_gaussian_draw_lives_only_in_noise():
     assert sorted(where) == ["noise.bit_generator", "noise.standard_normal"]
 
 
+def test_standard_normal_is_called_in_one_noise_function():
+    # one fill routine writes every Gaussian value the package draws, so
+    # the complex draw, the row blocks and the discarded skip share one loop
+    callers = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                if child.func.attr == "standard_normal":
+                    callers.add(func)
+            visit(child, func)
+
+    visit(ast.parse((PACKAGE / "noise.py").read_text()), None)
+    assert callers == {"_fill_normal"}
+
+
 def test_one_thread_pool():
     # ensemble chunks and sweep cells share lab._pool_map; no module opens a pool of its own
     where = []

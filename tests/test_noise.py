@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -10,24 +11,37 @@ import pytest
 import wickns
 from wickns import (
     NoiseOperator,
+    SolverConfig,
     Trajectory,
     bessel_operator,
     convolution_from_path,
     convolution_paths_block,
     convolution_variance,
+    discrete_duhamel,
     frequencies,
     identity_operator,
+    make_field,
     make_grid,
     operator_from_csv,
     operator_to_csv,
     philox_stream,
+    picard_iterate,
     sample_convolution_path,
     sample_white_noise_field,
+    solve,
     trajectory_to_csv,
 )
 from wickns.fields import _csv_rows
 from wickns.lab import ROW_BLOCK
-from wickns.noise import _CSV_BLOCK_ROWS, _complex_normal, _draw_increments, _increment_blocks
+from wickns.noise import (
+    _CSV_BLOCK_ROWS,
+    _DRAW_BUF,
+    _complex_normal,
+    _draw_buffer,
+    _draw_increments,
+    _fill_normal,
+    _increment_blocks,
+)
 
 PICARD_NOISE = pathlib.Path(__file__).resolve().parents[1] / "wickbench" / "workloads" / "picard_noise.csv"
 
@@ -193,6 +207,38 @@ def test_increment_blocks_match_whole_draw(B, rows):
     assert all(np.shares_memory(z, blocks[0][1]) for _, z in blocks)
 
 
+@pytest.mark.parametrize("shape", [(2 * _DRAW_BUF + 7,), (3, _DRAW_BUF + 5), (301, 16, 9)])
+def test_fill_normal_matches_one_whole_draw(shape):
+    # into the imaginary parts of a strided complex view, in rows that fit
+    # the buffer, rows that do not, and a buffer count that is not whole
+    block = np.zeros((*shape[:-1], shape[-1] + 2), dtype=np.complex128)
+    dest = block[..., 1:-1].imag
+    rng, whole = philox_stream(8, 3), philox_stream(8, 3)
+    _fill_normal(rng, dest, _draw_buffer(dest.size))
+    assert np.array_equal(dest, whole.standard_normal(shape))
+    assert not block.real.any() and not block[..., [0, -1]].any()
+    assert np.array_equal(rng.standard_normal(4), whole.standard_normal(4))
+    # a discarded draw moves the stream as far
+    _fill_normal(rng, dest.size, _draw_buffer(dest.size))
+    whole.standard_normal(dest.size)
+    assert np.array_equal(rng.standard_normal(4), whole.standard_normal(4))
+
+
+def test_increment_blocks_peak_is_one_block():
+    # the real and imaginary parts go through one bounded float buffer, so
+    # the complex block is the only array of its size (24.2 MiB with a
+    # block-sized float buffer beside it)
+    shape, rows = (2500, 64, 33), 500
+    tracemalloc.start()
+    try:
+        for _ in _increment_blocks(philox_stream(8, 4), shape, 1 / 256, rows):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * math.prod(shape[1:]) * 16 + (1 << 20)
+
+
 def test_white_noise_zero_variance():
     f = sample_white_noise_field(3, 0.0, philox_stream(0))
     assert f.mass() == 0.0
@@ -295,6 +341,63 @@ def test_block_matrix_case_matches_multiplier():
     assert np.max(np.abs(a - b)) < 1e-14
 
 
+def _paths_oracle(op, grid, rng, n_paths):
+    """One whole real block, then one whole imaginary block, scaled, then
+    the recursion step by step over a separate increment array."""
+    dt = grid[1] - grid[0]
+    shape = (n_paths, len(grid) - 1, 2 * op.cutoff + 1)
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= np.sqrt(dt / 2.0)
+    prop = np.exp(1j * dt * frequencies(op.cutoff).astype(float) ** 2)
+    out = np.zeros((n_paths, len(grid), shape[2]), dtype=np.complex128)
+    for m in range(len(grid) - 1):
+        out[:, m + 1] = prop * out[:, m] + op.apply_to_vector(z[:, m])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["bessel", "real diagonal", "dense complex"])
+def test_paths_block_matches_whole_draw_and_step_loop(kind):
+    # drawn and recursed in place, with the bits of a separate increment
+    # block; 301 paths of 16 x 9 values fill the draw buffer 1.3 times
+    N, grid = 4, make_grid(0.5, 16)
+    rng = philox_stream(9, 1)
+    ops = {
+        "bessel": bessel_operator(N, 0.75),
+        "real diagonal": NoiseOperator(N, matrix=np.diag(np.linspace(0.5, 1.5, 2 * N + 1))),
+        "dense complex": NoiseOperator(N, matrix=_complex_normal(rng, (2 * N + 1, 2 * N + 1)) / 3.0),
+    }
+    op, paths = ops[kind], 301
+    assert (paths * 16 * (2 * N + 1)) % _DRAW_BUF
+    rng, whole = philox_stream(9, 2), philox_stream(9, 2)
+    assert np.array_equal(convolution_paths_block(op, grid, rng, paths), _paths_oracle(op, grid, whole, paths))
+    assert np.array_equal(rng.standard_normal(4), whole.standard_normal(4))
+
+
+def test_paths_block_peak_is_about_its_output():
+    # only the returned block is allocated: 2.17x its size when the
+    # increments and a float block of real parts lived beside it
+    op, grid = bessel_operator(16, 0.75), make_grid(0.5, 32)
+    convolution_paths_block(op, grid, philox_stream(3), 2)  # the propagator phases are built once
+    tracemalloc.start()
+    try:
+        states = convolution_paths_block(op, grid, philox_stream(3), 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * states.nbytes
+
+
+def test_convolution_from_path_leaves_increments_unwritten():
+    grid = make_grid(0.5, 6)
+    z = _increments(grid, 3, seed=9)
+    before = z.copy()
+    traj = convolution_from_path(bessel_operator(3, 0.5), grid, z)
+    assert np.array_equal(z, before) and z.flags.writeable
+    assert not np.shares_memory(traj.states, z)
+
+
 # ---------------------------------------------------------------------------
 # variance law
 
@@ -363,6 +466,35 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0]), np.zeros((2, 4), dtype=complex))
     with pytest.raises(ValueError):
         Trajectory(np.array([1.0, 0.0]), np.zeros((2, 3), dtype=complex))
+
+
+def test_trajectory_copies_the_callers_arrays():
+    times, states = make_grid(1.0, 2), np.zeros((3, 3), dtype=complex)
+    traj = Trajectory(times, states)
+    times[1], states[1, 1] = 0.75, 5.0
+    assert np.array_equal(traj.times, [0.0, 0.5, 1.0]) and not traj.states.any()
+    assert times.flags.writeable and states.flags.writeable
+    assert not traj.states.flags.writeable and not traj.times.flags.writeable
+
+
+def test_internal_trajectories_are_read_only():
+    # each is built over an array its builder just made, kept, not copied
+    op, cfg = bessel_operator(2, 0.5), SolverConfig(cutoff=2, dt=1 / 32, horizon=0.5)
+    grid = cfg.grid()
+    psi = sample_convolution_path(op, grid, philox_stream(4))
+    u0 = make_field(2, 0.1 * _complex_normal(philox_stream(5), 5))
+    built = [
+        psi,
+        convolution_from_path(op, grid, _increments(grid, 2, seed=3)),
+        discrete_duhamel(psi),
+        solve(u0, op, cfg, rng=philox_stream(6)),
+        picard_iterate(u0, psi, cfg).solution,
+    ]
+    for traj in built:
+        assert not traj.states.flags.writeable and not traj.times.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            traj.states[0, 0] = 1.0
+    assert grid.flags.writeable  # times are copied, so the caller's grid keeps its flag
 
 
 def _read_trajectory_csv(text: str) -> Trajectory:
