@@ -376,7 +376,7 @@ def test_paths_block_matches_whole_draw_and_step_loop(kind):
 
 
 def test_paths_block_peak_is_about_its_output():
-    # only the returned block is allocated: 2.17x its size when the
+    # only the returned block is allocated: about 2.1x its size when the
     # increments and a float block of real parts lived beside it
     op, grid = bessel_operator(16, 0.75), make_grid(0.5, 32)
     convolution_paths_block(op, grid, philox_stream(3), 2)  # the propagator phases are built once
