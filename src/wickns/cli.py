@@ -37,7 +37,6 @@ from .dynamics import gauge_transform, solve, wick_coeffs_block, wick_nonlineari
 from .fields import _csv_text, frequencies, make_field
 from .lab import (
     _pool_map,
-    _tail_multipliers,
     convolution_sum_check,
     criticality_report,
     divisor_bound_scan,
@@ -202,7 +201,8 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         "contraction_factor": rep.contraction_factor,
         "differences": rep.differences,
     }
-    ok = rep.converged and (rep.contraction_factor or 1.0) < 1.0
+    # no positive ratio (a run that converged at once) leaves no factor to bound
+    ok = rep.converged and (rep.contraction_factor is None or rep.contraction_factor < 1.0)
     flags = {} if rep.converged else {"not_converged": True}
     if rep.non_finite:
         flags["non_finite"] = True
@@ -251,7 +251,7 @@ def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     worst = 0.0
     for N in cutoffs:
         U = _complex_normal(w.stream(str(N), 1, N), (nfields, 2 * N + 1)) / np.sqrt(2.0)
-        fft_vals = wick_coeffs_block(U, N)
+        fft_vals = wick_coeffs_block(U)
         d_conv = 0.0
         d_split = 0.0
         for i in range(nfields):
@@ -305,13 +305,10 @@ def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 
 def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     op = _require_operator(cfg)
-    params = cfg.xsb_params()
-    ladder = {k: cfg.get("lab", k) for k in ("lambdas", "samples")}
-    # checked before the stream opens; a range error names its key
-    _keyed(_tail_multipliers, {k: f"[lab] {k}" for k in ladder}, **ladder)
-    if not params.b < 1.0 - 1.0 / params.q:
-        raise ConfigError(f"[norms] b: need b < 1 - 1/q = {1.0 - 1.0 / params.q!r} for a finite tail scale, got {params.b!r}")
-    rep = tail_estimate_mc(op, params, rng=w.stream("ensemble", 2), steps=cfg.get("lab", "steps"), workers=cfg.workers, **ladder)
+    lab_args = {k: cfg.get("lab", k) for k in ("lambdas", "samples", "steps")}
+    keys = {"lambdas": "[lab] lambdas", "samples": "[lab] samples", "need": "[norms] b"}
+    # tail_estimate_mc checks its ranges before it draws a path; each error names its key
+    rep = _keyed(tail_estimate_mc, keys, op=op, params=cfg.xsb_params(), rng=w.stream("ensemble", 2), workers=cfg.workers, **lab_args)
     cols = [rep.multipliers, rep.lambda_values, rep.survivals, [int(u) for u in rep.usable]]
     w.text("tail_fit.csv", _csv_text("multiplier,lambda,survival,usable", cols))
     checks = [("gaussian_shape", rep.r_squared >= 0.9 and rep.slope < 0.0)]
@@ -320,9 +317,9 @@ def _cmd_tail_mc(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 
 def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
-    if scfg.steps % 4:
-        raise ConfigError(f"[solver] dt: horizon/dt must be a multiple of 4 so T/4, T/2, T are grid times, got {scfg.steps}")
-    rep = variance_invariance_test(
+    rep = _keyed(
+        variance_invariance_test,
+        {"horizon/dt": "[solver] dt"},
         cutoff=scfg.cutoff,
         T=scfg.horizon,
         dt=scfg.dt,
@@ -370,15 +367,11 @@ def _cmd_trilinear(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 
 def _cmd_multiplier(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     params = cfg.xsb_params()
-    if not params.trilinear_window_ok():
-        raise ConfigError(
-            f"[norms] b, bprime, p: need -1/p < bprime < 0 < b < 1 - 1/p, got b = {params.b!r}, bprime = {params.bprime!r}, p = {params.p!r}"
-        )
     cutoffs = cfg.get("lab", "cutoffs")
     if 0 in cutoffs[:-1]:
         # every (n1, n3) pair is diagonal at cutoff 0, so the supremum there is 0
         raise ConfigError("[lab] cutoffs: 0 may come only last, the supremum at cutoff 0 is 0 and the next ratio divides by it")
-    reports = [multiplier_supremum_report(params, N) for N in cutoffs]
+    reports = [_keyed(multiplier_supremum_report, {"need": "[norms] b, bprime, p"}, params=params, cutoff=N) for N in cutoffs]
     rows = [(r.cutoff, r.value, r.arg_n, r.arg_tau) for r in reports]
     w.text("multiplier.csv", _csv_text("cutoff,value,arg_n,arg_tau", zip(*rows)))
     ratios = [reports[i + 1].value / reports[i].value for i in range(len(reports) - 1)]

@@ -161,8 +161,8 @@ def _coerce(section: str, key: str, spec: str, raw: str):
 
 
 def _keyed(cls, keys: dict, **fields):
-    """cls(**fields), with a field check's ValueError (its message starts with
-    the field's name) re-raised as a ConfigError naming keys[field]."""
+    """cls(**fields), with a ValueError whose message's first word is in keys
+    (a field's name, say) re-raised as a ConfigError naming keys[word]."""
     try:
         return cls(**fields)
     except ValueError as exc:

@@ -84,43 +84,44 @@ class WickSplit:
         return self.nonres + self.res
 
 
-def cubic_coeffs_block(U: np.ndarray, N: int, *, gridpoints: Optional[int] = None) -> np.ndarray:
-    """(|u|^2 u)^ on [-N, N] for a block of coefficient rows, full-band
-    intermediate via a zero-padded transform on `gridpoints` points
+def cubic_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None) -> np.ndarray:
+    """(|u|^2 u)^ on [-N, N] for a block of coefficient rows (..., 2N+1),
+    full-band intermediate via a zero-padded transform on `gridpoints` points
     (default alias_free_length(N)); any length >= 4N+1 is alias-free.
 
     Rows, over every leading axis, go through the grid GRID_SAMPLES //
     gridpoints at a time (at least one), so a long block never holds its
     whole grid at once.  Each row is transformed alone, so the grouping does
     not change a bit."""
-    L = alias_free_length(N) if gridpoints is None else gridpoints
+    L = alias_free_length((U.shape[-1] - 1) // 2) if gridpoints is None else gridpoints
     rows = max(1, GRID_SAMPLES // L)
     flat = U.reshape(-1, U.shape[-1])
     if len(flat) <= rows:
-        return _cubic_on_grid(U, N, L)
-    out = np.concatenate([_cubic_on_grid(flat[lo : lo + rows], N, L) for lo in range(0, len(flat), rows)])
+        return _cubic_on_grid(U, L)
+    out = np.concatenate([_cubic_on_grid(flat[lo : lo + rows], L) for lo in range(0, len(flat), rows)])
     return out.reshape(U.shape)
 
 
-def _cubic_on_grid(U: np.ndarray, N: int, L: int) -> np.ndarray:
+def _cubic_on_grid(U: np.ndarray, L: int) -> np.ndarray:
     phys = to_grid(U, L)
     dens = np.abs(phys)
     np.square(dens, out=dens)  # np.abs(phys) ** 2, bit for bit
     np.multiply(dens, phys, out=phys)
-    return from_grid(phys, N)
+    return from_grid(phys, (U.shape[-1] - 1) // 2)
 
 
-def wick_coeffs_block(U: np.ndarray, N: int, *, gridpoints: Optional[int] = None) -> np.ndarray:
-    """Renormalized cubic (|u|^2 - 2M) u for a block of coefficient rows, on
-    the grid cubic_coeffs_block takes for `gridpoints`."""
+def wick_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None) -> np.ndarray:
+    """Renormalized cubic (|u|^2 - 2M) u for a block of coefficient rows
+    (B, 2N+1), on the grid cubic_coeffs_block takes for `gridpoints`."""
     mass = np.sum(np.abs(U) ** 2, axis=1, keepdims=True)
-    out = cubic_coeffs_block(U, N, gridpoints=gridpoints)
+    out = cubic_coeffs_block(U, gridpoints=gridpoints)
     out -= 2.0 * mass * U
     return out
 
 
-def _cubic_coeffs_conv(u: np.ndarray, N: int) -> np.ndarray:
-    """Same cubic via two plain convolutions; reference path for single fields."""
+def _cubic_coeffs_conv(u: np.ndarray) -> np.ndarray:
+    """Same cubic via two plain convolutions of one row; reference path for single fields."""
+    N = (len(u) - 1) // 2
     g = np.conj(u[::-1])  # coefficients of conj(u)
     dens = np.convolve(u, g)  # |u|^2 on [-2N, 2N], kept untruncated
     full = np.convolve(dens, u)  # [-3N, 3N]
@@ -129,7 +130,7 @@ def _cubic_coeffs_conv(u: np.ndarray, N: int) -> np.ndarray:
 
 def wick_nonlinearity_direct(u: SpectralField) -> SpectralField:
     """(|u|^2 - 2 M) u in coefficient space, truncated to [-N, N] at the end."""
-    cubic = _cubic_coeffs_conv(u.coeffs, u.cutoff)
+    cubic = _cubic_coeffs_conv(u.coeffs)
     return make_field(u.cutoff, cubic - 2.0 * u.mass() * u.coeffs)
 
 
@@ -176,11 +177,11 @@ def gauge_transform(traj: Trajectory) -> Trajectory:
     return Trajectory(traj.times, traj.states * phase[:, None])
 
 
-def _nonlinearity_block(U: np.ndarray, N: int, kind: str) -> np.ndarray:
+def _nonlinearity_block(U: np.ndarray, kind: str) -> np.ndarray:
     if kind == "wick":
-        return wick_coeffs_block(U, N)
+        return wick_coeffs_block(U)
     if kind == "cubic":
-        return cubic_coeffs_block(U, N)
+        return cubic_coeffs_block(U)
     raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
 
 
@@ -221,7 +222,7 @@ def solve(
     # an overflowing step is caught by the finiteness check below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(M):
-            nl = _nonlinearity_block(cur[None, :], cfg.cutoff, nonlinearity)[0]
+            nl = _nonlinearity_block(cur[None, :], nonlinearity)[0]
             cur = prop * (cur + 1j * cfg.dt * nl)
             if z is not None:
                 cur = cur - 1j * op.apply_to_vector(z[m])
@@ -236,8 +237,6 @@ def evolve_wick_rk4ip(
     phi: np.ndarray,
     Z: np.ndarray,
     dt: float,
-    steps: int,
-    N: int,
     substeps: int,
     record: list[int],
 ) -> np.ndarray:
@@ -245,11 +244,11 @@ def evolve_wick_rk4ip(
     noise kicks, over the rows it is handed.
 
     U0: (B, 2N+1) initial coefficient rows.  Z: (B, steps, 2N+1) complex
-    Gaussian increments of variance dt.  Each noise step is split into
-    `substeps` deterministic RK4 substeps; the kick -i phi zeta is applied at
-    the step end, which leaves the per-mode law of the linear part exact.
-    Returns states at the grid indices in `record` as an array
-    (len(record), B, 2N+1).  Rows never interact, so every row gets the same
+    Gaussian increments of variance dt; these shapes fix N and steps.  Each
+    noise step is split into `substeps` deterministic RK4 substeps; the kick
+    -i phi zeta is applied at the step end, which leaves the per-mode law of
+    the linear part exact.  Returns states at the distinct grid indices in
+    `record` (each in [0, steps]) as an array (len(record), B, 2N+1).  Rows never interact, so every row gets the same
     arithmetic as when it is evolved alone.
 
     The Wick kernel runs on _five_smooth(4N+1) points (72 at N = 16), the
@@ -258,9 +257,13 @@ def evolve_wick_rk4ip(
     picard_iterate keep the power-of-two grid: their arithmetic is frozen,
     and a converged Picard fixed point must reproduce solve's trajectory.
     """
+    N = (U0.shape[-1] - 1) // 2
+    steps = Z.shape[1]
+    order = {int(r): i for i, r in enumerate(record)}
+    if len(order) < len(record) or not all(0 <= r <= steps for r in order):
+        raise ValueError(f"record must hold distinct grid indices in [0, {steps}], got {list(record)}")
     h = dt / substeps
     out = np.empty((len(record), *U0.shape), dtype=np.complex128)
-    order = {int(r): i for i, r in enumerate(record)}
     L = _five_smooth(4 * N + 1)
 
     def phases(s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +275,7 @@ def evolve_wick_rk4ip(
 
     def rhs(V: np.ndarray, phase: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         fwd, back = phase
-        W = wick_coeffs_block(fwd * V, N, gridpoints=L)
+        W = wick_coeffs_block(fwd * V, gridpoints=L)
         return np.multiply(back, W, out=W)
 
     prop = propagator_phases(N, dt)
@@ -337,7 +340,7 @@ def picard_iterate(
     report = PicardReport()
     bad_streak = 0
     for it in range(cfg.picard_max_iters):
-        forcing = wick_coeffs_block(cur, N)
+        forcing = wick_coeffs_block(cur)
         duh = discrete_duhamel(Trajectory._adopt(times, forcing))
         new = lin + 1j * duh.states - 1j * psi.states
         diff = xsb_norm(Trajectory._adopt(times, new - cur), params)

@@ -201,6 +201,7 @@ def multiplier_supremum_report(
     intermediate modulations.  The kernel derivation needs
     2/3 < (b - a) p' < 1; outside that window the report carries
     kernel_window_ok = False but the quantity is still evaluated as written.
+    Exponents outside the window -1/p < b' < 0 < b < 1 - 1/p are an error.
     The sup is taken over n >= 0 (it is invariant under joint sign flip);
     ties go to the first (n, sigma0) in scan order.
 
@@ -215,7 +216,7 @@ def multiplier_supremum_report(
     sigma0 to keep memory at O(block * H).
     """
     if not params.trilinear_window_ok():
-        raise ValueError("exponent window violated: need -1/p < b' < 0 < b < 1 - 1/p")
+        raise ValueError(f"need -1/p < bprime < 0 < b < 1 - 1/p, got b = {params.b!r}, bprime = {params.bprime!r}, p = {params.p!r}")
     pd = params.p_dual
     a = -params.bprime
     kappa = 3.0 * (params.b - a) * pd - 2.0
@@ -313,12 +314,13 @@ def multiplier_supremum_report(
 # trilinear ratio over random windowed trajectories
 
 
-def trilinear_forcing_block(U1: np.ndarray, U2: np.ndarray, U3: np.ndarray, N: int) -> np.ndarray:
-    """nonres + res of the trilinear form for blocks of coefficient rows.
+def trilinear_forcing_block(U1: np.ndarray, U2: np.ndarray, U3: np.ndarray) -> np.ndarray:
+    """nonres + res of the trilinear form for blocks of coefficient rows (..., 2N+1).
 
     Equals the full product u1 conj(u2) u3 truncated to [-N, N] minus the two
     diagonal sums: F - u1 * sum(conj(u2) u3) - u3 * sum(u1 conj(u2)).
     """
+    N = (U1.shape[-1] - 1) // 2
     L = alias_free_length(N)
     w = to_grid(U1, L) * np.conj(to_grid(U2, L)) * to_grid(U3, L)
     full = from_grid(w, N)
@@ -371,7 +373,7 @@ def trilinear_ratio(
         psi = convolution_paths_block(op, grid, rng, ensemble_size)
         trajs.append(lin - 1j * psi)
     u1, u2, u3 = trajs
-    forcing = trilinear_forcing_block(u1, u2, u3, N)
+    forcing = trilinear_forcing_block(u1, u2, u3)
     num = xsb_norm_batch(forcing, grid, params.with_exponent(params.bprime))
     dens = [xsb_norm_batch(u, grid, params) for u in (u1, u2, u3)]
     den = dens[0] * dens[1] * dens[2]
@@ -450,19 +452,6 @@ def _ensemble_xsb_norms(
     return np.concatenate(_chunk_map(one, samples, TAIL_CHUNK, rng, workers))
 
 
-def _tail_multipliers(lambdas: Sequence[float], samples: int) -> np.ndarray:
-    """The lambda ladder as an array, after the range checks of tail_estimate_mc
-    on its own arguments; each message starts with the argument it rejects."""
-    if samples < 1000:
-        raise ValueError(f"samples must be at least 1000, got {samples}")
-    mult = np.asarray(list(lambdas), dtype=np.float64)
-    if np.any(mult <= 0):
-        raise ValueError("lambdas must be positive multipliers")
-    if mult.size < 3:
-        raise ValueError(f"lambdas must hold at least 3 lambda levels, got {mult.size}")
-    return mult
-
-
 def tail_estimate_mc(
     op: NoiseOperator,
     params: XsbParams,
@@ -477,12 +466,19 @@ def tail_estimate_mc(
     lambdas are multipliers applied to the ensemble median; at each level the
     survival probability P(||psi|| > lambda) is estimated and log P is fitted
     linearly against lambda^2.  Levels with survival 0 or 1 are dropped;
-    fewer than 3 usable levels is an error.  Requires b < 1 - 1/q (the
-    temporal weight must be integrable on the window) and samples >= 1000.
+    fewer than 3 usable levels is an error.  Requires samples >= 1000, at
+    least 3 positive lambdas and b < 1 - 1/q (the temporal weight must be
+    integrable on the window); each is checked before any path is drawn.
     """
+    if samples < 1000:
+        raise ValueError(f"samples must be at least 1000, got {samples}")
+    mult = np.asarray(list(lambdas), dtype=np.float64)
+    if np.any(mult <= 0):
+        raise ValueError("lambdas must be positive multipliers")
+    if mult.size < 3:
+        raise ValueError(f"lambdas must hold at least 3 lambda levels, got {mult.size}")
     if not params.b < 1.0 - 1.0 / params.q:
-        raise ValueError("need b < 1 - 1/q for a finite tail scale")
-    mult = _tail_multipliers(lambdas, samples)
+        raise ValueError(f"need b < 1 - 1/q = {1.0 - 1.0 / params.q!r} for a finite tail scale, got {params.b!r}")
     norms = _ensemble_xsb_norms(op, params, samples, rng, steps, workers)
     med = float(np.median(norms))
     lam = mult * med
@@ -549,7 +545,8 @@ def variance_invariance_test(
 ) -> VarianceReport:
     """Per-mode E|u_hat(t, n)|^2 of the renormalized truncated flow with
     white-noise data (variance 1) and phi = Id, recorded at t in
-    {T/4, T/2, T}; the exact law has variance 1 + t in every mode.
+    {T/4, T/2, T}; the exact law has variance 1 + t in every mode.  T/dt
+    must be a multiple of 4, checked before any path is drawn.
 
     The ensemble is integrated with the batched interaction-picture RK4
     stepper (the first-order stepper's per-step mass inflation overflows at
@@ -562,9 +559,9 @@ def variance_invariance_test(
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9:
         raise ValueError("dt must divide T")
-    rec = [int(round(f * steps)) for f in (0.25, 0.5, 1.0)]
-    if any(abs(r * dt - f * T) > 1e-9 for r, f in zip(rec, (0.25, 0.5, 1.0))):
-        raise ValueError("T/4, T/2, T must be grid times")
+    if steps % 4:
+        raise ValueError(f"horizon/dt must be a multiple of 4 so T/4, T/2, T are grid times, got {steps}")
+    rec = [steps // 4, steps // 2, steps]
     dim = 2 * cutoff + 1
     op = identity_operator(cutoff)
 
@@ -575,7 +572,7 @@ def variance_invariance_test(
         # sits here because a pool thread does not inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):
             for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, ROW_BLOCK):
-                snaps[:, rows] = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, steps, cutoff, substeps, rec)
+                snaps[:, rows] = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, substeps, rec)
         finite = np.all(np.isfinite(snaps.view(np.float64)), axis=(0, 2))
         good = snaps[:, finite, :]
         sq_sum = np.sum(np.abs(good) ** 2, axis=1)  # (len(rec), dim)

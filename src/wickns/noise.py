@@ -400,7 +400,8 @@ def operator_from_csv(text: str) -> NoiseOperator:
     """Inverse of operator_to_csv for matrix operators: `n,k,re,im` rows.
 
     Entries not listed are zero, so a diagonal operator may list only its
-    diagonal; the row and the column frequencies must each cover -N..N.
+    diagonal; the row and the column frequencies must each cover -N..N, and
+    no (n, k) entry may be listed twice.
     """
     entries = _csv_rows(text, "n,k,re,im", (int, int, float, float))
     if not entries:
@@ -411,6 +412,10 @@ def operator_from_csv(text: str) -> NoiseOperator:
     if ns != full or sorted({e[1] for e in entries}) != full:
         raise ValueError("row and column frequencies must each cover -N..N")
     mat = np.zeros((2 * N + 1, 2 * N + 1), dtype=np.complex128)
+    seen = set()
     for n, k, re, im in entries:
+        if (n, k) in seen:
+            raise ValueError(f"entry n = {n}, k = {k} is listed twice")
+        seen.add((n, k))
         mat[n + N, k + N] = complex(re, im)
     return NoiseOperator(N, matrix=mat)

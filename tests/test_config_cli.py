@@ -687,6 +687,17 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
             assert "wickns: config error: [noise] matrix_file:" in err and msg in err
 
 
+def test_cli_matrix_file_with_a_repeated_entry_exits_1(tmp_path, capsys):
+    # the later value used to overwrite the earlier one without a word
+    matrix = tmp_path / "twice.csv"
+    matrix.write_text("n,k,re,im\n" + "".join(f"{n},{n},1.0,0.0\n" for n in range(-2, 3)) + "1,1,5.0,0.0\n")
+    cfg = _cfg(tmp_path, f"[run]\ncommand = sample-noise\n\n[solver]\ncutoff = 2\n\n[noise]\nkind = matrix\nmatrix_file = {matrix}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "wickns: config error: [noise] matrix_file: entry n = 1, k = 1 is listed twice\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_error_in_reused_out_leaves_no_stale_manifest(tmp_path, capsys):
     # the config error surfaces only after resolved_config.ini is rewritten; the
     # first run's manifest must not stay beside it, vouching for other files
@@ -1159,6 +1170,17 @@ def test_cli_picard_converges_on_small_datum(tmp_path):
     assert rows[0] == "iteration,difference,ratio"
     assert rows[1].endswith(",")  # no ratio before the second iterate
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
+
+
+def test_cli_picard_converged_at_once_passes_contraction(tmp_path):
+    # a zero datum without noise converges in one iteration, with no ratio and
+    # so no contraction factor; the check used to fail and --assert exit 3
+    cfg = _cfg(tmp_path, "[run]\ncommand = picard\n\n[solver]\ncutoff = 4\nhorizon = 0.25\n\n[noise]\nkind = none\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out, "--assert"]) == 0
+    rep = _json(out)
+    assert rep["iterations"] == 1 and rep["converged"] is True and rep["differences"] == [0.0]
+    assert rep["contraction_factor"] is None and rep["checks"]["contraction"] is True
 
 
 def test_cli_picard_not_converged_exits_2_with_flag(tmp_path, capsys):

@@ -104,12 +104,12 @@ def test_blocked_forms_match_convolution_path(rng):
     # N = 0, 3, 4, 7, 8 sit at the power-of-two boundaries of the padded length (>= 4N+1)
     for N in (0, 1, 3, 4, 7, 8, 9):
         U = np.stack([random_field(N, rng).coeffs for _ in range(3)])
-        wick_block = wick_coeffs_block(U, N)
-        cubic_block = cubic_coeffs_block(U, N)
+        wick_block = wick_coeffs_block(U)
+        cubic_block = cubic_coeffs_block(U)
         for i in range(3):
             f = make_field(N, U[i])
             assert np.max(np.abs(wick_block[i] - wick_nonlinearity_direct(f).coeffs)) < 1e-12
-            assert np.max(np.abs(cubic_block[i] - _cubic_coeffs_conv(U[i], N))) < 1e-12
+            assert np.max(np.abs(cubic_block[i] - _cubic_coeffs_conv(U[i]))) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -128,8 +128,8 @@ def test_grouped_grid_kernels_match_one_whole_block_transform(monkeypatch, rows,
     groups = []
     whole = dynamics._cubic_on_grid
     monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(len(V)) or whole(V, *a))
-    assert np.array_equal(cubic_coeffs_block(U, N, gridpoints=L), cubic)
-    assert np.array_equal(wick_coeffs_block(U, N, gridpoints=L), wick)
+    assert np.array_equal(cubic_coeffs_block(U, gridpoints=L), cubic)
+    assert np.array_equal(wick_coeffs_block(U, gridpoints=L), wick)
     assert groups == 2 * sizes  # group sizes of the cubic call, then of the Wick call
 
 
@@ -143,7 +143,7 @@ def test_grouped_cubic_groups_rows_over_every_leading_axis(monkeypatch, shape, N
     groups = []
     whole = dynamics._cubic_on_grid
     monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(V.shape[:-1]) or whole(V, *a))
-    assert np.array_equal(cubic_coeffs_block(U, N), cubic)
+    assert np.array_equal(cubic_coeffs_block(U), cubic)
     assert groups == ([shape[:-1]] if len(sizes) == 1 else [(k,) for k in sizes])
 
 
@@ -154,8 +154,8 @@ def test_five_smooth_grid_matches_convolution_oracle():
     for N in range(65):
         L = _five_smooth(4 * N + 1)
         U = rng.standard_normal((3, 2 * N + 1)) + 1j * rng.standard_normal((3, 2 * N + 1))
-        got = cubic_coeffs_block(U, N, gridpoints=L)
-        want = np.stack([_cubic_coeffs_conv(u, N) for u in U])
+        got = cubic_coeffs_block(U, gridpoints=L)
+        want = np.stack([_cubic_coeffs_conv(u) for u in U])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -165,8 +165,8 @@ def test_block_kernels_default_to_power_of_two_grid(rng):
     for N in (0, 2, 5, 16):
         U = np.stack([random_field(N, rng).coeffs for _ in range(4)])
         L = alias_free_length(N)
-        assert np.array_equal(wick_coeffs_block(U, N), wick_coeffs_block(U, N, gridpoints=L))
-        assert np.array_equal(cubic_coeffs_block(U, N), cubic_coeffs_block(U, N, gridpoints=L))
+        assert np.array_equal(wick_coeffs_block(U), wick_coeffs_block(U, gridpoints=L))
+        assert np.array_equal(cubic_coeffs_block(U), cubic_coeffs_block(U, gridpoints=L))
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +319,14 @@ def test_gauge_equivalence_of_flows():
 
 def test_rk4ip_single_mode_high_accuracy():
     U0 = mode_field(4, 2, 0.7).coeffs[None, :]
-    out = evolve_wick_rk4ip(U0, np.ones(9), np.zeros((1, 32, 9), dtype=complex), dt=1 / 64, steps=32, N=4, substeps=2, record=[32])
+    out = evolve_wick_rk4ip(U0, np.ones(9), np.zeros((1, 32, 9), dtype=complex), dt=1 / 64, substeps=2, record=[32])
     got = out[0, 0, 2 + 4]
     assert abs(got - _single_mode_exact(0.7, 2, 0.5)) < 1e-9
 
 
 def test_rk4ip_record_indices(rng):
     U0 = np.stack([random_field(3, rng).coeffs for _ in range(2)])
-    out = evolve_wick_rk4ip(U0, np.ones(7), np.zeros((2, 8, 7), dtype=complex), dt=1 / 32, steps=8, N=3, substeps=2, record=[0, 4, 8])
+    out = evolve_wick_rk4ip(U0, np.ones(7), np.zeros((2, 8, 7), dtype=complex), dt=1 / 32, substeps=2, record=[0, 4, 8])
     assert out.shape == (3, 2, 7)
     assert np.array_equal(out[0], U0)
 
@@ -335,8 +335,17 @@ def test_rk4ip_noise_kick_matches_recursion():
     # one step, zero datum: output is exactly -i phi zeta
     phi = np.linspace(0.5, 1.5, 5)
     Z = (philox_stream(9).standard_normal((2, 1, 5)) * (1 + 0j))[:]
-    out = evolve_wick_rk4ip(np.zeros((2, 5), dtype=complex), phi, Z, dt=0.1, steps=1, N=2, substeps=2, record=[1])
+    out = evolve_wick_rk4ip(np.zeros((2, 5), dtype=complex), phi, Z, dt=0.1, substeps=2, record=[1])
     assert np.max(np.abs(out[0] - (-1j) * phi * Z[:, 0, :])) == 0.0
+
+
+@pytest.mark.parametrize("record", [[2, 2, 4], [1, 9], [-1, 4]])
+def test_rk4ip_rejects_a_repeated_or_off_grid_record(record):
+    # a repeated index kept only its last slot and an index off the grid was
+    # never written, so both used to return rows of uninitialized memory
+    Z = np.zeros((1, 4, 5), dtype=complex)
+    with pytest.raises(ValueError, match=r"^record must hold distinct grid indices in \[0, 4\]"):
+        evolve_wick_rk4ip(np.zeros((1, 5), dtype=complex), np.ones(5), Z, dt=0.1, substeps=1, record=record)
 
 
 @pytest.mark.parametrize("rows", [2 * ROW_BLOCK + 7, 5])
@@ -348,8 +357,8 @@ def test_rk4ip_row_blocks_match_rows_evolved_alone(rows):
     Z = _draw_increments(rng, (rows, steps, 2 * N + 1), dt)
     phi = np.linspace(0.5, 1.5, 2 * N + 1)
     record = [0, 1, steps]
-    out = evolve_wick_rk4ip(U0, phi, Z, dt, steps, N, 2, record)
-    alone = [evolve_wick_rk4ip(U0[i : i + 1], phi, Z[i : i + 1], dt, steps, N, 2, record) for i in range(rows)]
+    out = evolve_wick_rk4ip(U0, phi, Z, dt, 2, record)
+    alone = [evolve_wick_rk4ip(U0[i : i + 1], phi, Z[i : i + 1], dt, 2, record) for i in range(rows)]
     alone = np.concatenate(alone, axis=1)
     assert out.shape == (len(record), rows, 2 * N + 1)
     assert np.array_equal(out, alone)
@@ -365,9 +374,9 @@ def test_rk4ip_five_smooth_grid_matches_power_of_two_grid(monkeypatch):
     Z = _draw_increments(rng, (rows, steps, 2 * N + 1), dt)
     phi = np.linspace(0.5, 1.5, 2 * N + 1)
     record = [1, steps]
-    got = evolve_wick_rk4ip(U0, phi, Z, dt, steps, N, 2, record)
+    got = evolve_wick_rk4ip(U0, phi, Z, dt, 2, record)
     monkeypatch.setattr(dynamics, "_five_smooth", lambda n: alias_free_length((n - 1) // 4))
-    want = evolve_wick_rk4ip(U0, phi, Z, dt, steps, N, 2, record)
+    want = evolve_wick_rk4ip(U0, phi, Z, dt, 2, record)
     assert not np.array_equal(got, want)  # the two runs did use different grids
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -229,7 +229,7 @@ def test_trilinear_forcing_block_matches_split(rng):
     for N in (0, 3, 4, 6, 7, 8):
         fields = [[[random_field(N, rng) for _ in range(3)] for _ in range(2)] for _ in range(2)]
         U1, U2, U3 = (np.array([[row[t][j].coeffs for t in range(2)] for row in fields]) for j in range(3))
-        block = trilinear_forcing_block(U1, U2, U3, N)
+        block = trilinear_forcing_block(U1, U2, U3)
         assert block.shape == (2, 2, 2 * N + 1)
         for i in range(2):
             for t in range(2):
@@ -244,7 +244,7 @@ def test_trilinear_forcing_single_triple():
         c[0, n + N] = 1.0
         return c
 
-    out = trilinear_forcing_block(row(1), row(0), row(-1), 2)[0]
+    out = trilinear_forcing_block(row(1), row(0), row(-1))[0]
     want = np.zeros(5, dtype=complex)
     want[2] = 1.0
     assert np.max(np.abs(out - want)) < 1e-14
@@ -318,6 +318,40 @@ def test_tail_ladder_checked_before_simulating(monkeypatch):
         tail_estimate_mc(op, good, [1.0, 1.2], 1000, philox_stream(0))
 
 
+def _no_ensemble_work(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("ensemble work began before the range check")
+
+    monkeypatch.setattr(lab, "_ensemble_xsb_norms", boom)
+    monkeypatch.setattr(lab, "_chunk_map", boom)
+
+
+def test_range_checks_name_their_values_before_any_ensemble_work(monkeypatch):
+    # each message is the text the CLI prints after its key; the CLI used to
+    # restate these three checks with its own copies of the conditions
+    _no_ensemble_work(monkeypatch)
+    cases = (
+        (
+            lambda: tail_estimate_mc(
+                bessel_operator(4, 0.75), XsbParams(0.0, 0.6, -0.1, 2.0, 2.0, 0.5), [1.0, 1.2, 1.5], 1000, philox_stream(0)
+            ),
+            "need b < 1 - 1/q = 0.5 for a finite tail scale, got 0.6",
+        ),
+        (
+            lambda: multiplier_supremum_report(XsbParams(0.0, 0.95, -0.3, 2.0, 2.0, 0.5), 8),
+            "need -1/p < bprime < 0 < b < 1 - 1/p, got b = 0.95, bprime = -0.3, p = 2.0",
+        ),
+        (
+            lambda: variance_invariance_test(4, 0.25, 0.05, 100, philox_stream(0)),
+            "horizon/dt must be a multiple of 4 so T/4, T/2, T are grid times, got 5",
+        ),
+    )
+    for call, msg in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == msg
+
+
 # ---------------------------------------------------------------------------
 # variance evolution
 
@@ -343,7 +377,7 @@ def test_variance_row_blocks_match_whole_draw_oracle():
     sub = philox_stream(int(philox_stream(63).integers(0, 2**62, size=1)[0]))
     g = _complex_normal(sub, (B, 2 * N + 1)) / np.sqrt(2.0)
     Z = _draw_increments(sub, (B, steps, 2 * N + 1), dt)
-    snaps = evolve_wick_rk4ip(g, np.ones(2 * N + 1), Z, dt, steps, N, 1, rec)
+    snaps = evolve_wick_rk4ip(g, np.ones(2 * N + 1), Z, dt, 1, rec)
     assert np.all(np.isfinite(snaps))
     variances = np.sum(np.abs(snaps) ** 2, axis=1) / B
     ts = np.array(rec) * dt

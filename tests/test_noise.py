@@ -166,6 +166,12 @@ def test_operator_csv_matrix_round_trip(rng):
     assert np.array_equal(diag.matrix, np.diag([0.5, 1.0, 0.5 - 0.25j]))
 
 
+def test_operator_csv_rejects_a_repeated_entry():
+    # the later value used to overwrite the earlier one without a word
+    with pytest.raises(ValueError, match=r"^entry n = 0, k = 0 is listed twice$"):
+        operator_from_csv("n,k,re,im\n0,0,2.0,0.0\n0,0,5.0,0.0\n")
+
+
 # ---------------------------------------------------------------------------
 # streams and white noise
 
