@@ -19,7 +19,6 @@ from wickns.norms import (
     fl_norm,
     gamma_norm,
     homogeneous_estimate_check,
-    hs_norm,
     temporal_window_factor,
 )
 
@@ -38,10 +37,6 @@ if __name__ == "__main__":
         trend = "saturates" if values[2] / values[1] < 1.02 else "keeps growing"
         print(f"  s = {s:+.2f}: cutoffs 2^10, 2^12, 2^14 -> "
               + ", ".join(f"{v:.4f}" for v in values) + f"  ({trend})")
-
-    # at p = 2 the gamma norm is the Hilbert-Schmidt norm
-    op = bessel_operator(64, alpha)
-    print(f"\ngamma(p=2) - HS = {abs(gamma_norm(op, 0.1, 2.0) - hs_norm(op, 0.1)):.2e}")
 
     # windowed space-time norm of a free flow factorizes exactly
     params = XsbParams(0.4, 0.35, -0.2, 3.0, 2.5, 0.5)

@@ -6,6 +6,7 @@ import pathlib
 
 import wickns
 from wickns.config import SCHEMA
+from test_config_cli import CHECK_FALSIFIERS
 
 PACKAGE = pathlib.Path(wickns.__file__).parent
 
@@ -287,9 +288,42 @@ def test_philox_caller_scan_names_enclosing_scopes():
 def test_streams_are_opened_only_by_the_run_writer():
     # the CLI writer opens every stream of a run and records its key in the
     # manifest's task_seeds, so no key can be drawn without being recorded
-    callers = {name: philox_callers((PACKAGE / name).read_text()) for name in ("cli.py", "config.py", "dynamics.py")}
-    assert callers["cli.py"] == ["_Writer.stream"] and callers["config.py"] == []
+    callers = {name: philox_callers((PACKAGE / name).read_text()) for name in ("cli.py", "config.py", "dynamics.py", "norms.py")}
+    assert callers["cli.py"] == ["_Writer.stream"] and callers["config.py"] == [] and callers["norms.py"] == []
     assert [c for c in callers["dynamics.py"] if c.split(".")[0] == "solve"] == []  # solve takes its rng
+
+
+def emitted_check_names(source: str) -> list[str]:
+    """The name heading each (name, ok) pair in a `checks=` keyword, an
+    assignment to `checks` or a `checks.append` call."""
+    holders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "checks":
+            holders.append(node.value)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "checks" for t in node.targets):
+            holders.append(node.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append" and getattr(node.func.value, "id", None) == "checks":
+            holders += node.args
+    pairs = (n for h in holders for n in ast.walk(h) if isinstance(n, ast.Tuple) and len(n.elts) == 2)
+    return sorted(p.elts[0].value for p in pairs if isinstance(p.elts[0], ast.Constant) and isinstance(p.elts[0].value, str))
+
+
+def test_check_name_scan_reads_every_way_a_check_is_emitted():
+    src = (
+        "def f(ok):\n"
+        "    checks = [('a', ok)]\n"
+        "    checks.append(('b', not ok))\n"
+        "    for flow, x in (('wick', 1), ('cubic', 2)):\n"
+        "        pass\n"
+        "    return R({}, checks=checks), R({}, checks=[('c', ok)])\n"
+    )
+    assert emitted_check_names(src) == ["a", "b", "c"]
+
+
+def test_every_cli_check_has_a_falsifying_case():
+    # a check that reads true for every config reports nothing; test_config_cli
+    # runs each name's case and sees the check read false
+    assert emitted_check_names((PACKAGE / "cli.py").read_text()) == sorted(CHECK_FALSIFIERS)
 
 
 # the library layers: every module but cli, which the package import leaves out

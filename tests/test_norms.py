@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from wickns import (
     make_field,
     make_grid,
     mode_field,
+    operator_from_csv,
     operator_norm,
     philox_stream,
     propagator_phases,
@@ -46,6 +48,8 @@ from wickns.norms import (
     _xsb_circulant,
 )
 from conftest import random_field
+
+PICARD_NOISE = pathlib.Path(__file__).resolve().parents[1] / "wickbench" / "workloads" / "picard_noise.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +208,31 @@ def test_operator_norm_multiplier_exact():
     assert operator_norm(bessel_operator(8, -1.0)) == np.sqrt(65.0)
 
 
-def test_operator_norm_power_iteration(rng):
+def test_operator_norm_random_matrices(rng):
     for _ in range(5):
         mat = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
         got = operator_norm(NoiseOperator(5, matrix=mat))
         want = np.linalg.norm(mat, 2)
-        assert abs(got - want) <= 1e-10 * want
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_operator_norm_oracle_near_degenerate_and_picard_noise(rng):
+    # top singular values 1 and 0.999: an iterative estimate stalls between them
+    for _ in range(3):
+        q1, _ = np.linalg.qr(rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17)))
+        q2, _ = np.linalg.qr(rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17)))
+        sv = np.concatenate([[1.0, 0.999], rng.uniform(0.1, 0.5, 15)])
+        mat = (q1 * sv) @ q2.conj().T
+        assert abs(operator_norm(NoiseOperator(8, matrix=mat)) - np.linalg.norm(mat, 2)) <= 1e-12
+    # the picard_path workload's diagonal noise, whose exact norm is its largest entry
+    op = operator_from_csv(PICARD_NOISE.read_text())
+    for want in (np.linalg.norm(op.matrix, 2), 1e-3):
+        assert abs(operator_norm(op) - want) <= 1e-12 * want
 
 
 def test_operator_norm_is_relative_below_one(rng):
-    # the stop test is relative at every scale: the diagonal noise of the
-    # picard_path workload (bessel 0.75 scaled by 1e-3, largest entry 1e-3)
+    # relative at every scale: the diagonal noise of the picard_path
+    # workload (bessel 0.75 scaled by 1e-3, largest entry 1e-3)
     diag = 1e-3 * bessel_operator(64, 0.75).multiplier
     assert abs(operator_norm(NoiseOperator(64, matrix=np.diag(diag))) - 1e-3) <= 1e-12 * 1e-3
     mat = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
