@@ -145,8 +145,9 @@ def _cmd_sample_noise(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     w.text("psi.csv", trajectory_to_csv(traj))
     if op.is_multiplier:
         w.text("phi.csv", operator_to_csv(op))
-    final_mass = float(np.sum(np.abs(traj.states[-1]) ** 2))
-    mean_mass = float(scfg.horizon * np.sum(op.row_l2() ** 2))
+    with np.errstate(over="ignore"):  # an overflowing path is what finite_path reports
+        final_mass = float(np.sum(np.abs(traj.states[-1]) ** 2))
+        mean_mass = float(scfg.horizon * np.sum(op.row_l2() ** 2))
     report = {
         "cutoff": scfg.cutoff,
         "steps": scfg.steps,
@@ -245,26 +246,31 @@ def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     nfields = cfg.get("lab", "fields")
     rows = []
     worst = 0.0
+    agree = True
     for N in cutoffs:
         U = _complex_normal(w.stream(str(N), 1, N), (nfields, 2 * N + 1)) / np.sqrt(2.0)
         fft_vals = wick_coeffs_block(U)
         d_conv = 0.0
         d_split = 0.0
+        scale = 0.0
         for i in range(nfields):
             u = make_field(N, U[i])
             conv = wick_nonlinearity_direct(u).coeffs
             split = wick_trilinear(u, u, u).total.coeffs
             d_conv = max(d_conv, float(np.max(np.abs(fft_vals[i] - conv))))
             d_split = max(d_split, float(np.max(np.abs(fft_vals[i] - split))))
+            scale = max(scale, float(np.max(np.abs(conv))))
         rows.append((N, d_conv, d_split))
         worst = max(worst, d_conv, d_split)
+        # rounding grows with the coefficients (up to 5 eps of the largest at N <= 200)
+        agree = agree and max(d_conv, d_split) <= 1e-13 * scale
     w.text("wick_check.csv", _csv_text("cutoff,max_discrepancy_conv,max_discrepancy_split", zip(*rows)))
     report = {
         "cutoffs": list(cutoffs),
         "fields_per_cutoff": nfields,
         "max_discrepancy": worst,
     }
-    return CommandResult(report, checks=[("forms_agree", worst <= 1e-12)])
+    return CommandResult(report, checks=[("forms_agree", agree)])
 
 
 def _cmd_gauge_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:

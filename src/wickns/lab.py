@@ -58,7 +58,14 @@ LEMMA_EPS = 0.01  # fixed epsilon of the beta = 1 borderline case
 # paths per ensemble chunk; each chunk has its own stream, so a size fixes the results at a seed
 TAIL_CHUNK = 500
 VARIANCE_CHUNK = 2500
-ROW_BLOCK = 500  # variance paths drawn and integrated together, one evolve_wick_rk4ip call each
+# A variance row block holds at most _BLOCK_BYTES of noise increments, but no
+# fewer than _MIN_BLOCK_VALUES coefficients (rows * (2N+1)) go through a stepper
+# call, since each step of a call costs about 0.3 ms of Python overhead.  On the
+# variance-test CLI run at N = 16 and 64 steps (2 shared vCPUs), blocks of 125
+# rows (4125 coefficients) were slower than blocks of 500 in 8 of 8 alternated
+# runs, by 10% in the median, and blocks of 249 were not.  The bounds meet at 32 steps.
+_BLOCK_BYTES = 4 << 20
+_MIN_BLOCK_VALUES = 8192
 # output frequencies and sigma0 candidates per block of the multiplier scan
 _N_BLOCK = 8
 _SIGMA_BLOCK = 4
@@ -467,8 +474,9 @@ def tail_estimate_mc(
     survival probability P(||psi|| > lambda) is estimated and log P is fitted
     linearly against lambda^2.  Levels with survival 0 or 1 are dropped;
     fewer than 3 usable levels is an error.  Requires samples >= 1000, at
-    least 3 positive lambdas and b < 1 - 1/q (the temporal weight must be
-    integrable on the window); each is checked before any path is drawn.
+    least 3 distinct positive lambdas and b < 1 - 1/q (the temporal weight
+    must be integrable on the window); each is checked before any path is
+    drawn.
     """
     if samples < 1000:
         raise ValueError(f"samples must be at least 1000, got {samples}")
@@ -477,6 +485,8 @@ def tail_estimate_mc(
         raise ValueError("lambdas must be positive multipliers")
     if mult.size < 3:
         raise ValueError(f"lambdas must hold at least 3 lambda levels, got {mult.size}")
+    if np.unique(mult).size < mult.size:
+        raise ValueError(f"lambdas must be distinct levels, got {mult.tolist()}")
     if not params.b < 1.0 - 1.0 / params.q:
         raise ValueError(f"need b < 1 - 1/q = {1.0 - 1.0 / params.q!r} for a finite tail scale, got {params.b!r}")
     norms = _ensemble_xsb_norms(op, params, samples, rng, steps, workers)
@@ -534,6 +544,13 @@ class VarianceReport:
         return 1.0 + t
 
 
+def _variance_block_rows(steps: int, dim: int) -> int:
+    """Paths per variance row block: as many as hold _BLOCK_BYTES of complex
+    increments, steps * dim a path, but at least _MIN_BLOCK_VALUES / dim.
+    A chunk smaller than this is one block."""
+    return max(_BLOCK_BYTES // (steps * dim * 16), -(-_MIN_BLOCK_VALUES // dim))
+
+
 def variance_invariance_test(
     cutoff: int,
     T: float,
@@ -551,10 +568,10 @@ def variance_invariance_test(
     The ensemble is integrated with the batched interaction-picture RK4
     stepper (the first-order stepper's per-step mass inflation overflows at
     this data scale).  Noise increments per step are exact in law.  They
-    are drawn ROW_BLOCK paths at a time, with the bits of one whole draw per
-    chunk, and each row block goes through the stepper in one call.  Paths
-    that still go non-finite are excluded and counted; a blow-up fraction
-    above 1% flags the report.
+    are drawn _variance_block_rows(steps, 2N+1) paths at a time, with the
+    bits of one whole draw per chunk, and each row block goes through the
+    stepper in one call.  Paths that still go non-finite are excluded and
+    counted; a blow-up fraction above 1% flags the report.
     """
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9:
@@ -565,17 +582,23 @@ def variance_invariance_test(
     dim = 2 * cutoff + 1
     op = identity_operator(cutoff)
 
+    block = _variance_block_rows(steps, dim)
+
     def one(sub: np.random.Generator, B: int):
         g = _complex_normal(sub, (B, dim)) / np.sqrt(2.0)
-        snaps = np.empty((len(rec), B, dim), dtype=np.complex128)
+        # |u|, then |u|^2 in place; a path counts as finite by its complex values
+        dens = np.empty((len(rec), B, dim))
+        finite = np.empty(B, dtype=bool)
         # a path that overflows is counted below, as in `solve`; the errstate
         # sits here because a pool thread does not inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, ROW_BLOCK):
-                snaps[:, rows] = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, substeps, rec)
-        finite = np.all(np.isfinite(snaps.view(np.float64)), axis=(0, 2))
-        good = snaps[:, finite, :]
-        sq_sum = np.sum(np.abs(good) ** 2, axis=1)  # (len(rec), dim)
+            for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, block):
+                snap = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, substeps, rec)
+                finite[rows] = np.all(np.isfinite(snap.view(np.float64)), axis=(0, 2))
+                np.abs(snap, out=dens[:, rows])
+            np.square(dens, out=dens)  # np.abs(u) ** 2, bit for bit
+        good = dens if finite.all() else dens[:, finite]
+        sq_sum = np.sum(good, axis=1)  # (len(rec), dim)
         return sq_sum, int(np.sum(finite)), B
 
     parts = _chunk_map(one, samples, VARIANCE_CHUNK, rng, workers)

@@ -613,6 +613,8 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         ("[run]\ncommand = tail-mc\n\n[lab]\nsamples = 999\n", "[lab] samples: samples must be at least 1000, got 999"),
         ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", "[lab] lambdas: lambdas must hold at least 3 lambda levels, got 2"),
         ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 0, 1, 2\n", "[lab] lambdas: lambdas must be positive multipliers"),
+        # repeated levels used to fit a line on equal abscissae, exit 0 with r_squared 0
+        ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.0, 1.0\n", "[lab] lambdas: lambdas must be distinct levels, got [1.0, 1.0, 1.0]"),
         # the divisor scan's range; it used to exit 2 naming no key, under a flagged manifest
         ("[run]\ncommand = divisors\n\n[lab]\ndelta = 0\n", "[lab] delta: delta must be positive, got 0.0"),
         ("[run]\ncommand = divisors\n\n[lab]\ndelta = -0.5\n", "[lab] delta: delta must be positive, got -0.5"),
@@ -841,6 +843,15 @@ def test_variance_blowup_prints_no_runtime_warning(tmp_path, samples, workers):
     run = _fresh_python(["-m", "wickns.cli", "run", "--config", cfg, "--out", "out", "--workers", str(workers)], tmp_path)
     assert run.returncode == 2
     assert "wickns: error: every path blew up" in run.stderr
+    assert "RuntimeWarning" not in run.stderr
+
+
+def test_sample_noise_overflow_prints_no_runtime_warning(tmp_path):
+    # the path overflows, which finite_path reports; its masses used to warn twice
+    cfg = _cfg(tmp_path, "[run]\ncommand = sample-noise\n\n[solver]\ncutoff = 4\n\n[noise]\nalpha = -400\n")
+    run = _fresh_python(["-m", "wickns.cli", "run", "--config", cfg, "--out", "out"], tmp_path)
+    assert run.returncode == 0
+    assert "check finite_path: FAIL" in run.stdout
     assert "RuntimeWarning" not in run.stderr
 
 
@@ -1251,6 +1262,13 @@ def test_cli_wick_check_forms_agree(tmp_path):
     rows = _read(out, "wick_check.csv").strip().splitlines()
     assert rows[0] == "cutoff,max_discrepancy_conv,max_discrepancy_split" and len(rows) == 3
     assert RunManifest.load(os.path.join(out, "manifest.json")).task_seeds == {"4": [2, 1, 4], "8": [2, 1, 8]}
+    # rounding grows with the coefficients: at N = 200 the forms differ by
+    # 1.14e-12, under 1e-15 of the largest coefficient, and still agree
+    cfg = _cfg(tmp_path, "[run]\ncommand = wick-check\n\n[lab]\ncutoffs = 200\nfields = 2\n", name="large.ini")
+    out = str(tmp_path / "large")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    rep = _json(out)
+    assert rep["max_discrepancy"] > 1e-12 and rep["checks"]["forms_agree"] is True
 
 
 def test_cli_gauge_check_first_order(tmp_path):
@@ -1422,7 +1440,6 @@ CHECK_FALSIFIERS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # finite_path's case overflows on purpose
 @pytest.mark.parametrize("name", sorted(CHECK_FALSIFIERS))
 def test_cli_every_check_can_fail(tmp_path, monkeypatch, name):
     command, body, stand_ins = CHECK_FALSIFIERS[name]

@@ -24,7 +24,6 @@ from wickns import (
 from wickns import dynamics
 from wickns.dynamics import _cubic_coeffs_conv
 from wickns.fields import _five_smooth, alias_free_length, from_grid, to_grid
-from wickns.lab import ROW_BLOCK
 from wickns.noise import _complex_normal, _draw_increments
 from conftest import random_field
 
@@ -348,9 +347,9 @@ def test_rk4ip_rejects_a_repeated_or_off_grid_record(record):
         evolve_wick_rk4ip(np.zeros((1, 5), dtype=complex), np.ones(5), Z, dt=0.1, substeps=1, record=record)
 
 
-@pytest.mark.parametrize("rows", [2 * ROW_BLOCK + 7, 5])
+@pytest.mark.parametrize("rows", [1007, 5])
 def test_rk4ip_row_blocks_match_rows_evolved_alone(rows):
-    # rows never interact: one call over 1007 rows (over two ROW_BLOCKs) must not move a single bit
+    # rows never interact: one call over 1007 rows must not move a single bit
     N, steps, dt = 3, 4, 1 / 64
     rng = philox_stream(21)
     U0 = rng.standard_normal((rows, 2 * N + 1)) + 1j * rng.standard_normal((rows, 2 * N + 1))

@@ -369,32 +369,50 @@ def test_variance_report_small_ensemble():
     assert len(d["variances"]) == 3 and len(d["variances"][0]) == 9
 
 
-def test_variance_row_blocks_match_whole_draw_oracle():
-    # oracle: the chunk's g, then its whole Z in one draw, then every row in one
-    # stepper call; 1007 rows span three row blocks, the last one short
-    N, T, dt, B, steps, rec = 4, 0.25, 1 / 256, 1007, 64, [16, 32, 64]
-    rep = variance_invariance_test(N, T, dt, B, philox_stream(63), substeps=1)
-    sub = philox_stream(int(philox_stream(63).integers(0, 2**62, size=1)[0]))
+def _whole_draw_report(N, T, dt, B, seed, substeps):
+    """variance_invariance_test's report for a one-chunk ensemble, from the
+    chunk's g, then its whole Z in one draw, then every row in one stepper
+    call; paths with a non-finite snapshot are left out and counted."""
+    steps = int(T / dt)
+    rec = [steps // 4, steps // 2, steps]
+    sub = philox_stream(int(philox_stream(seed).integers(0, 2**62, size=1)[0]))
     g = _complex_normal(sub, (B, 2 * N + 1)) / np.sqrt(2.0)
     Z = _draw_increments(sub, (B, steps, 2 * N + 1), dt)
-    snaps = evolve_wick_rk4ip(g, np.ones(2 * N + 1), Z, dt, 1, rec)
-    assert np.all(np.isfinite(snaps))
-    variances = np.sum(np.abs(snaps) ** 2, axis=1) / B
+    with np.errstate(over="ignore", invalid="ignore"):
+        snaps = evolve_wick_rk4ip(g, np.ones(2 * N + 1), Z, dt, substeps, rec)
+    finite = np.all(np.isfinite(snaps), axis=(0, 2))
+    variances = np.sum(np.abs(snaps[:, finite]) ** 2, axis=1) / np.sum(finite)
     ts = np.array(rec) * dt
     rel = np.abs(variances - (1.0 + ts)[:, None]) / (1.0 + ts)[:, None]
     tfit, vfit = np.concatenate(([0.0], ts)), np.vstack([np.ones(2 * N + 1), variances])
     per_mode = np.polyfit(tfit, vfit, 1)[0]
-    assert asdict(rep) == {
+    frac = 1.0 - np.sum(finite) / B
+    return {
         "times": tuple(ts.tolist()),
         "variances": tuple(tuple(row) for row in variances.tolist()),
         "max_rel_dev": float(np.max(rel)),
         "slope": float(np.polyfit(tfit, vfit.mean(axis=1), 1)[0]),
         "per_mode_slope_range": (float(np.min(per_mode)), float(np.max(per_mode))),
-        "blowup_fraction": 0.0,
-        "flagged": False,
+        "blowup_fraction": float(frac),
+        "flagged": bool(frac > 0.01),
         "samples": B,
-        "substeps": 1,
+        "substeps": substeps,
     }
+
+
+def test_variance_row_blocks_match_whole_draw_oracle():
+    # 1007 rows span two row blocks, the last one short
+    rep = variance_invariance_test(4, 0.25, 1 / 256, 1007, philox_stream(63), substeps=1)
+    assert rep.blowup_fraction == 0.0
+    assert asdict(rep) == _whole_draw_report(4, 0.25, 1 / 256, 1007, 63, 1)
+
+
+def test_variance_partial_blowup_matches_whole_draw_oracle():
+    # 11 of 600 paths go non-finite, in each of the three 249-row blocks; the
+    # sums over the other paths keep the bits of the whole draw
+    rep = variance_invariance_test(16, 0.25, 1 / 128, 600, philox_stream(99), substeps=1)
+    assert rep.blowup_fraction == 1.0 - 589 / 600
+    assert asdict(rep) == _whole_draw_report(16, 0.25, 1 / 128, 600, 99, 1)
 
 
 def test_variance_test_holds_one_row_block_of_increments():
@@ -406,6 +424,27 @@ def test_variance_test_holds_one_row_block_of_increments():
     finally:
         tracemalloc.stop()
     assert peak < 2000 * 64 * 9 * 16
+
+
+def test_variance_block_rows_from_a_byte_budget():
+    # 4 MiB of increments a block, but at least 8192 coefficients a stepper call;
+    # the count depends on (steps, 2N+1) alone
+    cases = {(16, 33): 496, (32, 33): 249, (64, 33): 249, (64, 9): 911, (2048, 257): 32}
+    assert {key: lab._variance_block_rows(*key) for key in cases} == cases
+
+
+def test_variance_long_horizon_holds_one_rule_sized_block():
+    # 128 steps at N = 16: 249-row blocks hold 16.8 MB of increments, where
+    # 500-row blocks held 33.8 MB; the stepper's working set and the chunk's
+    # buffers add about 4.5 MB, whatever the horizon
+    rows, steps, dim = 249, 128, 33
+    tracemalloc.start()
+    try:
+        variance_invariance_test(16, 0.5, 1 / 256, 600, philox_stream(5), substeps=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * steps * dim * 16 + (6 << 20)
 
 
 def test_variance_grid_guards():
