@@ -58,13 +58,12 @@ LEMMA_EPS = 0.01  # fixed epsilon of the beta = 1 borderline case
 # paths per ensemble chunk; each chunk has its own stream, so a size fixes the results at a seed
 TAIL_CHUNK = 500
 VARIANCE_CHUNK = 2500
-# A variance row block holds at most _BLOCK_BYTES of noise increments, but no
-# fewer than _MIN_BLOCK_VALUES coefficients (rows * (2N+1)) go through a stepper
-# call, since each step of a call costs about 0.3 ms of Python overhead.  On the
+# A variance row block puts at least _MIN_BLOCK_VALUES coefficients (rows * (2N+1))
+# through a stepper call, since each step of a call costs about 0.3 ms of Python
+# overhead; it holds about 128 KiB of noise increments a step, whatever N.  On the
 # variance-test CLI run at N = 16 and 64 steps (2 shared vCPUs), blocks of 125
 # rows (4125 coefficients) were slower than blocks of 500 in 8 of 8 alternated
-# runs, by 10% in the median, and blocks of 249 were not.  The bounds meet at 32 steps.
-_BLOCK_BYTES = 4 << 20
+# runs, by 10% in the median, and blocks of 249 were not.
 _MIN_BLOCK_VALUES = 8192
 # output frequencies and sigma0 candidates per block of the multiplier scan
 _N_BLOCK = 8
@@ -485,8 +484,8 @@ def tail_estimate_mc(
         raise ValueError("lambdas must be positive multipliers")
     if mult.size < 3:
         raise ValueError(f"lambdas must hold at least 3 lambda levels, got {mult.size}")
-    if np.unique(mult).size < mult.size:
-        raise ValueError(f"lambdas must be distinct levels, got {mult.tolist()}")
+    if np.unique(mult).size < 3:
+        raise ValueError(f"lambdas must hold at least 3 distinct levels, got {mult.tolist()}")
     if not params.b < 1.0 - 1.0 / params.q:
         raise ValueError(f"need b < 1 - 1/q = {1.0 - 1.0 / params.q!r} for a finite tail scale, got {params.b!r}")
     norms = _ensemble_xsb_norms(op, params, samples, rng, steps, workers)
@@ -544,11 +543,11 @@ class VarianceReport:
         return 1.0 + t
 
 
-def _variance_block_rows(steps: int, dim: int) -> int:
-    """Paths per variance row block: as many as hold _BLOCK_BYTES of complex
-    increments, steps * dim a path, but at least _MIN_BLOCK_VALUES / dim.
-    A chunk smaller than this is one block."""
-    return max(_BLOCK_BYTES // (steps * dim * 16), -(-_MIN_BLOCK_VALUES // dim))
+def _variance_block_rows(dim: int) -> int:
+    """Paths per variance row block: the fewest that put _MIN_BLOCK_VALUES
+    coefficients through a stepper call.  A chunk smaller than this is one
+    block."""
+    return -(-_MIN_BLOCK_VALUES // dim)
 
 
 def variance_invariance_test(
@@ -568,7 +567,7 @@ def variance_invariance_test(
     The ensemble is integrated with the batched interaction-picture RK4
     stepper (the first-order stepper's per-step mass inflation overflows at
     this data scale).  Noise increments per step are exact in law.  They
-    are drawn _variance_block_rows(steps, 2N+1) paths at a time, with the
+    are drawn _variance_block_rows(2N+1) paths at a time, with the
     bits of one whole draw per chunk, and each row block goes through the
     stepper in one call.  Paths that still go non-finite are excluded and
     counted; a blow-up fraction above 1% flags the report.
@@ -582,7 +581,7 @@ def variance_invariance_test(
     dim = 2 * cutoff + 1
     op = identity_operator(cutoff)
 
-    block = _variance_block_rows(steps, dim)
+    block = _variance_block_rows(dim)
 
     def one(sub: np.random.Generator, B: int):
         g = _complex_normal(sub, (B, dim)) / np.sqrt(2.0)
@@ -597,8 +596,7 @@ def variance_invariance_test(
                 finite[rows] = np.all(np.isfinite(snap.view(np.float64)), axis=(0, 2))
                 np.abs(snap, out=dens[:, rows])
             np.square(dens, out=dens)  # np.abs(u) ** 2, bit for bit
-        good = dens if finite.all() else dens[:, finite]
-        sq_sum = np.sum(good, axis=1)  # (len(rec), dim)
+        sq_sum = np.sum(dens[:, finite], axis=1)  # (len(rec), dim)
         return sq_sum, int(np.sum(finite)), B
 
     parts = _chunk_map(one, samples, VARIANCE_CHUNK, rng, workers)

@@ -614,7 +614,7 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", "[lab] lambdas: lambdas must hold at least 3 lambda levels, got 2"),
         ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 0, 1, 2\n", "[lab] lambdas: lambdas must be positive multipliers"),
         # repeated levels used to fit a line on equal abscissae, exit 0 with r_squared 0
-        ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.0, 1.0\n", "[lab] lambdas: lambdas must be distinct levels, got [1.0, 1.0, 1.0]"),
+        ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.0, 1.0\n", "[lab] lambdas: lambdas must hold at least 3 distinct levels, got [1.0, 1.0, 1.0]"),
         # the divisor scan's range; it used to exit 2 naming no key, under a flagged manifest
         ("[run]\ncommand = divisors\n\n[lab]\ndelta = 0\n", "[lab] delta: delta must be positive, got 0.0"),
         ("[run]\ncommand = divisors\n\n[lab]\ndelta = -0.5\n", "[lab] delta: delta must be positive, got -0.5"),

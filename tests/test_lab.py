@@ -316,6 +316,11 @@ def test_tail_ladder_checked_before_simulating(monkeypatch):
         tail_estimate_mc(op, good, [-1.0, 1.2, 1.5], 1000, philox_stream(0))
     with pytest.raises(ValueError, match="at least 3 lambda levels"):
         tail_estimate_mc(op, good, [1.0, 1.2], 1000, philox_stream(0))
+    with pytest.raises(ValueError, match="at least 3 distinct levels"):
+        tail_estimate_mc(op, good, [1.0, 1.0, 1.2], 1000, philox_stream(0))
+    # a repeated level among 3 distinct ones still fits
+    with pytest.raises(AssertionError, match="ensemble simulated"):
+        tail_estimate_mc(op, good, [1.0, 1.0, 1.2, 1.5], 1000, philox_stream(0))
 
 
 def _no_ensemble_work(monkeypatch):
@@ -426,21 +431,22 @@ def test_variance_test_holds_one_row_block_of_increments():
     assert peak < 2000 * 64 * 9 * 16
 
 
-def test_variance_block_rows_from_a_byte_budget():
-    # 4 MiB of increments a block, but at least 8192 coefficients a stepper call;
-    # the count depends on (steps, 2N+1) alone
-    cases = {(16, 33): 496, (32, 33): 249, (64, 33): 249, (64, 9): 911, (2048, 257): 32}
-    assert {key: lab._variance_block_rows(*key) for key in cases} == cases
+def test_variance_block_rows_from_a_coefficient_floor():
+    # the fewest paths that put 8192 coefficients through a stepper call;
+    # the count depends on 2N+1 alone
+    cases = {9: 911, 17: 482, 33: 249, 257: 32, 8193: 1}
+    assert {dim: lab._variance_block_rows(dim) for dim in cases} == cases
 
 
 def test_variance_long_horizon_holds_one_rule_sized_block():
-    # 128 steps at N = 16: 249-row blocks hold 16.8 MB of increments, where
-    # 500-row blocks held 33.8 MB; the stepper's working set and the chunk's
-    # buffers add about 4.5 MB, whatever the horizon
-    rows, steps, dim = 249, 128, 33
+    # 64 steps at N = 16: 249-row blocks hold 8.4 MB of increments, where
+    # 500-row blocks held 16.9 MB; the stepper's working set and the chunk's
+    # buffers add under 6 MB, whatever the horizon
+    steps, dim = 64, 33
+    rows = lab._variance_block_rows(dim)
     tracemalloc.start()
     try:
-        variance_invariance_test(16, 0.5, 1 / 256, 600, philox_stream(5), substeps=1)
+        variance_invariance_test(16, 0.25, 1 / 256, 500, philox_stream(5), substeps=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
