@@ -15,6 +15,7 @@ from wickns.noise import (
     make_grid,
     philox_stream,
     sample_convolution_path,
+    trajectory_to_csv,
 )
 
 if __name__ == "__main__":
@@ -26,6 +27,9 @@ if __name__ == "__main__":
     # one path on a coarse grid
     traj = sample_convolution_path(op, make_grid(T, 8), philox_stream(11))
     print(f"one path: {len(traj.times)} time points, final mass {np.sum(np.abs(traj.states[-1])**2):.4f}")
+    # the table `wickns sample-noise` writes as psi.csv: one row per time and mode
+    rows = trajectory_to_csv(traj).splitlines()
+    print(f"as CSV: {len(rows) - 1} rows under the header {rows[0]!r}")
 
     # ensemble: empirical per-mode variance vs the exact law |phi_n|^2 t
     paths = 20_000

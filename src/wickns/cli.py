@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -51,10 +52,10 @@ from .manifest import RunManifest, compare_outputs
 from .noise import (
     Trajectory,
     _complex_normal,
+    _trajectory_chunks,
     philox_stream,
     sample_convolution_path,
     operator_to_csv,
-    trajectory_to_csv,
 )
 from .norms import fl_norm, gamma_norm, homogeneous_estimate_check, hs_norm, operator_norm, temporal_window_factor
 
@@ -86,14 +87,20 @@ class _Writer:
             os.remove(os.path.join(out_dir, "manifest.json"))
         self.text("resolved_config.ini", self.man.resolved_config)
 
-    def text(self, name: str, body: str) -> None:
+    def text(self, name: str, body: str | Iterable[str]) -> None:
+        """Writes body, a str or the pieces of one in order, to out_dir/name."""
         path = os.path.join(self.out_dir, name)
         if not os.path.exists(path):
             self.created.append(path)
-        # in slices, so the text layer never encodes a bytes copy of a whole table
+        # a str in slices, so the text layer never encodes a bytes copy of a
+        # whole table; pieces one by one, so the table is never joined
+        if isinstance(body, str):
+            pieces = (body[lo : lo + WRITE_SLICE] for lo in range(0, len(body), WRITE_SLICE))
+        else:
+            pieces = body
         with open(path, "w") as fh:
-            for lo in range(0, len(body), WRITE_SLICE):
-                fh.write(body[lo : lo + WRITE_SLICE])
+            for piece in pieces:
+                fh.write(piece)
         self.man.record_output(self.out_dir, name)
 
     def stream(self, label: str, *key: int) -> np.random.Generator:
@@ -120,6 +127,23 @@ class _Writer:
         self.man.write(self.out_dir)
 
 
+def _strict(value):
+    """value with every inf or nan float, at any depth, as the string "inf",
+    "-inf" or "nan": JSON has no such literals (CriticalityReport.as_dict
+    writes p = inf the same way)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _json_text(body: dict) -> str:
+    return json.dumps(_strict(body), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 @dataclass
 class CommandResult:
     report: dict
@@ -142,7 +166,7 @@ def _cmd_sample_noise(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
     op = _require_operator(cfg)
     traj = sample_convolution_path(op, scfg.grid(), w.stream("path", 0))
-    w.text("psi.csv", trajectory_to_csv(traj))
+    w.text("psi.csv", _trajectory_chunks(traj))
     if op.is_multiplier:
         w.text("phi.csv", operator_to_csv(op))
     with np.errstate(over="ignore"):  # an overflowing path is what finite_path reports
@@ -164,7 +188,7 @@ def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     u0 = cfg.initial_field(w.stream)
     rng = w.stream("noise", 0) if op is not None else None
     traj = solve(u0, op, scfg, nonlinearity="wick", rng=rng)
-    w.text("trajectory.csv", trajectory_to_csv(traj))
+    w.text("trajectory.csv", _trajectory_chunks(traj))
     blowup = traj.failed_at is not None
     with np.errstate(over="ignore"):  # the mass of a huge finite state is inf
         report = {
@@ -189,7 +213,7 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     else:
         psi = Trajectory(grid, np.zeros((scfg.steps + 1, 2 * scfg.cutoff + 1), dtype=np.complex128))
     rep = picard_iterate(u0, psi, scfg, params)
-    w.text("trajectory.csv", trajectory_to_csv(rep.solution))
+    w.text("trajectory.csv", _trajectory_chunks(rep.solution))
     rows = []
     for i, d in enumerate(rep.differences):
         ratio = rep.ratios[i - 1] if i >= 1 else ""
@@ -479,7 +503,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> tuple
     else:
         report = dict(result.report)
         report["checks"] = {name: bool(ok) for name, ok in result.checks}
-        w.text("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        w.text("report.json", _json_text(report))
     w.seal(cfg.command, result.flags)
     for name, ok in result.checks:
         print(f"{cfg.command}: check {name}: {'pass' if ok else 'FAIL'}")
@@ -537,7 +561,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
     columns += [[r[k] if isinstance(r.get(k), scalar) else "" for r in reports] for k in keys]
     w.text("sweep.csv", _csv_text(",".join(["index", "value", "exit_code", *keys]), columns))
     summary = {"axis": axis, "values": values, "command": cfg.command, "cells": cells}
-    w.text("sweep_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    w.text("sweep_summary.json", _json_text(summary))
     w.seal(f"sweep:{cfg.command}", {"cells_failed": 2 in codes})
     # a runtime failure outranks a config error, which outranks a failed --assert check
     code = next((c for c in (2, 1, 3) if c in codes), 0)

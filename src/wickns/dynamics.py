@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import SpectralField, _five_smooth, alias_free_length, from_grid, make_field, propagator_phases, to_grid
 from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments, make_grid
-from .norms import XsbParams, discrete_duhamel, xsb_norm
+from .norms import DEFAULT_PAD, XsbParams, _xsb_circulant, discrete_duhamel, xsb_norm
 
 __all__ = [
     "SolverConfig",
@@ -334,16 +334,23 @@ def picard_iterate(
         raise ValueError("psi must be sampled on the config grid")
     if params is None:
         params = XsbParams(s=0.0, b=0.3, bprime=-0.3, p=2.0, q=2.0, T=float(times[-1]))
+    if params.q == 2:
+        # the cached operator xsb_norm will read, built while no trajectory
+        # is alive, so its FFT scratch does not sit on top of them
+        _xsb_circulant(len(times) - 1, dt, params.T, params.b, DEFAULT_PAD)
     N = u0.cutoff
     lin = u0.coeffs[None, :] * propagator_phases(N, times)
     cur = lin - 1j * psi.states
     report = PicardReport()
     bad_streak = 0
     for it in range(cfg.picard_max_iters):
-        forcing = wick_coeffs_block(cur)
-        duh = discrete_duhamel(Trajectory._adopt(times, forcing))
-        new = lin + 1j * duh.states - 1j * psi.states
-        diff = xsb_norm(Trajectory._adopt(times, new - cur), params)
+        # lin + 1j * duh - 1j * psi, ufunc by ufunc, with new - cur written
+        # into cur, which retires: four trajectory-sized arrays (psi, lin,
+        # cur, new) are alive across the norm
+        new = 1j * discrete_duhamel(Trajectory._adopt(times, wick_coeffs_block(cur))).states
+        np.add(lin, new, out=new)
+        new -= 1j * psi.states
+        diff = xsb_norm(Trajectory._adopt(times, np.subtract(new, cur, out=cur)), params)
         report.differences.append(diff)
         report.iterations = it + 1
         if len(report.differences) >= 2:

@@ -125,7 +125,8 @@ def propagator_phases(cutoff: int, t) -> np.ndarray:
     time, shape t.shape + (2N+1,).  S(-t) is the complex conjugate.
     """
     n2 = frequencies(cutoff).astype(np.float64) ** 2
-    return np.exp(1j * np.multiply.outer(t, n2))
+    z = 1j * np.multiply.outer(t, n2)
+    return np.exp(z, out=z)
 
 
 def apply_linear_propagator(f: SpectralField, t: float) -> SpectralField:
@@ -240,20 +241,26 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv_text(header: str, columns=(), *, blocks=()) -> str:
-    """The one CSV writer, over equal-length columns: a float by its shortest
-    round-trip repr (so tables re-read bit for bit), a numpy integer as an
-    int, anything else by str.
+def _csv_chunks(header: str, columns=(), *, blocks=()):
+    """The one CSV writer, as a stream of texts, over equal-length columns:
+    a float by its shortest round-trip repr (so tables re-read bit for bit),
+    a numpy integer as an int, anything else by str.  The first text holds
+    the header and the columns' rows.
 
     A long table comes as `blocks` of rows instead, each a list of such
     columns known to hold str and float only, so no value's type is looked
-    at.  Each block is formatted on its own and the texts are joined once,
-    so only one block's per-row strings are alive at a time."""
+    at.  Each block is formatted on its own into one more text, so only one
+    block's per-row strings are alive at a time, and a file writer need
+    not hold the whole table."""
     cells = [map(_fmt, c) for c in columns]
-    texts = ["\n".join([header, *map(",".join, zip(*cells)), ""])]
+    yield "\n".join([header, *map(",".join, zip(*cells)), ""])
     for block in blocks:
-        texts.append("\n".join([*map(",".join, zip(*[map(str, c) for c in block])), ""]))
-    return "".join(texts)
+        yield "\n".join([*map(",".join, zip(*[map(str, c) for c in block])), ""])
+
+
+def _csv_text(header: str, columns=(), *, blocks=()) -> str:
+    """The texts of _csv_chunks, joined once."""
+    return "".join(_csv_chunks(header, columns, blocks=blocks))
 
 
 def _csv_rows(text: str, header: str, kinds) -> list[tuple]:

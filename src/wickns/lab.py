@@ -65,6 +65,11 @@ VARIANCE_CHUNK = 2500
 # rows (4125 coefficients) were slower than blocks of 500 in 8 of 8 alternated
 # runs, by 10% in the median, and blocks of 249 were not.
 _MIN_BLOCK_VALUES = 8192
+# a variance path whose snapshot mass sum |u_hat|^2 exceeds this many times its
+# law's mean (2N+1)(1 + t) has diverged, finite or not: it is left out and
+# counted as blown up.  Healthy paths stay below 2x (2500 paths at N = 16,
+# dt = 1/256); a path that diverges overshoots by many orders of magnitude.
+DIVERGED_MASS_FACTOR = 100.0
 # output frequencies and sigma0 candidates per block of the multiplier scan
 _N_BLOCK = 8
 _SIGMA_BLOCK = 4
@@ -569,8 +574,9 @@ def variance_invariance_test(
     this data scale).  Noise increments per step are exact in law.  They
     are drawn _variance_block_rows(2N+1) paths at a time, with the
     bits of one whole draw per chunk, and each row block goes through the
-    stepper in one call.  Paths that still go non-finite are excluded and
-    counted; a blow-up fraction above 1% flags the report.
+    stepper in one call.  Paths that go non-finite, or whose snapshot mass
+    exceeds DIVERGED_MASS_FACTOR times its mean (2N+1)(1 + t), are excluded
+    and counted as blown up; a blow-up fraction above 1% flags the report.
     """
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9:
@@ -583,21 +589,24 @@ def variance_invariance_test(
 
     block = _variance_block_rows(dim)
 
+    # the largest snapshot mass a kept path may have, per recorded time
+    mass_bound = DIVERGED_MASS_FACTOR * dim * (1.0 + np.array(rec) * dt)
+
     def one(sub: np.random.Generator, B: int):
         g = _complex_normal(sub, (B, dim)) / np.sqrt(2.0)
-        # |u|, then |u|^2 in place; a path counts as finite by its complex values
-        dens = np.empty((len(rec), B, dim))
-        finite = np.empty(B, dtype=bool)
+        dens = np.empty((len(rec), B, dim))  # |u|, then |u|^2 in place
         # a path that overflows is counted below, as in `solve`; the errstate
         # sits here because a pool thread does not inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):
             for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, block):
                 snap = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, substeps, rec)
-                finite[rows] = np.all(np.isfinite(snap.view(np.float64)), axis=(0, 2))
                 np.abs(snap, out=dens[:, rows])
             np.square(dens, out=dens)  # np.abs(u) ** 2, bit for bit
-        sq_sum = np.sum(dens[:, finite], axis=1)  # (len(rec), dim)
-        return sq_sum, int(np.sum(finite)), B
+            # a nan or inf snapshot fails the bound too, so this also drops
+            # every non-finite path
+            kept = np.all(np.sum(dens, axis=2) <= mass_bound[:, None], axis=0)
+        sq_sum = np.sum(dens[:, kept], axis=1)  # (len(rec), dim)
+        return sq_sum, int(np.sum(kept)), B
 
     parts = _chunk_map(one, samples, VARIANCE_CHUNK, rng, workers)
     total_sq = sum(p[0] for p in parts)

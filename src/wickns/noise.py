@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, _csv_rows, _csv_text, _fmt, frequencies, make_field, propagator_phases
+from .fields import SpectralField, _csv_chunks, _csv_rows, _csv_text, _fmt, frequencies, make_field, propagator_phases
 
 __all__ = [
     "NoiseOperator",
@@ -365,7 +365,7 @@ def convolution_variance(op: NoiseOperator, t: float, n: int) -> float:
 def _grid_blocks(outer, inner, values: np.ndarray):
     """Columns outer[i], inner[j], re, im of values[i, j], row-major, for a
     block of whole outer labels at a time, about _CSV_BLOCK_ROWS rows each:
-    the `blocks` of _csv_text.
+    the `blocks` of _csv_text and _csv_chunks.
 
     Each outer and inner label is formatted once and its string repeated,
     which gives _csv_text's bytes without one repr per row; every column
@@ -386,6 +386,12 @@ def _grid_blocks(outer, inner, values: np.ndarray):
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV serialization: header `t,n,re,im`, grid-major then frequency."""
     return _csv_text("t,n,re,im", blocks=_grid_blocks(traj.times, frequencies(traj.cutoff), traj.states))
+
+
+def _trajectory_chunks(traj: Trajectory):
+    """The text of trajectory_to_csv as _csv_chunks yields it, one piece per
+    row block, for a file writer that need not join the table."""
+    return _csv_chunks("t,n,re,im", blocks=_grid_blocks(traj.times, frequencies(traj.cutoff), traj.states))
 
 
 def operator_to_csv(op: NoiseOperator) -> str:

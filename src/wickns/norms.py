@@ -180,7 +180,8 @@ def _inverse_phases(cutoff: int, grid: bytes) -> np.ndarray:
     grid.  Keyed by the bytes, not by (M, dt): two grids that agree in
     (M, dt) may still differ in their last bits.  Read-only: the cache hands
     the array to every caller."""
-    phases = np.conj(propagator_phases(cutoff, np.frombuffer(grid)))
+    phases = propagator_phases(cutoff, np.frombuffer(grid))
+    np.conjugate(phases, out=phases)
     phases.setflags(write=False)
     return phases
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,14 @@ def brute_convolve(f, g):
                 acc += f.coeff(k) * g.coeff(n - k)
         out[n + N] = acc
     return make_field(N, out)
+
+
+def traced_peak(fn):
+    """(fn(), the peak traced memory in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -1,6 +1,7 @@
 """Config parsing, manifests, and the wickns command-line harness."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -18,11 +19,11 @@ from hypothesis import strategies as st
 from wickns import cli
 from wickns.cli import main
 from wickns.config import COMMANDS, SCHEMA, ConfigError, parse_config, parse_config_text
-from wickns.dynamics import wick_coeffs_block
+from wickns.dynamics import picard_iterate, wick_coeffs_block
 from wickns.fields import field_to_csv, make_field, mode_field
 from wickns.lab import divisor_count, tail_estimate_mc
 from wickns.manifest import RunManifest, compare_outputs, sha256_file
-from wickns.noise import NoiseOperator, bessel_operator, operator_to_csv, philox_stream, sample_white_noise_field
+from wickns.noise import NoiseOperator, Trajectory, bessel_operator, operator_to_csv, philox_stream, sample_white_noise_field, trajectory_to_csv
 from wickns.norms import homogeneous_estimate_check
 
 
@@ -52,8 +53,13 @@ def _write(path, text: str) -> None:
     pathlib.Path(path).write_text(text)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _json(out_dir, name="report.json"):
-    return json.loads(_read(out_dir, name))
+    """A JSON output as a strict parser reads it: NaN and Infinity fail."""
+    return json.loads(_read(out_dir, name), parse_constant=_no_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +436,18 @@ def test_rerun_of_manifest_missing_fields_is_an_error(tmp_path, capsys, edit, me
 
 
 def test_writer_writes_a_long_body_whole(tmp_path):
-    # a body is written in WRITE_SLICE slices; a long one must land whole
-    body = "".join(f"{i},{i / 7!r}\n" for i in range(120_000))
+    # a str body is written in WRITE_SLICE slices, an iterable one piece by
+    # piece; a long one must land whole, as the manifest records it
+    pieces = [f"{i},{i / 7!r}\n" for i in range(120_000)]
+    body = "".join(pieces)
     assert len(body) > 2 * cli.WRITE_SLICE
     w = cli._Writer(str(tmp_path), parse_config_text("[run]\ncommand = divisors\n"))
     w.text("big.csv", body)
     assert (tmp_path / "big.csv").read_text() == body
     assert w.man.outputs[-1]["bytes"] == len(body)
+    w.text("pieces.csv", iter(pieces))
+    assert (tmp_path / "pieces.csv").read_text() == body
+    assert w.man.outputs[-1] == {"name": "pieces.csv", "sha256": hashlib.sha256(body.encode()).hexdigest(), "bytes": len(body)}
 
 
 def test_compare_outputs_flags_missing_and_changed(tmp_path):
@@ -1184,7 +1195,12 @@ def test_cli_picard_converges_on_small_datum(tmp_path):
     rows = _read(out, "picard_differences.csv").strip().splitlines()
     assert rows[0] == "iteration,difference,ratio"
     assert rows[1].endswith(",")  # no ratio before the second iterate
-    assert os.path.exists(os.path.join(out, "trajectory.csv"))
+    # the streamed table holds the bytes trajectory_to_csv joins
+    parsed = parse_config(cfg)
+    scfg = parsed.solver_config()
+    psi = Trajectory(scfg.grid(), np.zeros((scfg.steps + 1, 9), dtype=complex))
+    solution = picard_iterate(mode_field(4, 1, 0.1), psi, scfg, parsed.picard_params()).solution
+    assert _read(out, "trajectory.csv") == trajectory_to_csv(solution)
 
 
 def test_cli_picard_converged_at_once_passes_contraction(tmp_path):
@@ -1226,6 +1242,7 @@ def test_cli_picard_non_finite_stops_with_flag(tmp_path, capsys):
     assert [float(r[1]) for r in rows[:-1]] == _json(out)["differences"][:-1]
     assert all(math.isfinite(float(r[1])) for r in rows[:-1]) and rows[-1][1] == "nan"
     assert len(rows) == _json(out)["iterations"] < 8
+    assert _json(out)["differences"][-1] == "nan"  # the report stays strict JSON
 
 
 def test_cli_norms_reports_and_checks(tmp_path):
@@ -1369,6 +1386,28 @@ def test_cli_variance_test_tracks_target(tmp_path):
     assert rep["max_rel_dev"] < 0.05 and rep["checks"]["variance_tracks_1_plus_t"] is True
     rows = _read(out, "variance.csv").strip().splitlines()
     assert rows[0] == "t,n,variance,target" and len(rows) == 1 + 3 * 9
+
+
+def test_cli_variance_test_drops_diverged_finite_paths(tmp_path):
+    # 252 of 600 paths go non-finite and 7 more diverge while finite; kept,
+    # such paths squared to inf and made max_rel_dev and the slopes inf or nan
+    cfg = _cfg(
+        tmp_path,
+        "[run]\ncommand = variance-test\nseed = 7\n\n[solver]\ncutoff = 12\ndt = 0.015625\nhorizon = 0.5\n\n"
+        "[lab]\nsamples = 600\nsubsteps = 1\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    rep = _json(out)
+    assert rep["flagged"] is True and rep["blowup_fraction"] == 1.0 - 341 / 600
+    values = [rep["max_rel_dev"], rep["slope"], *rep["per_mode_slope_range"], *sum(rep["variances"], [])]
+    assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+
+
+def test_json_text_writes_non_finite_floats_as_strings():
+    body = {"a": [1.0, math.inf, (-math.inf, math.nan)], "b": {"c": np.float64("nan")}, "d": True, "e": 2}
+    want = {"a": [1.0, "inf", ["-inf", "nan"]], "b": {"c": "nan"}, "d": True, "e": 2}
+    assert json.loads(cli._json_text(body), parse_constant=_no_constant) == want
 
 
 def test_cli_trilinear_p99_stable(tmp_path):

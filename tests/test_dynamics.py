@@ -6,26 +6,32 @@ import pytest
 from wickns import (
     SolverConfig,
     Trajectory,
+    XsbParams,
+    bessel_operator,
     cubic_coeffs_block,
+    discrete_duhamel,
     evolve_wick_rk4ip,
     fl_norm,
+    frequencies,
     gauge_transform,
     identity_operator,
     make_field,
     mode_field,
     philox_stream,
     picard_iterate,
+    sample_convolution_path,
     solve,
     wick_coeffs_block,
     wick_nonlinearity_direct,
     wick_trilinear,
+    xsb_norm,
     zero_field,
 )
-from wickns import dynamics
+from wickns import dynamics, norms
 from wickns.dynamics import _cubic_coeffs_conv
 from wickns.fields import _five_smooth, alias_free_length, from_grid, to_grid
 from wickns.noise import _complex_normal, _draw_increments
-from conftest import random_field
+from conftest import random_field, traced_peak
 
 
 def _single_mode_exact(A, k, t):
@@ -438,6 +444,58 @@ def test_picard_stops_at_first_non_finite_difference():
     assert rep.iterations == len(rep.differences) < cfg.picard_max_iters
     assert np.all(np.isfinite(rep.differences[:-1])) and not np.isfinite(rep.differences[-1])
     assert len(rep.ratios) == len(rep.differences) - 1
+
+
+def _picard_oracle(u0, psi, cfg, params):
+    """picard_iterate's loop as first written: the forcing, the Duhamel term,
+    the new iterate and the difference each in an array of its own, and the
+    propagator phases as one exp of i t n^2.  Returns the differences and
+    the final iterate."""
+    times = psi.times
+    n2 = frequencies(u0.cutoff).astype(np.float64) ** 2
+    lin = u0.coeffs[None, :] * np.exp(1j * np.multiply.outer(times, n2))
+    cur = lin - 1j * psi.states
+    diffs, bad_streak = [], 0
+    for _ in range(cfg.picard_max_iters):
+        forcing = wick_coeffs_block(cur)
+        duh = discrete_duhamel(Trajectory(times, forcing))
+        new = lin + 1j * duh.states - 1j * psi.states
+        diff = xsb_norm(Trajectory(times, new - cur), params)
+        diffs.append(diff)
+        if len(diffs) >= 2:
+            bad_streak = bad_streak + 1 if diffs[-2] > 0 and diff / diffs[-2] >= 1.0 else 0
+        cur = new
+        if not np.isfinite(diff) or diff < cfg.picard_tolerance or bad_streak >= 3:
+            break
+    return diffs, cur
+
+
+def _noisy_picard_case(N, dt, iters):
+    cfg = SolverConfig(cutoff=N, dt=dt, horizon=0.25, picard_max_iters=iters, picard_tolerance=1e-12)
+    u0 = random_field(N, philox_stream(4), scale=0.05)
+    psi = sample_convolution_path(bessel_operator(N, 0.75), cfg.grid(), philox_stream(5))
+    return u0, psi, cfg, XsbParams(s=0.0, b=0.45, bprime=-0.1, p=2.0, q=2.0, T=0.25)
+
+
+def test_picard_in_place_loop_matches_the_out_of_place_oracle():
+    u0, psi, cfg, params = _noisy_picard_case(8, 1 / 64, 25)
+    rep = picard_iterate(u0, psi, cfg, params)
+    diffs, final = _picard_oracle(u0, psi, cfg, params)
+    assert rep.converged and rep.iterations == len(diffs) > 3
+    assert rep.differences == diffs
+    assert np.array_equal(rep.solution.states, final)
+
+
+def test_picard_peak_memory_is_a_few_trajectories():
+    # psi, lin, cur and new across each norm, with the norm's own workspace
+    # (w, the cached inverse phases and its padded buffer) beside them, and
+    # the cached q = 2 operator built before any of them; nine trajectories
+    # alive at once and the operator built on top read 11.8x psi
+    u0, psi, cfg, params = _noisy_picard_case(32, 1 / 2048, 3)
+    norms._xsb_circulant.cache_clear()
+    norms._inverse_phases.cache_clear()
+    _, peak = traced_peak(lambda: picard_iterate(u0, psi, cfg, params))
+    assert peak < 10.5 * psi.states.nbytes
 
 
 def test_picard_grid_mismatch():

@@ -3,7 +3,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from wickns.noise import (
     _fill_normal,
     _increment_blocks,
 )
+from conftest import traced_peak
 
 PICARD_NOISE = pathlib.Path(__file__).resolve().parents[1] / "wickbench" / "workloads" / "picard_noise.csv"
 
@@ -234,13 +234,12 @@ def test_increment_blocks_peak_is_one_block():
     # the complex block is the only array of its size (24.2 MiB with a
     # block-sized float buffer beside it)
     shape, rows = (2500, 64, 33), 500
-    tracemalloc.start()
-    try:
+
+    def draw_all():
         for _ in _increment_blocks(philox_stream(8, 4), shape, 1 / 256, rows):
             pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(draw_all)
     assert peak < rows * math.prod(shape[1:]) * 16 + (1 << 20)
 
 
@@ -385,12 +384,7 @@ def test_paths_block_peak_is_about_its_output():
     # increments and a float block of real parts lived beside it
     op, grid = bessel_operator(16, 0.75), make_grid(0.5, 32)
     convolution_paths_block(op, grid, philox_stream(3), 2)  # the propagator phases are built once
-    tracemalloc.start()
-    try:
-        states = convolution_paths_block(op, grid, philox_stream(3), 500)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    states, peak = traced_peak(lambda: convolution_paths_block(op, grid, philox_stream(3), 500))
     assert peak < 1.2 * states.nbytes
 
 
@@ -555,12 +549,7 @@ def test_trajectory_csv_peak_memory_is_about_twice_its_text():
     # text when the whole table was formatted at once)
     rng = philox_stream(12)
     traj = Trajectory(make_grid(0.25, 1024), _complex_normal(rng, (1025, 129)))
-    tracemalloc.start()
-    try:
-        text = trajectory_to_csv(traj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(lambda: trajectory_to_csv(traj))
     assert peak < 2.2 * len(text)
 
 
