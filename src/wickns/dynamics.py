@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, _five_smooth, alias_free_length, from_grid, make_field, propagator_phases, to_grid
+from .fields import SpectralField, _band, _five_smooth, alias_free_length, make_field, propagator_phases, to_grid
 from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments, make_grid
 from .norms import DEFAULT_PAD, XsbParams, _xsb_circulant, discrete_duhamel, xsb_norm
 
@@ -84,37 +84,47 @@ class WickSplit:
         return self.nonres + self.res
 
 
-def cubic_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None) -> np.ndarray:
+def cubic_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(|u|^2 u)^ on [-N, N] for a block of coefficient rows (..., 2N+1),
     full-band intermediate via a zero-padded transform on `gridpoints` points
-    (default alias_free_length(N)); any length >= 4N+1 is alias-free.
+    (default alias_free_length(N)); any length >= 4N+1 is alias-free.  The
+    result goes into `out`, a C-contiguous complex array of U's shape that
+    does not overlap U, when given, else into a new array.
 
     Rows, over every leading axis, go through the grid GRID_SAMPLES //
     gridpoints at a time (at least one), so a long block never holds its
-    whole grid at once.  Each row is transformed alone, so the grouping does
-    not change a bit."""
+    whole grid at once; each group fills its slice of the result.  Each row
+    is transformed alone, so the grouping does not change a bit."""
     L = alias_free_length((U.shape[-1] - 1) // 2) if gridpoints is None else gridpoints
     rows = max(1, GRID_SAMPLES // L)
+    if out is None:
+        out = np.empty(U.shape, dtype=np.complex128)
+    elif out.shape != U.shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {U.shape}")
     flat = U.reshape(-1, U.shape[-1])
     if len(flat) <= rows:
-        return _cubic_on_grid(U, L)
-    out = np.concatenate([_cubic_on_grid(flat[lo : lo + rows], L) for lo in range(0, len(flat), rows)])
-    return out.reshape(U.shape)
+        return _cubic_on_grid(U, L, out)
+    flat_out = out.reshape(flat.shape)
+    for lo in range(0, len(flat), rows):
+        _cubic_on_grid(flat[lo : lo + rows], L, flat_out[lo : lo + rows])
+    return out
 
 
-def _cubic_on_grid(U: np.ndarray, L: int) -> np.ndarray:
+def _cubic_on_grid(U: np.ndarray, L: int, out: np.ndarray) -> np.ndarray:
     phys = to_grid(U, L)
     dens = np.abs(phys)
     np.square(dens, out=dens)  # np.abs(phys) ** 2, bit for bit
     np.multiply(dens, phys, out=phys)
-    return from_grid(phys, (U.shape[-1] - 1) // 2)
+    # from_grid(phys, N), bit for bit, with the transform in place
+    return _band(np.fft.fft(phys, axis=-1, norm="forward", out=phys), (U.shape[-1] - 1) // 2, out)
 
 
-def wick_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None) -> np.ndarray:
+def wick_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Renormalized cubic (|u|^2 - 2M) u for a block of coefficient rows
-    (B, 2N+1), on the grid cubic_coeffs_block takes for `gridpoints`."""
+    (B, 2N+1), on the grid cubic_coeffs_block takes for `gridpoints`, into
+    `out` as cubic_coeffs_block writes it."""
     mass = np.sum(np.abs(U) ** 2, axis=1, keepdims=True)
-    out = cubic_coeffs_block(U, gridpoints=gridpoints)
+    out = cubic_coeffs_block(U, gridpoints=gridpoints, out=out)
     out -= 2.0 * mass * U
     return out
 
@@ -244,12 +254,15 @@ def evolve_wick_rk4ip(
     noise kicks, over the rows it is handed.
 
     U0: (B, 2N+1) initial coefficient rows.  Z: (B, steps, 2N+1) complex
-    Gaussian increments of variance dt; these shapes fix N and steps.  Each
-    noise step is split into `substeps` deterministic RK4 substeps; the kick
-    -i phi zeta is applied at the step end, which leaves the per-mode law of
-    the linear part exact.  Returns states at the distinct grid indices in
-    `record` (each in [0, steps]) as an array (len(record), B, 2N+1).  Rows never interact, so every row gets the same
-    arithmetic as when it is evolved alone.
+    Gaussian increments of variance dt; these shapes fix N and steps, and
+    phi must have shape (2N+1,): any other shape is a ValueError, so no
+    array is broadcast across rows.  Each noise step is split into
+    `substeps` deterministic RK4 substeps; the kick -i phi zeta is applied
+    at the step end, which leaves the per-mode law of the linear part
+    exact.  Returns states at the distinct grid indices in `record` (each
+    in [0, steps]) as an array (len(record), B, 2N+1).  Rows never
+    interact, so every row gets the same arithmetic as when it is evolved
+    alone.
 
     The Wick kernel runs on _five_smooth(4N+1) points (72 at N = 16), the
     shortest fast alias-free grid, so results agree with the power-of-two
@@ -257,6 +270,10 @@ def evolve_wick_rk4ip(
     picard_iterate keep the power-of-two grid: their arithmetic is frozen,
     and a converged Picard fixed point must reproduce solve's trajectory.
     """
+    if U0.ndim != 2 or Z.ndim != 3 or Z.shape[::2] != U0.shape:
+        raise ValueError(f"Z must have shape (B, steps, 2N+1) for U0 of shape (B, 2N+1), got Z {Z.shape} and U0 {U0.shape}")
+    if phi.shape != U0.shape[1:]:
+        raise ValueError(f"phi must have shape (2N+1,) = {U0.shape[1:]}, got {phi.shape}")
     N = (U0.shape[-1] - 1) // 2
     steps = Z.shape[1]
     order = {int(r): i for i, r in enumerate(record)}
@@ -273,26 +290,45 @@ def evolve_wick_rk4ip(
     # per substep k: the phases at its offsets s, s + h/2 and s + h
     substep_phases = [(phases(s), phases(s + 0.5 * h), phases(s + h)) for s in (k * h for k in range(substeps))]
 
-    def rhs(V: np.ndarray, phase: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    # every stage works in these buffers, with the ufuncs, operands and order
+    # of the allocating form k2 = rhs(V + 0.5 * h * k1), V = V + (h / 6.0) *
+    # (k1 + 2.0 * k2 + 2.0 * k3 + k4), U = prop * V - 1j * phi * Z[:, m, :],
+    # so every bit is that form's; V holds U between steps
+    V = np.array(U0, dtype=np.complex128)
+    k1, k2, k3, k4, T = (np.empty_like(V) for _ in range(5))
+
+    def rhs(X: np.ndarray, phase: tuple[np.ndarray, np.ndarray], k: np.ndarray) -> None:
         fwd, back = phase
-        W = wick_coeffs_block(fwd * V, gridpoints=L)
-        return np.multiply(back, W, out=W)
+        np.multiply(fwd, X, out=T)
+        wick_coeffs_block(T, gridpoints=L, out=k)
+        np.multiply(back, k, out=k)
+
+    def stage(c: float, k: np.ndarray) -> np.ndarray:
+        np.multiply(c, k, out=T)
+        return np.add(V, T, out=T)
 
     prop = propagator_phases(N, dt)
-    U = U0
+    iphi = 1j * phi
     if 0 in order:
-        out[order[0]] = U
+        out[order[0]] = V
     for m in range(steps):
-        V = U  # interaction rep referenced to the step start
         for p0, p1, p2 in substep_phases:
-            k1 = rhs(V, p0)
-            k2 = rhs(V + 0.5 * h * k1, p1)
-            k3 = rhs(V + 0.5 * h * k2, p1)
-            k4 = rhs(V + h * k3, p2)
-            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        U = prop * V - 1j * phi * Z[:, m, :]
+            rhs(V, p0, k1)
+            rhs(stage(0.5 * h, k1), p1, k2)
+            rhs(stage(0.5 * h, k2), p1, k3)
+            rhs(stage(h, k3), p2, k4)
+            np.multiply(2.0, k2, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(2.0, k3, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(h / 6.0, k1, out=k1)
+            np.add(V, k1, out=V)
+        np.multiply(prop, V, out=V)
+        np.multiply(iphi, Z[:, m, :], out=T)
+        np.subtract(V, T, out=V)
         if m + 1 in order:
-            out[order[m + 1]] = U
+            out[order[m + 1]] = V
     return out
 
 

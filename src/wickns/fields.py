@@ -210,12 +210,17 @@ def from_grid(samples: np.ndarray, cutoff: int) -> np.ndarray:
     Runs at any length L of the last axis and leaves samples untouched; the
     forward-normalized transform equals fft(samples) / L bit for bit only
     when L is a power of two, and to rounding at other lengths."""
-    L = samples.shape[-1]
-    W = np.fft.fft(samples, axis=-1, norm="forward")
-    out = np.empty(samples.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
+    return _band(np.fft.fft(samples, axis=-1, norm="forward"), cutoff)
+
+
+def _band(W: np.ndarray, cutoff: int, out=None) -> np.ndarray:
+    """Frequencies -N..N of spectra W along the last axis, in coefficient
+    order, written into out (shape (..., 2N+1)) or a new array."""
+    if out is None:
+        out = np.empty(W.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
     out[..., cutoff:] = W[..., : cutoff + 1]
     if cutoff > 0:
-        out[..., :cutoff] = W[..., L - cutoff :]
+        out[..., :cutoff] = W[..., W.shape[-1] - cutoff :]
     return out
 
 
@@ -247,15 +252,13 @@ def _csv_chunks(header: str, columns=(), *, blocks=()):
     a numpy integer as an int, anything else by str.  The first text holds
     the header and the columns' rows.
 
-    A long table comes as `blocks` of rows instead, each a list of such
-    columns known to hold str and float only, so no value's type is looked
-    at.  Each block is formatted on its own into one more text, so only one
-    block's per-row strings are alive at a time, and a file writer need
-    not hold the whole table."""
+    A long table comes as `blocks` instead, each the finished text of a
+    run of rows, every row ending in a newline, and each yielded as one
+    more text, so only one block is formatted at a time, and a file writer
+    need not hold the whole table."""
     cells = [map(_fmt, c) for c in columns]
     yield "\n".join([header, *map(",".join, zip(*cells)), ""])
-    for block in blocks:
-        yield "\n".join([*map(",".join, zip(*[map(str, c) for c in block])), ""])
+    yield from blocks
 
 
 def _csv_text(header: str, columns=(), *, blocks=()) -> str:

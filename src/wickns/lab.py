@@ -571,12 +571,16 @@ def variance_invariance_test(
 
     The ensemble is integrated with the batched interaction-picture RK4
     stepper (the first-order stepper's per-step mass inflation overflows at
-    this data scale).  Noise increments per step are exact in law.  They
-    are drawn _variance_block_rows(2N+1) paths at a time, with the
-    bits of one whole draw per chunk, and each row block goes through the
-    stepper in one call.  Paths that go non-finite, or whose snapshot mass
-    exceeds DIVERGED_MASS_FACTOR times its mean (2N+1)(1 + t), are excluded
-    and counted as blown up; a blow-up fraction above 1% flags the report.
+    this data scale).  Noise increments per step are exact in law.  A
+    chunk of B paths is cut into row blocks of ceil(B / k) paths, with
+    k = max(1, B // _variance_block_rows(2N+1)), the last one shorter by
+    what is left (10 blocks of 250 for 2500 paths at N = 16), so no block
+    falls far below the stepper floor; the increments are drawn one block
+    at a time, with the bits of one whole draw per chunk, and each block
+    goes through the stepper in one call.  Paths that go non-finite, or
+    whose snapshot mass exceeds DIVERGED_MASS_FACTOR times its mean
+    (2N+1)(1 + t), are excluded and counted as blown up; a blow-up fraction
+    above 1% flags the report.
     """
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9:
@@ -598,7 +602,7 @@ def variance_invariance_test(
         # a path that overflows is counted below, as in `solve`; the errstate
         # sits here because a pool thread does not inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, block):
+            for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, -(-B // max(1, B // block))):
                 snap = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, substeps, rec)
                 np.abs(snap, out=dens[:, rows])
             np.square(dens, out=dens)  # np.abs(u) ** 2, bit for bit

@@ -363,24 +363,25 @@ def convolution_variance(op: NoiseOperator, t: float, n: int) -> float:
 
 
 def _grid_blocks(outer, inner, values: np.ndarray):
-    """Columns outer[i], inner[j], re, im of values[i, j], row-major, for a
-    block of whole outer labels at a time, about _CSV_BLOCK_ROWS rows each:
-    the `blocks` of _csv_text and _csv_chunks.
+    """The rows outer[i], inner[j], re, im of values[i, j], row-major, as
+    one text per block of whole outer labels, about _CSV_BLOCK_ROWS rows
+    each: the `blocks` of _csv_text and _csv_chunks.
 
-    Each outer and inner label is formatted once and its string repeated,
-    which gives _csv_text's bytes without one repr per row; every column
-    holds str or float only."""
+    Each outer and inner label is formatted once: the inner labels are
+    written into one %-template of an outer label's rows, so a block is
+    that template repeated and filled once, with the bytes of _csv_text
+    (%r of a float is its repr)."""
     inner_s = list(map(_fmt, inner))
     step = max(1, _CSV_BLOCK_ROWS // len(inner_s))
+    row = "".join(f"%s,{n},%r,%r\n" for n in inner_s)
     for lo in range(0, len(outer), step):
         outer_s = list(map(_fmt, outer[lo : lo + step]))
         block = values[lo : lo + step]
-        yield [
-            [s for s in outer_s for _ in inner_s],
-            inner_s * len(outer_s),
-            block.real.ravel().tolist(),
-            block.imag.ravel().tolist(),
-        ]
+        args = [None] * (3 * block.size)
+        args[0::3] = [s for s in outer_s for _ in inner_s]
+        args[1::3] = block.real.ravel().tolist()
+        args[2::3] = block.imag.ravel().tolist()
+        yield (row * len(outer_s)) % tuple(args)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

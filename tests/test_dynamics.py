@@ -29,7 +29,7 @@ from wickns import (
 )
 from wickns import dynamics, norms
 from wickns.dynamics import _cubic_coeffs_conv
-from wickns.fields import _five_smooth, alias_free_length, from_grid, to_grid
+from wickns.fields import _five_smooth, alias_free_length, from_grid, propagator_phases, to_grid
 from wickns.noise import _complex_normal, _draw_increments
 from conftest import random_field, traced_peak
 
@@ -172,6 +172,24 @@ def test_block_kernels_default_to_power_of_two_grid(rng):
         L = alias_free_length(N)
         assert np.array_equal(wick_coeffs_block(U), wick_coeffs_block(U, gridpoints=L))
         assert np.array_equal(cubic_coeffs_block(U), cubic_coeffs_block(U, gridpoints=L))
+
+
+@pytest.mark.parametrize("rows, N, L", [(249, 16, 72), (1025, 64, None)])
+def test_block_kernels_write_into_out_bit_for_bit(monkeypatch, rows, N, L):
+    # an ensemble block on 72 points in one group, and Picard's 1025 rows on
+    # 512 points in nine groups, each filling its slice of out
+    U = _complex_normal(philox_stream(44), (rows, 2 * N + 1))
+    groups = []
+    whole = dynamics._cubic_on_grid
+    monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(len(V)) or whole(V, *a))
+    for kernel in (wick_coeffs_block, cubic_coeffs_block):
+        want = kernel(U, gridpoints=L)
+        buf = np.full(U.shape, np.nan + 0j)
+        assert kernel(U, gridpoints=L, out=buf) is buf
+        assert np.array_equal(buf, want)
+    assert len(groups) == 4 * (1 if L else 9)
+    with pytest.raises(ValueError, match="^out must be a C-contiguous complex128 array of shape"):
+        wick_coeffs_block(U, gridpoints=L, out=np.empty((rows, 2 * N + 2), dtype=complex)[:, :-1])
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +386,78 @@ def test_rk4ip_row_blocks_match_rows_evolved_alone(rows):
     assert out.shape == (len(record), rows, 2 * N + 1)
     assert np.array_equal(out, alone)
     assert np.array_equal(out[0], U0)
+
+
+def _allocating_rk4ip(U0, phi, Z, dt, substeps, record):
+    """evolve_wick_rk4ip as it was before its stage buffers: every stage a
+    fresh array, in the same ufuncs and order."""
+    N = (U0.shape[-1] - 1) // 2
+    h = dt / substeps
+    L = _five_smooth(4 * N + 1)
+    out = np.empty((len(record), *U0.shape), dtype=np.complex128)
+    order = {r: i for i, r in enumerate(record)}
+
+    def phases(s):
+        ph = propagator_phases(N, s)
+        return ph, 1j * np.conj(ph)
+
+    substep_phases = [(phases(s), phases(s + 0.5 * h), phases(s + h)) for s in (k * h for k in range(substeps))]
+
+    def rhs(V, phase):
+        fwd, back = phase
+        W = wick_coeffs_block(fwd * V, gridpoints=L)
+        return np.multiply(back, W, out=W)
+
+    prop = propagator_phases(N, dt)
+    U = U0
+    if 0 in order:
+        out[order[0]] = U
+    for m in range(Z.shape[1]):
+        V = U
+        for p0, p1, p2 in substep_phases:
+            k1 = rhs(V, p0)
+            k2 = rhs(V + 0.5 * h * k1, p1)
+            k3 = rhs(V + 0.5 * h * k2, p1)
+            k4 = rhs(V + h * k3, p2)
+            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        U = prop * V - 1j * phi * Z[:, m, :]
+        if m + 1 in order:
+            out[order[m + 1]] = U
+    return out
+
+
+def test_rk4ip_stage_buffers_match_allocating_form_bit_for_bit():
+    # variance-test's scale, with one row scaled until it overflows to inf
+    # and nan mid-run: the in-place stages keep every bit, nan bits included
+    N, steps, dt, rows = 16, 8, 1 / 256, 40
+    rng = philox_stream(23)
+    U0 = _complex_normal(rng, (rows, 2 * N + 1)) / np.sqrt(2.0)
+    U0[7] *= 1e60
+    Z = _draw_increments(rng, (rows, steps, 2 * N + 1), dt)
+    phi = np.linspace(0.5, 1.5, 2 * N + 1)
+    record = [0, 2, steps]
+    with np.errstate(all="ignore"):
+        got = evolve_wick_rk4ip(U0, phi, Z, dt, 2, record)
+        want = _allocating_rk4ip(U0, phi, Z, dt, 2, record)
+    assert not np.isfinite(got[-1, 7]).any() and np.isfinite(np.delete(got, 7, axis=1)).all()
+    assert np.array_equal(got.view(np.float64), want.view(np.float64), equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "U0_shape, Z_shape, phi_len, match",
+    [
+        ((2, 5), (1, 4, 5), 5, r"^Z must have shape \(B, steps, 2N\+1\) for U0 of shape \(B, 2N\+1\), got Z \(1, 4, 5\) and U0 \(2, 5\)"),
+        ((2, 5), (2, 4, 7), 5, r"^Z must have shape .*, got Z \(2, 4, 7\) and U0 \(2, 5\)"),
+        ((5,), (1, 4, 5), 5, r"^Z must have shape .*, got Z \(1, 4, 5\) and U0 \(5,\)"),
+        ((2, 5), (2, 4, 5), 1, r"^phi must have shape \(2N\+1,\) = \(5,\), got \(1,\)"),
+    ],
+)
+def test_rk4ip_rejects_mismatched_shapes(monkeypatch, U0_shape, Z_shape, phi_len, match):
+    # a one-row Z or a length-1 phi used to broadcast over every row, so the
+    # rows shared one noise path; nothing is stepped before the check
+    monkeypatch.setattr(dynamics, "wick_coeffs_block", lambda *a, **k: pytest.fail("stepped"))
+    with pytest.raises(ValueError, match=match):
+        evolve_wick_rk4ip(np.zeros(U0_shape, dtype=complex), np.ones(phi_len), np.zeros(Z_shape, dtype=complex), 0.1, 1, [1])
 
 
 def test_rk4ip_five_smooth_grid_matches_power_of_two_grid(monkeypatch):

@@ -407,14 +407,15 @@ def _whole_draw_report(N, T, dt, B, seed, substeps):
 
 
 def test_variance_row_blocks_match_whole_draw_oracle():
-    # 1007 rows span two row blocks, the last one short
+    # 1007 rows at N = 4 are one block of the 911-row floor; the partial
+    # blow-up test below spans two
     rep = variance_invariance_test(4, 0.25, 1 / 256, 1007, philox_stream(63), substeps=1)
     assert rep.blowup_fraction == 0.0
     assert asdict(rep) == _whole_draw_report(4, 0.25, 1 / 256, 1007, 63, 1)
 
 
 def test_variance_partial_blowup_matches_whole_draw_oracle():
-    # 11 of 600 paths go non-finite, in each of the three 249-row blocks, and
+    # 11 of 600 paths go non-finite, in both 300-row blocks, and
     # one more stays finite but reaches |u_hat| ~ 1.9e27; the sums over the
     # other paths keep the bits of the whole draw
     rep = variance_invariance_test(16, 0.25, 1 / 128, 600, philox_stream(99), substeps=1)
@@ -435,8 +436,19 @@ def test_variance_block_rows_from_a_coefficient_floor():
     assert {dim: lab._variance_block_rows(dim) for dim in cases} == cases
 
 
+@pytest.mark.parametrize("samples, blocks", [(2500, [250] * 10), (2499, [250] * 9 + [249]), (500, [250, 250]), (497, [497])])
+def test_variance_chunk_splits_into_near_equal_row_blocks(monkeypatch, samples, blocks):
+    # max(1, B // 249) blocks at N = 16, so no stepper call is left with a
+    # sliver of the chunk (2500 paths were 10 blocks of 249 and one of 10)
+    sizes = []
+    step = lab.evolve_wick_rk4ip
+    monkeypatch.setattr(lab, "evolve_wick_rk4ip", lambda U0, *a: sizes.append(len(U0)) or step(U0, *a))
+    variance_invariance_test(16, 1 / 64, 1 / 256, samples, philox_stream(5), substeps=1)
+    assert sizes == blocks
+
+
 def test_variance_long_horizon_holds_one_rule_sized_block():
-    # 64 steps at N = 16: 249-row blocks hold 8.4 MB of increments, where
+    # 64 steps at N = 16: 250-row blocks hold 8.4 MB of increments, where
     # 500-row blocks held 16.9 MB; the stepper's working set and the chunk's
     # buffers add under 6 MB, whatever the horizon
     steps, dim = 64, 33
