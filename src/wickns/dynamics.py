@@ -293,9 +293,11 @@ def evolve_wick_rk4ip(
     # every stage works in these buffers, with the ufuncs, operands and order
     # of the allocating form k2 = rhs(V + 0.5 * h * k1), V = V + (h / 6.0) *
     # (k1 + 2.0 * k2 + 2.0 * k3 + k4), U = prop * V - 1j * phi * Z[:, m, :],
-    # so every bit is that form's; V holds U between steps
+    # so every bit is that form's.  The sum is left-associated, so acc takes
+    # each k once the next stage input is made from it; V holds U between
+    # steps, and T is each stage input, then the kick.
     V = np.array(U0, dtype=np.complex128)
-    k1, k2, k3, k4, T = (np.empty_like(V) for _ in range(5))
+    acc, k, T = (np.empty_like(V) for _ in range(3))
 
     def rhs(X: np.ndarray, phase: tuple[np.ndarray, np.ndarray], k: np.ndarray) -> None:
         fwd, back = phase
@@ -303,9 +305,9 @@ def evolve_wick_rk4ip(
         wick_coeffs_block(T, gridpoints=L, out=k)
         np.multiply(back, k, out=k)
 
-    def stage(c: float, k: np.ndarray) -> np.ndarray:
+    def stage(c: float, k: np.ndarray) -> None:
         np.multiply(c, k, out=T)
-        return np.add(V, T, out=T)
+        np.add(V, T, out=T)
 
     prop = propagator_phases(N, dt)
     iphi = 1j * phi
@@ -313,17 +315,20 @@ def evolve_wick_rk4ip(
         out[order[0]] = V
     for m in range(steps):
         for p0, p1, p2 in substep_phases:
-            rhs(V, p0, k1)
-            rhs(stage(0.5 * h, k1), p1, k2)
-            rhs(stage(0.5 * h, k2), p1, k3)
-            rhs(stage(h, k3), p2, k4)
-            np.multiply(2.0, k2, out=k2)
-            np.add(k1, k2, out=k1)
-            np.multiply(2.0, k3, out=k3)
-            np.add(k1, k3, out=k1)
-            np.add(k1, k4, out=k1)
-            np.multiply(h / 6.0, k1, out=k1)
-            np.add(V, k1, out=V)
+            rhs(V, p0, acc)  # k1
+            stage(0.5 * h, acc)
+            rhs(T, p1, k)  # k2
+            stage(0.5 * h, k)
+            np.multiply(2.0, k, out=k)
+            np.add(acc, k, out=acc)
+            rhs(T, p1, k)  # k3
+            stage(h, k)
+            np.multiply(2.0, k, out=k)
+            np.add(acc, k, out=acc)
+            rhs(T, p2, k)  # k4
+            np.add(acc, k, out=acc)
+            np.multiply(h / 6.0, acc, out=acc)
+            np.add(V, acc, out=V)
         np.multiply(prop, V, out=V)
         np.multiply(iphi, Z[:, m, :], out=T)
         np.subtract(V, T, out=V)

@@ -605,6 +605,9 @@ def variance_invariance_test(
             for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, -(-B // max(1, B // block))):
                 snap = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, substeps, rec)
                 np.abs(snap, out=dens[:, rows])
+            # the last block's increments and snapshots go before the
+            # reduction's copies (on wick_ensemble they set the peak RSS)
+            del snap, Z
             np.square(dens, out=dens)  # np.abs(u) ** 2, bit for bit
             # a nan or inf snapshot fails the bound too, so this also drops
             # every non-finite path
