@@ -299,14 +299,14 @@ def evolve_wick_rk4ip(
     V = np.array(U0, dtype=np.complex128)
     acc, k, T = (np.empty_like(V) for _ in range(3))
 
-    def rhs(X: np.ndarray, phase: tuple[np.ndarray, np.ndarray], k: np.ndarray) -> None:
+    def rhs(X: np.ndarray, phase: tuple[np.ndarray, np.ndarray], dst: np.ndarray) -> None:
         fwd, back = phase
         np.multiply(fwd, X, out=T)
-        wick_coeffs_block(T, gridpoints=L, out=k)
-        np.multiply(back, k, out=k)
+        wick_coeffs_block(T, gridpoints=L, out=dst)
+        np.multiply(back, dst, out=dst)
 
-    def stage(c: float, k: np.ndarray) -> None:
-        np.multiply(c, k, out=T)
+    def stage(c: float, src: np.ndarray) -> None:
+        np.multiply(c, src, out=T)
         np.add(V, T, out=T)
 
     prop = propagator_phases(N, dt)

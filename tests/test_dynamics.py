@@ -123,7 +123,8 @@ def test_blocked_forms_match_convolution_path(rng):
 def test_grouped_grid_kernels_match_one_whole_block_transform(monkeypatch, rows, N, L, sizes):
     # Picard's 1025 x 512 grid goes through in groups, an ensemble row block
     # of 500 on 72 points stays one group, and 1007 rows split there; every
-    # row is transformed alone, so the bits are those of one whole-block pass
+    # row is transformed alone, so the bits are those of one whole-block
+    # pass, with or without out= (each group fills its slice of out)
     rng = philox_stream(41)
     U = _complex_normal(rng, (rows, 2 * N + 1))
     grid = alias_free_length(N) if L is None else L
@@ -135,7 +136,11 @@ def test_grouped_grid_kernels_match_one_whole_block_transform(monkeypatch, rows,
     monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(len(V)) or whole(V, *a))
     assert np.array_equal(cubic_coeffs_block(U, gridpoints=L), cubic)
     assert np.array_equal(wick_coeffs_block(U, gridpoints=L), wick)
-    assert groups == 2 * sizes  # group sizes of the cubic call, then of the Wick call
+    for kernel, want in ((cubic_coeffs_block, cubic), (wick_coeffs_block, wick)):
+        buf = np.full(U.shape, np.nan + 0j)
+        assert kernel(U, gridpoints=L, out=buf) is buf
+        assert np.array_equal(buf, want)
+    assert groups == 4 * sizes  # group sizes of each call: cubic, Wick, then both with out=
 
 
 @pytest.mark.parametrize("shape, N, sizes", [((201,), 100, [1]), ((3, 400, 129), 64, [128] * 9 + [48])])
@@ -174,22 +179,12 @@ def test_block_kernels_default_to_power_of_two_grid(rng):
         assert np.array_equal(cubic_coeffs_block(U), cubic_coeffs_block(U, gridpoints=L))
 
 
-@pytest.mark.parametrize("rows, N, L", [(249, 16, 72), (1025, 64, None)])
-def test_block_kernels_write_into_out_bit_for_bit(monkeypatch, rows, N, L):
-    # an ensemble block on 72 points in one group, and Picard's 1025 rows on
-    # 512 points in nine groups, each filling its slice of out
-    U = _complex_normal(philox_stream(44), (rows, 2 * N + 1))
-    groups = []
-    whole = dynamics._cubic_on_grid
-    monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(len(V)) or whole(V, *a))
-    for kernel in (wick_coeffs_block, cubic_coeffs_block):
-        want = kernel(U, gridpoints=L)
-        buf = np.full(U.shape, np.nan + 0j)
-        assert kernel(U, gridpoints=L, out=buf) is buf
-        assert np.array_equal(buf, want)
-    assert len(groups) == 4 * (1 if L else 9)
-    with pytest.raises(ValueError, match="^out must be a C-contiguous complex128 array of shape"):
-        wick_coeffs_block(U, gridpoints=L, out=np.empty((rows, 2 * N + 2), dtype=complex)[:, :-1])
+def test_block_kernels_reject_an_out_they_cannot_fill():
+    # a strided out would be filled through a reshaped copy and lost
+    U = _complex_normal(philox_stream(44), (5, 9))
+    for out in (np.empty((5, 10), dtype=complex)[:, :-1], np.empty((5, 9)), np.empty((9, 5), dtype=complex)):
+        with pytest.raises(ValueError, match=r"^out must be a C-contiguous complex128 array of shape \(5, 9\)"):
+            wick_coeffs_block(U, out=out)
 
 
 # ---------------------------------------------------------------------------
