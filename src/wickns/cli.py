@@ -64,7 +64,6 @@ __all__ = ["main"]
 # what a run may raise at run time (exit 2, flagged manifest); a ConfigError,
 # itself a ValueError, is caught before these and exits 1
 RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError)
-WRITE_SLICE = 1 << 20  # characters handed to a text file per write
 
 
 class _Writer:
@@ -92,15 +91,9 @@ class _Writer:
         path = os.path.join(self.out_dir, name)
         if not os.path.exists(path):
             self.created.append(path)
-        # a str in slices, so the text layer never encodes a bytes copy of a
-        # whole table; pieces one by one, so the table is never joined
-        if isinstance(body, str):
-            pieces = (body[lo : lo + WRITE_SLICE] for lo in range(0, len(body), WRITE_SLICE))
-        else:
-            pieces = body
+        # pieces one by one, so a streamed table is never joined
         with open(path, "w") as fh:
-            for piece in pieces:
-                fh.write(piece)
+            fh.writelines((body,) if isinstance(body, str) else body)
         self.man.record_output(self.out_dir, name)
 
     def stream(self, label: str, *key: int) -> np.random.Generator:
@@ -129,8 +122,7 @@ class _Writer:
 
 def _strict(value):
     """value with every inf or nan float, at any depth, as the string "inf",
-    "-inf" or "nan": JSON has no such literals (CriticalityReport.as_dict
-    writes p = inf the same way)."""
+    "-inf" or "nan": JSON has no such literals."""
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)
     if isinstance(value, dict):
@@ -461,7 +453,7 @@ def _cmd_divisors(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 
 
 def _cmd_criticality(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
-    return CommandResult(criticality_report(cfg.get("lab", "d"), cfg.lab_p()).as_dict())
+    return CommandResult(asdict(criticality_report(cfg.get("lab", "d"), cfg.lab_p())))
 
 
 HANDLERS = {

@@ -85,28 +85,27 @@ class WickSplit:
 
 
 def cubic_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(|u|^2 u)^ on [-N, N] for a block of coefficient rows (..., 2N+1),
+    """(|u|^2 u)^ on [-N, N] for a block of coefficient rows (B, 2N+1),
     full-band intermediate via a zero-padded transform on `gridpoints` points
     (default alias_free_length(N)); any length >= 4N+1 is alias-free.  The
     result goes into `out`, a C-contiguous complex array of U's shape that
-    does not overlap U, when given, else into a new array.
+    does not overlap U, when given, else into a new array.  A U that is not
+    2-D is a ValueError.
 
-    Rows, over every leading axis, go through the grid GRID_SAMPLES //
-    gridpoints at a time (at least one), so a long block never holds its
-    whole grid at once; each group fills its slice of the result.  Each row
-    is transformed alone, so the grouping does not change a bit."""
-    L = alias_free_length((U.shape[-1] - 1) // 2) if gridpoints is None else gridpoints
+    Rows go through the grid GRID_SAMPLES // gridpoints at a time (at least
+    one), so a long block never holds its whole grid at once; each group
+    fills its slice of the result.  Each row is transformed alone, so the
+    grouping does not change a bit."""
+    if U.ndim != 2:
+        raise ValueError(f"U must be a (B, 2N+1) block of rows, got shape {U.shape}")
+    L = alias_free_length((U.shape[1] - 1) // 2) if gridpoints is None else gridpoints
     rows = max(1, GRID_SAMPLES // L)
     if out is None:
         out = np.empty(U.shape, dtype=np.complex128)
     elif out.shape != U.shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous complex128 array of shape {U.shape}")
-    flat = U.reshape(-1, U.shape[-1])
-    if len(flat) <= rows:
-        return _cubic_on_grid(U, L, out)
-    flat_out = out.reshape(flat.shape)
-    for lo in range(0, len(flat), rows):
-        _cubic_on_grid(flat[lo : lo + rows], L, flat_out[lo : lo + rows])
+    for lo in range(0, len(U), rows):
+        _cubic_on_grid(U[lo : lo + rows], L, out[lo : lo + rows])
     return out
 
 
@@ -122,10 +121,10 @@ def _cubic_on_grid(U: np.ndarray, L: int, out: np.ndarray) -> np.ndarray:
 def wick_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Renormalized cubic (|u|^2 - 2M) u for a block of coefficient rows
     (B, 2N+1), on the grid cubic_coeffs_block takes for `gridpoints`, into
-    `out` as cubic_coeffs_block writes it."""
-    mass = np.sum(np.abs(U) ** 2, axis=1, keepdims=True)
+    `out` as cubic_coeffs_block writes it; a U that is not 2-D is a
+    ValueError there."""
     out = cubic_coeffs_block(U, gridpoints=gridpoints, out=out)
-    out -= 2.0 * mass * U
+    out -= 2.0 * np.sum(np.abs(U) ** 2, axis=1, keepdims=True) * U
     return out
 
 
@@ -248,7 +247,6 @@ def evolve_wick_rk4ip(
     Z: np.ndarray,
     dt: float,
     substeps: int,
-    record: list[int],
 ) -> np.ndarray:
     """Batched interaction-picture RK4 for the Wick flow with end-of-step
     noise kicks, over the rows it is handed.
@@ -259,10 +257,11 @@ def evolve_wick_rk4ip(
     array is broadcast across rows.  Each noise step is split into
     `substeps` deterministic RK4 substeps; the kick -i phi zeta is applied
     at the step end, which leaves the per-mode law of the linear part
-    exact.  Returns states at the distinct grid indices in `record` (each
-    in [0, steps]) as an array (len(record), B, 2N+1).  Rows never
-    interact, so every row gets the same arithmetic as when it is evolved
-    alone.
+    exact.  Returns the state after every step of Z, (B, 2N+1).  Rows
+    never interact, so every row gets the same arithmetic as when it is
+    evolved alone, and a call on Z[:, a:b] from the state at step a
+    continues the same arithmetic, so a run split into segments keeps
+    every bit.
 
     The Wick kernel runs on _five_smooth(4N+1) points (72 at N = 16), the
     shortest fast alias-free grid, so results agree with the power-of-two
@@ -275,12 +274,7 @@ def evolve_wick_rk4ip(
     if phi.shape != U0.shape[1:]:
         raise ValueError(f"phi must have shape (2N+1,) = {U0.shape[1:]}, got {phi.shape}")
     N = (U0.shape[-1] - 1) // 2
-    steps = Z.shape[1]
-    order = {int(r): i for i, r in enumerate(record)}
-    if len(order) < len(record) or not all(0 <= r <= steps for r in order):
-        raise ValueError(f"record must hold distinct grid indices in [0, {steps}], got {list(record)}")
     h = dt / substeps
-    out = np.empty((len(record), *U0.shape), dtype=np.complex128)
     L = _five_smooth(4 * N + 1)
 
     def phases(s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -311,9 +305,7 @@ def evolve_wick_rk4ip(
 
     prop = propagator_phases(N, dt)
     iphi = 1j * phi
-    if 0 in order:
-        out[order[0]] = V
-    for m in range(steps):
+    for m in range(Z.shape[1]):
         for p0, p1, p2 in substep_phases:
             rhs(V, p0, acc)  # k1
             stage(0.5 * h, acc)
@@ -332,9 +324,7 @@ def evolve_wick_rk4ip(
         np.multiply(prop, V, out=V)
         np.multiply(iphi, Z[:, m, :], out=T)
         np.subtract(V, T, out=V)
-        if m + 1 in order:
-            out[order[m + 1]] = V
-    return out
+    return V
 
 
 @dataclass

@@ -191,12 +191,15 @@ def to_grid(coeffs: np.ndarray, gridpoints: int) -> np.ndarray:
     """Samples of sum_n c(n) e^{2 pi i n x_j} on the uniform grid, along the
     last axis of a block of coefficient rows (..., 2N+1) -> (..., gridpoints).
 
-    Any gridpoints >= 2N+1 works; a product of such samples is alias-free
-    on [-N, N] when gridpoints leaves room for its band (4N+1 for a cubic).
-    The unscaled inverse transform runs in place on its own spectrum buffer;
-    it equals ifft(spec) * gridpoints bit for bit only when gridpoints is a
-    power of two, and to rounding at other lengths."""
+    gridpoints must be at least 2N+1, or a ValueError says so; a product of
+    such samples is alias-free on [-N, N] when gridpoints leaves room for
+    its band (4N+1 for a cubic).  The unscaled inverse transform runs in
+    place on its own spectrum buffer; it equals ifft(spec) * gridpoints bit
+    for bit only when gridpoints is a power of two, and to rounding at
+    other lengths."""
     N = (coeffs.shape[-1] - 1) // 2
+    if gridpoints < 2 * N + 1:
+        raise ValueError(f"need at least {2 * N + 1} gridpoints to avoid aliasing, got {gridpoints}")
     spec = np.zeros(coeffs.shape[:-1] + (gridpoints,), dtype=np.complex128)
     spec[..., : N + 1] = coeffs[..., N:]  # frequencies 0..N
     if N > 0:
@@ -207,9 +210,12 @@ def to_grid(coeffs: np.ndarray, gridpoints: int) -> np.ndarray:
 def from_grid(samples: np.ndarray, cutoff: int) -> np.ndarray:
     """Inverse of to_grid, truncated to frequencies -N..N along the last axis.
 
-    Runs at any length L of the last axis and leaves samples untouched; the
-    forward-normalized transform equals fft(samples) / L bit for bit only
-    when L is a power of two, and to rounding at other lengths."""
+    Runs at any length L >= 2N+1 of the last axis (a shorter one is a
+    ValueError) and leaves samples untouched; the forward-normalized
+    transform equals fft(samples) / L bit for bit only when L is a power of
+    two, and to rounding at other lengths."""
+    if samples.shape[-1] < 2 * cutoff + 1:
+        raise ValueError(f"need at least {2 * cutoff + 1} gridpoints to avoid aliasing, got {samples.shape[-1]}")
     return _band(np.fft.fft(samples, axis=-1, norm="forward"), cutoff)
 
 
@@ -230,11 +236,6 @@ def evaluate(f: SpectralField, gridpoints: int) -> np.ndarray:
     gridpoints must be at least 2N+1 so the forward transform can recover the
     coefficients without aliasing.
     """
-    N = f.cutoff
-    if gridpoints < 2 * N + 1:
-        raise ValueError(
-            f"need at least {2 * N + 1} gridpoints to avoid aliasing, got {gridpoints}"
-        )
     return to_grid(f.coeffs, gridpoints)
 
 

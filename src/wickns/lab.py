@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -577,7 +577,8 @@ def variance_invariance_test(
     what is left (10 blocks of 250 for 2500 paths at N = 16), so no block
     falls far below the stepper floor; the increments are drawn one block
     at a time, with the bits of one whole draw per chunk, and each block
-    goes through the stepper in one call.  Paths that go non-finite, or
+    goes through the stepper one segment between recorded times per call,
+    from the state the last call returned.  Paths that go non-finite, or
     whose snapshot mass exceeds DIVERGED_MASS_FACTOR times its mean
     (2N+1)(1 + t), are excluded and counted as blown up; a blow-up fraction
     above 1% flags the report.
@@ -603,11 +604,13 @@ def variance_invariance_test(
         # sits here because a pool thread does not inherit the caller's
         with np.errstate(over="ignore", invalid="ignore"):
             for rows, Z in _increment_blocks(sub, (B, steps, dim), dt, -(-B // max(1, B // block))):
-                snap = evolve_wick_rk4ip(g[rows], op.multiplier, Z, dt, substeps, rec)
-                np.abs(snap, out=dens[:, rows])
-            # the last block's increments and snapshots go before the
+                U = g[rows]
+                for i, (a, b) in enumerate(zip((0, *rec), rec)):
+                    U = evolve_wick_rk4ip(U, op.multiplier, Z[:, a:b], dt, substeps)
+                    np.abs(U, out=dens[i, rows])
+            # the last block's increments and state go before the
             # reduction's copies (on wick_ensemble they set the peak RSS)
-            del snap, Z
+            del U, Z
             np.square(dens, out=dens)  # np.abs(u) ** 2, bit for bit
             # a nan or inf snapshot fails the bound too, so this also drops
             # every non-finite path
@@ -666,10 +669,6 @@ class CriticalityReport:
     white_noise_reg_fl: float
     heat_convolution_reg: float
     classifications: dict
-
-    def as_dict(self) -> dict:
-        # JSON has no infinity literal, so p = inf is written as the string "inf"
-        return {**asdict(self), "p": self.p if math.isfinite(self.p) else "inf"}
 
 
 def _classify(critical: float, noise_reg: float) -> str:

@@ -436,11 +436,11 @@ def test_rerun_of_manifest_missing_fields_is_an_error(tmp_path, capsys, edit, me
 
 
 def test_writer_writes_a_long_body_whole(tmp_path):
-    # a str body is written in WRITE_SLICE slices, an iterable one piece by
-    # piece; a long one must land whole, as the manifest records it
+    # a str body is written whole, an iterable one piece by piece; a long
+    # one must land whole, as the manifest records it
     pieces = [f"{i},{i / 7!r}\n" for i in range(120_000)]
     body = "".join(pieces)
-    assert len(body) > 2 * cli.WRITE_SLICE
+    assert len(body) > 2_000_000
     w = cli._Writer(str(tmp_path), parse_config_text("[run]\ncommand = divisors\n"))
     w.text("big.csv", body)
     assert (tmp_path / "big.csv").read_text() == body
@@ -487,6 +487,10 @@ def test_cli_criticality_writes_report_and_manifest(tmp_path):
     man = RunManifest.load(os.path.join(out, "manifest.json"))
     assert compare_outputs(man, out) == []
     assert {o["name"] for o in man.outputs} == {"resolved_config.ini", "report.json"}
+    # JSON has no infinity literal: p = inf is reported as the string "inf"
+    cfg = _cfg(tmp_path, "[run]\ncommand = criticality\n\n[lab]\nd = 4\np = inf\n")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    assert _json(out)["p"] == "inf"
 
 
 def test_cli_explicit_subcommand_overrides_config_command(tmp_path):

@@ -143,18 +143,16 @@ def test_grouped_grid_kernels_match_one_whole_block_transform(monkeypatch, rows,
     assert groups == 4 * sizes  # group sizes of each call: cubic, Wick, then both with out=
 
 
-@pytest.mark.parametrize("shape, N, sizes", [((201,), 100, [1]), ((3, 400, 129), 64, [128] * 9 + [48])])
-def test_grouped_cubic_groups_rows_over_every_leading_axis(monkeypatch, shape, N, sizes):
-    # a single row of 201 coefficients is one row, not two groups
-    # of coefficients, and a (3, 400) stack of rows groups as 1200 rows
+@pytest.mark.parametrize("shape", [(9,), (2, 3, 9)])
+def test_grid_kernels_take_rows_only(shape):
+    # a (2, 3, 9) block used to get the cubic over its flattened rows but
+    # the mass summed over axis 1: here a Wick term 98.8 off the row-wise
+    # one, with no error
     U = _complex_normal(philox_stream(43), shape)
-    phys = to_grid(U, alias_free_length(N))
-    cubic = from_grid(np.abs(phys) ** 2 * phys, N)
-    groups = []
-    whole = dynamics._cubic_on_grid
-    monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(V.shape[:-1]) or whole(V, *a))
-    assert np.array_equal(cubic_coeffs_block(U), cubic)
-    assert groups == ([shape[:-1]] if len(sizes) == 1 else [(k,) for k in sizes])
+    for kernel in (cubic_coeffs_block, wick_coeffs_block):
+        with pytest.raises(ValueError) as err:
+            kernel(U)
+        assert str(err.value) == f"U must be a (B, 2N+1) block of rows, got shape {shape}"
 
 
 def test_five_smooth_grid_matches_convolution_oracle():
@@ -337,33 +335,17 @@ def test_gauge_equivalence_of_flows():
 
 def test_rk4ip_single_mode_high_accuracy():
     U0 = mode_field(4, 2, 0.7).coeffs[None, :]
-    out = evolve_wick_rk4ip(U0, np.ones(9), np.zeros((1, 32, 9), dtype=complex), dt=1 / 64, substeps=2, record=[32])
-    got = out[0, 0, 2 + 4]
+    out = evolve_wick_rk4ip(U0, np.ones(9), np.zeros((1, 32, 9), dtype=complex), dt=1 / 64, substeps=2)
+    got = out[0, 2 + 4]
     assert abs(got - _single_mode_exact(0.7, 2, 0.5)) < 1e-9
-
-
-def test_rk4ip_record_indices(rng):
-    U0 = np.stack([random_field(3, rng).coeffs for _ in range(2)])
-    out = evolve_wick_rk4ip(U0, np.ones(7), np.zeros((2, 8, 7), dtype=complex), dt=1 / 32, substeps=2, record=[0, 4, 8])
-    assert out.shape == (3, 2, 7)
-    assert np.array_equal(out[0], U0)
 
 
 def test_rk4ip_noise_kick_matches_recursion():
     # one step, zero datum: output is exactly -i phi zeta
     phi = np.linspace(0.5, 1.5, 5)
     Z = (philox_stream(9).standard_normal((2, 1, 5)) * (1 + 0j))[:]
-    out = evolve_wick_rk4ip(np.zeros((2, 5), dtype=complex), phi, Z, dt=0.1, substeps=2, record=[1])
-    assert np.max(np.abs(out[0] - (-1j) * phi * Z[:, 0, :])) == 0.0
-
-
-@pytest.mark.parametrize("record", [[2, 2, 4], [1, 9], [-1, 4]])
-def test_rk4ip_rejects_a_repeated_or_off_grid_record(record):
-    # a repeated index kept only its last slot and an index off the grid was
-    # never written, so both used to return rows of uninitialized memory
-    Z = np.zeros((1, 4, 5), dtype=complex)
-    with pytest.raises(ValueError, match=r"^record must hold distinct grid indices in \[0, 4\]"):
-        evolve_wick_rk4ip(np.zeros((1, 5), dtype=complex), np.ones(5), Z, dt=0.1, substeps=1, record=record)
+    out = evolve_wick_rk4ip(np.zeros((2, 5), dtype=complex), phi, Z, dt=0.1, substeps=2)
+    assert np.max(np.abs(out - (-1j) * phi * Z[:, 0, :])) == 0.0
 
 
 @pytest.mark.parametrize("rows", [1007, 5])
@@ -374,13 +356,10 @@ def test_rk4ip_row_blocks_match_rows_evolved_alone(rows):
     U0 = rng.standard_normal((rows, 2 * N + 1)) + 1j * rng.standard_normal((rows, 2 * N + 1))
     Z = _draw_increments(rng, (rows, steps, 2 * N + 1), dt)
     phi = np.linspace(0.5, 1.5, 2 * N + 1)
-    record = [0, 1, steps]
-    out = evolve_wick_rk4ip(U0, phi, Z, dt, 2, record)
-    alone = [evolve_wick_rk4ip(U0[i : i + 1], phi, Z[i : i + 1], dt, 2, record) for i in range(rows)]
-    alone = np.concatenate(alone, axis=1)
-    assert out.shape == (len(record), rows, 2 * N + 1)
+    out = evolve_wick_rk4ip(U0, phi, Z, dt, 2)
+    alone = np.concatenate([evolve_wick_rk4ip(U0[i : i + 1], phi, Z[i : i + 1], dt, 2) for i in range(rows)])
+    assert out.shape == (rows, 2 * N + 1)
     assert np.array_equal(out, alone)
-    assert np.array_equal(out[0], U0)
 
 
 def _allocating_rk4ip(U0, phi, Z, dt, substeps, record):
@@ -423,19 +402,23 @@ def _allocating_rk4ip(U0, phi, Z, dt, substeps, record):
 
 def test_rk4ip_stage_buffers_match_allocating_form_bit_for_bit():
     # variance-test's scale, with one row scaled until it overflows to inf
-    # and nan mid-run: the in-place stages keep every bit, nan bits included
+    # and nan mid-run: the in-place stages keep every bit, nan bits included,
+    # and so does a run split into two calls, the second from the state the
+    # first returned, as variance-test chains its segments
     N, steps, dt, rows = 16, 8, 1 / 256, 40
     rng = philox_stream(23)
     U0 = _complex_normal(rng, (rows, 2 * N + 1)) / np.sqrt(2.0)
     U0[7] *= 1e60
     Z = _draw_increments(rng, (rows, steps, 2 * N + 1), dt)
     phi = np.linspace(0.5, 1.5, 2 * N + 1)
-    record = [0, 2, steps]
     with np.errstate(all="ignore"):
-        got = evolve_wick_rk4ip(U0, phi, Z, dt, 2, record)
-        want = _allocating_rk4ip(U0, phi, Z, dt, 2, record)
+        mid = evolve_wick_rk4ip(U0, phi, Z[:, :2], dt, 2)
+        got = np.stack([U0, mid, evolve_wick_rk4ip(mid, phi, Z[:, 2:], dt, 2)])
+        whole = evolve_wick_rk4ip(U0, phi, Z, dt, 2)
+        want = _allocating_rk4ip(U0, phi, Z, dt, 2, [0, 2, steps])
     assert not np.isfinite(got[-1, 7]).any() and np.isfinite(np.delete(got, 7, axis=1)).all()
     assert np.array_equal(got.view(np.float64), want.view(np.float64), equal_nan=True)
+    assert np.array_equal(whole.view(np.float64), got[-1].view(np.float64), equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -452,7 +435,7 @@ def test_rk4ip_rejects_mismatched_shapes(monkeypatch, U0_shape, Z_shape, phi_len
     # rows shared one noise path; nothing is stepped before the check
     monkeypatch.setattr(dynamics, "wick_coeffs_block", lambda *a, **k: pytest.fail("stepped"))
     with pytest.raises(ValueError, match=match):
-        evolve_wick_rk4ip(np.zeros(U0_shape, dtype=complex), np.ones(phi_len), np.zeros(Z_shape, dtype=complex), 0.1, 1, [1])
+        evolve_wick_rk4ip(np.zeros(U0_shape, dtype=complex), np.ones(phi_len), np.zeros(Z_shape, dtype=complex), 0.1, 1)
 
 
 def test_rk4ip_five_smooth_grid_matches_power_of_two_grid(monkeypatch):
@@ -463,10 +446,9 @@ def test_rk4ip_five_smooth_grid_matches_power_of_two_grid(monkeypatch):
     U0 = _complex_normal(rng, (rows, 2 * N + 1)) / np.sqrt(2.0)
     Z = _draw_increments(rng, (rows, steps, 2 * N + 1), dt)
     phi = np.linspace(0.5, 1.5, 2 * N + 1)
-    record = [1, steps]
-    got = evolve_wick_rk4ip(U0, phi, Z, dt, 2, record)
+    got = evolve_wick_rk4ip(U0, phi, Z, dt, 2)
     monkeypatch.setattr(dynamics, "_five_smooth", lambda n: alias_free_length((n - 1) // 4))
-    want = evolve_wick_rk4ip(U0, phi, Z, dt, 2, record)
+    want = evolve_wick_rk4ip(U0, phi, Z, dt, 2)
     assert not np.array_equal(got, want)  # the two runs did use different grids
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -214,8 +214,18 @@ def test_five_smooth_is_least_five_smooth_length():
 
 
 def test_evaluate_grid_too_small():
-    with pytest.raises(ValueError):
-        evaluate(mode_field(4, 0), 8)
+    # on 2N points frequencies N and -N share a grid mode: to_grid used to
+    # write one over the other and from_grid to read both from it, with no
+    # error; 2N+1 points still round-trip
+    rng = philox_stream(6)
+    for N in (1, 3, 8):
+        message = f"need at least {2 * N + 1} gridpoints to avoid aliasing, got {2 * N}"
+        U = rng.standard_normal((2, 2 * N + 1)) + 1j * rng.standard_normal((2, 2 * N + 1))
+        for call in (lambda: evaluate(mode_field(N, 0), 2 * N), lambda: to_grid(U, 2 * N), lambda: from_grid(U[:, 1:], N)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+        assert np.max(np.abs(from_grid(to_grid(U, 2 * N + 1), N) - U)) < 1e-12
 
 
 def test_field_csv_round_trip(rng):
