@@ -1,22 +1,21 @@
-"""Spectral fields on the torus: truncation, propagation, convolution.
+"""Spectral fields on the torus: truncation, propagation, grid products.
 
 A field is a frozen vector of Fourier coefficients u_hat(n), |n| <= N.
-This walks the basic moves: build, propagate, convolve, project, sample
-on a grid, and round-trip through CSV.
+This walks the basic moves: build, propagate, sample on a grid and multiply
+there, and read a field from a CSV table.
 """
 
 import numpy as np
 
 from wickns.fields import (
-    apply_linear_propagator,
-    convolve,
-    evaluate,
+    alias_free_length,
     field_from_csv,
-    field_to_csv,
     frequencies,
+    from_grid,
     make_field,
     mode_field,
-    project,
+    propagator_phases,
+    to_grid,
 )
 
 if __name__ == "__main__":
@@ -30,24 +29,22 @@ if __name__ == "__main__":
 
     # free Schrodinger flow: each mode rotates by exp(i t n^2), mass is exact
     t = 0.37
-    v = apply_linear_propagator(u, t)
+    v = make_field(N, u.coeffs * propagator_phases(N, t))
     print(f"mass after linear flow of t={t}: {v.mass():.6f} (drift {abs(v.mass() - u.mass()):.2e})")
-    back = apply_linear_propagator(v, -t)
-    print(f"round-trip max error: {np.max(np.abs(back.coeffs - u.coeffs)):.2e}")
-
-    # convolution = pointwise product in physical space, truncated to |n| <= N
-    e1 = mode_field(2, 1, 1.0)
-    print("e1 * e1 at cutoff 2 ->", [complex(c) for c in convolve(e1, e1).coeffs])
-
-    # projection to a smaller band
-    low = project(u, 2)
-    tail = np.sqrt(u.mass() - low.mass())
-    print(f"project to |n| <= 2: kept mass {low.mass():.6f}, tail l2 {tail:.6f}")
+    back = v.coeffs * np.conj(propagator_phases(N, t))  # S(-t) is the conjugate
+    print(f"round-trip max error: {np.max(np.abs(back - u.coeffs)):.2e}")
 
     # physical samples on a uniform grid invert the transform
-    samples = evaluate(u, 64)
+    samples = to_grid(u.coeffs, 64)
     print(f"grid samples: mean |u(x)|^2 = {np.mean(np.abs(samples) ** 2):.6f} (equals the mass)")
+    print(f"grid round trip max error: {np.max(np.abs(from_grid(samples, N) - u.coeffs)):.2e}")
 
-    # CSV round trip is exact
-    again = field_from_csv(field_to_csv(u))
-    print("csv round trip exact:", bool(np.array_equal(again.coeffs, u.coeffs)))
+    # a product on an alias-free grid is the truncated convolution of the coefficients
+    e1 = mode_field(2, 1, 1.0)
+    L = alias_free_length(2)
+    square = from_grid(to_grid(e1.coeffs, L) ** 2, 2)
+    print(f"e1 * e1 = e2 at cutoff 2, max error {np.max(np.abs(square - mode_field(2, 2).coeffs)):.2e}")
+
+    # a datum table, as `[solver] u0 = csv:FILE` reads it
+    datum = field_from_csv("n,re,im\n-1,0.0,0.5\n0,1.0,0.0\n1,0.25,-0.25\n")
+    print(f"csv datum: cutoff {datum.cutoff}, mass {datum.mass():.4f}")

@@ -1,9 +1,9 @@
 """Numerical companions to the estimates: sums, divisors, multipliers.
 
 Desk-scale experiments for the quantities the well-posedness argument
-leans on: the resonance factorization, divisor growth, two-weight
-convolution sums, the modulation-multiplier supremum, and the criticality
-bookkeeping across dimensions.
+leans on: divisor growth, two-weight convolution sums, the
+modulation-multiplier supremum, and the criticality bookkeeping across
+dimensions.
 """
 
 import numpy as np
@@ -14,17 +14,10 @@ from wickns.lab import (
     divisor_bound_scan,
     lemma_exponent,
     multiplier_supremum_report,
-    resonance_defects,
 )
-from wickns.noise import philox_stream
 from wickns.norms import XsbParams
 
 if __name__ == "__main__":
-    # the algebraic identity behind the modulation kernel, exact in int64
-    rng = philox_stream(1)
-    n1, n2, n3 = rng.integers(-(10**6), 10**6 + 1, size=(3, 200_000))
-    print("resonance factorization max |defect|:", int(np.max(np.abs(resonance_defects(n1, n2, n3)))))
-
     # divisor counts grow slower than any power: d(n) / n^0.5 peaks early
     ratio, argmax = divisor_bound_scan(10**5, 0.5)
     print(f"max d(n)/n^0.5 for n <= 1e5: {ratio:.6f} at n = {argmax}")

@@ -52,12 +52,12 @@ from .manifest import RunManifest, compare_outputs
 from .noise import (
     Trajectory,
     _complex_normal,
-    _trajectory_chunks,
     philox_stream,
     sample_convolution_path,
     operator_to_csv,
+    trajectory_to_csv,
 )
-from .norms import fl_norm, gamma_norm, homogeneous_estimate_check, hs_norm, operator_norm, temporal_window_factor
+from .norms import fl_norm, gamma_norm, homogeneous_estimate_check, operator_norm, temporal_window_factor
 
 __all__ = ["main"]
 
@@ -158,7 +158,7 @@ def _cmd_sample_noise(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
     op = _require_operator(cfg)
     traj = sample_convolution_path(op, scfg.grid(), w.stream("path", 0))
-    w.text("psi.csv", _trajectory_chunks(traj))
+    w.text("psi.csv", trajectory_to_csv(traj))
     if op.is_multiplier:
         w.text("phi.csv", operator_to_csv(op))
     with np.errstate(over="ignore"):  # an overflowing path is what finite_path reports
@@ -180,7 +180,7 @@ def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     u0 = cfg.initial_field(w.stream)
     rng = w.stream("noise", 0) if op is not None else None
     traj = solve(u0, op, scfg, nonlinearity="wick", rng=rng)
-    w.text("trajectory.csv", _trajectory_chunks(traj))
+    w.text("trajectory.csv", trajectory_to_csv(traj))
     blowup = traj.failed_at is not None
     with np.errstate(over="ignore"):  # the mass of a huge finite state is inf
         report = {
@@ -205,7 +205,7 @@ def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     else:
         psi = Trajectory(grid, np.zeros((scfg.steps + 1, 2 * scfg.cutoff + 1), dtype=np.complex128))
     rep = picard_iterate(u0, psi, scfg, params)
-    w.text("trajectory.csv", _trajectory_chunks(rep.solution))
+    w.text("trajectory.csv", trajectory_to_csv(rep.solution))
     rows = []
     for i, d in enumerate(rep.differences):
         ratio = rep.ratios[i - 1] if i >= 1 else ""
@@ -241,7 +241,7 @@ def _cmd_norms(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     rec("fourier_lebesgue", {"s": params.s, "p": params.p}, flv)
     if op is not None:
         rec("gamma_radonifying", {"s": params.s, "p": params.p}, gamma_norm(op, params.s, params.p))
-        rec("hilbert_schmidt", {"s": params.s}, hs_norm(op, params.s))
+        rec("hilbert_schmidt", {"s": params.s}, gamma_norm(op, params.s, 2.0))
         rec("operator_l2", {}, operator_norm(op))
     wf = temporal_window_factor(params, steps=steps)
     rec("window_factor", {"b": params.b, "q": params.q, "T": params.T}, wf)
@@ -562,19 +562,22 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
 
 
 def _cmd_rerun(args) -> int:
-    """Replay a manifest: exit 0 only when the replay exits 0, records the
-    same flags and reproduces every recorded hash; otherwise exit 2."""
+    """Replay a manifest: exit 0 exactly when the replay records the same
+    flags and reproduces every recorded hash, else 2.  A command exits 2
+    exactly when its flags are truthy and a sweep hashes its cells' exit
+    codes, so the replay's exit code adds nothing: a reproduced flagged run
+    reruns to 0."""
     old = RunManifest.load(args.manifest)
     base = args.out or os.environ.get("WICKNS_OUT")
     if base is None:
         base = os.path.dirname(os.path.abspath(args.manifest)) + "-rerun"
     cfg = parse_config_text(old.resolved_config, origin=args.manifest)
     if old.command.startswith("sweep:"):
-        code = _run_sweep(cfg, base, assert_checks=False)
+        _run_sweep(cfg, base, assert_checks=False)
     else:
-        code, _ = _run_into(cfg.with_value("run", "command", old.command), base, assert_checks=False)
+        _run_into(cfg.with_value("run", "command", old.command), base, assert_checks=False)
     new = RunManifest.load(os.path.join(base, "manifest.json"))
-    problems = [f"replay exited {code}"] if code else []
+    problems = []
     if new.flags != old.flags:
         problems.append(f"flags differ: recorded {old.flags}, replay {new.flags}")
     bad = compare_outputs(old, base)

@@ -3,9 +3,9 @@
 A field u on the torus is stored by its coefficients u_hat(n) for integer
 frequencies n in [-N, N].  The Laplacian eigenvalue on the mode e_n is -n^2,
 so the free Schroedinger propagator acts as the diagonal multiplier
-exp(i*t*n^2), which has unit modulus for every t and n.  All dynamics in this
-package live in coefficient space; physical-space evaluation exists for
-output only.
+exp(i*t*n^2), which has unit modulus for every t and n.  Fields are stored
+and stepped in coefficient space; the grid kernels visit physical space,
+through `to_grid` and `from_grid`, only to form pointwise products.
 """
 
 from __future__ import annotations
@@ -20,15 +20,10 @@ __all__ = [
     "zero_field",
     "mode_field",
     "frequencies",
-    "apply_linear_propagator",
     "propagator_phases",
-    "convolve",
-    "project",
-    "evaluate",
     "alias_free_length",
     "to_grid",
     "from_grid",
-    "field_to_csv",
     "field_from_csv",
 ]
 
@@ -129,38 +124,6 @@ def propagator_phases(cutoff: int, t) -> np.ndarray:
     return np.exp(z, out=z)
 
 
-def apply_linear_propagator(f: SpectralField, t: float) -> SpectralField:
-    """Free evolution: u_hat(n) -> exp(i*t*n^2) * u_hat(n).
-
-    Unit-modulus phases, so every Fourier-Lebesgue norm is preserved exactly.
-    """
-    return SpectralField(f.cutoff, f.coeffs * propagator_phases(f.cutoff, t))
-
-
-def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Exact truncated product convolution h(n) = sum_k f(k) g(n-k).
-
-    Both inputs must share one cutoff; output frequencies outside [-N, N]
-    are discarded.
-    """
-    _check_same_cutoff(f, g)
-    N = f.cutoff
-    full = np.convolve(f.coeffs, g.coeffs)  # frequencies -2N..2N
-    return SpectralField(N, full[N : 3 * N + 1])
-
-
-def project(f: SpectralField, M: int) -> SpectralField:
-    """Sharp frequency truncation: zero all coefficients with |n| > M."""
-    if M > f.cutoff:
-        raise ValueError(f"projection level {M} exceeds cutoff {f.cutoff}")
-    if M < 0:
-        raise ValueError("projection level must be non-negative")
-    c = f.coeffs.copy()
-    ns = f.ns
-    c[np.abs(ns) > M] = 0
-    return SpectralField(f.cutoff, c)
-
-
 def alias_free_length(N: int) -> int:
     """Smallest power of two L >= 4N+1, the grid on which a cubic product
     (band [-3N, 3N]) does not alias back into [-N, N]."""
@@ -230,15 +193,6 @@ def _band(W: np.ndarray, cutoff: int, out=None) -> np.ndarray:
     return out
 
 
-def evaluate(f: SpectralField, gridpoints: int) -> np.ndarray:
-    """Samples of sum_n u_hat(n) e^{2 pi i n x_j} on the uniform grid.
-
-    gridpoints must be at least 2N+1 so the forward transform can recover the
-    coefficients without aliasing.
-    """
-    return to_grid(f.coeffs, gridpoints)
-
-
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -284,11 +238,6 @@ def _csv_rows(text: str, header: str, kinds) -> list[tuple]:
         except ValueError:
             raise ValueError(f"line {i}: cannot parse {ln.strip()!r}") from None
     return rows
-
-
-def field_to_csv(f: SpectralField) -> str:
-    """CSV serialization: header `n,re,im`, one row per frequency."""
-    return _csv_text("n,re,im", [f.ns.tolist(), f.coeffs.real.tolist(), f.coeffs.imag.tolist()])
 
 
 def field_from_csv(text: str) -> SpectralField:

@@ -41,7 +41,6 @@ __all__ = [
     "TrilinearStats",
     "VarianceReport",
     "MultiplierReport",
-    "resonance_defects",
     "divisor_count",
     "divisor_bound_scan",
     "lemma_exponent",
@@ -73,25 +72,6 @@ DIVERGED_MASS_FACTOR = 100.0
 # output frequencies and sigma0 candidates per block of the multiplier scan
 _N_BLOCK = 8
 _SIGMA_BLOCK = 4
-
-
-# ---------------------------------------------------------------------------
-# modulation arithmetic
-
-
-def resonance_defects(n1, n2, n3):
-    """n^2 - n1^2 + n2^2 - n3^2 - 2 (n - n1)(n - n3) with n = n1 - n2 + n3.
-
-    Zero for every integer triple; the factorization behind the modulation
-    kernel.  Vectorized, exact in int64.
-    """
-    n1 = np.asarray(n1, dtype=np.int64)
-    n2 = np.asarray(n2, dtype=np.int64)
-    n3 = np.asarray(n3, dtype=np.int64)
-    n = n1 - n2 + n3
-    lhs = n * n - n1 * n1 + n2 * n2 - n3 * n3
-    rhs = 2 * (n - n1) * (n - n3)
-    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "sample_convolution_path",
     "convolution_from_path",
     "convolution_paths_block",
-    "convolution_variance",
     "trajectory_to_csv",
     "operator_to_csv",
     "operator_from_csv",
@@ -352,16 +351,6 @@ def convolution_paths_block(op: NoiseOperator, grid, rng: np.random.Generator, n
     return out
 
 
-def convolution_variance(op: NoiseOperator, t: float, n: int) -> float:
-    """Exact second moment of psi_hat(t, n): t * sum_k |phi(e_k)(n)|^2."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if abs(n) > op.cutoff:
-        raise ValueError(f"frequency {n} outside cutoff {op.cutoff}")
-    row = op.row_l2()[n + op.cutoff]
-    return float(t * row**2)
-
-
 def _grid_blocks(outer, inner, values: np.ndarray):
     """The rows outer[i], inner[j], re, im of values[i, j], row-major, as
     one text per block of whole outer labels, about _CSV_BLOCK_ROWS rows
@@ -384,14 +373,10 @@ def _grid_blocks(outer, inner, values: np.ndarray):
         yield (row * len(outer_s)) % tuple(args)
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV serialization: header `t,n,re,im`, grid-major then frequency."""
-    return _csv_text("t,n,re,im", blocks=_grid_blocks(traj.times, frequencies(traj.cutoff), traj.states))
-
-
-def _trajectory_chunks(traj: Trajectory):
-    """The text of trajectory_to_csv as _csv_chunks yields it, one piece per
-    row block, for a file writer that need not join the table."""
+def trajectory_to_csv(traj: Trajectory):
+    """CSV serialization: header `t,n,re,im`, grid-major then frequency, as
+    the pieces _csv_chunks yields, one per row block; "".join of them is the
+    table, and a file writer need not join it."""
     return _csv_chunks("t,n,re,im", blocks=_grid_blocks(traj.times, frequencies(traj.cutoff), traj.states))
 
 

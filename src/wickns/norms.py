@@ -36,7 +36,6 @@ __all__ = [
     "raised_cosine_ramp",
     "fl_norm",
     "gamma_norm",
-    "hs_norm",
     "operator_norm",
     "xsb_norm",
     "xsb_norm_batch",
@@ -143,11 +142,6 @@ def gamma_norm(op: NoiseOperator, s: float, p: float) -> float:
     if np.isinf(p):
         return float(np.max(w))
     return float(np.sum(w**p) ** (1.0 / p))
-
-
-def hs_norm(op: NoiseOperator, s: float) -> float:
-    """Hilbert-Schmidt norm into H^s; equals gamma_norm(op, s, 2) exactly."""
-    return gamma_norm(op, s, 2.0)
 
 
 def operator_norm(op: NoiseOperator) -> float:

@@ -20,7 +20,7 @@ from wickns import cli
 from wickns.cli import main
 from wickns.config import COMMANDS, SCHEMA, ConfigError, parse_config, parse_config_text
 from wickns.dynamics import picard_iterate, wick_coeffs_block
-from wickns.fields import field_to_csv, make_field, mode_field
+from wickns.fields import make_field, mode_field
 from wickns.lab import divisor_count, tail_estimate_mc
 from wickns.manifest import RunManifest, compare_outputs, sha256_file
 from wickns.noise import NoiseOperator, Trajectory, bessel_operator, operator_to_csv, philox_stream, sample_white_noise_field, trajectory_to_csv
@@ -184,7 +184,7 @@ def test_u0_mini_syntax(tmp_path):
 
     f = make_field(3, [0.1j, 0, 1.0, 0.5, 0, 0, 0.25 - 0.5j])
     path = tmp_path / "datum.csv"
-    path.write_text(field_to_csv(f))
+    path.write_text("n,re,im\n-3,0.0,0.1\n-2,0.0,0.0\n-1,1.0,0.0\n0,0.5,0.0\n1,0.0,0.0\n2,0.0,0.0\n3,0.25,-0.5\n")
     loaded = initial_field(f"csv:{path}", cutoff=3)
     assert loaded.allclose(f, tol=0)
 
@@ -946,6 +946,26 @@ def test_cli_rerun_reproduces_bytes(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(explicit, "report.json"))
 
 
+def test_cli_rerun_vouches_for_a_reproduced_blowup(tmp_path, capsys):
+    # part of this ensemble blows up, so the run exits 2 with a blowup flag;
+    # its replay reproduces the flag and every hash, and so reruns to 0
+    cfg = _cfg(
+        tmp_path,
+        "[run]\ncommand = variance-test\nseed = 99\n\n"
+        "[solver]\ncutoff = 16\ndt = 0.0078125\nhorizon = 0.25\n\n[lab]\nsamples = 600\nsubsteps = 1\n",
+    )
+    out = str(tmp_path / "out")
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", cfg, "--out", out]) == 2
+        man = os.path.join(out, "manifest.json")
+        assert RunManifest.load(man).flags == {"blowup": True}
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", man, "--out", str(tmp_path / "replay")]) == 0
+    captured = capsys.readouterr()
+    assert "rerun: 3 outputs reproduced byte-identically" in captured.out
+    assert "rerun:" not in captured.err
+
+
 def test_cli_rerun_detects_divergence(tmp_path, capsys):
     cfg = _cfg(tmp_path, "[run]\ncommand = divisors\n\n[lab]\nlimit = 2000\n")
     out = str(tmp_path / "orig")
@@ -968,13 +988,13 @@ def test_cli_rerun_detects_divergence(tmp_path, capsys):
     assert main(["rerun", "--manifest", man_path, "--out", str(tmp_path / "replay_flags")]) == 2
     assert capsys.readouterr().err == "rerun: flags differ: recorded {'blowup': True}, replay {}\n"
 
-    # a flagged run replays to the same flags and hashes, but its replay still exits 2
+    # a flagged run that replays to the same flags and hashes is reproduced
     tail = _cfg(tmp_path, TAIL_NO_USABLE_LEVEL, name="tail.ini")
     assert main(["run", "--config", tail, "--out", str(tmp_path / "tail")]) == 2
     tail_man = os.path.join(str(tmp_path / "tail"), "manifest.json")
     capsys.readouterr()
-    assert main(["rerun", "--manifest", tail_man, "--out", str(tmp_path / "tail_replay")]) == 2
-    assert capsys.readouterr().err.endswith("rerun: replay exited 2\n")
+    assert main(["rerun", "--manifest", tail_man, "--out", str(tmp_path / "tail_replay")]) == 0
+    assert "rerun: 1 outputs reproduced byte-identically" in capsys.readouterr().out
 
     # corrupt the embedded config: rejected before any run
     body["resolved_config"] += "# tail\n"
@@ -1085,10 +1105,10 @@ def test_cli_sweep_into_reused_directory_tabulates_only_this_sweep(tmp_path, cap
     assert not os.path.exists(os.path.join(out, "cell-01", "manifest.json"))  # but no manifest vouches for it
     capsys.readouterr()
 
-    # the replay reproduces every recorded output; its one complaint is the failed cell's exit
+    # the replay reproduces every recorded output, the failed cell's exit code in sweep.csv too
     replay = str(tmp_path / "replay")
-    assert main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", replay]) == 2
-    assert capsys.readouterr().err.splitlines()[-1] == "rerun: replay exited 1"
+    assert main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", replay]) == 0
+    assert "rerun: 3 outputs reproduced byte-identically" in capsys.readouterr().out
     assert compare_outputs(RunManifest.load(os.path.join(out, "manifest.json")), replay) == []
 
 
@@ -1199,12 +1219,12 @@ def test_cli_picard_converges_on_small_datum(tmp_path):
     rows = _read(out, "picard_differences.csv").strip().splitlines()
     assert rows[0] == "iteration,difference,ratio"
     assert rows[1].endswith(",")  # no ratio before the second iterate
-    # the streamed table holds the bytes trajectory_to_csv joins
+    # the streamed table holds the bytes of trajectory_to_csv's pieces, joined
     parsed = parse_config(cfg)
     scfg = parsed.solver_config()
     psi = Trajectory(scfg.grid(), np.zeros((scfg.steps + 1, 9), dtype=complex))
     solution = picard_iterate(mode_field(4, 1, 0.1), psi, scfg, parsed.picard_params()).solution
-    assert _read(out, "trajectory.csv") == trajectory_to_csv(solution)
+    assert _read(out, "trajectory.csv") == "".join(trajectory_to_csv(solution))
 
 
 def test_cli_picard_converged_at_once_passes_contraction(tmp_path):

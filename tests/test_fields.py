@@ -7,17 +7,12 @@ from hypothesis import strategies as st
 
 from wickns import (
     SpectralField,
-    apply_linear_propagator,
-    convolve,
-    evaluate,
     field_from_csv,
-    field_to_csv,
     fl_norm,
     make_field,
     mode_field,
     operator_from_csv,
     philox_stream,
-    project,
     zero_field,
 )
 from wickns.fields import _csv_text, _five_smooth, alias_free_length, from_grid, propagator_phases, to_grid
@@ -61,21 +56,26 @@ def test_make_field_rejects_nonfinite():
         make_field(0, [np.nan])
 
 
+def free_evolution(f: SpectralField, t) -> SpectralField:
+    """S(t) f: the propagator's phases times the coefficients."""
+    return SpectralField(f.cutoff, f.coeffs * propagator_phases(f.cutoff, t))
+
+
 def test_propagator_zero_mode_fixed():
     f = mode_field(3, 0, 2.0 - 1.0j)
-    g = apply_linear_propagator(f, 17.3)
+    g = free_evolution(f, 17.3)
     assert g.allclose(f, 1e-15)
 
 
 def test_propagator_unit_rotation():
     f = mode_field(2, 1, 1.0)
-    g = apply_linear_propagator(f, np.pi)
+    g = free_evolution(f, np.pi)
     assert abs(g.coeff(1) - (-1.0)) < 1e-14
 
 
 def test_propagator_inverse_round_trip(rng):
     f = random_field(6, rng)
-    g = apply_linear_propagator(apply_linear_propagator(f, 0.7), -0.7)
+    g = free_evolution(free_evolution(f, 0.7), -0.7)
     assert g.allclose(f, 1e-12)
     # an array of times gives one row per time; S(-t) is the conjugate
     times = np.linspace(0.0, 0.7, 5)
@@ -92,33 +92,40 @@ def test_propagator_unitary_and_group(coeffs, t1, t2):
     N = (len(coeffs) - 1) // 2
     f = make_field(N, coeffs)
     # unitarity of every FL norm
-    g = apply_linear_propagator(f, t1)
+    g = free_evolution(f, t1)
     for s, p in [(0.0, 2.0), (0.5, 3.0), (-1.0, 1.5)]:
         a, b = fl_norm(f, s, p), fl_norm(g, s, p)
         assert abs(a - b) <= 1e-14 * max(1.0, a)
     # group law S(t1) S(t2) = S(t1 + t2)
-    lhs = apply_linear_propagator(g, t2)
-    rhs = apply_linear_propagator(f, t1 + t2)
+    lhs = free_evolution(g, t2)
+    rhs = free_evolution(f, t1 + t2)
     assert lhs.allclose(rhs, 1e-12 * max(1.0, float(np.max(np.abs(f.coeffs)))))
+
+
+def grid_product(f: SpectralField, g: SpectralField) -> SpectralField:
+    """The truncated product convolution h(n) = sum_k f(k) g(n-k), |n| <= N,
+    as the grid kernels form it: pointwise on an alias-free grid."""
+    L = alias_free_length(f.cutoff)
+    return SpectralField(f.cutoff, from_grid(to_grid(f.coeffs, L) * to_grid(g.coeffs, L), f.cutoff))
 
 
 def test_convolve_delta_identity():
     e0 = mode_field(3, 0, 1.0)
-    assert convolve(e0, e0).allclose(e0)
+    assert grid_product(e0, e0).allclose(e0)
 
 
 def test_convolve_truncation_rule():
     e1 = mode_field(2, 1, 1.0)
-    out = convolve(e1, e1)
+    out = grid_product(e1, e1)
     assert out.allclose(mode_field(2, 2, 1.0))
     e1_small = mode_field(1, 1, 1.0)
-    assert convolve(e1_small, e1_small).allclose(zero_field(1))
+    assert grid_product(e1_small, e1_small).allclose(zero_field(1))
 
 
 def test_convolve_matches_brute_force(rng):
     f = random_field(8, rng)
     g = random_field(8, rng)
-    assert convolve(f, g).allclose(brute_convolve(f, g), 1e-13)
+    assert grid_product(f, g).allclose(brute_convolve(f, g), 1e-13)
 
 
 @given(st.integers(0, 5), st.integers(0, 10 ** 6))
@@ -126,52 +133,25 @@ def test_convolve_matches_brute_force(rng):
 def test_convolve_brute_force_property(N, seed):
     r = philox_stream(seed)
     f, g = random_field(N, r), random_field(N, r)
-    got = convolve(f, g)
+    got = grid_product(f, g)
     assert got.allclose(brute_convolve(f, g), 1e-12)
     # commutativity
-    assert got.allclose(convolve(g, f), 1e-12)
-
-
-def test_convolve_cutoff_mismatch():
-    with pytest.raises(ValueError):
-        convolve(mode_field(2, 0), mode_field(3, 0))
-
-
-def test_project_full_is_identity(rng):
-    f = random_field(5, rng)
-    assert project(f, 5).allclose(f, 0.0)
-
-
-def test_project_kills_high_mode():
-    f = mode_field(3, 2, 1.0)
-    assert project(f, 1).allclose(zero_field(3))
-
-
-def test_project_idempotent_and_contractive(rng):
-    f = random_field(7, rng)
-    g = project(f, 3)
-    assert project(g, 3).allclose(g, 0.0)
-    assert fl_norm(g, 0.0, 2.0) <= fl_norm(f, 0.0, 2.0)
-
-
-def test_project_band_error():
-    with pytest.raises(ValueError):
-        project(mode_field(2, 0), 3)
+    assert got.allclose(grid_product(g, f), 1e-12)
 
 
 def test_evaluate_constant():
-    vals = evaluate(mode_field(1, 0, 1.0), 8)
+    vals = to_grid(mode_field(1, 0, 1.0).coeffs, 8)
     assert np.allclose(vals, 1.0)
 
 
 def test_evaluate_zero():
-    assert np.allclose(evaluate(zero_field(4), 16), 0.0)
+    assert np.allclose(to_grid(zero_field(4).coeffs, 16), 0.0)
 
 
 def test_evaluate_round_trip(rng):
     N = 6
     f = random_field(N, rng)
-    vals = evaluate(f, 4 * N)
+    vals = to_grid(f.coeffs, 4 * N)
     # forward transform on the same grid recovers the coefficients
     back = np.fft.fft(vals) / (4 * N)
     rec = np.concatenate([back[-N:], back[: N + 1]])
@@ -221,7 +201,7 @@ def test_evaluate_grid_too_small():
     for N in (1, 3, 8):
         message = f"need at least {2 * N + 1} gridpoints to avoid aliasing, got {2 * N}"
         U = rng.standard_normal((2, 2 * N + 1)) + 1j * rng.standard_normal((2, 2 * N + 1))
-        for call in (lambda: evaluate(mode_field(N, 0), 2 * N), lambda: to_grid(U, 2 * N), lambda: from_grid(U[:, 1:], N)):
+        for call in (lambda: to_grid(mode_field(N, 0).coeffs, 2 * N), lambda: to_grid(U, 2 * N), lambda: from_grid(U[:, 1:], N)):
             with pytest.raises(ValueError) as err:
                 call()
             assert str(err.value) == message
@@ -229,8 +209,9 @@ def test_evaluate_grid_too_small():
 
 
 def test_field_csv_round_trip(rng):
+    # a table the one writer makes, as a datum file would hold it, re-reads bit for bit
     f = random_field(5, rng)
-    text = field_to_csv(f)
+    text = _csv_text("n,re,im", [f.ns.tolist(), f.coeffs.real.tolist(), f.coeffs.imag.tolist()])
     assert text.splitlines()[0] == "n,re,im"
     g = field_from_csv(text)
     assert g.cutoff == f.cutoff

@@ -104,28 +104,30 @@ def test_package_and_tests_open_files_only_in_with():
 
 
 def test_csv_codec_lives_only_in_fields():
-    # one writer and one reader: every *_to_csv writes through _csv_text and
-    # every *_from_csv reads through _csv_rows, both defined in fields alone
+    # one writer and one reader: every *_to_csv writes through _csv_chunks
+    # (or _csv_text, its pieces joined) and every *_from_csv reads through
+    # _csv_rows, all defined in fields alone
     defined, checked, bypass = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.FunctionDef):
                 continue
             name = f"{path.stem}.{node.name}"
-            if node.name in ("_csv_text", "_csv_rows"):
+            if node.name in ("_csv_chunks", "_csv_text", "_csv_rows"):
                 defined.append(name)
             if node.name.endswith("_to_csv"):
-                helper = "_csv_text"
+                helpers = {"_csv_text", "_csv_chunks"}
             elif node.name.endswith("_from_csv"):
-                helper = "_csv_rows"
+                helpers = {"_csv_rows"}
             else:
                 continue
             checked.append(name)
             calls = {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-            if helper not in calls:
+            if not helpers & calls:
                 bypass.append(name)
-    assert sorted(defined) == ["fields._csv_rows", "fields._csv_text"]
-    assert len(checked) >= 5 and bypass == []  # field and operator: to and from; trajectory: to
+    assert sorted(defined) == ["fields._csv_chunks", "fields._csv_rows", "fields._csv_text"]
+    assert bypass == []
+    assert sorted(checked) == ["fields.field_from_csv", "noise.operator_from_csv", "noise.operator_to_csv", "noise.trajectory_to_csv"]
 
 
 def test_gaussian_draw_lives_only_in_noise():
@@ -400,14 +402,14 @@ def test_every_layer_name_is_exported_as_itself():
 
 def unread_exports(exports: dict[str, list[str]], sources: list[str]) -> list[str]:
     """`layer.name` for each exported name that no source reads as a name or
-    an attribute; a def or class line, an __all__ string, a comment or a
-    docstring does not read it."""
+    an attribute; a def or class line, an __all__ string, a comment, a
+    docstring or an attribute of numpy (`np.convolve`) does not read it."""
     read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) != "np":
                 read.add(node.attr)
     return sorted(f"{layer}.{name}" for layer, names in exports.items() for name in names if name not in read)
 
@@ -415,25 +417,30 @@ def unread_exports(exports: dict[str, list[str]], sources: list[str]) -> list[st
 def test_unread_export_scan_flags_only_names_nothing_reads():
     layer = (
         '"""f and h are documented here."""\n'
-        '__all__ = ["f", "g", "K", "h"]\n'
+        '__all__ = ["f", "g", "K", "h", "convolve"]\n'
         "def f():\n"
         "    return K()  # h\n"
         "class K:\n"
         "    pass\n"
         "def g():\n"
-        "    pass\n"
+        "    return np.convolve(x, x)\n"
         "def h():\n"
+        "    pass\n"
+        "def convolve():\n"
         "    pass\n"
     )
     demo = "import m\nm.g()\n"
-    assert unread_exports({"m": ["f", "g", "K", "h"]}, [layer, demo]) == ["m.f", "m.h"]
+    exports = {"m": ["f", "g", "K", "h", "convolve"]}
+    assert unread_exports(exports, [layer, demo]) == ["m.convolve", "m.f", "m.h"]
+    # the caller test reads no demo, so a name only a demo calls is flagged
+    assert unread_exports(exports, [layer]) == ["m.convolve", "m.f", "m.g", "m.h"]
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    # a public name that only its own tests call is surface without a use;
-    # the package itself, the demos and the benchmark are its readers
+    # a public name that only its own tests or the demos call is surface
+    # without a use; the package itself and the benchmark are its readers
     root = PACKAGE.parents[1]
-    paths = sorted(PACKAGE.glob("*.py")) + sorted((root / "demos").glob("*.py")) + sorted((root / "wickbench").rglob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((root / "wickbench").rglob("*.py"))
     exports = {short: importlib.import_module(f"wickns.{short}").__all__ for short in LAYERS}
     assert unread_exports(exports, [path.read_text() for path in paths]) == []
 

@@ -17,7 +17,6 @@ from wickns import (
     lemma_exponent,
     multiplier_supremum_report,
     philox_stream,
-    resonance_defects,
     tail_estimate_mc,
     trilinear_forcing_block,
     trilinear_ratio,
@@ -29,16 +28,6 @@ from wickns import lab
 from wickns.dynamics import evolve_wick_rk4ip
 from wickns.noise import _complex_normal, _draw_increments
 from conftest import random_field, traced_peak
-
-
-# ---------------------------------------------------------------------------
-# modulation arithmetic
-
-
-def test_resonance_identity_random_triples():
-    rng = philox_stream(2)
-    n1, n2, n3 = rng.integers(-10**6, 10**6, size=(3, 10_000))
-    assert np.all(resonance_defects(n1, n2, n3) == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from wickns import (
     bessel_operator,
     convolution_from_path,
     convolution_paths_block,
-    convolution_variance,
     discrete_duhamel,
     frequencies,
     identity_operator,
@@ -401,21 +400,17 @@ def test_convolution_from_path_leaves_increments_unwritten():
 # variance law
 
 
+# the exact second moment of psi_hat(t, n), per mode: t * sum_k |phi(e_k)(n)|^2
+
+
 def test_convolution_variance_identity():
-    assert convolution_variance(identity_operator(7), 3.0, 7) == 3.0
+    law = 3.0 * identity_operator(7).row_l2() ** 2
+    assert np.array_equal(law, np.full(15, 3.0))
 
 
 def test_convolution_variance_bessel_closed_form():
-    op = bessel_operator(8, 1.0)
-    assert abs(convolution_variance(op, 2.0, 4) - 2.0 / 17.0) < 1e-15
-
-
-def test_convolution_variance_errors():
-    op = identity_operator(2)
-    with pytest.raises(ValueError):
-        convolution_variance(op, -1.0, 0)
-    with pytest.raises(ValueError):
-        convolution_variance(op, 1.0, 5)
+    law = 2.0 * bessel_operator(8, 1.0).row_l2() ** 2
+    assert abs(law[4 + 8] - 2.0 / 17.0) < 1e-15
 
 
 def test_empirical_variance_bessel():
@@ -497,7 +492,7 @@ def test_internal_trajectories_are_read_only():
 
 
 def _read_trajectory_csv(text: str) -> Trajectory:
-    """trajectory_to_csv's table read back; each time lists -N..N in order."""
+    """trajectory_to_csv's table, joined, read back; each time lists -N..N in order."""
     t, n, re, im = (np.array(col) for col in zip(*_csv_rows(text, "t,n,re,im", (float, int, float, float))))
     dim = 2 * int(n.max()) + 1
     assert np.array_equal(n, np.tile(frequencies(dim // 2), len(n) // dim))
@@ -529,7 +524,7 @@ def test_grid_csv_matches_row_oracle(N):
         k = np.arange(count * dim)
         states = (odd[k % len(odd)] + 1j * odd[(3 * k + 1) % len(odd)]).reshape(count, dim)
         traj = Trajectory(times, states)
-        text = trajectory_to_csv(traj)
+        text = "".join(trajectory_to_csv(traj))
         assert text == _grid_csv_oracle("t,n,re,im", times, frequencies(N), states)
         back = _read_trajectory_csv(text)
         assert back.times.tobytes() == times.tobytes()
@@ -549,14 +544,14 @@ def test_trajectory_csv_peak_memory_is_about_twice_its_text():
     # text when the whole table was formatted at once)
     rng = philox_stream(12)
     traj = Trajectory(make_grid(0.25, 1024), _complex_normal(rng, (1025, 129)))
-    text, peak = traced_peak(lambda: trajectory_to_csv(traj))
+    text, peak = traced_peak(lambda: "".join(trajectory_to_csv(traj)))
     assert peak < 2.2 * len(text)
 
 
 def test_trajectory_csv_round_trip():
     grid = make_grid(0.25, 3)
     traj = sample_convolution_path(bessel_operator(2, 0.5), grid, philox_stream(6))
-    text = trajectory_to_csv(traj)
+    text = "".join(trajectory_to_csv(traj))
     assert text.splitlines()[0] == "t,n,re,im"
     back = _read_trajectory_csv(text)
     assert np.array_equal(back.times, traj.times)
