@@ -57,7 +57,7 @@ from .noise import (
     operator_to_csv,
     trajectory_to_csv,
 )
-from .norms import fl_norm, gamma_norm, homogeneous_estimate_check, operator_norm, temporal_window_factor
+from .norms import MIN_GRID_POINTS, fl_norm, gamma_norm, homogeneous_estimate_check, operator_norm, temporal_window_factor
 
 __all__ = ["main"]
 
@@ -196,6 +196,12 @@ def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 
 def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
+    # the X^{s,b} norm of each difference rejects a shorter grid, which used
+    # to surface after the noise path and the first iterate, as exit 2
+    if scfg.steps + 1 < MIN_GRID_POINTS:
+        raise ConfigError(
+            f"[solver] horizon: picard needs at least {MIN_GRID_POINTS} grid points, horizon / dt + 1 = {scfg.steps + 1}"
+        )
     op = cfg.noise_operator()
     u0 = cfg.initial_field(w.stream)
     params = cfg.picard_params()

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 NONLINEARITIES = ("wick", "cubic")
-GRID_SAMPLES = 1 << 16  # grid samples cubic_coeffs_block holds at once; a variance-test row block fits
+GRID_SAMPLES = 1 << 16  # grid samples cubic_coeffs_block or one RK4 stage holds at once; a stage fits a variance-test row block
 
 
 @dataclass(frozen=True)
@@ -257,17 +257,21 @@ def evolve_wick_rk4ip(
     array is broadcast across rows.  Each noise step is split into
     `substeps` deterministic RK4 substeps; the kick -i phi zeta is applied
     at the step end, which leaves the per-mode law of the linear part
-    exact.  Returns the state after every step of Z, (B, 2N+1).  Rows
+    exact.  Returns the state after the last step of Z, (B, 2N+1).  Rows
     never interact, so every row gets the same arithmetic as when it is
     evolved alone, and a call on Z[:, a:b] from the state at step a
     continues the same arithmetic, so a run split into segments keeps
     every bit.
 
-    The Wick kernel runs on _five_smooth(4N+1) points (72 at N = 16), the
-    shortest fast alias-free grid, so results agree with the power-of-two
-    grid of alias_free_length to rounding, not bit for bit.  solve and
-    picard_iterate keep the power-of-two grid: their arithmetic is frozen,
-    and a converged Picard fixed point must reproduce solve's trajectory.
+    Each RK4 stage is one pass over the grid, _wick_stage: the Wick mass
+    is the mean of |u|^2 on the grid, where wick_coeffs_block sums
+    |u_hat|^2 in coefficient space; the two are equal by Parseval, so
+    results agree with wick_coeffs_block's stages to rounding, not bit for
+    bit.  The grid has _five_smooth(4N+1) points (72 at N = 16), the
+    shortest fast alias-free grid, where alias_free_length gives 128.
+    solve and picard_iterate keep wick_coeffs_block on the power-of-two
+    grid: their arithmetic is frozen, and a converged Picard fixed point
+    must reproduce solve's trajectory.
     """
     if U0.ndim != 2 or Z.ndim != 3 or Z.shape[::2] != U0.shape:
         raise ValueError(f"Z must have shape (B, steps, 2N+1) for U0 of shape (B, 2N+1), got Z {Z.shape} and U0 {U0.shape}")
@@ -277,54 +281,69 @@ def evolve_wick_rk4ip(
     h = dt / substeps
     L = _five_smooth(4 * N + 1)
 
-    def phases(s: float) -> tuple[np.ndarray, np.ndarray]:
-        ph = propagator_phases(N, s)
-        return ph, 1j * np.conj(ph)
+    # per substep at offset s, its four stages' (fwd, back) phases at s,
+    # s + h/2, s + h/2 and s + h; each back phase carries its stage's RK4
+    # weight h/2, h/2, h or h/6, so every k is born scaled by it
+    def stages(s: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        out = []
+        for a, w in ((0.0, 0.5 * h), (0.5 * h, 0.5 * h), (0.5 * h, h), (h, h / 6.0)):
+            ph = propagator_phases(N, s + a)
+            out.append((ph, (1j * w) * np.conj(ph)))
+        return out
 
-    # per substep k: the phases at its offsets s, s + h/2 and s + h
-    substep_phases = [(phases(s), phases(s + 0.5 * h), phases(s + h)) for s in (k * h for k in range(substeps))]
+    substep_phases = [stages(k * h) for k in range(substeps)]
 
-    # every stage works in these buffers, with the ufuncs, operands and order
-    # of the allocating form k2 = rhs(V + 0.5 * h * k1), V = V + (h / 6.0) *
-    # (k1 + 2.0 * k2 + 2.0 * k3 + k4), U = prop * V - 1j * phi * Z[:, m, :],
-    # so every bit is that form's.  The sum is left-associated, so acc takes
-    # each k once the next stage input is made from it; V holds U between
-    # steps, and T is each stage input, then the kick.
+    # V holds U between steps; acc sums the scaled k's, and k is each stage's
+    # result, then the next stage's input V + k, then the kick.  With the
+    # weights in the k's, V + (h/6)(k1 + 2 k2 + 2 k3 + k4) is
+    # V + (k1' + 2 k2' + k3') / 3 + k4'
     V = np.array(U0, dtype=np.complex128)
-    acc, k, T = (np.empty_like(V) for _ in range(3))
-
-    def rhs(X: np.ndarray, phase: tuple[np.ndarray, np.ndarray], dst: np.ndarray) -> None:
-        fwd, back = phase
-        np.multiply(fwd, X, out=T)
-        wick_coeffs_block(T, gridpoints=L, out=dst)
-        np.multiply(back, dst, out=dst)
-
-    def stage(c: float, src: np.ndarray) -> None:
-        np.multiply(c, src, out=T)
-        np.add(V, T, out=T)
-
+    acc, k = np.empty_like(V), np.empty_like(V)
+    sq = np.empty((max(1, min(len(V), GRID_SAMPLES // L)), L))  # |G|^2 of one grid group
     prop = propagator_phases(N, dt)
     iphi = 1j * phi
     for m in range(Z.shape[1]):
-        for p0, p1, p2 in substep_phases:
-            rhs(V, p0, acc)  # k1
-            stage(0.5 * h, acc)
-            rhs(T, p1, k)  # k2
-            stage(0.5 * h, k)
-            np.multiply(2.0, k, out=k)
+        for s1, s2, s3, s4 in substep_phases:
+            _wick_stage(V, *s1, L, acc, sq)  # k1' = (h/2) k1
+            np.add(V, acc, out=k)
+            _wick_stage(k, *s2, L, k, sq)  # k2' = (h/2) k2
             np.add(acc, k, out=acc)
-            rhs(T, p1, k)  # k3
-            stage(h, k)
-            np.multiply(2.0, k, out=k)
             np.add(acc, k, out=acc)
-            rhs(T, p2, k)  # k4
+            np.add(V, k, out=k)
+            _wick_stage(k, *s3, L, k, sq)  # k3' = h k3
             np.add(acc, k, out=acc)
-            np.multiply(h / 6.0, acc, out=acc)
+            np.add(V, k, out=k)
+            _wick_stage(k, *s4, L, k, sq)  # k4' = (h/6) k4
+            np.multiply(acc, 1.0 / 3.0, out=acc)
             np.add(V, acc, out=V)
+            np.add(V, k, out=V)
         np.multiply(prop, V, out=V)
-        np.multiply(iphi, Z[:, m, :], out=T)
-        np.subtract(V, T, out=V)
+        np.multiply(iphi, Z[:, m, :], out=k)
+        np.subtract(V, k, out=V)
     return V
+
+
+def _wick_stage(X: np.ndarray, fwd: np.ndarray, back: np.ndarray, L: int, out: np.ndarray, sq: np.ndarray) -> None:
+    """back * P_N((|G|^2 - 2 M) G) with G = to_grid(fwd * X, L) and M each
+    row's mean of |G|^2, into out, which may be X: an RK4 stage of
+    evolve_wick_rk4ip.  On L >= 2N+1 points the mean of |G|^2 is the
+    Parseval mass sum |fwd * X|^2 exactly, so this is
+    back * wick_coeffs_block(fwd * X, gridpoints=L) up to rounding.  sq, a
+    float scratch of (rows, L), takes |G|^2; rows go through the grid
+    len(sq) at a time."""
+    np.multiply(fwd, X, out=out)
+    N = (out.shape[1] - 1) // 2
+    for lo in range(0, len(out), len(sq)):
+        U = out[lo : lo + len(sq)]
+        G = to_grid(U, L)
+        dens = np.square(G.real, out=sq[: len(U)])
+        dens += np.square(G.imag)
+        mass = np.einsum("ij->i", dens)[:, None]  # row sums; np.sum is twice as slow on rows this short
+        mass *= 2.0 / L
+        dens -= mass
+        np.multiply(dens, G, out=G)
+        _band(np.fft.fft(G, axis=-1, norm="forward", out=G), N, U)
+    np.multiply(back, out, out=out)
 
 
 @dataclass

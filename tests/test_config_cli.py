@@ -1238,6 +1238,31 @@ def test_cli_picard_converged_at_once_passes_contraction(tmp_path):
     assert rep["contraction_factor"] is None and rep["checks"]["contraction"] is True
 
 
+def test_cli_picard_short_grid_is_config_error_before_any_draw(tmp_path, capsys, monkeypatch):
+    # horizon 0.125 at dt 1/64 is a 9-point grid, too short for the X^{s,b}
+    # norm: this exited 2 after the noise path and the first iterate, with a
+    # message that named no key
+    monkeypatch.setattr(cli, "sample_convolution_path", lambda *a, **k: pytest.fail("drew the noise path"))
+    cfg = _cfg(tmp_path, "[run]\ncommand = picard\n\n[solver]\ncutoff = 4\nhorizon = 0.125\nu0 = white:0.5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "wickns: config error: [solver] horizon: picard needs at least 16 grid points, horizon / dt + 1 = 9" in err
+    assert not out.exists()
+
+
+def test_cli_picard_runs_on_the_shortest_grid(tmp_path):
+    # 15 steps of 1/64 is a 16-point grid, the shortest the norm takes
+    cfg = _cfg(
+        tmp_path,
+        "[run]\ncommand = picard\n\n[solver]\ncutoff = 4\nhorizon = 0.234375\nu0 = mode:1:0.1\n\n[noise]\nkind = none\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    assert _json(out)["converged"] is True
+    assert len(_read(out, "trajectory.csv").splitlines()) == 1 + 16 * 9
+
+
 def test_cli_picard_not_converged_exits_2_with_flag(tmp_path, capsys):
     # this used to exit 2 with empty flags, so the manifest did not say why
     cfg = _cfg(tmp_path, "[run]\ncommand = picard\n\n[solver]\ncutoff = 8\nu0 = white:0.5\npicard_max_iters = 2\n")

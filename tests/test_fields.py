@@ -177,6 +177,18 @@ def test_grid_pair_matches_backward_normalized_forms(N, L):
     assert np.array_equal(x, kept)
 
 
+@pytest.mark.parametrize("L", [2 * 16 + 1, 72, 128])
+def test_grid_mean_of_density_is_parseval_mass(L):
+    # the ensemble stepper's Wick mass: on any grid of at least 2N+1 points
+    # the mean of |u|^2 is sum |u_hat|^2, with no aliasing of the density
+    N = 16
+    rng = philox_stream(8)
+    U = rng.standard_normal((6, 2 * N + 1)) + 1j * rng.standard_normal((6, 2 * N + 1))
+    mean = np.mean(np.abs(to_grid(U, L)) ** 2, axis=1)
+    mass = np.sum(np.abs(U) ** 2, axis=1)
+    assert np.max(np.abs(mean - mass) / mass) <= 1e-14
+
+
 def _is_five_smooth(n):
     for f in (2, 3, 5):
         while n % f == 0:
