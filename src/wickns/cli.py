@@ -196,8 +196,8 @@ def _cmd_solve(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
 
 def _cmd_picard(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     scfg = cfg.solver_config()
-    # the X^{s,b} norm of each difference rejects a shorter grid, which used
-    # to surface after the noise path and the first iterate, as exit 2
+    # the X^{s,b} norm of each difference rejects a shorter grid; say so
+    # before the noise path is drawn
     if scfg.steps + 1 < MIN_GRID_POINTS:
         raise ConfigError(
             f"[solver] horizon: picard needs at least {MIN_GRID_POINTS} grid points, horizon / dt + 1 = {scfg.steps + 1}"

@@ -58,11 +58,12 @@ LEMMA_EPS = 0.01  # fixed epsilon of the beta = 1 borderline case
 TAIL_CHUNK = 500
 VARIANCE_CHUNK = 2500
 # A variance row block puts at least _MIN_BLOCK_VALUES coefficients (rows * (2N+1))
-# through a stepper call, since each step of a call costs about 0.3 ms of Python
-# overhead; it holds about 128 KiB of noise increments a step, whatever N.  On the
-# variance-test CLI run at N = 16 and 64 steps (2 shared vCPUs), blocks of 125
-# rows (4125 coefficients) were slower than blocks of 500 in 8 of 8 alternated
-# runs, by 10% in the median, and blocks of 249 were not.
+# through a stepper call, since each step of a call costs about 0.2 ms of Python
+# overhead (0.19 ms on one row at 2 substeps); it holds about 128 KiB of noise
+# increments a step, whatever N.  On the variance-test CLI run at N = 16 and 64
+# steps (2 shared vCPUs), blocks of 125 rows (4125 coefficients) were slower than
+# blocks of 500 in 8 of 8 alternated runs, by 10% in the median, and blocks of
+# 249 were not.
 _MIN_BLOCK_VALUES = 8192
 # a variance path whose snapshot mass sum |u_hat|^2 exceeds this many times its
 # law's mean (2N+1)(1 + t) has diverged, finite or not: it is left out and
