@@ -51,7 +51,7 @@ from .lab import (
 from .manifest import RunManifest, compare_outputs
 from .noise import (
     Trajectory,
-    _complex_normal,
+    _unit_complex_normal,
     philox_stream,
     sample_convolution_path,
     operator_to_csv,
@@ -270,7 +270,7 @@ def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     worst = 0.0
     agree = True
     for N in cutoffs:
-        U = _complex_normal(w.stream(str(N), 1, N), (nfields, 2 * N + 1)) / np.sqrt(2.0)
+        U = _unit_complex_normal(w.stream(str(N), 1, N), (nfields, 2 * N + 1))
         fft_vals = wick_coeffs_block(U)
         d_conv = 0.0
         d_split = 0.0

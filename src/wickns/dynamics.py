@@ -40,8 +40,7 @@ __all__ = [
     "evolve_wick_rk4ip",
 ]
 
-NONLINEARITIES = ("wick", "cubic")
-GRID_SAMPLES = 1 << 16  # grid samples cubic_coeffs_block or one RK4 stage holds at once; a stage fits a variance-test row block
+GRID_SAMPLES = 1 << 16  # grid samples cubic_coeffs_block holds at once: Picard's 1025 rows on 512 points go in groups
 
 
 @dataclass(frozen=True)
@@ -81,29 +80,24 @@ class WickSplit:
 
     @property
     def total(self) -> SpectralField:
-        return self.nonres + self.res
+        return make_field(self.nonres.cutoff, self.nonres.coeffs + self.res.coeffs)
 
 
-def cubic_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
+def cubic_coeffs_block(U: np.ndarray) -> np.ndarray:
     """(|u|^2 u)^ on [-N, N] for a block of coefficient rows (B, 2N+1),
-    full-band intermediate via a zero-padded transform on `gridpoints` points
-    (default alias_free_length(N)); any length >= 4N+1 is alias-free.  The
-    result goes into `out`, a C-contiguous complex array of U's shape that
-    does not overlap U, when given, else into a new array.  A U that is not
-    2-D is a ValueError.
+    full-band intermediate via a zero-padded transform on
+    alias_free_length(N) points, the frozen grid of solve, picard_iterate
+    and wick-check.  A U that is not 2-D is a ValueError.
 
-    Rows go through the grid GRID_SAMPLES // gridpoints at a time (at least
-    one), so a long block never holds its whole grid at once; each group
-    fills its slice of the result.  Each row is transformed alone, so the
+    Rows go through the grid GRID_SAMPLES // L at a time (at least one),
+    so a long block never holds its whole grid at once; each group fills
+    its slice of the result.  Each row is transformed alone, so the
     grouping does not change a bit."""
     if U.ndim != 2:
         raise ValueError(f"U must be a (B, 2N+1) block of rows, got shape {U.shape}")
-    L = alias_free_length((U.shape[1] - 1) // 2) if gridpoints is None else gridpoints
+    L = alias_free_length((U.shape[1] - 1) // 2)
     rows = max(1, GRID_SAMPLES // L)
-    if out is None:
-        out = np.empty(U.shape, dtype=np.complex128)
-    elif out.shape != U.shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous complex128 array of shape {U.shape}")
+    out = np.empty(U.shape, dtype=np.complex128)
     for lo in range(0, len(U), rows):
         _cubic_on_grid(U[lo : lo + rows], L, out[lo : lo + rows])
     return out
@@ -118,12 +112,11 @@ def _cubic_on_grid(U: np.ndarray, L: int, out: np.ndarray) -> np.ndarray:
     return _band(np.fft.fft(phys, axis=-1, norm="forward", out=phys), (U.shape[-1] - 1) // 2, out)
 
 
-def wick_coeffs_block(U: np.ndarray, *, gridpoints: Optional[int] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
+def wick_coeffs_block(U: np.ndarray) -> np.ndarray:
     """Renormalized cubic (|u|^2 - 2M) u for a block of coefficient rows
-    (B, 2N+1), on the grid cubic_coeffs_block takes for `gridpoints`, into
-    `out` as cubic_coeffs_block writes it; a U that is not 2-D is a
+    (B, 2N+1), on cubic_coeffs_block's grid; a U that is not 2-D is a
     ValueError there."""
-    out = cubic_coeffs_block(U, gridpoints=gridpoints, out=out)
+    out = cubic_coeffs_block(U)
     out -= 2.0 * np.sum(np.abs(U) ** 2, axis=1, keepdims=True) * U
     return out
 
@@ -186,12 +179,7 @@ def gauge_transform(traj: Trajectory) -> Trajectory:
     return Trajectory(traj.times, traj.states * phase[:, None])
 
 
-def _nonlinearity_block(U: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "wick":
-        return wick_coeffs_block(U)
-    if kind == "cubic":
-        return cubic_coeffs_block(U)
-    raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
+_NONLINEARITIES = {"wick": wick_coeffs_block, "cubic": cubic_coeffs_block}  # solve's nonlinearity by name
 
 
 def solve(
@@ -212,6 +200,9 @@ def solve(
     aborts the run; the returned trajectory then ends at the last valid time
     and carries failed_at.
     """
+    kernel = _NONLINEARITIES.get(nonlinearity)
+    if kernel is None:
+        raise ValueError(f"nonlinearity must be one of {tuple(_NONLINEARITIES)}")
     if u0.cutoff != cfg.cutoff:
         raise ValueError("u0 cutoff does not match the config")
     times = cfg.grid()
@@ -231,7 +222,7 @@ def solve(
     # an overflowing step is caught by the finiteness check below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(M):
-            nl = _nonlinearity_block(cur[None, :], nonlinearity)[0]
+            nl = kernel(cur[None, :])[0]
             cur = prop * (cur + 1j * cfg.dt * nl)
             if z is not None:
                 cur = cur - 1j * op.apply_to_vector(z[m])
@@ -263,15 +254,15 @@ def evolve_wick_rk4ip(
     continues the same arithmetic, so a run split into segments keeps
     every bit.
 
-    Each RK4 stage is one pass over the grid, _wick_stage: the Wick mass
-    is the mean of |u|^2 on the grid, where wick_coeffs_block sums
-    |u_hat|^2 in coefficient space; the two are equal by Parseval, so
-    results agree with wick_coeffs_block's stages to rounding, not bit for
-    bit.  The grid has _five_smooth(4N+1) points (72 at N = 16), the
-    shortest fast alias-free grid, where alias_free_length gives 128.
-    solve and picard_iterate keep wick_coeffs_block on the power-of-two
-    grid: their arithmetic is frozen, and a converged Picard fixed point
-    must reproduce solve's trajectory.
+    Each RK4 stage is one pass of all B rows over the grid, _wick_stage:
+    the Wick mass is the mean of |u|^2 on the grid, where wick_coeffs_block
+    sums |u_hat|^2 in coefficient space; the two are equal by Parseval, so
+    results agree with wick_coeffs_block's arithmetic to rounding.  The
+    grid has _five_smooth(4N+1) points (72 at N = 16), the shortest fast
+    alias-free grid, where alias_free_length gives 128.  solve and
+    picard_iterate keep wick_coeffs_block on the power-of-two grid: their
+    arithmetic is frozen, and a converged Picard fixed point must
+    reproduce solve's trajectory.
     """
     if U0.ndim != 2 or Z.ndim != 3 or Z.shape[::2] != U0.shape:
         raise ValueError(f"Z must have shape (B, steps, 2N+1) for U0 of shape (B, 2N+1), got Z {Z.shape} and U0 {U0.shape}")
@@ -299,7 +290,7 @@ def evolve_wick_rk4ip(
     # V + (k1' + 2 k2' + k3') / 3 + k4'
     V = np.array(U0, dtype=np.complex128)
     acc, k = np.empty_like(V), np.empty_like(V)
-    sq = np.empty((max(1, min(len(V), GRID_SAMPLES // L)), L))  # |G|^2 of one grid group
+    sq = np.empty((len(V), L))  # |G|^2
     prop = propagator_phases(N, dt)
     iphi = 1j * phi
     for m in range(Z.shape[1]):
@@ -327,22 +318,18 @@ def _wick_stage(X: np.ndarray, fwd: np.ndarray, back: np.ndarray, L: int, out: n
     """back * P_N((|G|^2 - 2 M) G) with G = to_grid(fwd * X, L) and M each
     row's mean of |G|^2, into out, which may be X: an RK4 stage of
     evolve_wick_rk4ip.  On L >= 2N+1 points the mean of |G|^2 is the
-    Parseval mass sum |fwd * X|^2 exactly, so this is
-    back * wick_coeffs_block(fwd * X, gridpoints=L) up to rounding.  sq, a
-    float scratch of (rows, L), takes |G|^2; rows go through the grid
-    len(sq) at a time."""
+    Parseval mass sum |fwd * X|^2 exactly, so this is back times the Wick
+    nonlinearity of fwd * X on L points up to rounding.  sq, a float
+    scratch of X's rows by L, takes |G|^2."""
     np.multiply(fwd, X, out=out)
-    N = (out.shape[1] - 1) // 2
-    for lo in range(0, len(out), len(sq)):
-        U = out[lo : lo + len(sq)]
-        G = to_grid(U, L)
-        dens = np.square(G.real, out=sq[: len(U)])
-        dens += np.square(G.imag)
-        mass = np.einsum("ij->i", dens)[:, None]  # row sums; np.sum is twice as slow on rows this short
-        mass *= 2.0 / L
-        dens -= mass
-        np.multiply(dens, G, out=G)
-        _band(np.fft.fft(G, axis=-1, norm="forward", out=G), N, U)
+    G = to_grid(out, L)
+    dens = np.square(G.real, out=sq)
+    dens += np.square(G.imag)
+    mass = np.einsum("ij->i", dens)[:, None]  # row sums; np.sum is twice as slow on rows this short
+    mass *= 2.0 / L
+    dens -= mass
+    np.multiply(dens, G, out=G)
+    _band(np.fft.fft(G, axis=-1, norm="forward", out=G), (out.shape[1] - 1) // 2, out)
     np.multiply(back, out, out=out)
 
 

@@ -62,37 +62,9 @@ class SpectralField:
     def ns(self) -> np.ndarray:
         return frequencies(self.cutoff)
 
-    def coeff(self, n: int) -> complex:
-        """Amplitude of frequency n (0 outside the truncation)."""
-        if abs(n) > self.cutoff:
-            return 0j
-        return complex(self.coeffs[n + self.cutoff])
-
     def mass(self) -> float:
         """Parseval mass: sum |u_hat(n)|^2."""
         return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_cutoff(self, other)
-        return SpectralField(self.cutoff, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_cutoff(self, other)
-        return SpectralField(self.cutoff, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.cutoff, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def allclose(self, other: "SpectralField", tol: float = 1e-12) -> bool:
-        _check_same_cutoff(self, other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
-
-
-def _check_same_cutoff(f: SpectralField, g: SpectralField) -> None:
-    if f.cutoff != g.cutoff:
-        raise ValueError(f"cutoff mismatch: {f.cutoff} != {g.cutoff}")
 
 
 def make_field(cutoff: int, coeffs) -> SpectralField:

@@ -25,8 +25,8 @@ from .dynamics import evolve_wick_rk4ip
 from .fields import alias_free_length, from_grid, propagator_phases, to_grid
 from .noise import (
     NoiseOperator,
-    _complex_normal,
     _increment_blocks,
+    _unit_complex_normal,
     bessel_operator,
     convolution_paths_block,
     identity_operator,
@@ -359,7 +359,7 @@ def trilinear_ratio(
     phases = propagator_phases(N, grid)
     trajs = []
     for _ in range(3):
-        g = _complex_normal(rng, (ensemble_size, 2 * N + 1)) / np.sqrt(2.0)
+        g = _unit_complex_normal(rng, (ensemble_size, 2 * N + 1))
         f = op.multiplier * g
         lin = f[:, None, :] * phases[None, :, :]
         psi = convolution_paths_block(op, grid, rng, ensemble_size)
@@ -579,7 +579,7 @@ def variance_invariance_test(
     mass_bound = DIVERGED_MASS_FACTOR * dim * (1.0 + np.array(rec) * dt)
 
     def one(sub: np.random.Generator, B: int):
-        g = _complex_normal(sub, (B, dim)) / np.sqrt(2.0)
+        g = _unit_complex_normal(sub, (B, dim))
         dens = np.empty((len(rec), B, dim))  # |u|, then |u|^2 in place
         # a path that overflows is counted below, as in `solve`; the errstate
         # sits here because a pool thread does not inherit the caller's

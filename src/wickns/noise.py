@@ -208,7 +208,7 @@ def sample_white_noise_field(cutoff: int, variance: float, rng: np.random.Genera
     """
     if variance < 0:
         raise ValueError("variance must be non-negative")
-    g = _complex_normal(rng, 2 * cutoff + 1) / np.sqrt(2.0)
+    g = _unit_complex_normal(rng, 2 * cutoff + 1)
     return make_field(cutoff, np.sqrt(variance) * g)
 
 
@@ -254,6 +254,12 @@ def _complex_normal(rng: np.random.Generator, shape, out: Optional[np.ndarray] =
     _fill_normal(rng, out.real, buf)
     _fill_normal(rng, out.imag, buf)
     return out
+
+
+def _unit_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """_complex_normal scaled to E|z|^2 = 1: the one variance-1 complex
+    Gaussian draw, of white data, wick-check fields and lab ensembles."""
+    return _complex_normal(rng, shape) / np.sqrt(2.0)
 
 
 def _draw_increments(rng: np.random.Generator, shape, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -25,9 +25,14 @@ def brute_convolve(f, g):
         acc = 0.0 + 0.0j
         for k in range(-N, N + 1):
             if -N <= n - k <= N:
-                acc += f.coeff(k) * g.coeff(n - k)
+                acc += f.coeffs[k + N] * g.coeffs[n - k + N]
         out[n + N] = acc
     return make_field(N, out)
+
+
+def fields_close(f, g, tol=1e-12):
+    """Same cutoff and every coefficient within tol of the other's."""
+    return f.cutoff == g.cutoff and bool(np.max(np.abs(f.coeffs - g.coeffs)) <= tol)
 
 
 def traced_peak(fn):

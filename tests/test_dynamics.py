@@ -31,7 +31,7 @@ from wickns import dynamics, norms
 from wickns.dynamics import _cubic_coeffs_conv
 from wickns.fields import _five_smooth, alias_free_length, from_grid, propagator_phases, to_grid
 from wickns.noise import _complex_normal, _draw_increments
-from conftest import random_field, traced_peak
+from conftest import fields_close, random_field, traced_peak
 
 
 def _single_mode_exact(A, k, t):
@@ -45,32 +45,32 @@ def _single_mode_exact(A, k, t):
 
 def test_wick_direct_zero():
     out = wick_nonlinearity_direct(zero_field(3))
-    assert out.allclose(zero_field(3), 0.0)
+    assert fields_close(out, zero_field(3), 0.0)
 
 
 def test_wick_direct_single_mode():
     out = wick_nonlinearity_direct(mode_field(2, 0, 1.0))
-    assert out.allclose(mode_field(2, 0, -1.0), 1e-15)
+    assert fields_close(out, mode_field(2, 0, -1.0), 1e-15)
 
 
 def test_wick_direct_two_modes():
     # (e_0 + e_1): cubic sum gives 3e_0 + 3e_1 + e_{-1} + e_2, mass term -4u
     u = make_field(2, [0, 0, 1, 1, 0])
     want = make_field(2, [0, 1, -1, -1, 1])
-    assert wick_nonlinearity_direct(u).allclose(want, 1e-14)
+    assert fields_close(wick_nonlinearity_direct(u), want, 1e-14)
 
 
 def test_trilinear_resonant_only():
     e0 = mode_field(2, 0, 1.0)
     split = wick_trilinear(e0, e0, e0)
-    assert split.nonres.allclose(zero_field(2), 0.0)
-    assert split.res.allclose(mode_field(2, 0, -1.0), 0.0)
+    assert fields_close(split.nonres, zero_field(2), 0.0)
+    assert fields_close(split.res, mode_field(2, 0, -1.0), 0.0)
 
 
 def test_trilinear_single_offdiagonal_triple():
     split = wick_trilinear(mode_field(2, 1), mode_field(2, 0), mode_field(2, -1))
-    assert split.nonres.allclose(mode_field(2, 0, 1.0), 0.0)
-    assert split.res.allclose(zero_field(2), 0.0)
+    assert fields_close(split.nonres, mode_field(2, 0, 1.0), 0.0)
+    assert fields_close(split.res, zero_field(2), 0.0)
 
 
 def test_trilinear_diagonal_identity(rng):
@@ -79,25 +79,28 @@ def test_trilinear_diagonal_identity(rng):
             u = random_field(N, rng)
             split = wick_trilinear(u, u, u)
             direct = wick_nonlinearity_direct(u)
-            assert split.total.allclose(direct, 1e-12)
+            assert fields_close(split.total, direct, 1e-12)
 
 
 def test_trilinear_linearity(rng):
     u1, u2, u3, v = (random_field(3, rng) for _ in range(4))
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
+
+    def comb(x, y, f, g):  # x f + y g
+        return make_field(3, x * f.coeffs + y * g.coeffs)
+
     # linear in slots 1 and 3
-    lhs = wick_trilinear(a * u1 + b * v, u2, u3)
+    lhs = wick_trilinear(comb(a, b, u1, v), u2, u3)
     r1, r2 = wick_trilinear(u1, u2, u3), wick_trilinear(v, u2, u3)
-    assert lhs.nonres.allclose(a * r1.nonres + b * r2.nonres, 1e-12)
-    assert lhs.res.allclose(a * r1.res + b * r2.res, 1e-12)
-    lhs = wick_trilinear(u1, u2, a * u3 + b * v)
+    assert fields_close(lhs.nonres, comb(a, b, r1.nonres, r2.nonres), 1e-12)
+    assert fields_close(lhs.res, comb(a, b, r1.res, r2.res), 1e-12)
+    lhs = wick_trilinear(u1, u2, comb(a, b, u3, v))
     r1, r2 = wick_trilinear(u1, u2, u3), wick_trilinear(u1, u2, v)
-    assert lhs.nonres.allclose(a * r1.nonres + b * r2.nonres, 1e-12)
+    assert fields_close(lhs.nonres, comb(a, b, r1.nonres, r2.nonres), 1e-12)
     # conjugate-linear in slot 2
-    lhs = wick_trilinear(u1, a * u2 + b * v, u3)
+    lhs = wick_trilinear(u1, comb(a, b, u2, v), u3)
     r1, r2 = wick_trilinear(u1, u2, u3), wick_trilinear(u1, v, u3)
-    want = np.conj(a) * r1.nonres + np.conj(b) * r2.nonres
-    assert lhs.nonres.allclose(want, 1e-12)
+    assert fields_close(lhs.nonres, comb(np.conj(a), np.conj(b), r1.nonres, r2.nonres), 1e-12)
 
 
 def test_trilinear_cutoff_mismatch():
@@ -117,30 +120,29 @@ def test_blocked_forms_match_convolution_path(rng):
             assert np.max(np.abs(cubic_block[i] - _cubic_coeffs_conv(U[i]))) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "rows, N, L, sizes", [(1025, 64, None, [128] * 8 + [1]), (500, 16, 72, [500]), (1007, 16, 72, [910, 97])]
-)
-def test_grouped_grid_kernels_match_one_whole_block_transform(monkeypatch, rows, N, L, sizes):
-    # Picard's 1025 x 512 grid goes through in groups, an ensemble row block
-    # of 500 on 72 points stays one group, and 1007 rows split there; every
-    # row is transformed alone, so the bits are those of one whole-block
-    # pass, with or without out= (each group fills its slice of out)
-    rng = philox_stream(41)
-    U = _complex_normal(rng, (rows, 2 * N + 1))
-    grid = alias_free_length(N) if L is None else L
-    phys = to_grid(U, grid)
+def _wick_on_grid(U, L):
+    """The Wick nonlinearity of rows U with the cubic formed on L points by
+    to_grid and from_grid and the mass summed in coefficient space:
+    wick_coeffs_block's arithmetic at any grid length."""
+    N = (U.shape[1] - 1) // 2
+    phys = to_grid(U, L)
     cubic = from_grid(np.abs(phys) ** 2 * phys, N)
-    wick = cubic - 2.0 * np.sum(np.abs(U) ** 2, axis=1, keepdims=True) * U
+    return cubic - 2.0 * np.sum(np.abs(U) ** 2, axis=1, keepdims=True) * U
+
+
+def test_grouped_grid_kernels_match_one_whole_block_transform(monkeypatch):
+    # Picard's 1025 x 512 grid goes through in groups of 128 rows; every row
+    # is transformed alone, so the bits are those of one whole-block pass
+    N = 64
+    U = _complex_normal(philox_stream(41), (1025, 2 * N + 1))
+    phys = to_grid(U, alias_free_length(N))
+    cubic = from_grid(np.abs(phys) ** 2 * phys, N)
     groups = []
     whole = dynamics._cubic_on_grid
     monkeypatch.setattr(dynamics, "_cubic_on_grid", lambda V, *a: groups.append(len(V)) or whole(V, *a))
-    assert np.array_equal(cubic_coeffs_block(U, gridpoints=L), cubic)
-    assert np.array_equal(wick_coeffs_block(U, gridpoints=L), wick)
-    for kernel, want in ((cubic_coeffs_block, cubic), (wick_coeffs_block, wick)):
-        buf = np.full(U.shape, np.nan + 0j)
-        assert kernel(U, gridpoints=L, out=buf) is buf
-        assert np.array_equal(buf, want)
-    assert groups == 4 * sizes  # group sizes of each call: cubic, Wick, then both with out=
+    assert np.array_equal(cubic_coeffs_block(U), cubic)
+    assert np.array_equal(wick_coeffs_block(U), _wick_on_grid(U, alias_free_length(N)))
+    assert groups == 2 * ([128] * 8 + [1])  # group sizes of each call: cubic, then Wick
 
 
 @pytest.mark.parametrize("shape", [(9,), (2, 3, 9)])
@@ -157,32 +159,17 @@ def test_grid_kernels_take_rows_only(shape):
 
 def test_five_smooth_grid_matches_convolution_oracle():
     # _five_smooth(4N+1) leaves the power-of-two ladder at N = 2 (10 < 16); the
-    # plain convolutions are the oracle whatever the grid length
+    # plain convolutions are the oracle of the stepper's stage, with unit
+    # phases, whatever the grid length
     rng = philox_stream(31)
     for N in range(65):
         L = _five_smooth(4 * N + 1)
         U = rng.standard_normal((3, 2 * N + 1)) + 1j * rng.standard_normal((3, 2 * N + 1))
-        got = cubic_coeffs_block(U, gridpoints=L)
-        want = np.stack([_cubic_coeffs_conv(u) for u in U])
+        ones = np.ones(2 * N + 1, dtype=complex)
+        got = np.empty_like(U)
+        dynamics._wick_stage(U, ones, ones, L, got, np.empty((3, L)))
+        want = np.stack([wick_nonlinearity_direct(make_field(N, u)).coeffs for u in U])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_block_kernels_default_to_power_of_two_grid(rng):
-    # picard_iterate, solve and wick-check call the kernels without gridpoints;
-    # their arithmetic is frozen on alias_free_length
-    for N in (0, 2, 5, 16):
-        U = np.stack([random_field(N, rng).coeffs for _ in range(4)])
-        L = alias_free_length(N)
-        assert np.array_equal(wick_coeffs_block(U), wick_coeffs_block(U, gridpoints=L))
-        assert np.array_equal(cubic_coeffs_block(U), cubic_coeffs_block(U, gridpoints=L))
-
-
-def test_block_kernels_reject_an_out_they_cannot_fill():
-    # a strided out would be filled through a reshaped copy and lost
-    U = _complex_normal(philox_stream(44), (5, 9))
-    for out in (np.empty((5, 10), dtype=complex)[:, :-1], np.empty((5, 9)), np.empty((9, 5), dtype=complex)):
-        with pytest.raises(ValueError, match=r"^out must be a C-contiguous complex128 array of shape \(5, 9\)"):
-            wick_coeffs_block(U, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +201,7 @@ def test_step_single_mode_local_order():
     u = mode_field(4, 2, 0.7)
     errs = []
     for dt in (0.02, 0.01):
-        got = _one_step(u, None, dt).coeff(2)
+        got = _one_step(u, None, dt).coeffs[4 + 2]
         errs.append(abs(got - _single_mode_exact(0.7, 2, dt)))
     assert 3.5 < errs[0] / errs[1] < 4.5  # local error is O(dt^2)
 
@@ -230,6 +217,18 @@ def test_step_pure_noise_increment():
 def test_step_unknown_nonlinearity(rng):
     with pytest.raises(ValueError):
         _one_step(random_field(2, rng), None, 0.1, nonlinearity="quintic")
+
+
+def test_solve_rejects_an_unknown_nonlinearity_before_any_draw(monkeypatch):
+    # a bad name must fail before the whole (steps, 2N+1) increment block
+    # is drawn, not at the first step
+    monkeypatch.setattr(dynamics, "_draw_increments", lambda *a, **k: pytest.fail("drew"))
+    cfg = SolverConfig(cutoff=4, dt=1 / 32, horizon=1.0)
+    with pytest.raises(ValueError, match=r"^nonlinearity must be one of \('wick', 'cubic'\)$"):
+        solve(zero_field(4), identity_operator(4), cfg, nonlinearity="heat", rng=philox_stream(3, 0))
+    # the guard is live: a known name does reach the draw
+    with pytest.raises(pytest.fail.Exception, match="drew"):
+        solve(zero_field(4), identity_operator(4), cfg, rng=philox_stream(3, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +363,8 @@ def test_rk4ip_row_blocks_match_rows_evolved_alone(rows):
 
 def _allocating_rk4ip(U0, phi, Z, dt, substeps, record):
     """evolve_wick_rk4ip in its allocating textbook form, the stepper's
-    oracle: every stage a fresh array from wick_coeffs_block, which takes
-    the Wick mass in coefficient space, and the RK4 weights applied to the
+    oracle: every stage a fresh array from _wick_on_grid, which takes the
+    Wick mass in coefficient space, and the RK4 weights applied to the
     stage inputs and the sum."""
     N = (U0.shape[-1] - 1) // 2
     h = dt / substeps
@@ -381,7 +380,7 @@ def _allocating_rk4ip(U0, phi, Z, dt, substeps, record):
 
     def rhs(V, phase):
         fwd, back = phase
-        W = wick_coeffs_block(fwd * V, gridpoints=L)
+        W = _wick_on_grid(fwd * V, L)
         return np.multiply(back, W, out=W)
 
     prop = propagator_phases(N, dt)
@@ -428,20 +427,16 @@ def test_rk4ip_matches_allocating_wick_kernel_oracle():
 
 
 def test_wick_stage_matches_wick_kernel_in_any_row_groups():
-    # one stage against back * wick_coeffs_block(fwd * X) to rounding, and a
-    # scratch of 3 rows (four grid groups of 10 rows) against one of 10 rows
-    # bit for bit, since rows never interact
+    # one stage, in place as the stepper runs it, against
+    # back * _wick_on_grid(fwd * X, L) to rounding
     N, L, rows = 16, 72, 10
     rng = philox_stream(24)
     X = _complex_normal(rng, (rows, 2 * N + 1))
     fwd = propagator_phases(N, 0.3)
     back = 0.25j * np.conj(fwd)
-    want = back * wick_coeffs_block(fwd * X, gridpoints=L)
-    one, four = np.empty_like(X), X.copy()
-    dynamics._wick_stage(X, fwd, back, L, one, np.empty((rows, L)))
-    dynamics._wick_stage(four, fwd, back, L, four, np.empty((3, L)))  # in place, as the stepper runs it
-    assert np.max(np.abs(one - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.array_equal(four, one)
+    want = back * _wick_on_grid(fwd * X, L)
+    dynamics._wick_stage(X, fwd, back, L, X, np.empty((rows, L)))
+    assert np.max(np.abs(X - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(

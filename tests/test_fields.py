@@ -16,7 +16,7 @@ from wickns import (
     zero_field,
 )
 from wickns.fields import _csv_text, _five_smooth, alias_free_length, from_grid, propagator_phases, to_grid
-from conftest import brute_convolve, random_field
+from conftest import brute_convolve, fields_close, random_field
 
 complex_lists = st.integers(min_value=0, max_value=8).flatmap(
     lambda N: st.lists(
@@ -29,21 +29,19 @@ complex_lists = st.integers(min_value=0, max_value=8).flatmap(
 
 def test_make_field_single_mode():
     f = make_field(0, [1.0])
-    assert f.coeff(0) == 1.0
+    assert f.coeffs[0] == 1.0
     assert f.cutoff == 0
 
 
 def test_make_field_zero():
     f = make_field(1, [0, 0, 0])
-    assert f.allclose(zero_field(1))
+    assert fields_close(f, zero_field(1))
     assert f.mass() == 0.0
 
 
 def test_make_field_index_convention():
     f = make_field(1, [0, 1, 1])
-    assert f.coeff(-1) == 0
-    assert f.coeff(0) == 1
-    assert f.coeff(1) == 1
+    assert list(f.coeffs) == [0, 1, 1]  # frequencies -1, 0, 1
 
 
 def test_make_field_length_mismatch():
@@ -64,19 +62,19 @@ def free_evolution(f: SpectralField, t) -> SpectralField:
 def test_propagator_zero_mode_fixed():
     f = mode_field(3, 0, 2.0 - 1.0j)
     g = free_evolution(f, 17.3)
-    assert g.allclose(f, 1e-15)
+    assert fields_close(g, f, 1e-15)
 
 
 def test_propagator_unit_rotation():
     f = mode_field(2, 1, 1.0)
     g = free_evolution(f, np.pi)
-    assert abs(g.coeff(1) - (-1.0)) < 1e-14
+    assert abs(g.coeffs[2 + 1] - (-1.0)) < 1e-14
 
 
 def test_propagator_inverse_round_trip(rng):
     f = random_field(6, rng)
     g = free_evolution(free_evolution(f, 0.7), -0.7)
-    assert g.allclose(f, 1e-12)
+    assert fields_close(g, f, 1e-12)
     # an array of times gives one row per time; S(-t) is the conjugate
     times = np.linspace(0.0, 0.7, 5)
     rows = propagator_phases(6, times)
@@ -99,7 +97,7 @@ def test_propagator_unitary_and_group(coeffs, t1, t2):
     # group law S(t1) S(t2) = S(t1 + t2)
     lhs = free_evolution(g, t2)
     rhs = free_evolution(f, t1 + t2)
-    assert lhs.allclose(rhs, 1e-12 * max(1.0, float(np.max(np.abs(f.coeffs)))))
+    assert fields_close(lhs, rhs, 1e-12 * max(1.0, float(np.max(np.abs(f.coeffs)))))
 
 
 def grid_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -111,21 +109,21 @@ def grid_product(f: SpectralField, g: SpectralField) -> SpectralField:
 
 def test_convolve_delta_identity():
     e0 = mode_field(3, 0, 1.0)
-    assert grid_product(e0, e0).allclose(e0)
+    assert fields_close(grid_product(e0, e0), e0)
 
 
 def test_convolve_truncation_rule():
     e1 = mode_field(2, 1, 1.0)
     out = grid_product(e1, e1)
-    assert out.allclose(mode_field(2, 2, 1.0))
+    assert fields_close(out, mode_field(2, 2, 1.0))
     e1_small = mode_field(1, 1, 1.0)
-    assert grid_product(e1_small, e1_small).allclose(zero_field(1))
+    assert fields_close(grid_product(e1_small, e1_small), zero_field(1))
 
 
 def test_convolve_matches_brute_force(rng):
     f = random_field(8, rng)
     g = random_field(8, rng)
-    assert grid_product(f, g).allclose(brute_convolve(f, g), 1e-13)
+    assert fields_close(grid_product(f, g), brute_convolve(f, g), 1e-13)
 
 
 @given(st.integers(0, 5), st.integers(0, 10 ** 6))
@@ -134,9 +132,9 @@ def test_convolve_brute_force_property(N, seed):
     r = philox_stream(seed)
     f, g = random_field(N, r), random_field(N, r)
     got = grid_product(f, g)
-    assert got.allclose(brute_convolve(f, g), 1e-12)
+    assert fields_close(got, brute_convolve(f, g), 1e-12)
     # commutativity
-    assert got.allclose(grid_product(g, f), 1e-12)
+    assert fields_close(got, grid_product(g, f), 1e-12)
 
 
 def test_evaluate_constant():
@@ -257,12 +255,6 @@ def test_csv_readers_name_the_bad_line(reader, header, good):
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             reader(text)
-
-
-def test_field_arithmetic(rng):
-    f, g = random_field(4, rng), random_field(4, rng)
-    assert (f + g - g).allclose(f, 1e-14)
-    assert (f * 2.0).allclose(make_field(4, 2.0 * f.coeffs), 0.0)
 
 
 def test_field_coeffs_read_only(rng):

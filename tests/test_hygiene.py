@@ -131,14 +131,17 @@ def test_csv_codec_lives_only_in_fields():
 
 
 def test_gaussian_draw_lives_only_in_noise():
-    # every standard_normal call and every bit-generator copy is in noise, so
-    # the complex Gaussian draw and its stream layout live in one place
+    # every standard_normal call, every bit-generator copy and every use of
+    # the unscaled complex draw is in noise, so the complex Gaussian draw,
+    # its variance-1 scaling and its stream layout live in one place
     where = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr in ("standard_normal", "bit_generator"):
                 where.add(f"{path.stem}.{node.attr}")
-    assert sorted(where) == ["noise.bit_generator", "noise.standard_normal"]
+            if getattr(node, "id", None) == "_complex_normal" or (isinstance(node, ast.alias) and node.name == "_complex_normal"):
+                where.add(f"{path.stem}._complex_normal")
+    assert sorted(where) == ["noise._complex_normal", "noise.bit_generator", "noise.standard_normal"]
 
 
 def test_standard_normal_is_called_in_one_noise_function():
@@ -443,6 +446,124 @@ def test_every_public_name_has_a_caller_outside_tests():
     paths = sorted(PACKAGE.glob("*.py")) + sorted((root / "wickbench").rglob("*.py"))
     exports = {short: importlib.import_module(f"wickns.{short}").__all__ for short in LAYERS}
     assert unread_exports(exports, [path.read_text() for path in paths]) == []
+
+
+def unset_keyword_options(defs: list[str], callers: list[str]) -> list[str]:
+    """`function.name` for each keyword-only parameter with a default, of a
+    function or method defined in `defs`, that no call in `callers` sets by
+    keyword.  A call matches by the called name alone (`f(...)` or
+    `x.f(...)`); one that passes on a parameter of the function around it
+    under the same name (`f(U, out=out)`) forwards the option, not sets it."""
+    options = set()
+    for source in defs:
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                options |= {(fn.name, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None}
+    set_by_calls = set()
+
+    def visit(node, params):
+        for child in ast.iter_child_nodes(node):
+            inner = params
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                inner = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                for k in child.keywords:
+                    if not (isinstance(k.value, ast.Name) and k.value.id == k.arg and k.arg in params):
+                        set_by_calls.add((name, k.arg))
+            visit(child, inner)
+
+    for source in callers:
+        visit(ast.parse(source), set())
+    return sorted(f"{fn}.{arg}" for fn, arg in options - set_by_calls)
+
+
+def test_keyword_option_scan_flags_only_options_no_call_sets():
+    src = (
+        "def f(U, *, out=None, grid=None, tag=None):\n"
+        "    return g(U, out=out)\n"
+        "def g(U, *, out=None):\n"
+        "    return U\n"
+        "class K:\n"
+        "    def m(self, *, flag=False, name):\n"
+        "        return f(self, tag=1)\n"
+        "def h(V):\n"
+        "    out = V\n"
+        "    return g(V, out=out)\n"
+        "x = f(1, grid=2)\n"
+        "K().m(name='a')\n"
+    )
+    assert unset_keyword_options([src], [src]) == ["f.out", "m.flag"]
+    # h sets g's out from a local; passing on its own parameter would not
+    forwarded = src.replace("def h(V):\n    out = V\n", "def h(V, out):\n")
+    assert unset_keyword_options([src], [forwarded]) == ["f.out", "g.out", "m.flag"]
+
+
+def test_every_keyword_option_is_set_outside_tests():
+    # a keyword-only option that only tests set is a code path the program
+    # never takes; the package and the benchmark are its callers
+    root = PACKAGE.parents[1]
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    bench = [path.read_text() for path in sorted((root / "wickbench").rglob("*.py"))]
+    assert unset_keyword_options(package, package + bench) == []
+
+
+def unread_methods(defs: list[str], readers: list[str]) -> list[str]:
+    """`Class.method` for each public method or property of a class defined
+    in `defs` that no source in `readers` reads as an attribute; a def line
+    or an attribute of numpy (`np.allclose`) does not read it.  A class
+    with a base from outside `defs` is skipped: its base may call its
+    methods back (argparse calls a parser's `error`)."""
+    classes = [cls for source in defs for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)]
+    own = {cls.name for cls in classes}
+    methods = {
+        (cls.name, fn.name)
+        for cls in classes
+        if all(getattr(base, "id", None) in own for base in cls.bases)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")
+    }
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) != "np"
+    }
+    return sorted(f"{cls}.{name}" for cls, name in methods if name not in read)
+
+
+def test_unread_method_scan_flags_only_methods_nothing_reads():
+    src = (
+        "class F:\n"
+        "    def mass(self):\n"
+        "        return self.total\n"
+        "    @property\n"
+        "    def total(self):\n"
+        "        return np.allclose(1, 1)\n"
+        "    def allclose(self, g):\n"
+        "        pass\n"
+        "    def __add__(self, g):\n"
+        "        pass\n"
+        "    def _check(self):\n"
+        "        pass\n"
+        "class G(F):\n"
+        "    def scale(self):\n"
+        "        pass\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n"
+        "        pass\n"
+    )
+    assert unread_methods([src], [src, "F().mass()\n"]) == ["F.allclose", "G.scale"]
+    assert unread_methods([src], [src]) == ["F.allclose", "F.mass", "G.scale"]
+
+
+def test_every_public_method_has_a_reader_outside_tests():
+    # the method form of test_every_public_name_has_a_caller_outside_tests
+    root = PACKAGE.parents[1]
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    bench = [path.read_text() for path in sorted((root / "wickbench").rglob("*.py"))]
+    assert unread_methods(package, package + bench) == []
 
 
 def test_every_package_name_comes_from_one_layer():
