@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -48,7 +47,7 @@ from .lab import (
     trilinear_ratio,
     variance_invariance_test,
 )
-from .manifest import RunManifest, compare_outputs
+from .manifest import RunManifest, _json_text, compare_outputs
 from .noise import (
     Trajectory,
     _unit_complex_normal,
@@ -63,7 +62,7 @@ __all__ = ["main"]
 
 # what a run may raise at run time (exit 2, flagged manifest); a ConfigError,
 # itself a ValueError, is caught before these and exits 1
-RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError)
+RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError, MemoryError)
 
 
 class _Writer:
@@ -76,9 +75,8 @@ class _Writer:
     def __init__(self, out_dir: str, cfg: ExperimentConfig):
         self.t0 = time.monotonic()
         self.out_dir = out_dir
-        self.man = RunManifest(
-            command=cfg.command, seed=cfg.seed, workers=cfg.workers, resolved_config=cfg.resolved, code_version=__version__
-        )
+        self.seed = cfg.seed
+        self.man = RunManifest(command=cfg.command, resolved_config=cfg.resolved, code_version=__version__)
         self.made_dir = not os.path.isdir(out_dir)
         self.created = []  # paths of files that did not exist before this run wrote them
         os.makedirs(out_dir, exist_ok=True)
@@ -98,8 +96,8 @@ class _Writer:
 
     def stream(self, label: str, *key: int) -> np.random.Generator:
         """The Philox stream (seed, *key), recorded as task_seeds[label]."""
-        self.man.task_seeds[label] = [self.man.seed, *key]
-        return philox_stream(self.man.seed, *key)
+        self.man.task_seeds[label] = [self.seed, *key]
+        return philox_stream(self.seed, *key)
 
     def discard(self) -> None:
         """Removes the files this run created, and out_dir if this run made
@@ -118,22 +116,6 @@ class _Writer:
         self.man.flags = flags
         self.man.wall_time_s = time.monotonic() - self.t0
         self.man.write(self.out_dir)
-
-
-def _strict(value):
-    """value with every inf or nan float, at any depth, as the string "inf",
-    "-inf" or "nan": JSON has no such literals."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
-
-
-def _json_text(body: dict) -> str:
-    return json.dumps(_strict(body), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 @dataclass
@@ -539,7 +521,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> int:
             print(f"sweep cell {i} ({axis}={values[i]}): config error: {exc}", file=sys.stderr)
             return 1, {}
         except RUNTIME_ERRORS as exc:
-            print(f"sweep cell {i} ({axis}={values[i]}): {exc}", file=sys.stderr)
+            print(f"sweep cell {i} ({axis}={values[i]}): {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 2, {}
         if code == 2:
             print(f"sweep cell {i} ({axis}={values[i]}): runtime failure (see its manifest flags)", file=sys.stderr)
@@ -641,7 +623,7 @@ def main(argv=None) -> int:
         print(f"wickns: config error: {exc}", file=sys.stderr)
         return 1
     except RUNTIME_ERRORS as exc:
-        print(f"wickns: error: {exc}", file=sys.stderr)
+        print(f"wickns: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -328,6 +328,6 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return parse_config_text(text, origin=path)

@@ -1,8 +1,9 @@
 """Run manifests: enough provenance to replay a run byte for byte.
 
 Every CLI run writes `manifest.json` next to its outputs.  The manifest
-embeds the resolved config text (so the original file is not needed), the
-master seed, and a sha256 per output file.  `rerun` parses the embedded
+embeds the resolved config text (so the original file is not needed, and
+its [run] section holds the master seed), the Philox streams the run drew,
+and a sha256 per output file.  `rerun` parses the embedded
 config, executes the command into a fresh directory, and compares hashes.
 Wall time and timestamps live only in the manifest, never in outputs, so
 replays stay byte-identical.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -29,11 +31,26 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _strict(value):
+    """value with every inf or nan float, at any depth, as the string "inf",
+    "-inf" or "nan": JSON has no such literals."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _json_text(body: dict) -> str:
+    """The one JSON writer of a run's files: strict, indented, keys sorted."""
+    return json.dumps(_strict(body), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 @dataclass
 class RunManifest:
     command: str
-    seed: int
-    workers: int
     resolved_config: str
     code_version: str
     outputs: list[dict] = field(default_factory=list)  # {name, sha256, bytes}
@@ -53,8 +70,7 @@ class RunManifest:
         )
 
     def to_json(self) -> str:
-        body = {**asdict(self), "config_hash": self.config_hash}
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+        return _json_text({**asdict(self), "config_hash": self.config_hash})
 
     def write(self, out_dir: str) -> str:
         path = os.path.join(out_dir, "manifest.json")

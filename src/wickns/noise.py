@@ -61,8 +61,6 @@ class NoiseOperator:
     cutoff: int
     multiplier: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
-    # the diagonal of a matrix that is diagonal with real entries, else None
-    _real_diagonal: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = 2 * self.cutoff + 1
@@ -88,11 +86,6 @@ class NoiseOperator:
             mat = mat.copy()
             mat.setflags(write=False)
             object.__setattr__(self, "matrix", mat)
-            diag = np.diagonal(mat)
-            if not np.any(diag.imag) and np.count_nonzero(mat) == np.count_nonzero(diag):
-                d = diag.real.copy()
-                d.setflags(write=False)
-                object.__setattr__(self, "_real_diagonal", d)
 
     @property
     def is_multiplier(self) -> bool:
@@ -106,15 +99,9 @@ class NoiseOperator:
 
     def apply_to_vector(self, z: np.ndarray) -> np.ndarray:
         """phi applied along the last axis of z (driving indices), so a block
-        of vectors (..., 2N+1) maps row by row.
-
-        A real diagonal matrix is applied as an elementwise product: no BLAS
-        call, and the matrix product's bits wherever the result is nonzero.
-        A complex diagonal would not keep those bits, so it keeps the product."""
+        of vectors (..., 2N+1) maps row by row."""
         if self.is_multiplier:
             return self.multiplier * z
-        if self._real_diagonal is not None:
-            return self._real_diagonal * z
         return z @ self.matrix.T
 
 
@@ -399,7 +386,8 @@ def operator_from_csv(text: str) -> NoiseOperator:
 
     Entries not listed are zero, so a diagonal operator may list only its
     diagonal; the row and the column frequencies must each cover -N..N, and
-    no (n, k) entry may be listed twice.
+    no (n, k) entry may be listed twice.  A matrix that is diagonal with real
+    entries reads back as the multiplier of its diagonal.
     """
     entries = _csv_rows(text, "n,k,re,im", (int, int, float, float))
     if not entries:
@@ -416,4 +404,7 @@ def operator_from_csv(text: str) -> NoiseOperator:
             raise ValueError(f"entry n = {n}, k = {k} is listed twice")
         seen.add((n, k))
         mat[n + N, k + N] = complex(re, im)
+    d = np.diagonal(mat)
+    if not np.any(d.imag) and np.count_nonzero(mat) == np.count_nonzero(d):
+        return NoiseOperator(N, multiplier=d.real)
     return NoiseOperator(N, matrix=mat)

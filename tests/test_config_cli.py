@@ -22,8 +22,17 @@ from wickns.config import COMMANDS, SCHEMA, ConfigError, parse_config, parse_con
 from wickns.dynamics import picard_iterate, wick_coeffs_block
 from wickns.fields import make_field, mode_field
 from wickns.lab import divisor_count, tail_estimate_mc
-from wickns.manifest import RunManifest, compare_outputs, sha256_file
-from wickns.noise import NoiseOperator, Trajectory, bessel_operator, operator_to_csv, philox_stream, sample_white_noise_field, trajectory_to_csv
+from wickns.manifest import RunManifest, _json_text, compare_outputs, sha256_file
+from wickns.noise import (
+    NoiseOperator,
+    Trajectory,
+    bessel_operator,
+    operator_from_csv,
+    operator_to_csv,
+    philox_stream,
+    sample_white_noise_field,
+    trajectory_to_csv,
+)
 from wickns.norms import homogeneous_estimate_check
 from conftest import fields_close
 
@@ -223,6 +232,26 @@ def test_noise_operator_kinds(tmp_path):
             noise_operator(f"kind = matrix\nmatrix_file = {tmp_path / name}", 2)
 
 
+PICARD_NOISE = pathlib.Path(__file__).resolve().parents[1] / "wickbench" / "workloads" / "picard_noise.csv"
+
+
+def test_cli_sample_noise_on_a_real_diagonal_matrix_file(tmp_path):
+    # the file loads as the multiplier of its diagonal: psi.csv and
+    # report.json keep the bytes the matrix form wrote (sha256 pinned from
+    # it), and the run also writes phi.csv, as for any multiplier
+    cfg = _cfg(
+        tmp_path,
+        "[run]\ncommand = sample-noise\nseed = 3\n\n[solver]\ncutoff = 64\ndt = 0.0078125\nhorizon = 0.25\n\n"
+        f"[noise]\nkind = matrix\nmatrix_file = {PICARD_NOISE}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest("psi.csv") == "fad72ff8614e5eb49a3b362d8d6413ec438a661facb740e861807a9fc97c986d"
+    assert digest("report.json") == "c78f9c4eb4b7de91803000957d2792c1826f80cd0b9ea3330ac6e924bf0d8c09"
+    assert _read(out, "phi.csv") == operator_to_csv(operator_from_csv(PICARD_NOISE.read_text()))
+
+
 # raw values: arbitrary short text plus numbers at and past every range edge
 _ATOM = st.one_of(
     st.text(max_size=8),
@@ -364,8 +393,6 @@ def test_manifest_round_trip(tmp_path):
     (tmp_path / "a.csv").write_text("n,value\n0,1.0\n")
     man = RunManifest(
         command="divisors",
-        seed=5,
-        workers=2,
         resolved_config="[run]\ncommand = divisors\n",
         code_version="0.1.0",
         task_seeds={"scan": [5, 0]},
@@ -373,7 +400,7 @@ def test_manifest_round_trip(tmp_path):
     man.record_output(str(tmp_path), "a.csv")
     man.write(str(tmp_path))
     back = RunManifest.load(str(tmp_path / "manifest.json"))
-    assert back.command == "divisors" and back.seed == 5 and back.workers == 2
+    assert back.command == "divisors"
     assert back.config_hash == man.config_hash
     assert back.outputs[0]["name"] == "a.csv"
     assert back.outputs[0]["sha256"] == sha256_file(str(tmp_path / "a.csv"))
@@ -381,7 +408,7 @@ def test_manifest_round_trip(tmp_path):
 
 
 def test_manifest_rejects_tampering(tmp_path):
-    man = RunManifest("divisors", 0, 1, "[run]\ncommand = divisors\n", "0.1.0")
+    man = RunManifest("divisors", "[run]\ncommand = divisors\n", "0.1.0")
     man.write(str(tmp_path))
     body = json.loads((tmp_path / "manifest.json").read_text())
 
@@ -405,7 +432,7 @@ def test_manifest_rejects_tampering(tmp_path):
     [
         (
             lambda b: {"schema_version": b["schema_version"]},
-            "manifest lacks command, seed, workers, resolved_config, code_version, config_hash",
+            "manifest lacks command, resolved_config, code_version, config_hash",
         ),
         (lambda b: {k: v for k, v in b.items() if k != "config_hash"}, "manifest lacks config_hash"),
         (
@@ -424,7 +451,7 @@ def test_manifest_rejects_tampering(tmp_path):
 def test_rerun_of_manifest_missing_fields_is_an_error(tmp_path, capsys, edit, message):
     # these raised TypeError, KeyError or AttributeError, and rerun printed a
     # traceback; a bad outputs list did so only after replaying the whole run
-    man = RunManifest("divisors", 0, 1, "[run]\ncommand = divisors\n", "0.1.0")
+    man = RunManifest("divisors", "[run]\ncommand = divisors\n", "0.1.0")
     man.write(str(tmp_path))
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -434,6 +461,21 @@ def test_rerun_of_manifest_missing_fields_is_an_error(tmp_path, capsys, edit, me
     assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "replay")]) == 2
     assert capsys.readouterr().err == f"wickns: error: {message}\n"
     assert not (tmp_path / "replay").exists()
+
+
+def test_manifest_with_the_deleted_seed_and_workers_keys_reruns(tmp_path, capsys):
+    # manifests once repeated [run] seed and workers outside the embedded
+    # config; one written then still loads and replays
+    cfg = _cfg(tmp_path, "[run]\ncommand = divisors\nseed = 4\nworkers = 2\n\n[lab]\nlimit = 100\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "manifest.json"
+    body = json.loads(path.read_text())
+    assert "seed" not in body and "workers" not in body
+    path.write_text(json.dumps({**body, "seed": 4, "workers": 2}, indent=2, sort_keys=True) + "\n")
+    assert RunManifest.load(str(path)).resolved_config == body["resolved_config"]
+    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "replay")]) == 0
+    assert "reproduced byte-identically" in capsys.readouterr().out
 
 
 def test_writer_writes_a_long_body_whole(tmp_path):
@@ -458,7 +500,7 @@ def test_compare_outputs_flags_missing_and_changed(tmp_path):
     new_dir.mkdir()
     for name, text in (("a.csv", "x\n"), ("b.csv", "y\n")):
         (old_dir / name).write_text(text)
-    man = RunManifest("solve", 0, 1, "cfg", "0.1.0")
+    man = RunManifest("solve", "cfg", "0.1.0")
     man.record_output(str(old_dir), "a.csv")
     man.record_output(str(old_dir), "b.csv")
     (new_dir / "a.csv").write_text("x\n")  # b.csv missing
@@ -541,7 +583,7 @@ def test_cli_seed_override_changes_outputs(tmp_path):
     read = lambda d: _read(d, "psi.csv")
     assert read(out_a) == read(out_b)
     assert read(out_a) != read(out_c)
-    assert RunManifest.load(os.path.join(out_a, "manifest.json")).seed == 5
+    assert RunManifest.load(os.path.join(out_a, "manifest.json")).task_seeds == {"path": [5, 0]}
 
 
 def test_cli_out_resolution_order(tmp_path, monkeypatch):
@@ -601,6 +643,12 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
 def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 1
     assert "wickns: config error:" in capsys.readouterr().err
+
+    # a file that is not UTF-8 exited 2 with no flagged manifest on disk
+    (tmp_path / "utf16.ini").write_bytes(b"\xff\xfe[\x00r\x00u\x00n\x00]\x00")
+    assert main(["run", "--config", str(tmp_path / "utf16.ini"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("wickns: config error: cannot read config: 'utf-8' codec can't decode")
+    assert not (tmp_path / "out").exists()
 
     cfg = _cfg(tmp_path, "[run]\ncommand = solve\n\n[solver]\ncutof = 8\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -820,6 +868,30 @@ def test_cli_arithmetic_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "_run_into", overflow)
     assert main(["run", "--config", cfg, "--out", out]) == 2
     assert "wickns: error: math range error" in capsys.readouterr().err
+
+
+def test_cli_memory_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    # an array too large to allocate ended in a traceback and exit 1, with no
+    # manifest; numpy raises a MemoryError subclass carrying the size
+    def allocate(cfg, w):
+        raise MemoryError("Unable to allocate 1.19 TiB for an array with shape (10000001, 8193)")
+
+    monkeypatch.setitem(cli.HANDLERS, "divisors", allocate)
+    cfg = _cfg(tmp_path, "[run]\ncommand = divisors\n")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "wickns: error: Unable to allocate 1.19 TiB" in capsys.readouterr().err
+    man = RunManifest.load(os.path.join(out, "manifest.json"))
+    assert man.flags == {"error": "Unable to allocate 1.19 TiB for an array with shape (10000001, 8193)"}
+
+    # raised outside a handler with no message, as Python's own allocator
+    # raises it, it still exits 2 and names its type, not an empty diagnostic
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_run_into", exhausted)
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == "wickns: error: MemoryError\n"
 
 
 TAIL_NO_USABLE_LEVEL = "[run]\ncommand = tail-mc\n\n[lab]\nsamples = 1000\nsteps = 16\nlambdas = 5, 6, 7\n"
@@ -1457,7 +1529,7 @@ def test_cli_variance_test_drops_diverged_finite_paths(tmp_path):
 def test_json_text_writes_non_finite_floats_as_strings():
     body = {"a": [1.0, math.inf, (-math.inf, math.nan)], "b": {"c": np.float64("nan")}, "d": True, "e": 2}
     want = {"a": [1.0, "inf", ["-inf", "nan"]], "b": {"c": "nan"}, "d": True, "e": 2}
-    assert json.loads(cli._json_text(body), parse_constant=_no_constant) == want
+    assert json.loads(_json_text(body), parse_constant=_no_constant) == want
 
 
 def test_cli_trilinear_p99_stable(tmp_path):

@@ -1,11 +1,13 @@
 """Source hygiene checks that need no linter: an AST scan of the package."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
 import wickns
 from wickns.config import SCHEMA
+from wickns.manifest import RunManifest
 from test_config_cli import CHECK_FALSIFIERS
 
 PACKAGE = pathlib.Path(wickns.__file__).parent
@@ -128,6 +130,24 @@ def test_csv_codec_lives_only_in_fields():
     assert sorted(defined) == ["fields._csv_chunks", "fields._csv_rows", "fields._csv_text"]
     assert bypass == []
     assert sorted(checked) == ["fields.field_from_csv", "noise.operator_from_csv", "noise.operator_to_csv", "noise.trajectory_to_csv"]
+
+
+def test_json_is_written_only_in_manifest():
+    # report.json, sweep_summary.json and manifest.json share one strict writer
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for attr in ast.walk(node):
+                    if isinstance(attr, ast.Attribute) and attr.attr in ("dump", "dumps") and getattr(attr.value, "id", None) == "json":
+                        callers.add(f"{path.stem}.{node.name}")
+    assert callers == {"manifest._json_text"}
+
+
+def test_manifest_repeats_no_run_key_but_command():
+    # the embedded resolved config holds every [run] key; command is kept
+    # beside it because a sweep's manifest records sweep:<command>
+    assert {f.name for f in dataclasses.fields(RunManifest)} & set(SCHEMA["run"]) == {"command"}
 
 
 def test_gaussian_draw_lives_only_in_noise():

@@ -82,22 +82,31 @@ def test_matrix_operator_row_l2_and_apply(rng):
     assert np.allclose(op.apply_to_vector(z), mat @ z, rtol=0, atol=1e-13)
 
 
+def _dense_from_csv(text: str) -> np.ndarray:
+    """The matrix a `n,k,re,im` table lists, zeros elsewhere."""
+    rows = _csv_rows(text, "n,k,re,im", (int, int, float, float))
+    N = max(n for n, *_ in rows)
+    mat = np.zeros((2 * N + 1, 2 * N + 1), dtype=np.complex128)
+    for n, k, re, im in rows:
+        mat[n + N, k + N] = complex(re, im)
+    return mat
+
+
 @pytest.mark.parametrize("shape", [(129,), (1024, 129), (3, 64, 129)])
-def test_real_diagonal_matrix_applies_as_product_with_blas_bits(shape):
+def test_real_diagonal_matrix_file_loads_as_multiplier_with_blas_bits(shape):
     # the picard_path workload's diagonal Bessel matrix, on increment-sized draws
-    op = operator_from_csv(PICARD_NOISE.read_text())
-    assert op._real_diagonal is not None
+    text = PICARD_NOISE.read_text()
+    op, mat = operator_from_csv(text), _dense_from_csv(text)
+    assert op.is_multiplier and np.array_equal(op.multiplier, np.diagonal(mat).real)
     z = _draw_increments(philox_stream(4, len(shape)), shape, 1 / 1024)
-    assert np.array_equal(op.apply_to_vector(z), z @ op.matrix.T)
+    assert np.array_equal(op.apply_to_vector(z), z @ mat.T)
 
 
-def test_complex_diagonal_matrix_keeps_blas():
+def test_complex_diagonal_matrix_file_stays_a_matrix():
     # an elementwise product would not reproduce zgemm's bits here
-    d = np.exp(1j * np.linspace(0.0, 1.0, 129))
-    op = NoiseOperator(64, matrix=np.diag(d))
-    assert op._real_diagonal is None
-    z = _draw_increments(philox_stream(4, 2), (1024, 129), 1 / 1024)
-    assert np.array_equal(op.apply_to_vector(z), z @ op.matrix.T)
+    mat = np.diag(np.exp(1j * np.linspace(0.0, 1.0, 129)))
+    op = operator_from_csv(operator_to_csv(NoiseOperator(64, matrix=mat)))
+    assert not op.is_multiplier and np.array_equal(op.matrix, mat)
 
 
 # wickns is imported before numpy, as the CLI does

@@ -212,9 +212,29 @@ def test_operator_norm_oracle_near_degenerate_and_picard_noise(rng):
         mat = (q1 * sv) @ q2.conj().T
         assert abs(operator_norm(NoiseOperator(8, matrix=mat)) - np.linalg.norm(mat, 2)) <= 1e-12
     # the picard_path workload's diagonal noise, whose exact norm is its largest entry
-    op = operator_from_csv(PICARD_NOISE.read_text())
+    op = NoiseOperator(64, matrix=np.diag(operator_from_csv(PICARD_NOISE.read_text()).multiplier))
     for want in (np.linalg.norm(op.matrix, 2), 1e-3):
         assert abs(operator_norm(op) - want) <= 1e-12 * want
+
+
+def test_real_diagonal_norms_equal_as_multiplier_and_matrix():
+    # a real diagonal matrix file loads as the multiplier of its diagonal, and
+    # every norm a run reports keeps its bits: the picard_path workload's
+    # noise, then random diagonals over twelve decades with some zeros
+    diag = operator_from_csv(PICARD_NOISE.read_text()).multiplier
+    rng = philox_stream(11)
+    cases = [diag]
+    for _ in range(2000):
+        d = rng.standard_normal(2 * int(rng.integers(0, 9)) + 1) * 10.0 ** rng.uniform(-6, 6)
+        d[rng.random(d.size) < 0.2] = 0.0
+        cases.append(d)
+    for d in cases:
+        N = (d.size - 1) // 2
+        mult, mat = NoiseOperator(N, multiplier=d), NoiseOperator(N, matrix=np.diag(d))
+        assert np.array_equal(mult.row_l2(), mat.row_l2())
+        assert operator_norm(mult) == operator_norm(mat)
+        for s, p in ((0.0, 2.0), (0.3, 2.0), (-0.5, 3.0), (1.0, np.inf)):
+            assert gamma_norm(mult, s, p) == gamma_norm(mat, s, p)
 
 
 def test_operator_norm_is_relative_below_one(rng):
