@@ -8,28 +8,27 @@ there, and read a field from a CSV table.
 import numpy as np
 
 from wickns.fields import (
+    SpectralField,
     alias_free_length,
     field_from_csv,
     frequencies,
     from_grid,
-    make_field,
     mode_field,
     propagator_phases,
     to_grid,
 )
+from wickns.noise import philox_stream, sample_white_noise_field
 
 if __name__ == "__main__":
     N = 8
-    rng = np.random.default_rng(7)
-    dim = 2 * N + 1
-    u = make_field(N, (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2))
+    u = sample_white_noise_field(N, 1.0, philox_stream(7))
 
     print(f"cutoff N = {u.cutoff}, modes n = {frequencies(N)[0]} .. {frequencies(N)[-1]}")
     print(f"mass (Parseval sum of |u_hat|^2) = {u.mass():.6f}")
 
     # free Schrodinger flow: each mode rotates by exp(i t n^2), mass is exact
     t = 0.37
-    v = make_field(N, u.coeffs * propagator_phases(N, t))
+    v = SpectralField(N, u.coeffs * propagator_phases(N, t))
     print(f"mass after linear flow of t={t}: {v.mass():.6f} (drift {abs(v.mass() - u.mass()):.2e})")
     back = v.coeffs * np.conj(propagator_phases(N, t))  # S(-t) is the conjugate
     print(f"round-trip max error: {np.max(np.abs(back - u.coeffs)):.2e}")

@@ -10,7 +10,7 @@ stepper's trajectory.
 import numpy as np
 
 from wickns.dynamics import SolverConfig, gauge_transform, picard_iterate, solve
-from wickns.fields import make_field, mode_field
+from wickns.fields import SpectralField, mode_field
 from wickns.noise import Trajectory
 
 if __name__ == "__main__":
@@ -24,7 +24,7 @@ if __name__ == "__main__":
         print(f"  dt = 1/{32 * 2**j:<4d} error = {abs(got - exact):.3e}")
 
     # gauge equivalence: wick flow == phase-rotated cubic flow, to stepper accuracy
-    u0 = make_field(N, [0] * N + [0.5, 0.3] + [0] * (N - 1))
+    u0 = SpectralField(N, [0] * N + [0.5, 0.3] + [0] * (N - 1))
     print("\nmax |wick - gauge(cubic)| under dt halving:")
     for j in range(4):
         cfg = SolverConfig(cutoff=N, dt=(1 / 32) / 2**j, horizon=T)

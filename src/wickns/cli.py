@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .config import COMMANDS, ConfigError, ExperimentConfig, _keyed, parse_config, parse_config_text
 from .dynamics import gauge_transform, solve, wick_coeffs_block, wick_nonlinearity_direct, wick_trilinear, picard_iterate
-from .fields import _csv_text, frequencies, make_field
+from .fields import SpectralField, _csv_text, frequencies
 from .lab import (
     _pool_map,
     convolution_sum_check,
@@ -258,9 +258,10 @@ def _cmd_wick_check(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
         d_split = 0.0
         scale = 0.0
         for i in range(nfields):
-            u = make_field(N, U[i])
+            u = SpectralField(N, U[i])
             conv = wick_nonlinearity_direct(u).coeffs
-            split = wick_trilinear(u, u, u).total.coeffs
+            nonres, res = wick_trilinear(u, u, u)
+            split = nonres.coeffs + res.coeffs
             d_conv = max(d_conv, float(np.max(np.abs(fft_vals[i] - conv))))
             d_split = max(d_split, float(np.max(np.abs(fft_vals[i] - split))))
             scale = max(scale, float(np.max(np.abs(conv))))
@@ -399,7 +400,7 @@ def _cmd_sums(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     cutoff = cfg.get("lab", "sum_cutoff")
     rows = []
     for k1 in cfg.get("lab", "k1_values"):
-        lhs, shape = convolution_sum_check(beta, gamma, k1, k2, cutoff)
+        lhs, shape = _keyed(convolution_sum_check, {"need": "[lab] beta, gamma"}, beta=beta, gamma=gamma, k1=k1, k2=k2, cutoff=cutoff)
         rows.append((k1, k2, lhs, shape))
     w.text("sums.csv", _csv_text("k1,k2,lhs,bound_shape", zip(*rows)))
     pts = [(abs(r[0] - k2), r[2]) for r in rows if abs(r[0] - k2) >= 64 and r[2] > 0]

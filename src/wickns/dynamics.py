@@ -22,13 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, _band, _five_smooth, alias_free_length, make_field, propagator_phases, to_grid
+from .fields import SpectralField, _band, _five_smooth, alias_free_length, propagator_phases, to_grid
 from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments, make_grid
 from .norms import DEFAULT_PAD, XsbParams, _xsb_circulant, discrete_duhamel, xsb_norm
 
 __all__ = [
     "SolverConfig",
-    "WickSplit",
     "PicardReport",
     "wick_nonlinearity_direct",
     "wick_trilinear",
@@ -69,18 +68,6 @@ class SolverConfig:
 
     def grid(self) -> np.ndarray:
         return make_grid(self.horizon, self.steps)
-
-
-@dataclass(frozen=True)
-class WickSplit:
-    """Non-resonant and resonant parts; their sum is the renormalized cubic."""
-
-    nonres: SpectralField
-    res: SpectralField
-
-    @property
-    def total(self) -> SpectralField:
-        return make_field(self.nonres.cutoff, self.nonres.coeffs + self.res.coeffs)
 
 
 def cubic_coeffs_block(U: np.ndarray) -> np.ndarray:
@@ -133,11 +120,11 @@ def _cubic_coeffs_conv(u: np.ndarray) -> np.ndarray:
 def wick_nonlinearity_direct(u: SpectralField) -> SpectralField:
     """(|u|^2 - 2 M) u in coefficient space, truncated to [-N, N] at the end."""
     cubic = _cubic_coeffs_conv(u.coeffs)
-    return make_field(u.cutoff, cubic - 2.0 * u.mass() * u.coeffs)
+    return SpectralField(u.cutoff, cubic - 2.0 * u.mass() * u.coeffs)
 
 
-def wick_trilinear(u1: SpectralField, u2: SpectralField, u3: SpectralField) -> WickSplit:
-    """Resonant/non-resonant split of the trilinear form.
+def wick_trilinear(u1: SpectralField, u2: SpectralField, u3: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """Resonant/non-resonant split of the trilinear form, as (nonres, res).
 
     nonres(n) sums u1(n1) conj(u2(n2)) u3(n3) over n = n1 - n2 + n3 with the
     diagonal exclusions n != n1 and n != n3; res(n) = -u1(n) conj(u2(n)) u3(n).
@@ -165,7 +152,7 @@ def wick_trilinear(u1: SpectralField, u2: SpectralField, u3: SpectralField) -> W
         term[:, i_n] = 0.0  # n3 = n excluded
         nonres[i_n] = term.sum()
     res = -(c1 * np.conj(c2) * c3)
-    return WickSplit(make_field(N, nonres), make_field(N, res))
+    return SpectralField(N, nonres), SpectralField(N, res)
 
 
 def gauge_transform(traj: Trajectory) -> Trajectory:

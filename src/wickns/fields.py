@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "SpectralField",
-    "make_field",
     "zero_field",
     "mode_field",
     "frequencies",
@@ -65,11 +64,6 @@ class SpectralField:
     def mass(self) -> float:
         """Parseval mass: sum |u_hat(n)|^2."""
         return float(np.sum(np.abs(self.coeffs) ** 2))
-
-
-def make_field(cutoff: int, coeffs) -> SpectralField:
-    """Field with frequencies -N..N bound to the given amplitudes in order."""
-    return SpectralField(cutoff, np.asarray(coeffs, dtype=np.complex128))
 
 
 def zero_field(cutoff: int) -> SpectralField:
@@ -217,4 +211,4 @@ def field_from_csv(text: str) -> SpectralField:
     N = (len(rows) - 1) // 2
     if len(rows) != 2 * N + 1 or [r[0] for r in rows] != frequencies(N).tolist():
         raise ValueError("rows must cover contiguous frequencies -N..N")
-    return make_field(N, [complex(re, im) for _, re, im in rows])
+    return SpectralField(N, [complex(re, im) for _, re, im in rows])

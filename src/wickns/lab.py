@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -156,7 +156,7 @@ class MultiplierReport:
     arg_n: int
     arg_tau: float
     kernel_exponent: float
-    kernel_window_ok: bool  # 2/3 < (b + a') p' < 1 needed by the kernel derivation
+    kernel_window_ok: bool  # 2/3 < (b - a) p' < 1 with a = -b', needed by the kernel derivation
     cutoff: int
 
 
@@ -366,7 +366,7 @@ def trilinear_ratio(
         trajs.append(lin - 1j * psi)
     u1, u2, u3 = trajs
     forcing = trilinear_forcing_block(u1, u2, u3)
-    num = xsb_norm_batch(forcing, grid, params.with_exponent(params.bprime))
+    num = xsb_norm_batch(forcing, grid, replace(params, b=params.bprime))
     dens = [xsb_norm_batch(u, grid, params) for u in (u1, u2, u3)]
     den = dens[0] * dens[1] * dens[2]
     keep = den > 0
@@ -426,24 +426,6 @@ def _pool_map(fn, n: int, workers: int) -> list:
         return list(pool.map(fn, range(n)))
 
 
-def _ensemble_xsb_norms(
-    op: NoiseOperator,
-    params: XsbParams,
-    samples: int,
-    rng: np.random.Generator,
-    steps: int,
-    workers: int,
-) -> np.ndarray:
-    """Surrogate norms of `samples` convolution paths, chunk-seeded so the
-    result is independent of worker count."""
-    grid = make_grid(params.T, steps)
-
-    def one(sub: np.random.Generator, size: int) -> np.ndarray:
-        return xsb_norm_batch(convolution_paths_block(op, grid, sub, size), grid, params)
-
-    return np.concatenate(_chunk_map(one, samples, TAIL_CHUNK, rng, workers))
-
-
 def tail_estimate_mc(
     op: NoiseOperator,
     params: XsbParams,
@@ -474,7 +456,12 @@ def tail_estimate_mc(
         raise ValueError(f"lambdas must hold at least 3 distinct levels, got {mult.tolist()}")
     if not params.b < 1.0 - 1.0 / params.q:
         raise ValueError(f"need b < 1 - 1/q = {1.0 - 1.0 / params.q!r} for a finite tail scale, got {params.b!r}")
-    norms = _ensemble_xsb_norms(op, params, samples, rng, steps, workers)
+    grid = make_grid(params.T, steps)
+
+    def one(sub: np.random.Generator, size: int) -> np.ndarray:
+        return xsb_norm_batch(convolution_paths_block(op, grid, sub, size), grid, params)
+
+    norms = np.concatenate(_chunk_map(one, samples, TAIL_CHUNK, rng, workers))
     med = float(np.median(norms))
     lam = mult * med
     surv = np.array([np.mean(norms > lv) for lv in lam])

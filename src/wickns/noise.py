@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, _csv_chunks, _csv_rows, _csv_text, _fmt, frequencies, make_field, propagator_phases
+from .fields import SpectralField, _csv_chunks, _csv_rows, _csv_text, _fmt, frequencies, propagator_phases
 
 __all__ = [
     "NoiseOperator",
@@ -196,7 +196,7 @@ def sample_white_noise_field(cutoff: int, variance: float, rng: np.random.Genera
     if variance < 0:
         raise ValueError("variance must be non-negative")
     g = _unit_complex_normal(rng, 2 * cutoff + 1)
-    return make_field(cutoff, np.sqrt(variance) * g)
+    return SpectralField(cutoff, np.sqrt(variance) * g)
 
 
 def _fill_normal(rng: np.random.Generator, dest, buf: np.ndarray) -> None:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wickns import make_field, philox_stream
+from wickns import SpectralField, philox_stream
 
 
 @pytest.fixture
@@ -14,7 +14,7 @@ def rng():
 def random_field(N, rng, scale=1.0):
     dim = 2 * N + 1
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return make_field(N, scale * z / np.sqrt(2.0))
+    return SpectralField(N, scale * z / np.sqrt(2.0))
 
 
 def brute_convolve(f, g):
@@ -27,7 +27,7 @@ def brute_convolve(f, g):
             if -N <= n - k <= N:
                 acc += f.coeffs[k + N] * g.coeffs[n - k + N]
         out[n + N] = acc
-    return make_field(N, out)
+    return SpectralField(N, out)
 
 
 def fields_close(f, g, tol=1e-12):

@@ -20,7 +20,7 @@ from wickns import cli
 from wickns.cli import main
 from wickns.config import COMMANDS, SCHEMA, ConfigError, parse_config, parse_config_text
 from wickns.dynamics import picard_iterate, wick_coeffs_block
-from wickns.fields import make_field, mode_field
+from wickns.fields import SpectralField, mode_field
 from wickns.lab import divisor_count, tail_estimate_mc
 from wickns.manifest import RunManifest, _json_text, compare_outputs, sha256_file
 from wickns.noise import (
@@ -192,7 +192,7 @@ def test_u0_mini_syntax(tmp_path):
     w3 = initial_field("white:2.0", seed=22)
     assert not np.array_equal(w1.coeffs, w3.coeffs)
 
-    f = make_field(3, [0.1j, 0, 1.0, 0.5, 0, 0, 0.25 - 0.5j])
+    f = SpectralField(3, [0.1j, 0, 1.0, 0.5, 0, 0, 0.25 - 0.5j])
     path = tmp_path / "datum.csv"
     path.write_text("n,re,im\n-3,0.0,0.1\n-2,0.0,0.0\n-1,1.0,0.0\n0,0.5,0.0\n1,0.0,0.0\n2,0.0,0.0\n3,0.25,-0.5\n")
     loaded = initial_field(f"csv:{path}", cutoff=3)
@@ -687,11 +687,13 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         ("[run]\ncommand = multiplier\n\n[norms]\nb = 0.95\n", "[norms] b, bprime, p: need -1/p < bprime < 0 < b < 1 - 1/p, got b = 0.95"),
         ("[run]\ncommand = tail-mc\n\n[norms]\nb = 0.6\nq = 2\n", "[norms] b: need b < 1 - 1/q = 0.5 for a finite tail scale, got 0.6"),
         ("[run]\ncommand = variance-test\n\n[solver]\ndt = 0.05\nhorizon = 0.25\n", "[solver] dt: horizon/dt must be a multiple of 4"),
+        # the lattice-sum exponents; they used to exit 2 naming no key, under a flagged manifest
+        ("[run]\ncommand = sums\n\n[lab]\nbeta = 0.5\ngamma = 0.6\n", "[lab] beta, gamma: need beta >= gamma >= 0 and beta + gamma > 1"),
     ):
         cfg = _cfg(tmp_path, text, name="keyed.ini")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
         assert f"wickns: config error: {msg}" in capsys.readouterr().err
-        assert not (tmp_path / "keyed" / "manifest.json").exists()
+        assert not (tmp_path / "keyed").exists()
 
     # an empty integer list is rejected before anything is written; multiplier
     # used to die on an IndexError, and the others to pass their checks on no data

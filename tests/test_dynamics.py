@@ -5,6 +5,7 @@ import pytest
 
 from wickns import (
     SolverConfig,
+    SpectralField,
     Trajectory,
     XsbParams,
     bessel_operator,
@@ -15,7 +16,6 @@ from wickns import (
     frequencies,
     gauge_transform,
     identity_operator,
-    make_field,
     mode_field,
     philox_stream,
     picard_iterate,
@@ -55,31 +55,31 @@ def test_wick_direct_single_mode():
 
 def test_wick_direct_two_modes():
     # (e_0 + e_1): cubic sum gives 3e_0 + 3e_1 + e_{-1} + e_2, mass term -4u
-    u = make_field(2, [0, 0, 1, 1, 0])
-    want = make_field(2, [0, 1, -1, -1, 1])
+    u = SpectralField(2, [0, 0, 1, 1, 0])
+    want = SpectralField(2, [0, 1, -1, -1, 1])
     assert fields_close(wick_nonlinearity_direct(u), want, 1e-14)
 
 
 def test_trilinear_resonant_only():
     e0 = mode_field(2, 0, 1.0)
-    split = wick_trilinear(e0, e0, e0)
-    assert fields_close(split.nonres, zero_field(2), 0.0)
-    assert fields_close(split.res, mode_field(2, 0, -1.0), 0.0)
+    nonres, res = wick_trilinear(e0, e0, e0)
+    assert fields_close(nonres, zero_field(2), 0.0)
+    assert fields_close(res, mode_field(2, 0, -1.0), 0.0)
 
 
 def test_trilinear_single_offdiagonal_triple():
-    split = wick_trilinear(mode_field(2, 1), mode_field(2, 0), mode_field(2, -1))
-    assert fields_close(split.nonres, mode_field(2, 0, 1.0), 0.0)
-    assert fields_close(split.res, zero_field(2), 0.0)
+    nonres, res = wick_trilinear(mode_field(2, 1), mode_field(2, 0), mode_field(2, -1))
+    assert fields_close(nonres, mode_field(2, 0, 1.0), 0.0)
+    assert fields_close(res, zero_field(2), 0.0)
 
 
 def test_trilinear_diagonal_identity(rng):
     for N in (4, 8):
         for _ in range(5):
             u = random_field(N, rng)
-            split = wick_trilinear(u, u, u)
+            nonres, res = wick_trilinear(u, u, u)
             direct = wick_nonlinearity_direct(u)
-            assert fields_close(split.total, direct, 1e-12)
+            assert fields_close(SpectralField(N, nonres.coeffs + res.coeffs), direct, 1e-12)
 
 
 def test_trilinear_linearity(rng):
@@ -87,20 +87,20 @@ def test_trilinear_linearity(rng):
     a, b = 0.7 - 0.2j, -1.1 + 0.4j
 
     def comb(x, y, f, g):  # x f + y g
-        return make_field(3, x * f.coeffs + y * g.coeffs)
+        return SpectralField(3, x * f.coeffs + y * g.coeffs)
 
     # linear in slots 1 and 3
-    lhs = wick_trilinear(comb(a, b, u1, v), u2, u3)
-    r1, r2 = wick_trilinear(u1, u2, u3), wick_trilinear(v, u2, u3)
-    assert fields_close(lhs.nonres, comb(a, b, r1.nonres, r2.nonres), 1e-12)
-    assert fields_close(lhs.res, comb(a, b, r1.res, r2.res), 1e-12)
-    lhs = wick_trilinear(u1, u2, comb(a, b, u3, v))
-    r1, r2 = wick_trilinear(u1, u2, u3), wick_trilinear(u1, u2, v)
-    assert fields_close(lhs.nonres, comb(a, b, r1.nonres, r2.nonres), 1e-12)
+    lhs, lhs_res = wick_trilinear(comb(a, b, u1, v), u2, u3)
+    (r1, r1_res), (r2, r2_res) = wick_trilinear(u1, u2, u3), wick_trilinear(v, u2, u3)
+    assert fields_close(lhs, comb(a, b, r1, r2), 1e-12)
+    assert fields_close(lhs_res, comb(a, b, r1_res, r2_res), 1e-12)
+    lhs = wick_trilinear(u1, u2, comb(a, b, u3, v))[0]
+    r1, r2 = wick_trilinear(u1, u2, u3)[0], wick_trilinear(u1, u2, v)[0]
+    assert fields_close(lhs, comb(a, b, r1, r2), 1e-12)
     # conjugate-linear in slot 2
-    lhs = wick_trilinear(u1, comb(a, b, u2, v), u3)
-    r1, r2 = wick_trilinear(u1, u2, u3), wick_trilinear(u1, v, u3)
-    assert fields_close(lhs.nonres, comb(np.conj(a), np.conj(b), r1.nonres, r2.nonres), 1e-12)
+    lhs = wick_trilinear(u1, comb(a, b, u2, v), u3)[0]
+    r1, r2 = wick_trilinear(u1, u2, u3)[0], wick_trilinear(u1, v, u3)[0]
+    assert fields_close(lhs, comb(np.conj(a), np.conj(b), r1, r2), 1e-12)
 
 
 def test_trilinear_cutoff_mismatch():
@@ -115,7 +115,7 @@ def test_blocked_forms_match_convolution_path(rng):
         wick_block = wick_coeffs_block(U)
         cubic_block = cubic_coeffs_block(U)
         for i in range(3):
-            f = make_field(N, U[i])
+            f = SpectralField(N, U[i])
             assert np.max(np.abs(wick_block[i] - wick_nonlinearity_direct(f).coeffs)) < 1e-12
             assert np.max(np.abs(cubic_block[i] - _cubic_coeffs_conv(U[i]))) < 1e-12
 
@@ -168,7 +168,7 @@ def test_five_smooth_grid_matches_convolution_oracle():
         ones = np.ones(2 * N + 1, dtype=complex)
         got = np.empty_like(U)
         dynamics._wick_stage(U, ones, ones, L, got, np.empty((3, L)))
-        want = np.stack([wick_nonlinearity_direct(make_field(N, u)).coeffs for u in U])
+        want = np.stack([wick_nonlinearity_direct(SpectralField(N, u)).coeffs for u in U])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -183,8 +183,8 @@ def test_gauge_fixes_t0_and_preserves_norms(rng):
     out = gauge_transform(traj)
     assert np.array_equal(out.states[0], states[0])
     for m in range(9):
-        a = fl_norm(make_field(4, states[m]), 0.3, 2.5)
-        b = fl_norm(make_field(4, out.states[m]), 0.3, 2.5)
+        a = fl_norm(SpectralField(4, states[m]), 0.3, 2.5)
+        b = fl_norm(SpectralField(4, out.states[m]), 0.3, 2.5)
         assert abs(a - b) <= 1e-14 * a
 
 
@@ -194,7 +194,7 @@ def test_gauge_fixes_t0_and_preserves_norms(rng):
 
 def _one_step(u, op, dt, nonlinearity="wick", seed=0):
     cfg = SolverConfig(cutoff=u.cutoff, dt=dt, horizon=dt)
-    return make_field(u.cutoff, solve(u, op, cfg, nonlinearity=nonlinearity, rng=philox_stream(seed, 0)).states[1])
+    return SpectralField(u.cutoff, solve(u, op, cfg, nonlinearity=nonlinearity, rng=philox_stream(seed, 0)).states[1])
 
 
 def test_step_single_mode_local_order():
@@ -303,7 +303,7 @@ def test_solve_blowup_flagged():
 
 def test_solve_mass_drift_order():
     # phi = 0: Parseval mass drift shrinks at first order under dt refinement
-    u0 = make_field(4, [0, 0.1j, 0.5, 0.8, 0.3 - 0.2j, 0.1, 0, 0, 0.05])
+    u0 = SpectralField(4, [0, 0.1j, 0.5, 0.8, 0.3 - 0.2j, 0.1, 0, 0, 0.05])
     drifts = []
     for halv in range(3):
         cfg = SolverConfig(cutoff=4, dt=1 / 64 / 2**halv, horizon=0.25)
@@ -317,7 +317,7 @@ def test_solve_mass_drift_order():
 def test_gauge_equivalence_of_flows():
     # Wick trajectory equals the gauged plain-cubic trajectory up to O(dt)
     rng = philox_stream(5)
-    u0 = make_field(8, 0.1 * (rng.standard_normal(17) + 1j * philox_stream(6).standard_normal(17)))
+    u0 = SpectralField(8, 0.1 * (rng.standard_normal(17) + 1j * philox_stream(6).standard_normal(17)))
     residuals = []
     for dt in (1 / 32, 1 / 64):
         cfg = SolverConfig(cutoff=8, dt=dt, horizon=0.25)
@@ -506,14 +506,14 @@ def test_picard_limit_matches_stepper():
     rep = picard_iterate(mode_field(4, 1, 0.1), _zero_psi(cfg), cfg)
     traj = solve(mode_field(4, 1, 0.1), None, cfg)
     sup = max(
-        fl_norm(make_field(4, rep.solution.states[m] - traj.states[m]), 0.0, 2.0)
+        fl_norm(SpectralField(4, rep.solution.states[m] - traj.states[m]), 0.0, 2.0)
         for m in range(cfg.steps + 1)
     )
     assert sup <= 10 * max(cfg.dt, cfg.picard_tolerance)
 
 
 def test_picard_non_contracting_diagnosed():
-    u_big = make_field(4, np.array([0, 0, 0, 1.5, 1.5, 0, 0, 0, 0], dtype=complex))
+    u_big = SpectralField(4, np.array([0, 0, 0, 1.5, 1.5, 0, 0, 0, 0], dtype=complex))
     cfg = SolverConfig(cutoff=4, dt=1 / 32, horizon=0.5)
     rep = picard_iterate(u_big, _zero_psi(cfg), cfg)
     assert rep.non_contracting
@@ -527,7 +527,7 @@ def test_picard_stops_at_first_non_finite_difference():
     cfg = SolverConfig(cutoff=8, dt=1 / 128, horizon=0.25, picard_max_iters=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rep = picard_iterate(make_field(8, np.full(17, 1e12 + 0j)), _zero_psi(cfg), cfg)
+        rep = picard_iterate(SpectralField(8, np.full(17, 1e12 + 0j)), _zero_psi(cfg), cfg)
     assert rep.non_finite and not rep.converged and not rep.non_contracting
     assert rep.iterations == len(rep.differences) < cfg.picard_max_iters
     assert np.all(np.isfinite(rep.differences[:-1])) and not np.isfinite(rep.differences[-1])

@@ -9,7 +9,6 @@ from wickns import (
     SpectralField,
     field_from_csv,
     fl_norm,
-    make_field,
     mode_field,
     operator_from_csv,
     philox_stream,
@@ -28,30 +27,30 @@ complex_lists = st.integers(min_value=0, max_value=8).flatmap(
 
 
 def test_make_field_single_mode():
-    f = make_field(0, [1.0])
+    f = SpectralField(0, [1.0])
     assert f.coeffs[0] == 1.0
     assert f.cutoff == 0
 
 
 def test_make_field_zero():
-    f = make_field(1, [0, 0, 0])
+    f = SpectralField(1, [0, 0, 0])
     assert fields_close(f, zero_field(1))
     assert f.mass() == 0.0
 
 
 def test_make_field_index_convention():
-    f = make_field(1, [0, 1, 1])
+    f = SpectralField(1, [0, 1, 1])
     assert list(f.coeffs) == [0, 1, 1]  # frequencies -1, 0, 1
 
 
 def test_make_field_length_mismatch():
     with pytest.raises(ValueError):
-        make_field(2, [1.0, 2.0])
+        SpectralField(2, [1.0, 2.0])
 
 
 def test_make_field_rejects_nonfinite():
     with pytest.raises(ValueError):
-        make_field(0, [np.nan])
+        SpectralField(0, [np.nan])
 
 
 def free_evolution(f: SpectralField, t) -> SpectralField:
@@ -88,7 +87,7 @@ def test_propagator_inverse_round_trip(rng):
 @settings(max_examples=60, deadline=None)
 def test_propagator_unitary_and_group(coeffs, t1, t2):
     N = (len(coeffs) - 1) // 2
-    f = make_field(N, coeffs)
+    f = SpectralField(N, coeffs)
     # unitarity of every FL norm
     g = free_evolution(f, t1)
     for s, p in [(0.0, 2.0), (0.5, 3.0), (-1.0, 1.5)]:

@@ -221,8 +221,8 @@ def test_trilinear_forcing_block_matches_split(rng):
         assert block.shape == (2, 2, 2 * N + 1)
         for i in range(2):
             for t in range(2):
-                split = wick_trilinear(*fields[i][t])
-                assert np.max(np.abs(block[i, t] - split.total.coeffs)) < 1e-12
+                nonres, res = wick_trilinear(*fields[i][t])
+                assert np.max(np.abs(block[i, t] - (nonres.coeffs + res.coeffs))) < 1e-12
 
 
 def test_trilinear_forcing_single_triple():
@@ -276,10 +276,10 @@ def test_tail_worker_count_invariant():
 
 def test_tail_sparse_ladder_is_error():
     # widely spaced levels leave fewer than 3 with nontrivial survival
-    op = bessel_operator(32, 0.5)
+    op = bessel_operator(8, 0.5)
     params = XsbParams(0.0, 0.7, -0.1, 4.0, 4.0, 1.0)
     with pytest.raises(ValueError, match="fewer than 3 usable"):
-        tail_estimate_mc(op, params, [1.0, 1.5, 2.0, 2.5], 3000, philox_stream(77), steps=32)
+        tail_estimate_mc(op, params, [1.0, 1.5, 2.0, 2.5], 1000, philox_stream(77), steps=32)
 
 
 def test_tail_parameter_guards():
@@ -297,7 +297,7 @@ def test_tail_ladder_checked_before_simulating(monkeypatch):
     def no_ensemble(*args, **kwargs):
         raise AssertionError("ensemble simulated before the lambda ladder was checked")
 
-    monkeypatch.setattr(lab, "_ensemble_xsb_norms", no_ensemble)
+    monkeypatch.setattr(lab, "_chunk_map", no_ensemble)
     op = bessel_operator(4, 0.75)
     good = XsbParams(0.0, 0.45, -0.1, 2.0, 2.0, 0.5)
     with pytest.raises(ValueError, match="must be positive"):
@@ -315,7 +315,6 @@ def _no_ensemble_work(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("ensemble work began before the range check")
 
-    monkeypatch.setattr(lab, "_ensemble_xsb_norms", boom)
     monkeypatch.setattr(lab, "_chunk_map", boom)
 
 

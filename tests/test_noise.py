@@ -11,6 +11,7 @@ import wickns
 from wickns import (
     NoiseOperator,
     SolverConfig,
+    SpectralField,
     Trajectory,
     bessel_operator,
     convolution_from_path,
@@ -18,7 +19,6 @@ from wickns import (
     discrete_duhamel,
     frequencies,
     identity_operator,
-    make_field,
     make_grid,
     operator_from_csv,
     operator_to_csv,
@@ -485,7 +485,7 @@ def test_internal_trajectories_are_read_only():
     op, cfg = bessel_operator(2, 0.5), SolverConfig(cutoff=2, dt=1 / 32, horizon=0.5)
     grid = cfg.grid()
     psi = sample_convolution_path(op, grid, philox_stream(4))
-    u0 = make_field(2, 0.1 * _complex_normal(philox_stream(5), 5))
+    u0 = SpectralField(2, 0.1 * _complex_normal(philox_stream(5), 5))
     built = [
         psi,
         convolution_from_path(op, grid, _increments(grid, 2, seed=3)),

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import wickns
 from wickns import (
     NoiseOperator,
+    SpectralField,
     Trajectory,
-    TimeWindow,
     XsbParams,
     bessel_operator,
     bracket,
@@ -23,7 +24,6 @@ from wickns import (
     gamma_norm,
     homogeneous_estimate_check,
     identity_operator,
-    make_field,
     make_grid,
     mode_field,
     operator_from_csv,
@@ -41,6 +41,7 @@ from wickns.noise import _check_uniform, _complex_normal
 from wickns.norms import (
     _CHUNK,
     _extend_and_window,
+    _extended_window,
     _inverse_phases,
     _modulation_l2,
     _modulation_lq,
@@ -70,8 +71,7 @@ def test_params_windows():
     good = XsbParams(0.1, 0.74, -0.24, 4.0, 2.0, 0.5)
     assert good.p_dual == pytest.approx(4.0 / 3.0)
     assert good.trilinear_window_ok()
-    assert not good.with_exponent(0.76).trilinear_window_ok()
-    assert good.with_exponent(0.2).b == 0.2
+    assert not replace(good, b=0.76).trilinear_window_ok()
 
 
 def test_ramp_shape():
@@ -85,15 +85,12 @@ def test_ramp_shape():
 
 
 def test_window_profile():
-    w = TimeWindow(scale=0.5)
-    assert np.array_equal(w([0.0, 0.25, 0.5]), [1.0, 1.0, 1.0])
-    assert np.array_equal(w([-1.0, 1.0, 2.0]), [0.0, 0.0, 0.0])
-    assert w(-0.5) == 0.5 and w(0.75) == 0.5
-    u = np.linspace(-1.2, 1.7, 101)
-    vals = w(u)
-    assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-    with pytest.raises(ValueError):
-        TimeWindow(scale=0.0)
+    # T = 0.5 on the grid -1 + 0.125 j, j = 0 .. 16
+    w = _extended_window(4, 0.125, 0.5)
+    assert np.array_equal(w[8:13], np.ones(5))  # t in [0, T]
+    assert w[0] == 0.0 and w[16] == 0.0  # t = -2T, 2T
+    assert w[4] == 0.5 and w[14] == 0.5  # t = -T, 1.5 T
+    assert np.all(w >= 0.0) and np.all(w <= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +108,7 @@ def test_fl_norm_single_mode_weight():
 
 def test_fl_norm_bracket_weighted_sum():
     ns = np.arange(-2, 3)
-    f = make_field(2, 1.0 / bracket(ns))
+    f = SpectralField(2, 1.0 / bracket(ns))
     want = np.sqrt(1.0 + 2 * 0.5 + 2 * 0.2)
     assert fl_norm(f, 0.0, 2.0) == pytest.approx(want, rel=1e-15)
 
@@ -124,7 +121,7 @@ def test_fl_norm_sup_case(rng):
 
 def test_fl_norm_unimodular_invariance(rng):
     f = random_field(6, rng)
-    g = make_field(6, f.coeffs * np.exp(1.37j))
+    g = SpectralField(6, f.coeffs * np.exp(1.37j))
     for s, p in [(0.0, 2.0), (0.5, 3.0), (-1.0, np.inf)]:
         assert fl_norm(g, s, p) == pytest.approx(fl_norm(f, s, p), rel=1e-14)
 
@@ -312,7 +309,7 @@ def test_homogeneous_ratio_independent_of_datum(rng):
 def test_homogeneous_ratio_scale_exact():
     f = mode_field(3, 2, 0.7 + 0.1j)
     params = XsbParams(0.3, 0.4, -0.2, 2.0, 2.0, 0.5)
-    assert homogeneous_estimate_check(f, params) == homogeneous_estimate_check(make_field(3, f.coeffs * 2.0), params)
+    assert homogeneous_estimate_check(f, params) == homogeneous_estimate_check(SpectralField(3, f.coeffs * 2.0), params)
 
 
 def test_homogeneous_zero_datum_error():
@@ -328,8 +325,7 @@ def test_homogeneous_parseval_oracle():
     params = XsbParams(0.0, 0.0, -0.3, 2.0, 2.0, T)
     ratio = homogeneous_estimate_check(mode_field(4, 1, 0.3 - 0.4j), params, steps=steps)
     dt = T / steps
-    tj = -2 * T + dt * np.arange(4 * steps + 1)
-    oracle = np.sqrt(dt * np.sum(TimeWindow(T)(tj) ** 2))
+    oracle = np.sqrt(dt * np.sum(_extended_window(steps, dt, T) ** 2))
     assert ratio == pytest.approx(oracle, rel=1e-12)
 
 
@@ -503,7 +499,7 @@ def test_discrete_duhamel_zero():
     out = discrete_duhamel(F)
     assert np.all(out.states == 0)
     params = XsbParams(0.0, 0.3, -0.2, 2.0, 2.0, 0.5)
-    assert xsb_norm(out, params) == xsb_norm(F, params.with_exponent(params.bprime)) == 0.0
+    assert xsb_norm(out, params) == xsb_norm(F, replace(params, b=params.bprime)) == 0.0
 
 
 def test_discrete_duhamel_constant_zero_mode():
@@ -520,10 +516,10 @@ def test_duhamel_closed_form_oracle():
     F = Trajectory(grid, np.ones((steps + 1, 1), dtype=complex))
     params = XsbParams(0.0, 0.0, 0.0, 2.0, 2.0, T)
     lhs = xsb_norm(discrete_duhamel(F), params)
-    rhs = xsb_norm(F, params.with_exponent(params.bprime))
+    rhs = xsb_norm(F, replace(params, b=params.bprime))
     dt = T / steps
     tj = -2 * T + dt * np.arange(4 * steps + 1)
-    w = TimeWindow(T)(tj)
+    w = _extended_window(steps, dt, T)
     assert lhs == pytest.approx(np.sqrt(dt * np.sum((w * np.clip(tj, 0, T)) ** 2)), rel=1e-12)
     assert rhs == pytest.approx(np.sqrt(dt * np.sum(w**2)), rel=1e-12)
 
@@ -544,7 +540,7 @@ def test_duhamel_tfit_regression():
                 F = Trajectory(grid, states)
                 params = XsbParams(0.0, b, bp, 2.0, q, T)
                 lhs = xsb_norm(discrete_duhamel(F), params)
-                rhs = xsb_norm(F, params.with_exponent(params.bprime))
+                rhs = xsb_norm(F, replace(params, b=params.bprime))
                 ratios.append(lhs / rhs)
             med.append(np.median(ratios))
         slope = np.polyfit(np.log(Ts), np.log(med), 1)[0]
