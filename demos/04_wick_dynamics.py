@@ -12,6 +12,7 @@ import numpy as np
 from wickns.dynamics import SolverConfig, gauge_transform, picard_iterate, solve
 from wickns.fields import SpectralField, mode_field
 from wickns.noise import Trajectory
+from wickns.norms import XsbParams
 
 if __name__ == "__main__":
     # single mode: i u' = (|A|^2 - k^2) u, solved exactly; the stepper is first order
@@ -37,7 +38,7 @@ if __name__ == "__main__":
     T = 0.1
     cfg = SolverConfig(cutoff=8, dt=T / 16, horizon=T, picard_tolerance=1e-12)
     psi = Trajectory(cfg.grid(), np.zeros((cfg.steps + 1, 17), dtype=complex))
-    rep = picard_iterate(mode_field(8, 1, 0.1), psi, cfg)
+    rep = picard_iterate(mode_field(8, 1, 0.1), psi, cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon))
     print(f"\npicard on ||u0|| = 0.1, T = {T}: converged in {rep.iterations} iterations")
     print("  successive differences:", ", ".join(f"{d:.2e}" for d in rep.differences))
     print(f"  contraction factor {rep.contraction_factor:.2e}")

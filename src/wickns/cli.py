@@ -56,7 +56,7 @@ from .noise import (
     operator_to_csv,
     trajectory_to_csv,
 )
-from .norms import MIN_GRID_POINTS, fl_norm, gamma_norm, homogeneous_estimate_check, operator_norm, temporal_window_factor
+from .norms import MIN_GRID_POINTS, bracket, fl_norm, gamma_norm, homogeneous_estimate_check, operator_norm, temporal_window_factor
 
 __all__ = ["main"]
 
@@ -327,9 +327,7 @@ def _cmd_variance_test(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     rep = _keyed(
         variance_invariance_test,
         {"horizon/dt": "[solver] dt"},
-        cutoff=scfg.cutoff,
-        T=scfg.horizon,
-        dt=scfg.dt,
+        cfg=scfg,
         samples=cfg.get("lab", "samples"),
         rng=w.stream("ensemble", 3),
         substeps=cfg.get("lab", "substeps"),
@@ -407,7 +405,7 @@ def _cmd_sums(cfg: ExperimentConfig, w: _Writer) -> CommandResult:
     predicted = -lemma_exponent(beta, gamma)
     fitted = None
     if len(pts) >= 2:
-        x = np.log([math.hypot(1.0, d) for d, _ in pts])
+        x = np.log(bracket([d for d, _ in pts]))
         y = np.log([v for _, v in pts])
         fitted = float(np.polyfit(x, y, 1)[0])
     report = {

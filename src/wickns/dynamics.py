@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import SpectralField, _band, _five_smooth, alias_free_length, propagator_phases, to_grid
+from .fields import SpectralField, _five_smooth, alias_free_length, from_grid, propagator_phases, to_grid
 from .noise import NoiseOperator, Trajectory, _check_uniform, _draw_increments, make_grid
 from .norms import DEFAULT_PAD, XsbParams, _xsb_circulant, discrete_duhamel, xsb_norm
 
@@ -59,6 +59,8 @@ class SolverConfig:
         steps = self.horizon / self.dt
         if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ValueError("dt must divide the horizon")
+        if round(steps) < 1:
+            raise ValueError(f"horizon must be at least one step dt = {self.dt!r}, got {self.horizon!r}")
         if not self.picard_tolerance > 0:
             raise ValueError("picard_tolerance must be positive")
 
@@ -77,9 +79,9 @@ def cubic_coeffs_block(U: np.ndarray) -> np.ndarray:
     and wick-check.  A U that is not 2-D is a ValueError.
 
     Rows go through the grid GRID_SAMPLES // L at a time (at least one),
-    so a long block never holds its whole grid at once; each group fills
-    its slice of the result.  Each row is transformed alone, so the
-    grouping does not change a bit."""
+    so a long block never holds its whole grid at once; from_grid writes
+    each group's band into its slice of the result.  Each row is
+    transformed alone, so the grouping does not change a bit."""
     if U.ndim != 2:
         raise ValueError(f"U must be a (B, 2N+1) block of rows, got shape {U.shape}")
     L = alias_free_length((U.shape[1] - 1) // 2)
@@ -95,8 +97,7 @@ def _cubic_on_grid(U: np.ndarray, L: int, out: np.ndarray) -> np.ndarray:
     dens = np.abs(phys)
     np.square(dens, out=dens)  # np.abs(phys) ** 2, bit for bit
     np.multiply(dens, phys, out=phys)
-    # from_grid(phys, N), bit for bit, with the transform in place
-    return _band(np.fft.fft(phys, axis=-1, norm="forward", out=phys), (U.shape[-1] - 1) // 2, out)
+    return from_grid(phys, (U.shape[-1] - 1) // 2, out)
 
 
 def wick_coeffs_block(U: np.ndarray) -> np.ndarray:
@@ -302,12 +303,12 @@ def evolve_wick_rk4ip(
 
 
 def _wick_stage(X: np.ndarray, fwd: np.ndarray, back: np.ndarray, L: int, out: np.ndarray, sq: np.ndarray) -> None:
-    """back * P_N((|G|^2 - 2 M) G) with G = to_grid(fwd * X, L) and M each
-    row's mean of |G|^2, into out, which may be X: an RK4 stage of
-    evolve_wick_rk4ip.  On L >= 2N+1 points the mean of |G|^2 is the
-    Parseval mass sum |fwd * X|^2 exactly, so this is back times the Wick
-    nonlinearity of fwd * X on L points up to rounding.  sq, a float
-    scratch of X's rows by L, takes |G|^2."""
+    """back * P_N((|G|^2 - 2 M) G) with G = to_grid(fwd * X, L), M each
+    row's mean of |G|^2 and P_N by from_grid in place on G, into out, which
+    may be X: an RK4 stage of evolve_wick_rk4ip.  On L >= 2N+1 points the
+    mean of |G|^2 is the Parseval mass sum |fwd * X|^2 exactly, so this is
+    back times the Wick nonlinearity of fwd * X on L points up to rounding.
+    sq, a float scratch of X's rows by L, takes |G|^2."""
     np.multiply(fwd, X, out=out)
     G = to_grid(out, L)
     dens = np.square(G.real, out=sq)
@@ -316,7 +317,7 @@ def _wick_stage(X: np.ndarray, fwd: np.ndarray, back: np.ndarray, L: int, out: n
     mass *= 2.0 / L
     dens -= mass
     np.multiply(dens, G, out=G)
-    _band(np.fft.fft(G, axis=-1, norm="forward", out=G), (out.shape[1] - 1) // 2, out)
+    from_grid(G, (out.shape[1] - 1) // 2, out)
     np.multiply(back, out, out=out)
 
 
@@ -339,7 +340,7 @@ def picard_iterate(
     u0: SpectralField,
     psi: Trajectory,
     cfg: SolverConfig,
-    params: Optional[XsbParams] = None,
+    params: XsbParams,
 ) -> PicardReport:
     """Fixed-point iteration of the mild formulation on psi's grid:
 
@@ -347,17 +348,15 @@ def picard_iterate(
 
     with the left-endpoint discrete Duhamel; noise enters only through psi, the
     sampled convolution.  Successive differences are measured by xsb_norm at
-    params (default s = 0, b = 0.3, b' = -0.3, p = q = 2, T = grid end); the
-    contraction factor is the geometric mean of the difference ratios.  Three
-    consecutive non-contracting ratios abort with a partial report, and so
-    does the first non-finite difference; no ratio is taken against it.
+    params, whose T is the grid end; the contraction factor is the geometric
+    mean of the difference ratios.  Three consecutive non-contracting ratios
+    abort with a partial report, and so does the first non-finite difference;
+    no ratio is taken against it.
     """
     times = psi.times
     dt = _check_uniform(times)
     if abs(dt - cfg.dt) > 1e-9 * cfg.dt or abs(times[-1] - cfg.horizon) > 1e-9:
         raise ValueError("psi must be sampled on the config grid")
-    if params is None:
-        params = XsbParams(s=0.0, b=0.3, bprime=-0.3, p=2.0, q=2.0, T=float(times[-1]))
     if params.q == 2:
         # the cached operator xsb_norm will read, built while no trajectory
         # is alive, so its FFT scratch does not sit on top of them

@@ -57,10 +57,6 @@ class SpectralField:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
-    @property
-    def ns(self) -> np.ndarray:
-        return frequencies(self.cutoff)
-
     def mass(self) -> float:
         """Parseval mass: sum |u_hat(n)|^2."""
         return float(np.sum(np.abs(self.coeffs) ** 2))
@@ -136,26 +132,24 @@ def to_grid(coeffs: np.ndarray, gridpoints: int) -> np.ndarray:
     return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
 
 
-def from_grid(samples: np.ndarray, cutoff: int) -> np.ndarray:
-    """Inverse of to_grid, truncated to frequencies -N..N along the last axis.
+def from_grid(samples: np.ndarray, cutoff: int, out=None) -> np.ndarray:
+    """Inverse of to_grid, truncated to frequencies -N..N along the last axis,
+    written into out (shape (..., 2N+1)) or a new array.
 
     Runs at any length L >= 2N+1 of the last axis (a shorter one is a
-    ValueError) and leaves samples untouched; the forward-normalized
-    transform equals fft(samples) / L bit for bit only when L is a power of
-    two, and to rounding at other lengths."""
-    if samples.shape[-1] < 2 * cutoff + 1:
-        raise ValueError(f"need at least {2 * cutoff + 1} gridpoints to avoid aliasing, got {samples.shape[-1]}")
-    return _band(np.fft.fft(samples, axis=-1, norm="forward"), cutoff)
-
-
-def _band(W: np.ndarray, cutoff: int, out=None) -> np.ndarray:
-    """Frequencies -N..N of spectra W along the last axis, in coefficient
-    order, written into out (shape (..., 2N+1)) or a new array."""
+    ValueError).  The forward-normalized transform runs in place, so
+    samples, which must be complex128, holds its spectrum afterwards; it
+    equals fft(samples) / L bit for bit only when L is a power of two, and
+    to rounding at other lengths."""
+    L = samples.shape[-1]
+    if L < 2 * cutoff + 1:
+        raise ValueError(f"need at least {2 * cutoff + 1} gridpoints to avoid aliasing, got {L}")
+    np.fft.fft(samples, axis=-1, norm="forward", out=samples)
     if out is None:
-        out = np.empty(W.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
-    out[..., cutoff:] = W[..., : cutoff + 1]
+        out = np.empty(samples.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
+    out[..., cutoff:] = samples[..., : cutoff + 1]
     if cutoff > 0:
-        out[..., :cutoff] = W[..., W.shape[-1] - cutoff :]
+        out[..., :cutoff] = samples[..., L - cutoff :]
     return out
 
 

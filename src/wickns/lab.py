@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import evolve_wick_rk4ip
-from .fields import alias_free_length, from_grid, propagator_phases, to_grid
+from .dynamics import SolverConfig, evolve_wick_rk4ip
+from .fields import alias_free_length, frequencies, from_grid, propagator_phases, to_grid
 from .noise import (
     NoiseOperator,
     _increment_blocks,
@@ -139,7 +139,7 @@ def convolution_sum_check(
     """
     if not (beta >= gamma >= 0.0 and beta + gamma > 1.0):
         raise ValueError("need beta >= gamma >= 0 and beta + gamma > 1")
-    n = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
+    n = frequencies(cutoff).astype(np.float64)  # float, so a k1 or k2 beyond int64 still subtracts
     lhs = float(np.sum(bracket(n - k1) ** (-beta) * bracket(n - k2) ** (-gamma)))
     alpha = lemma_exponent(beta, gamma)
     shape = float(bracket(np.float64(k1 - k2)) ** (-alpha))
@@ -218,7 +218,7 @@ def multiplier_supremum_report(
     N = cutoff
     span = 2 * N + 1
 
-    m = np.arange(-N, N + 1)
+    m = frequencies(N)
     wm = bracket(m) ** (-sp)
     # <n2>^{-sp} padded with zeros over n2 in [-3N, 2N]: its Hankel windows are the n2 weights
     wn2 = np.zeros(5 * N + 1)
@@ -337,8 +337,8 @@ def trilinear_ratio(
     params: XsbParams,
     cutoff: int,
     rng: np.random.Generator,
-    alpha: float = 0.75,
-    steps: int = 32,
+    alpha: float,
+    steps: int,
 ) -> TrilinearStats:
     """Empirical distribution of the trilinear-output to input-norm ratio.
 
@@ -524,18 +524,16 @@ def _variance_block_rows(dim: int) -> int:
 
 
 def variance_invariance_test(
-    cutoff: int,
-    T: float,
-    dt: float,
+    cfg: SolverConfig,
     samples: int,
     rng: np.random.Generator,
     substeps: int = 2,
     workers: int = 1,
 ) -> VarianceReport:
-    """Per-mode E|u_hat(t, n)|^2 of the renormalized truncated flow with
-    white-noise data (variance 1) and phi = Id, recorded at t in
-    {T/4, T/2, T}; the exact law has variance 1 + t in every mode.  T/dt
-    must be a multiple of 4, checked before any path is drawn.
+    """Per-mode E|u_hat(t, n)|^2 of the renormalized truncated flow on cfg's
+    grid, with white-noise data (variance 1) and phi = Id, recorded at t in
+    {T/4, T/2, T}, T = cfg.horizon; the exact law has variance 1 + t in every
+    mode.  cfg.steps must be a multiple of 4, checked before any path is drawn.
 
     The ensemble is integrated with the batched interaction-picture RK4
     stepper (the first-order stepper's per-step mass inflation overflows at
@@ -551,14 +549,12 @@ def variance_invariance_test(
     (2N+1)(1 + t), are excluded and counted as blown up; a blow-up fraction
     above 1% flags the report.
     """
-    steps = int(round(T / dt))
-    if abs(steps * dt - T) > 1e-9:
-        raise ValueError("dt must divide T")
+    steps, dt = cfg.steps, cfg.dt
     if steps % 4:
         raise ValueError(f"horizon/dt must be a multiple of 4 so T/4, T/2, T are grid times, got {steps}")
     rec = [steps // 4, steps // 2, steps]
-    dim = 2 * cutoff + 1
-    op = identity_operator(cutoff)
+    dim = 2 * cfg.cutoff + 1
+    op = identity_operator(cfg.cutoff)
 
     block = _variance_block_rows(dim)
 

@@ -69,13 +69,10 @@ class RunManifest:
             {"name": name, "sha256": sha256_file(path), "bytes": os.path.getsize(path)}
         )
 
-    def to_json(self) -> str:
-        return _json_text({**asdict(self), "config_hash": self.config_hash})
-
     def write(self, out_dir: str) -> str:
         path = os.path.join(out_dir, "manifest.json")
         with open(path, "w") as fh:
-            fh.write(self.to_json())
+            fh.write(_json_text({**asdict(self), "config_hash": self.config_hash}))
         return path
 
     @classmethod

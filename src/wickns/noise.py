@@ -394,7 +394,7 @@ def operator_from_csv(text: str) -> NoiseOperator:
         raise ValueError("no matrix entries")
     ns = sorted({e[0] for e in entries})
     N = (len(ns) - 1) // 2
-    full = list(range(-N, N + 1))
+    full = frequencies(N).tolist()
     if ns != full or sorted({e[1] for e in entries}) != full:
         raise ValueError("row and column frequencies must each cover -N..N")
     mat = np.zeros((2 * N + 1, 2 * N + 1), dtype=np.complex128)

@@ -91,17 +91,23 @@ def raised_cosine_ramp(v: np.ndarray) -> np.ndarray:
     return v - np.sin(2.0 * np.pi * v) / (2.0 * np.pi)
 
 
+def _weighted_lp(x: np.ndarray, s: float, p: float):
+    """(sum_n (<n>^s x_n)^p)^(1/p) over the last axis, modes n = -N..N of a
+    (..., 2N+1) array of non-negative x; p = inf is the weighted sup."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    w = bracket(frequencies((x.shape[-1] - 1) // 2)) ** s * x
+    if np.isinf(p):
+        return np.max(w, axis=-1)
+    return np.sum(w**p, axis=-1) ** (1.0 / p)
+
+
 def fl_norm(f: SpectralField, s: float, p: float) -> float:
     """Fourier-Lebesgue norm (sum <n>^{sp} |u_hat(n)|^p)^(1/p); H^s at p = 2.
 
     p = inf is the weighted sup over modes.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    w = bracket(f.ns) ** s * np.abs(f.coeffs)
-    if np.isinf(p):
-        return float(np.max(w))
-    return float(np.sum(w**p) ** (1.0 / p))
+    return float(_weighted_lp(np.abs(f.coeffs), s, p))
 
 
 def gamma_norm(op: NoiseOperator, s: float, p: float) -> float:
@@ -110,12 +116,7 @@ def gamma_norm(op: NoiseOperator, s: float, p: float) -> float:
     For the Bessel multiplier this is ||<n>^{s - alpha}||_{l^p}; at p = 2 it
     coincides with the Hilbert-Schmidt norm into H^s.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    w = bracket(frequencies(op.cutoff)) ** s * op.row_l2()
-    if np.isinf(p):
-        return float(np.max(w))
-    return float(np.sum(w**p) ** (1.0 / p))
+    return float(_weighted_lp(op.row_l2(), s, p))
 
 
 def operator_norm(op: NoiseOperator) -> float:
@@ -125,18 +126,13 @@ def operator_norm(op: NoiseOperator) -> float:
     return float(np.linalg.norm(op.matrix, 2))
 
 
-def _validate_xsb_grid(times: np.ndarray, params: XsbParams) -> float:
+def _interaction(states: np.ndarray, times: np.ndarray, params: XsbParams):
+    """(S(-t) u on each slice of states, dt) after the grid checks."""
     dt = _check_uniform(times)
     if len(times) < MIN_GRID_POINTS:
         raise ValueError(f"grid too coarse: need at least {MIN_GRID_POINTS} points")
     if abs(times[0]) > 1e-12 or abs(times[-1] - params.T) > 1e-9 * max(1.0, params.T):
         raise ValueError("trajectory grid must cover [0, T]")
-    return dt
-
-
-def _interaction(states: np.ndarray, times: np.ndarray, params: XsbParams):
-    """(S(-t) u on each slice of states, dt) after the grid checks."""
-    dt = _validate_xsb_grid(times, params)
     modes = states.shape[-1]
     grid = np.asarray(times, dtype=np.float64).tobytes()
     return states * _inverse_phases((modes - 1) // 2, grid), dt
@@ -315,8 +311,6 @@ def xsb_norm_batch(
 
 def _xsb_norms(states, times, params, pad) -> np.ndarray:
     B = states.shape[0]
-    modes = states.shape[-1]
-    wn = bracket(frequencies((modes - 1) // 2)) ** params.s
     out = np.empty(B, dtype=np.float64)
     for lo in range(0, B, _CHUNK):
         hi = min(lo + _CHUNK, B)
@@ -326,8 +320,7 @@ def _xsb_norms(states, times, params, pad) -> np.ndarray:
         else:
             v, dt = _extend_and_window(states[lo:hi], times, params)
             tf = _modulation_lq(v, dt, params.b, params.q, pad)
-        weighted = wn * tf
-        out[lo:hi] = np.sum(weighted**params.p, axis=-1) ** (1.0 / params.p)
+        out[lo:hi] = _weighted_lp(tf, params.s, params.p)
     return out
 
 

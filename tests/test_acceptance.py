@@ -64,7 +64,7 @@ def test_c02_convolution_variance_matches_ito_isometry():
 
 
 def test_c03_per_mode_variance_tracks_one_plus_t():
-    rep = variance_invariance_test(16, 0.5, 1 / 256, 10_000, philox_stream(99), substeps=2, workers=2)
+    rep = variance_invariance_test(SolverConfig(16, 1 / 256, 0.5), 10_000, philox_stream(99), substeps=2, workers=2)
     assert not rep.flagged
     assert rep.max_rel_dev <= 0.05
 
@@ -143,7 +143,7 @@ def test_c08_picard_contracts_and_tightens_as_horizon_halves():
     for T in (0.1, 0.05, 0.025):
         cfg = SolverConfig(cutoff=8, dt=T / 16, horizon=T, picard_tolerance=1e-12)
         psi = Trajectory(cfg.grid(), np.zeros((cfg.steps + 1, 17), dtype=complex))
-        rep = picard_iterate(mode_field(8, 1, 0.1), psi, cfg)
+        rep = picard_iterate(mode_field(8, 1, 0.1), psi, cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon))
         assert rep.converged
         assert max(rep.ratios) < 0.5
         factors.append(rep.contraction_factor)

@@ -687,6 +687,12 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         ("[run]\ncommand = multiplier\n\n[norms]\nb = 0.95\n", "[norms] b, bprime, p: need -1/p < bprime < 0 < b < 1 - 1/p, got b = 0.95"),
         ("[run]\ncommand = tail-mc\n\n[norms]\nb = 0.6\nq = 2\n", "[norms] b: need b < 1 - 1/q = 0.5 for a finite tail scale, got 0.6"),
         ("[run]\ncommand = variance-test\n\n[solver]\ndt = 0.05\nhorizon = 0.25\n", "[solver] dt: horizon/dt must be a multiple of 4"),
+        # a horizon under half a step rounded to 0 steps and passed the divisibility
+        # check: solve and sample-noise exited 2 naming no key, variance-test on a failed SVD
+        *(
+            (f"[run]\ncommand = {cmd}\n\n[solver]\ndt = 1.0\nhorizon = 1e-12\n", "[solver] horizon: horizon must be at least one step dt = 1.0, got 1e-12")
+            for cmd in ("variance-test", "solve", "sample-noise")
+        ),
         # the lattice-sum exponents; they used to exit 2 naming no key, under a flagged manifest
         ("[run]\ncommand = sums\n\n[lab]\nbeta = 0.5\ngamma = 0.6\n", "[lab] beta, gamma: need beta >= gamma >= 0 and beta + gamma > 1"),
     ):

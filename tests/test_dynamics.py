@@ -485,7 +485,7 @@ def _zero_psi(cfg):
 
 def test_picard_trivial_converges_first_iteration():
     cfg = SolverConfig(cutoff=3, dt=0.1 / 16, horizon=0.1)
-    rep = picard_iterate(zero_field(3), _zero_psi(cfg), cfg)
+    rep = picard_iterate(zero_field(3), _zero_psi(cfg), cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon))
     assert rep.converged
     assert rep.iterations == 1
     assert np.all(rep.solution.states == 0)
@@ -493,7 +493,7 @@ def test_picard_trivial_converges_first_iteration():
 
 def test_picard_small_data_contracts():
     cfg = SolverConfig(cutoff=4, dt=0.1 / 16, horizon=0.1, picard_tolerance=1e-12)
-    rep = picard_iterate(mode_field(4, 1, 0.1), _zero_psi(cfg), cfg)
+    rep = picard_iterate(mode_field(4, 1, 0.1), _zero_psi(cfg), cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon))
     assert rep.converged
     assert max(rep.ratios) < 0.5
     assert rep.contraction_factor < 0.5
@@ -503,7 +503,7 @@ def test_picard_limit_matches_stepper():
     cfg = SolverConfig(
         cutoff=4, dt=0.1 / 16, horizon=0.1, picard_max_iters=40, picard_tolerance=1e-12
     )
-    rep = picard_iterate(mode_field(4, 1, 0.1), _zero_psi(cfg), cfg)
+    rep = picard_iterate(mode_field(4, 1, 0.1), _zero_psi(cfg), cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon))
     traj = solve(mode_field(4, 1, 0.1), None, cfg)
     sup = max(
         fl_norm(SpectralField(4, rep.solution.states[m] - traj.states[m]), 0.0, 2.0)
@@ -515,7 +515,7 @@ def test_picard_limit_matches_stepper():
 def test_picard_non_contracting_diagnosed():
     u_big = SpectralField(4, np.array([0, 0, 0, 1.5, 1.5, 0, 0, 0, 0], dtype=complex))
     cfg = SolverConfig(cutoff=4, dt=1 / 32, horizon=0.5)
-    rep = picard_iterate(u_big, _zero_psi(cfg), cfg)
+    rep = picard_iterate(u_big, _zero_psi(cfg), cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon))
     assert rep.non_contracting
     assert not rep.converged
     assert len(rep.ratios) >= 3 and all(r >= 1.0 for r in rep.ratios[-3:])
@@ -527,7 +527,7 @@ def test_picard_stops_at_first_non_finite_difference():
     cfg = SolverConfig(cutoff=8, dt=1 / 128, horizon=0.25, picard_max_iters=8)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rep = picard_iterate(SpectralField(8, np.full(17, 1e12 + 0j)), _zero_psi(cfg), cfg)
+        rep = picard_iterate(SpectralField(8, np.full(17, 1e12 + 0j)), _zero_psi(cfg), cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon))
     assert rep.non_finite and not rep.converged and not rep.non_contracting
     assert rep.iterations == len(rep.differences) < cfg.picard_max_iters
     assert np.all(np.isfinite(rep.differences[:-1])) and not np.isfinite(rep.differences[-1])
@@ -590,5 +590,5 @@ def test_picard_grid_mismatch():
     cfg = SolverConfig(cutoff=3, dt=1 / 32, horizon=0.5)
     bad = Trajectory(np.linspace(0, 0.25, cfg.steps + 1), np.zeros((cfg.steps + 1, 7), dtype=complex))
     with pytest.raises(ValueError):
-        picard_iterate(zero_field(3), bad, cfg)
+        picard_iterate(zero_field(3), bad, cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon))
 

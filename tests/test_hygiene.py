@@ -265,15 +265,21 @@ def test_grid_length_scan_flags_only_hard_coded_lengths():
 
 def test_fft_lengths_live_only_in_fields():
     # the two length rules are defined once, beside to_grid, and every grid
-    # length elsewhere in the package is one of theirs
-    defined, hard_coded = [], {}
+    # length elsewhere in the package is one of theirs; every coefficient <->
+    # grid transform goes through to_grid and from_grid, so numpy's FFT is
+    # read only there and by the X^{s,b} time transforms in norms
+    defined, hard_coded, fft_users = [], {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
-        defined += [f"{path.stem}.{n.name}" for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name in GRID_HELPERS]
+        tree = ast.parse(source)
+        defined += [f"{path.stem}.{n.name}" for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in GRID_HELPERS]
         if path.name != "fields.py" and (bad := hard_coded_grid_lengths(source)):
             hard_coded[path.name] = bad
+        if any(isinstance(n, ast.Attribute) and n.attr == "fft" and getattr(n.value, "id", None) == "np" for n in ast.walk(tree)):
+            fft_users.append(path.stem)
     assert sorted(defined) == ["fields._five_smooth", "fields.alias_free_length"]
     assert hard_coded == {}
+    assert fft_users == ["fields", "norms"]
 
 
 def philox_callers(source: str) -> list[str]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wickns import (
+    SolverConfig,
     XsbParams,
     bessel_operator,
     bracket,
@@ -240,7 +241,7 @@ def test_trilinear_forcing_single_triple():
 
 def test_trilinear_ratio_stats_shape():
     stats = trilinear_ratio(
-        50, XsbParams(0.1, 0.74, -0.24, 4.0, 2.0, 0.5), 8, philox_stream(606, 8)
+        50, XsbParams(0.1, 0.74, -0.24, 4.0, 2.0, 0.5), 8, philox_stream(606, 8), alpha=0.75, steps=32
     )
     assert stats.count + stats.filtered == 50
     assert 0 < stats.p50 <= stats.p90 <= stats.p99 <= stats.max
@@ -334,7 +335,7 @@ def test_range_checks_name_their_values_before_any_ensemble_work(monkeypatch):
             "need -1/p < bprime < 0 < b < 1 - 1/p, got b = 0.95, bprime = -0.3, p = 2.0",
         ),
         (
-            lambda: variance_invariance_test(4, 0.25, 0.05, 100, philox_stream(0)),
+            lambda: variance_invariance_test(SolverConfig(4, 0.05, 0.25), 100, philox_stream(0)),
             "horizon/dt must be a multiple of 4 so T/4, T/2, T are grid times, got 5",
         ),
     )
@@ -349,7 +350,7 @@ def test_range_checks_name_their_values_before_any_ensemble_work(monkeypatch):
 
 
 def test_variance_report_small_ensemble():
-    rep = variance_invariance_test(4, 0.25, 1 / 64, 400, philox_stream(62), substeps=2)
+    rep = variance_invariance_test(SolverConfig(4, 1 / 64, 0.25), 400, philox_stream(62), substeps=2)
     assert rep.times == (0.0625, 0.125, 0.25)
     assert rep.target(0.0) == 1.0
     assert rep.target(0.25) == 1.25
@@ -401,7 +402,7 @@ def _whole_draw_report(N, T, dt, B, seed, substeps):
 def test_variance_row_blocks_match_whole_draw_oracle():
     # 1007 rows at N = 4 are one block of the 911-row floor; the partial
     # blow-up test below spans two
-    rep = variance_invariance_test(4, 0.25, 1 / 256, 1007, philox_stream(63), substeps=1)
+    rep = variance_invariance_test(SolverConfig(4, 1 / 256, 0.25), 1007, philox_stream(63), substeps=1)
     assert rep.blowup_fraction == 0.0
     assert asdict(rep) == _whole_draw_report(4, 0.25, 1 / 256, 1007, 63, 1)
 
@@ -410,14 +411,14 @@ def test_variance_partial_blowup_matches_whole_draw_oracle():
     # 11 of 600 paths go non-finite, in both 300-row blocks, and
     # one more stays finite but reaches |u_hat| ~ 1.9e27; the sums over the
     # other paths keep the bits of the whole draw
-    rep = variance_invariance_test(16, 0.25, 1 / 128, 600, philox_stream(99), substeps=1)
+    rep = variance_invariance_test(SolverConfig(16, 1 / 128, 0.25), 600, philox_stream(99), substeps=1)
     assert rep.blowup_fraction == 1.0 - 588 / 600
     assert asdict(rep) == _whole_draw_report(16, 0.25, 1 / 128, 600, 99, 1)
 
 
 def test_variance_test_holds_one_row_block_of_increments():
     # the whole increment block would be 2000 * 64 * 9 complex = 18.4 MB
-    _, peak = traced_peak(lambda: variance_invariance_test(4, 0.25, 1 / 256, 2000, philox_stream(5), substeps=1))
+    _, peak = traced_peak(lambda: variance_invariance_test(SolverConfig(4, 1 / 256, 0.25), 2000, philox_stream(5), substeps=1))
     assert peak < 2000 * 64 * 9 * 16
 
 
@@ -437,7 +438,7 @@ def test_variance_chunk_splits_into_near_equal_row_blocks(monkeypatch, samples, 
     sizes = []
     step = lab.evolve_wick_rk4ip
     monkeypatch.setattr(lab, "evolve_wick_rk4ip", lambda U0, *a: sizes.append(len(U0)) or step(U0, *a))
-    variance_invariance_test(16, 1 / 64, 1 / 256, samples, philox_stream(5), substeps=1)
+    variance_invariance_test(SolverConfig(16, 1 / 256, 1 / 64), samples, philox_stream(5), substeps=1)
     assert sizes[::3] == blocks
     assert sizes == [b for b in blocks for _ in range(3)]
 
@@ -448,13 +449,13 @@ def test_variance_long_horizon_holds_one_rule_sized_block():
     # buffers add under 6 MB, whatever the horizon
     steps, dim = 64, 33
     rows = lab._variance_block_rows(dim)
-    _, peak = traced_peak(lambda: variance_invariance_test(16, 0.25, 1 / 256, 500, philox_stream(5), substeps=1))
+    _, peak = traced_peak(lambda: variance_invariance_test(SolverConfig(16, 1 / 256, 0.25), 500, philox_stream(5), substeps=1))
     assert peak < rows * steps * dim * 16 + (6 << 20)
 
 
 def test_variance_grid_guards():
     with pytest.raises(ValueError):
-        variance_invariance_test(4, 0.25, 0.3, 1000, philox_stream(0))
+        variance_invariance_test(SolverConfig(4, 0.3, 0.25), 1000, philox_stream(0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import wickns
 from wickns import (
     NoiseOperator,
     SolverConfig,
+    XsbParams,
     SpectralField,
     Trajectory,
     bessel_operator,
@@ -491,7 +492,7 @@ def test_internal_trajectories_are_read_only():
         convolution_from_path(op, grid, _increments(grid, 2, seed=3)),
         discrete_duhamel(psi),
         solve(u0, op, cfg, rng=philox_stream(6)),
-        picard_iterate(u0, psi, cfg).solution,
+        picard_iterate(u0, psi, cfg, XsbParams(0.0, 0.3, -0.3, 2.0, 2.0, cfg.horizon)).solution,
     ]
     for traj in built:
         assert not traj.states.flags.writeable and not traj.times.flags.writeable

@@ -115,7 +115,7 @@ def test_fl_norm_bracket_weighted_sum():
 
 def test_fl_norm_sup_case(rng):
     f = random_field(5, rng)
-    w = bracket(f.ns) ** 0.7 * np.abs(f.coeffs)
+    w = bracket(frequencies(f.cutoff)) ** 0.7 * np.abs(f.coeffs)
     assert fl_norm(f, 0.7, np.inf) == pytest.approx(np.max(w), rel=1e-15)
 
 
@@ -267,7 +267,7 @@ def test_gamma_ideal_property(rng):
 
 def _free_flow(f, T, steps):
     times = np.linspace(0.0, T, steps + 1)
-    states = f.coeffs[None, :] * np.exp(1j * np.outer(times, f.ns.astype(float) ** 2))
+    states = f.coeffs[None, :] * np.exp(1j * np.outer(times, frequencies(f.cutoff).astype(float) ** 2))
     return Trajectory(times, states)
 
 
