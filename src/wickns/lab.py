@@ -25,7 +25,10 @@ from .dynamics import SolverConfig, evolve_wick_rk4ip
 from .fields import alias_free_length, frequencies, from_grid, propagator_phases, to_grid
 from .noise import (
     NoiseOperator,
+    _check_uniform,
+    _free_recursion,
     _increment_blocks,
+    _increment_blocks_kept_real,
     _unit_complex_normal,
     bessel_operator,
     convolution_paths_block,
@@ -57,6 +60,10 @@ LEMMA_EPS = 0.01  # fixed epsilon of the beta = 1 borderline case
 # paths per ensemble chunk; each chunk has its own stream, so a size fixes the results at a seed
 TAIL_CHUNK = 500
 VARIANCE_CHUNK = 2500
+# paths a tail-mc chunk draws, recurses and norms at a time; a divisor of
+# TAIL_CHUNK, so a full chunk is 10 equal blocks and a traced run's summed
+# per-call flop count does not depend on the order the workers finish in
+_TAIL_ROWS = 50
 # A variance row block puts at least _MIN_BLOCK_VALUES coefficients (rows * (2N+1))
 # through a stepper call, since each step of a call costs about 0.2 ms of Python
 # overhead (0.19 ms on one row at 2 substeps); it holds about 128 KiB of noise
@@ -444,6 +451,14 @@ def tail_estimate_mc(
     least 3 distinct positive lambdas and b < 1 - 1/q (the temporal weight
     must be integrable on the window); each is checked before any path is
     drawn.
+
+    A chunk of TAIL_CHUNK paths draws its increments with the bits of one
+    whole convolution block, _TAIL_ROWS paths at a time through
+    noise._increment_blocks_kept_real, into slots 1..steps of one reused
+    buffer of that many paths; each row block is recursed in place and
+    normed by xsb_norm_batch, whose bits do not depend on how paths are
+    grouped.  So a chunk holds its real parts, one row block and one norm
+    pass, not its whole complex block.
     """
     if samples < 1000:
         raise ValueError(f"samples must be at least 1000, got {samples}")
@@ -457,9 +472,16 @@ def tail_estimate_mc(
     if not params.b < 1.0 - 1.0 / params.q:
         raise ValueError(f"need b < 1 - 1/q = {1.0 - 1.0 / params.q!r} for a finite tail scale, got {params.b!r}")
     grid = make_grid(params.T, steps)
+    dt = _check_uniform(grid)
 
     def one(sub: np.random.Generator, size: int) -> np.ndarray:
-        return xsb_norm_batch(convolution_paths_block(op, grid, sub, size), grid, params)
+        out = np.empty(size)
+        psi = np.zeros((min(_TAIL_ROWS, size), steps + 1, 2 * op.cutoff + 1), dtype=np.complex128)
+        for rows, z in _increment_blocks_kept_real(sub, (size, steps, psi.shape[2]), dt, _TAIL_ROWS, psi[:, 1:]):
+            block = psi[: len(z)]
+            _free_recursion(op, block, dt)
+            out[rows] = xsb_norm_batch(block, grid, params)
+        return out
 
     norms = np.concatenate(_chunk_map(one, samples, TAIL_CHUNK, rng, workers))
     med = float(np.median(norms))

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -11,11 +12,13 @@ from wickns import (
     XsbParams,
     bessel_operator,
     bracket,
+    convolution_paths_block,
     convolution_sum_check,
     criticality_report,
     divisor_bound_scan,
     divisor_count,
     lemma_exponent,
+    make_grid,
     multiplier_supremum_report,
     philox_stream,
     tail_estimate_mc,
@@ -23,9 +26,10 @@ from wickns import (
     trilinear_ratio,
     variance_invariance_test,
     wick_trilinear,
+    xsb_norm_batch,
 )
 import wickns
-from wickns import lab
+from wickns import lab, noise
 from wickns.dynamics import evolve_wick_rk4ip
 from wickns.noise import _complex_normal, _draw_increments
 from conftest import random_field, traced_peak
@@ -273,6 +277,49 @@ def test_tail_worker_count_invariant():
     r1 = tail_estimate_mc(op, params, [0.8, 1.0, 1.2, 1.5], 1200, philox_stream(91), steps=32, workers=1)
     r3 = tail_estimate_mc(op, params, [0.8, 1.0, 1.2, 1.5], 1200, philox_stream(91), steps=32, workers=3)
     assert r1 == r3
+
+
+def test_tail_chunks_match_whole_blocks(monkeypatch):
+    # a chunk recurses and norms its paths 50 at a time: the norms of its
+    # whole convolution block, bit for bit, and the stream left where that
+    # block's draw leaves it
+    op, params = bessel_operator(8, 0.75), XsbParams(0.0, 0.45, -0.1, 2.0, 2.0, 0.5)
+    grid, chunk_map, seen = make_grid(params.T, 32), lab._chunk_map, []
+
+    def checked(fn, *args):
+        def one(sub, size):
+            twin = np.random.Generator(copy.deepcopy(sub.bit_generator))
+            got = fn(sub, size)
+            want = xsb_norm_batch(convolution_paths_block(op, grid, twin, size), grid, params)
+            seen.append((size, np.array_equal(got, want), np.array_equal(sub.standard_normal(2), twin.standard_normal(2))))
+            return got
+
+        return chunk_map(one, *args)
+
+    monkeypatch.setattr(lab, "_chunk_map", checked)
+    tail_estimate_mc(op, params, [0.8, 1.0, 1.2, 1.5], 1200, philox_stream(91), steps=32)
+    assert seen == [(500, True, True), (500, True, True), (200, True, True)]
+
+
+def test_tail_chunk_peak_is_its_real_parts_one_block_and_one_norm_pass(monkeypatch):
+    # a 500-path chunk at N = 16 and 32 steps holds its real parts (4.2 MB),
+    # one 50-path block (0.9 MB), the draw buffer and one norm pass, where
+    # it held the whole complex block (8.7 MB) and a 64-path norm pass
+    op, params = bessel_operator(16, 0.75), XsbParams(0.0, 0.45, -0.1, 2.0, 2.0, 0.5)
+    grid, chunks = make_grid(params.T, 32), []
+
+    def first_chunk(fn, *args):
+        chunks.append(fn)
+        raise StopIteration
+
+    monkeypatch.setattr(lab, "_chunk_map", first_chunk)
+    with pytest.raises(StopIteration):
+        tail_estimate_mc(op, params, [1.0, 1.2, 1.5], 1000, philox_stream(5), steps=32)
+    chunks[0](philox_stream(6), 2)  # the propagator phases and the norm's operator are built once
+    block = convolution_paths_block(op, grid, philox_stream(7), lab._TAIL_ROWS)
+    _, norm_pass = traced_peak(lambda: xsb_norm_batch(block, grid, params))
+    _, peak = traced_peak(lambda: chunks[0](philox_stream(8), 500))
+    assert peak < 8 * 500 * 32 * 33 + block.nbytes + 8 * noise._DRAW_BUF + norm_pass + (1 << 18)
 
 
 def test_tail_sparse_ladder_is_error():

@@ -39,6 +39,7 @@ from wickns.noise import (
     _draw_increments,
     _fill_normal,
     _increment_blocks,
+    _increment_blocks_kept_real,
 )
 from conftest import traced_peak
 
@@ -219,6 +220,23 @@ def test_increment_blocks_match_whole_draw(B, rows):
     got = [z.copy() for _, z in _increment_blocks(rng, shape, dt, rows)]
     assert all(np.array_equal(z, want[r]) for r, z in zip(slices, got))
     assert all(np.shares_memory(z, blocks[0][1]) for _, z in blocks)
+
+
+@pytest.mark.parametrize("B, rows", [(1007, 500), (3, 500), (1000, 500), (7, 2)])
+def test_increment_blocks_kept_real_match_whole_draw(B, rows):
+    # the bits of one whole draw, into slots 1.. of the caller's buffer, and
+    # the stream left where that draw leaves it
+    shape, dt = (B, 6, 5), 1 / 64
+    rng, whole = philox_stream(8, 2), philox_stream(8, 2)
+    want = _draw_increments(whole, shape, dt)
+    into = np.zeros((min(rows, B), shape[1] + 1, shape[2]), dtype=np.complex128)
+    slices = []
+    for r, z in _increment_blocks_kept_real(rng, shape, dt, rows, into[:, 1:]):
+        assert np.shares_memory(z, into) and np.array_equal(z, want[r])
+        slices.append(r)
+    assert slices == [slice(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
+    assert not into[:, 0].any()
+    assert np.array_equal(rng.standard_normal(4), whole.standard_normal(4))
 
 
 @pytest.mark.parametrize("shape", [(2 * _DRAW_BUF + 7,), (3, _DRAW_BUF + 5), (301, 16, 9)])
@@ -525,7 +543,7 @@ def test_grid_csv_matches_row_oracle(N):
     # awkward floats in both the time column and the values; each time and
     # frequency string is formatted once and repeated, and the rows are
     # formatted in blocks of whole times, so compare bytes on both sides of
-    # a block boundary (N = 64: a matrix table of two blocks)
+    # a block boundary (N = 64: a matrix table of five blocks)
     odd = np.array([-0.0, 0.0, 1e-05, 1e16, 5e-324, -2.0, 3.0, 0.1, -1e-300, 1.5e308])
     dim = 2 * N + 1
     block = _CSV_BLOCK_ROWS // dim
