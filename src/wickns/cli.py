@@ -13,9 +13,10 @@ the only environment override (output directory; the --out flag wins).
 Importing the package defaults OPENBLAS_NUM_THREADS to 1 unless it is set,
 so the CLI runs OpenBLAS on one thread; the only parallelism is --workers.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime failure (partial
-outputs plus a flagged manifest stay on disk; a command exits 2 exactly when
-its manifest carries a truthy flag), 3 a --assert check failed.
+Exit codes: 0 success, 1 usage/config error (the output directory is left
+as it was), 2 runtime failure (resolved_config.ini, the outputs written so
+far and a flagged manifest stay on disk; a command exits 2 exactly when its
+manifest carries a truthy flag), 3 a --assert check failed.
 """
 
 from __future__ import annotations
@@ -68,29 +69,35 @@ RUNTIME_ERRORS = (ValueError, OSError, ArithmeticError, MemoryError)
 class _Writer:
     """Records a run's output files in creation order, starting with
     resolved_config.ini, and the Philox streams it draws, straight into the
-    run's manifest.  A manifest an earlier run left in out_dir is removed
-    first, so a run that ends before sealing leaves none that vouches for the
-    new files.  It also notes what it creates, for `discard`."""
+    run's manifest.  Nothing touches out_dir before the run's first write,
+    so a config error, which every handler raises before it writes, leaves
+    out_dir as it found it."""
 
     def __init__(self, out_dir: str, cfg: ExperimentConfig):
         self.t0 = time.monotonic()
         self.out_dir = out_dir
         self.seed = cfg.seed
         self.man = RunManifest(command=cfg.command, resolved_config=cfg.resolved, code_version=__version__)
-        self.made_dir = not os.path.isdir(out_dir)
-        self.created = []  # paths of files that did not exist before this run wrote them
-        os.makedirs(out_dir, exist_ok=True)
+
+    def begin(self) -> None:
+        """The run's first write, done once: makes out_dir, removes a
+        manifest.json an earlier run left there, so none vouches for the new
+        files, and writes resolved_config.ini."""
+        if self.man.outputs:
+            return
+        os.makedirs(self.out_dir, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, "manifest.json"))
-        self.text("resolved_config.ini", self.man.resolved_config)
+            os.remove(os.path.join(self.out_dir, "manifest.json"))
+        self._put("resolved_config.ini", self.man.resolved_config)
 
     def text(self, name: str, body: str | Iterable[str]) -> None:
         """Writes body, a str or the pieces of one in order, to out_dir/name."""
-        path = os.path.join(self.out_dir, name)
-        if not os.path.exists(path):
-            self.created.append(path)
+        self.begin()
+        self._put(name, body)
+
+    def _put(self, name: str, body: str | Iterable[str]) -> None:
         # pieces one by one, so a streamed table is never joined
-        with open(path, "w") as fh:
+        with open(os.path.join(self.out_dir, name), "w") as fh:
             fh.writelines((body,) if isinstance(body, str) else body)
         self.man.record_output(self.out_dir, name)
 
@@ -98,17 +105,6 @@ class _Writer:
         """The Philox stream (seed, *key), recorded as task_seeds[label]."""
         self.man.task_seeds[label] = [self.seed, *key]
         return philox_stream(self.seed, *key)
-
-    def discard(self) -> None:
-        """Removes the files this run created, and out_dir if this run made
-        it and it is left empty, so a config error leaves what a parse-time
-        one leaves.  A file the run overwrote cannot be restored; it stays."""
-        for path in self.created:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        if self.made_dir:
-            with contextlib.suppress(OSError):
-                os.rmdir(self.out_dir)
 
     def seal(self, command: str, flags: dict) -> None:
         """Writes manifest.json with the run's command, flags and wall time."""
@@ -472,10 +468,11 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, assert_checks: bool) -> tuple
     try:
         result = HANDLERS[cfg.command](cfg, w)
     except ConfigError:
-        w.discard()
         raise
     except RUNTIME_ERRORS as exc:
-        # a runtime failure keeps the outputs written so far under a flagged manifest
+        # a runtime failure keeps the outputs written so far under a flagged
+        # manifest; an out_dir that cannot be made raises again here, unprinted
+        w.begin()
         msg = str(exc) or type(exc).__name__
         print(f"wickns: error: {msg}", file=sys.stderr)
         result = CommandResult({}, flags={"error": msg})
@@ -562,7 +559,7 @@ def _cmd_rerun(args) -> int:
     if old.command.startswith("sweep:"):
         _run_sweep(cfg, base, assert_checks=False)
     else:
-        _run_into(cfg.with_value("run", "command", old.command), base, assert_checks=False)
+        _run_into(cfg, base, assert_checks=False)
     new = RunManifest.load(os.path.join(base, "manifest.json"))
     problems = []
     if new.flags != old.flags:

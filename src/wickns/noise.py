@@ -252,7 +252,8 @@ def _unit_complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def _draw_increments(rng: np.random.Generator, shape, dt: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     # One block draw per path or ensemble: the stream layout is independent
     # of how steps or modes are later traversed.  _increment_blocks draws the
-    # same bits one row block at a time, in O(rows) memory.
+    # same bits one row block at a time, in O(rows) memory, and
+    # _increment_blocks_kept_real does so holding every real part at once.
     z = _complex_normal(rng, shape, out)
     z *= np.sqrt(dt / 2.0)
     return z

@@ -640,6 +640,40 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+# config errors raised in a command's handler, each naming its key or keys:
+# single-key range checks of the built solver and norm parameters, and the
+# relations between keys that a lab function checks before any work
+KEYED_CONFIG_ERRORS = (
+    ("[run]\ncommand = norms\n\n[norms]\nt = 2.0\n", "[norms] t: T must lie in (0, 1]"),
+    ("[run]\ncommand = norms\n\n[norms]\np = 1.0\n", "[norms] p: p must lie in (1, inf)"),
+    ("[run]\ncommand = solve\n\n[solver]\ndt = 0.3\nhorizon = 0.5\n", "[solver] dt: dt must divide the horizon"),
+    ("[run]\ncommand = picard\n\n[solver]\nhorizon = 1.5\n", "[solver] horizon: T must lie in (0, 1]"),
+    ("[run]\ncommand = criticality\n\n[lab]\np = 0.5\n", "[lab] p: must lie in (1, inf], got '0.5'"),
+    # tail-mc's own ranges; the first two used to exit 2 naming no key
+    ("[run]\ncommand = tail-mc\n\n[lab]\nsamples = 999\n", "[lab] samples: samples must be at least 1000, got 999"),
+    ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", "[lab] lambdas: lambdas must hold at least 3 lambda levels, got 2"),
+    ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 0, 1, 2\n", "[lab] lambdas: lambdas must be positive multipliers"),
+    # repeated levels used to fit a line on equal abscissae, exit 0 with r_squared 0
+    ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.0, 1.0\n", "[lab] lambdas: lambdas must hold at least 3 distinct levels, got [1.0, 1.0, 1.0]"),
+    # the divisor scan's range; it used to exit 2 naming no key, under a flagged manifest
+    ("[run]\ncommand = divisors\n\n[lab]\ndelta = 0\n", "[lab] delta: delta must be positive, got 0.0"),
+    ("[run]\ncommand = divisors\n\n[lab]\ndelta = -0.5\n", "[lab] delta: delta must be positive, got -0.5"),
+    # exponents outside the trilinear window, b past the tail scale, and
+    # T/4 off the grid used to exit 2 naming no key, under a flagged manifest
+    ("[run]\ncommand = multiplier\n\n[norms]\nb = 0.95\n", "[norms] b, bprime, p: need -1/p < bprime < 0 < b < 1 - 1/p, got b = 0.95"),
+    ("[run]\ncommand = tail-mc\n\n[norms]\nb = 0.6\nq = 2\n", "[norms] b: need b < 1 - 1/q = 0.5 for a finite tail scale, got 0.6"),
+    ("[run]\ncommand = variance-test\n\n[solver]\ndt = 0.05\nhorizon = 0.25\n", "[solver] dt: horizon/dt must be a multiple of 4"),
+    # a horizon under half a step rounded to 0 steps and passed the divisibility
+    # check: solve and sample-noise exited 2 naming no key, variance-test on a failed SVD
+    *(
+        (f"[run]\ncommand = {cmd}\n\n[solver]\ndt = 1.0\nhorizon = 1e-12\n", "[solver] horizon: horizon must be at least one step dt = 1.0, got 1e-12")
+        for cmd in ("variance-test", "solve", "sample-noise")
+    ),
+    # the lattice-sum exponents; they used to exit 2 naming no key, under a flagged manifest
+    ("[run]\ncommand = sums\n\n[lab]\nbeta = 0.5\ngamma = 0.6\n", "[lab] beta, gamma: need beta >= gamma >= 0 and beta + gamma > 1"),
+)
+
+
 def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 1
     assert "wickns: config error:" in capsys.readouterr().err
@@ -666,36 +700,8 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert msg in capsys.readouterr().err
 
-    # single-key range checks of the built solver and norm parameters name their key
-    for text, msg in (
-        ("[run]\ncommand = norms\n\n[norms]\nt = 2.0\n", "[norms] t: T must lie in (0, 1]"),
-        ("[run]\ncommand = norms\n\n[norms]\np = 1.0\n", "[norms] p: p must lie in (1, inf)"),
-        ("[run]\ncommand = solve\n\n[solver]\ndt = 0.3\nhorizon = 0.5\n", "[solver] dt: dt must divide the horizon"),
-        ("[run]\ncommand = picard\n\n[solver]\nhorizon = 1.5\n", "[solver] horizon: T must lie in (0, 1]"),
-        ("[run]\ncommand = criticality\n\n[lab]\np = 0.5\n", "[lab] p: must lie in (1, inf], got '0.5'"),
-        # tail-mc's own ranges; the first two used to exit 2 naming no key
-        ("[run]\ncommand = tail-mc\n\n[lab]\nsamples = 999\n", "[lab] samples: samples must be at least 1000, got 999"),
-        ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.2\n", "[lab] lambdas: lambdas must hold at least 3 lambda levels, got 2"),
-        ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 0, 1, 2\n", "[lab] lambdas: lambdas must be positive multipliers"),
-        # repeated levels used to fit a line on equal abscissae, exit 0 with r_squared 0
-        ("[run]\ncommand = tail-mc\n\n[lab]\nlambdas = 1.0, 1.0, 1.0\n", "[lab] lambdas: lambdas must hold at least 3 distinct levels, got [1.0, 1.0, 1.0]"),
-        # the divisor scan's range; it used to exit 2 naming no key, under a flagged manifest
-        ("[run]\ncommand = divisors\n\n[lab]\ndelta = 0\n", "[lab] delta: delta must be positive, got 0.0"),
-        ("[run]\ncommand = divisors\n\n[lab]\ndelta = -0.5\n", "[lab] delta: delta must be positive, got -0.5"),
-        # exponents outside the trilinear window, b past the tail scale, and
-        # T/4 off the grid used to exit 2 naming no key, under a flagged manifest
-        ("[run]\ncommand = multiplier\n\n[norms]\nb = 0.95\n", "[norms] b, bprime, p: need -1/p < bprime < 0 < b < 1 - 1/p, got b = 0.95"),
-        ("[run]\ncommand = tail-mc\n\n[norms]\nb = 0.6\nq = 2\n", "[norms] b: need b < 1 - 1/q = 0.5 for a finite tail scale, got 0.6"),
-        ("[run]\ncommand = variance-test\n\n[solver]\ndt = 0.05\nhorizon = 0.25\n", "[solver] dt: horizon/dt must be a multiple of 4"),
-        # a horizon under half a step rounded to 0 steps and passed the divisibility
-        # check: solve and sample-noise exited 2 naming no key, variance-test on a failed SVD
-        *(
-            (f"[run]\ncommand = {cmd}\n\n[solver]\ndt = 1.0\nhorizon = 1e-12\n", "[solver] horizon: horizon must be at least one step dt = 1.0, got 1e-12")
-            for cmd in ("variance-test", "solve", "sample-noise")
-        ),
-        # the lattice-sum exponents; they used to exit 2 naming no key, under a flagged manifest
-        ("[run]\ncommand = sums\n\n[lab]\nbeta = 0.5\ngamma = 0.6\n", "[lab] beta, gamma: need beta >= gamma >= 0 and beta + gamma > 1"),
-    ):
+    # errors found in a handler name their key
+    for text, msg in KEYED_CONFIG_ERRORS:
         cfg = _cfg(tmp_path, text, name="keyed.ini")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "keyed")]) == 1, text
         assert f"wickns: config error: {msg}" in capsys.readouterr().err
@@ -776,23 +782,44 @@ def test_cli_matrix_file_with_a_repeated_entry_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_config_error_in_reused_out_leaves_no_stale_manifest(tmp_path, capsys):
-    # the config error surfaces only after resolved_config.ini is rewritten; the
-    # first run's manifest must not stay beside it, vouching for other files
+def _tree(path) -> dict:
+    """Every file under path, by its name relative to path, with its bytes."""
+    root = pathlib.Path(path)
+    return {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
+def test_cli_config_error_in_reused_out_keeps_the_earlier_run(tmp_path, capsys):
+    # the config error is raised before the run's first write: the first run's
+    # files, and the manifest that vouches for them, stay as they were
     out = str(tmp_path / "out")
     good = _cfg(tmp_path, "[run]\ncommand = norms\n\n[norms]\nt = 0.5\n", name="good.ini")
     assert main(["run", "--config", good, "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "manifest.json"))
+    before = _tree(out)
     bad = _cfg(tmp_path, "[run]\ncommand = norms\n\n[norms]\nt = 2.0\n", name="bad.ini")
     assert main(["run", "--config", bad, "--out", out]) == 1
     assert "[norms] t: T must lie in (0, 1]" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(out, "manifest.json"))
-    assert "t = 2.0" in _read(out, "resolved_config.ini")
+    assert _tree(out) == before
+    assert main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", str(tmp_path / "replay")]) == 0
+    capsys.readouterr()
+
+
+def test_cli_handler_config_error_leaves_a_used_directory_untouched(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    good = _cfg(tmp_path, "[run]\ncommand = norms\n\n[norms]\nt = 0.5\n", name="good.ini")
+    assert main(["run", "--config", good, "--out", out]) == 0
+    before = _tree(out)
+    for text, msg in KEYED_CONFIG_ERRORS:
+        cfg = _cfg(tmp_path, text, name="keyed.ini")
+        assert main(["run", "--config", cfg, "--out", out]) == 1, text
+        assert f"wickns: config error: {msg}" in capsys.readouterr().err
+        assert _tree(out) == before, text
+    assert main(["rerun", "--manifest", os.path.join(out, "manifest.json"), "--out", str(tmp_path / "replay")]) == 0
+    capsys.readouterr()
 
 
 def test_cli_handler_config_error_leaves_no_directory(tmp_path, capsys):
-    # these checks run in their command's handler, after the run made its
-    # directory and wrote resolved_config.ini; the run removes both again
+    # these checks run in their command's handler, before the run's first
+    # write, so the run makes no directory
     for text in (
         "[run]\ncommand = multiplier\n\n[norms]\nb = 0.95\n",
         "[run]\ncommand = tail-mc\n\n[norms]\nb = 0.6\nq = 2\n",
@@ -804,7 +831,7 @@ def test_cli_handler_config_error_leaves_no_directory(tmp_path, capsys):
         assert "wickns: config error:" in capsys.readouterr().err
         assert not out.exists(), text
 
-    # a directory that was there keeps what it held, and loses only what the run created
+    # a directory that was there keeps what it held
     out.mkdir()
     (out / "keep.txt").write_text("kept\n")
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -930,6 +957,17 @@ def test_cli_runtime_error_exits_2(tmp_path, capsys):
     man = RunManifest.load(os.path.join(out, "manifest.json"))
     assert man.flags == {"error": "fewer than 3 usable lambda levels (survivals [0.0, 0.0, 0.0])"}
     assert man.task_seeds == {"ensemble": [0, 2]}  # the streams drawn before the failure
+
+    # an out path that cannot be made into a directory gives one diagnostic, whether
+    # the handler writes first, the run writes only report.json, or the handler fails
+    blocked = tmp_path / "file"
+    blocked.write_text("x\n")
+    for text in ("[run]\ncommand = norms\n", "[run]\ncommand = divisors\n\n[lab]\nlimit = 100\n", VARIANCE_BLOWUP):
+        cfg = _cfg(tmp_path, text, name="blocked.ini")
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", cfg, "--out", str(blocked)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("wickns: error: [Errno 17] File exists") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("samples, workers", [(4, 1), (2600, 2)])
@@ -1177,13 +1215,19 @@ def test_cli_sweep_into_reused_directory_tabulates_only_this_sweep(tmp_path, cap
     # the table used to be re-read from each cell's report.json, so a failed cell's
     # row carried the report an earlier sweep had left in the same directory
     out = str(tmp_path / "out")
+    cell = os.path.join(out, "cell-01")
     for values, code in (("0.5, 0.25", 0), ("0.5, 2.0", 1)):
         cfg = _cfg(tmp_path, f"[run]\ncommand = norms\n\n[sweep]\naxis = norms.t\nvalues = {values}\n")
         assert main(["sweep", "--config", cfg, "--out", out]) == code
+        if code == 0:
+            earlier = _tree(cell)
     rows = [r.split(",") for r in _read(out, "sweep.csv").strip().splitlines()]
     assert rows[2][:3] == ["1", "2.0", "1"] and rows[2][3:] == [""] * (len(rows[0]) - 3)
-    assert os.path.exists(os.path.join(out, "cell-01", "report.json"))  # the stale file is still there
-    assert not os.path.exists(os.path.join(out, "cell-01", "manifest.json"))  # but no manifest vouches for it
+    assert [c["exit_code"] for c in _json(out, "sweep_summary.json")["cells"]] == [0, 1]
+    # the failed cell wrote nothing: cell-01 still holds the earlier sweep's run, which reruns
+    assert _tree(cell) == earlier
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", os.path.join(cell, "manifest.json"), "--out", str(tmp_path / "cell-replay")]) == 0
     capsys.readouterr()
 
     # the replay reproduces every recorded output, the failed cell's exit code in sweep.csv too

@@ -3,7 +3,9 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
+import re
 
 import wickns
 from wickns.config import SCHEMA
@@ -599,3 +601,67 @@ def test_every_package_name_comes_from_one_layer():
         for name in importlib.import_module(f"wickns.{short}").__all__:
             owners.setdefault(name, []).append(short)
     assert {name: where for name, where in owners.items() if len(where) != 1} == {}
+
+
+def tracer_names(source: str) -> tuple[dict, set]:
+    """What a tracer source binds by name: each COUNTS key with the argument
+    names its lambda reads (`a["pad"]`), and each `layer.fn` string in
+    layer_metrics that is not a metric key (`m["cli.output_bytes"]`)."""
+    counts, spans = {}, set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "COUNTS" for t in node.targets):
+            for key, fn in zip(node.value.keys, node.value.values):
+                arg = fn.args.args[0].arg
+                reads = (n for n in ast.walk(fn.body) if isinstance(n, ast.Subscript) and getattr(n.value, "id", None) == arg)
+                counts[key.value] = sorted(n.slice.value for n in reads)
+        elif isinstance(node, ast.FunctionDef) and node.name == "layer_metrics":
+            keys = {id(n.slice) for n in ast.walk(node) if isinstance(n, ast.Subscript)}
+            strings = (n for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+            spans = {n.value for n in strings if id(n) not in keys and re.fullmatch(r"[a-z]+\.\w+", n.value)}
+    return counts, spans
+
+
+def traced_function(name: str):
+    """The function the tracer wraps as span `name` ("layer.fn"): one the
+    layer defines and lists in __all__, or for the manifest layer a
+    RunManifest method; None when there is none."""
+    layer, fn = name.split(".")
+    mod = importlib.import_module(f"wickns.{layer}")
+    if layer == "manifest" and hasattr(RunManifest, fn):
+        return getattr(RunManifest, fn)
+    obj = getattr(mod, fn, None)
+    ok = fn in mod.__all__ and inspect.isfunction(obj) and obj.__module__ == mod.__name__
+    return obj if ok else None
+
+
+def test_tracer_name_scan_reads_counts_and_span_lookups():
+    src = (
+        'COUNTS = {"norms.f": lambda a, r: {"n": a["states"].shape[0] + len(a["times"])}}\n'
+        "def layer_metrics(spans):\n"
+        "    m = {}\n"
+        '    for name in ("lab.g", "cli.main"):\n'
+        '        m[f"{name}.s"] = busy(name)\n'
+        '    m["cli.output_bytes"] = attr("manifest.write", "output_bytes")\n'
+        '    m["lab.ensemble.chunks"] = k.startswith("dynamics.")\n'
+        "    return m\n"
+    )
+    assert tracer_names(src) == ({"norms.f": ["states", "times"]}, {"lab.g", "cli.main", "manifest.write"})
+    assert traced_function("manifest.write") is RunManifest.write
+    assert traced_function("lab.xsb_norm_batch") is None  # norms defines it; lab imports it
+
+
+def test_every_name_the_tracer_binds_exists():
+    # the benchmark tracer finds its spans and their counted arguments by name,
+    # so a rename would otherwise show only in a traced benchmark run
+    counts, spans = tracer_names((PACKAGE.parents[1] / "wickbench" / "tracer.py").read_text())
+    assert {"noise.convolution_from_path", "lab.tail_estimate_mc", "manifest.record_output"} <= spans
+    assert {"norms.xsb_norm_batch", "manifest.write"} <= counts.keys()
+    missing = sorted(name for name in counts.keys() | spans if traced_function(name) is None)
+    assert missing == []
+    unread = [
+        f"{name}({arg})"
+        for name, args in sorted(counts.items())
+        for arg in args
+        if arg not in inspect.signature(traced_function(name)).parameters
+    ]
+    assert unread == []
